@@ -81,26 +81,10 @@ func BenchmarkClusterAffinityVsRoundRobin(b *testing.B) {
 func BenchmarkClusterLaneBatching(b *testing.B) {
 	const jobs = 24
 	run := func(lanes int) *protean.FleetResult {
-		c, err := protean.NewCluster(
-			protean.WithNodes(4),
-			protean.WithStoreSlots(2),
-			protean.WithClusterSeed(7),
-			protean.WithLanes(lanes),
-			protean.WithNodeOptions(
-				protean.WithScale(800),
-				protean.WithQuantum(protean.Quantum1ms/800),
-			),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
-		for i := 0; i < jobs; i++ {
-			if err := c.Submit(rotation[i%len(rotation)], 2, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		fr, err := c.Run(context.Background())
+		sc := testScenario(jobs)
+		sc.Arrivals = protean.ArrivalSpec{} // batch: every job present at cycle 0
+		sc.Lanes = lanes
+		fr, err := protean.RunScenario(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,26 +119,11 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 func BenchmarkFleet1kNodes(b *testing.B) {
 	const nodes, jobs = 1000, 512
 	run := func() *protean.FleetResult {
-		c, err := protean.NewCluster(
-			protean.WithNodes(nodes),
-			protean.WithStoreSlots(2),
-			protean.WithClusterSeed(7),
-			protean.WithPlacement(protean.PlaceAffinity),
-			protean.WithNodeOptions(
-				protean.WithScale(800),
-				protean.WithQuantum(protean.Quantum1ms/800),
-			),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
-		for i := 0; i < jobs; i++ {
-			if err := c.Submit(rotation[i%len(rotation)], 2, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		fr, err := c.Run(context.Background())
+		sc := testScenario(jobs)
+		sc.Nodes[0].Count = nodes
+		sc.Arrivals = protean.ArrivalSpec{} // batch: every job present at cycle 0
+		sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
+		fr, err := protean.RunScenario(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,58 +12,31 @@ import (
 	"protean"
 )
 
-// fleetMix submits a thrash-heavy heterogeneous job stream: jobs rotating
-// through the three paper applications, so the fleet juggles 4 distinct
-// circuit configurations.
-func fleetMix(t *testing.T, c *protean.Cluster, jobs int) {
+// runFleet runs sc through RunScenario, failing the test on a run error.
+func runFleet(t *testing.T, sc protean.Scenario, opts ...protean.StartOption) *protean.FleetResult {
 	t.Helper()
-	rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
-	for i := 0; i < jobs; i++ {
-		if err := c.Submit(rotation[i%len(rotation)], 2, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// testFleet builds a small 4-node fleet at a fast scale, with tight
-// 2-slot bitstream stores so placement locality matters.
-func testFleet(t *testing.T, extra ...protean.ClusterOption) *protean.Cluster {
-	t.Helper()
-	opts := append([]protean.ClusterOption{
-		protean.WithNodes(4),
-		protean.WithStoreSlots(2),
-		protean.WithClusterSeed(7),
-		protean.WithOpenLoop(40_000),
-		protean.WithNodeOptions(
-			protean.WithScale(800),
-			protean.WithQuantum(protean.Quantum1ms/800),
-		),
-	}, extra...)
-	c, err := protean.NewCluster(opts...)
+	fr, err := protean.RunScenario(context.Background(), sc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return fr
 }
 
 // TestClusterAffinityReducesConfigLoads is the tentpole's acceptance
 // check: on a thrash-heavy mix, configuration-affinity placement must
 // strictly reduce total configuration loads against round-robin.
 func TestClusterAffinityReducesConfigLoads(t *testing.T) {
-	run := func(pol protean.PlacementPolicy) *protean.FleetResult {
-		c := testFleet(t, protean.WithPlacement(pol))
-		fleetMix(t, c, 12)
-		fr, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(policy string) *protean.FleetResult {
+		sc := testScenario(12)
+		sc.Placement = protean.PlacementSpec{Policy: policy}
+		fr := runFleet(t, sc)
 		if err := fr.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return fr
 	}
-	rr := run(protean.PlaceRoundRobin)
-	aff := run(protean.PlaceAffinity)
+	rr := run("round-robin")
+	aff := run("config-affinity")
 	if aff.ColdLoads >= rr.ColdLoads {
 		t.Errorf("affinity cold loads %d not below round-robin %d", aff.ColdLoads, rr.ColdLoads)
 	}
@@ -82,91 +54,59 @@ func TestClusterAffinityReducesConfigLoads(t *testing.T) {
 }
 
 // TestClusterPlacementDeterminism checks the fleet determinism contract:
-// serial and parallel fleet runs produce byte-identical output.
+// serial and parallel fleet runs, and the same spec serialized to JSON
+// and reloaded, produce byte-identical FleetResult CSV and JSON.
 func TestClusterPlacementDeterminism(t *testing.T) {
-	run := func(workers int) *protean.FleetResult {
-		c := testFleet(t,
-			protean.WithPlacement(protean.PlaceAffinity),
-			protean.WithClusterWorkers(workers))
-		fleetMix(t, c, 9)
-		fr, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
+	spec := func(workers int) protean.Scenario {
+		sc := testScenario(9)
+		sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
+		sc.Workers = workers
+		return sc
 	}
-	serial := run(1)
-	for _, workers := range []int{4, 8} {
-		parallel := run(workers)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("fleet result differs at workers=%d", workers)
-		}
-		if serial.Table().CSV() != parallel.Table().CSV() {
-			t.Errorf("fleet CSV not byte-identical at workers=%d", workers)
-		}
-		sj, err := json.Marshal(serial)
+	serial := runFleet(t, spec(1))
+	refCSV, refJSON := serial.Table().CSV(), mustJSON(t, serial)
+	for _, workers := range []int{1, 4, 8} {
+		sc := spec(workers)
+		loaded, err := protean.LoadScenario(mustJSON(t, sc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pj, err := json.Marshal(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sj, pj) {
-			t.Errorf("fleet JSON not byte-identical at workers=%d", workers)
+		for _, run := range []struct {
+			name string
+			sc   protean.Scenario
+		}{{"spec-built", sc}, {"JSON-reloaded", loaded}} {
+			fr := runFleet(t, run.sc)
+			if !reflect.DeepEqual(serial, fr) {
+				t.Fatalf("%s fleet result differs at workers=%d", run.name, workers)
+			}
+			if fr.Table().CSV() != refCSV {
+				t.Errorf("%s fleet CSV not byte-identical at workers=%d", run.name, workers)
+			}
+			if !bytes.Equal(mustJSON(t, fr), refJSON) {
+				t.Errorf("%s fleet JSON not byte-identical at workers=%d", run.name, workers)
+			}
 		}
 	}
 }
 
+// TestClusterValidation covers the run-time options Start rejects before
+// any simulation: the values a serializable spec cannot carry.
 func TestClusterValidation(t *testing.T) {
-	if _, err := protean.NewCluster(protean.WithNodes(0)); err == nil {
-		t.Error("zero nodes accepted")
+	sc := testScenario(3)
+	if _, err := protean.Start(context.Background(), sc, protean.WithRunPlacements(protean.PlaceAffinity, nil)); err == nil {
+		t.Error("nil placement policy accepted")
 	}
-	if _, err := protean.NewCluster(protean.WithPlacement(nil)); err == nil {
-		t.Error("nil placement accepted")
-	}
-	if _, err := protean.NewCluster(protean.WithStoreSlots(0)); err == nil {
-		t.Error("zero store slots accepted")
-	}
-	c, err := protean.NewCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Submit("no-such-workload", 1, 10); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if err := c.Submit("alpha", 0, 10); err == nil {
-		t.Error("zero instances accepted")
-	}
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("empty fleet ran")
-	}
-	// Validation failures above do not consume the cluster (ran is only
-	// set once the run actually starts); a successful Run does.
-	c2, err := protean.NewCluster(protean.WithNodeOptions(protean.WithScale(800)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Submit("alpha/hw-nosoft", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Submit("alpha/hw-nosoft", 1, 0); err == nil {
-		t.Error("Submit after Run accepted")
-	}
-	if _, err := c2.Run(context.Background()); err == nil {
-		t.Error("second Run accepted")
+	if _, err := protean.Start(context.Background(), sc, protean.WithRunTrace(nil)); err == nil {
+		t.Error("nil trace writer accepted")
 	}
 }
 
 func TestClusterCancellation(t *testing.T) {
-	c := testFleet(t, protean.WithClusterWorkers(2))
-	fleetMix(t, c, 6)
+	sc := testScenario(6)
+	sc.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx); err == nil {
+	if _, err := protean.RunScenario(ctx, sc); err == nil {
 		t.Fatal("cancelled fleet run succeeded")
 	}
 }
@@ -203,7 +143,7 @@ func (ms multiSink) Event(e protean.Event) {
 }
 
 // TestSinkConcurrentDelivery hammers a WriterSink and a recording sink
-// from parallel cluster nodes AND parallel sweep cells at once — the -race
+// from parallel fleet workers AND parallel job sessions at once — the -race
 // gate for the concurrent Sink contract. Every job session streams its
 // run-start/proc-exit/run-done events into the same shared sinks the
 // fleet streams its job-done events into.
@@ -213,15 +153,11 @@ func TestSinkConcurrentDelivery(t *testing.T) {
 	shared := multiSink{protean.WriterSink(&buf), rec}
 
 	const jobs = 12
-	c := testFleet(t,
-		protean.WithClusterWorkers(8),
-		protean.WithFleetProgress(shared),
-		protean.WithNodeOptions(protean.WithProgress(shared)))
-	fleetMix(t, c, jobs)
-	fr, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := testScenario(jobs)
+	sc.Workers = 8
+	fr := runFleet(t, sc,
+		protean.WithRunProgress(shared),
+		protean.WithRunSessionOptions(protean.WithProgress(shared)))
 	if err := fr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +193,9 @@ func TestSinkConcurrentDelivery(t *testing.T) {
 }
 
 func TestFleetResultSerialization(t *testing.T) {
-	c := testFleet(t, protean.WithPlacement(protean.PlaceAffinity))
-	fleetMix(t, c, 3)
-	fr, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := testScenario(3)
+	sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
+	fr := runFleet(t, sc)
 
 	csv := fr.Table().CSV()
 	if !strings.HasPrefix(csv, "job,label,workload,node,") {
@@ -354,97 +287,42 @@ func TestTableEscapesCommas(t *testing.T) {
 	}
 }
 
-func ExampleCluster() {
-	c, err := protean.NewCluster(
-		protean.WithNodes(2),
-		protean.WithPlacement(protean.PlaceAffinity),
-		protean.WithStoreSlots(2),
-		protean.WithNodeOptions(protean.WithScale(800)),
-	)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := c.Submit([]string{"alpha/hw-nosoft", "echo/hw-nosoft"}[i%2], 1, 0); err != nil {
-			panic(err)
-		}
-	}
-	fr, err := c.Run(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("policy=%s jobs=%d verified=%v\n", fr.Policy, len(fr.Jobs), fr.Err() == nil)
-	// Output: policy=config-affinity jobs=4 verified=true
-}
-
 // TestClusterLanesByteIdentical locks the lane-batching contract at the
-// facade: with same-configuration job batching on (WithLanes(0), the
-// default auto mode) and off (WithLanes(1)), the FleetResult — CSV and
-// JSON serializations included — is byte-identical at every worker
-// count. The mix repeats each workload, so batching genuinely folds
-// several jobs into shared bit-sliced sessions.
+// facade: with same-configuration job batching on (Scenario.Lanes 0, the
+// default auto mode) and off (Lanes 1), the FleetResult — CSV and JSON
+// serializations included — is byte-identical at every worker count.
+// The mix repeats each workload, so batching genuinely folds several
+// jobs into shared bit-sliced sessions.
 func TestClusterLanesByteIdentical(t *testing.T) {
-	run := func(lanes, workers int, session ...protean.Option) *protean.FleetResult {
-		opts := []protean.ClusterOption{
-			protean.WithPlacement(protean.PlaceAffinity),
-			protean.WithLanes(lanes),
-			protean.WithClusterWorkers(workers),
+	run := func(lanes, workers int, policy string) *protean.FleetResult {
+		sc := testScenario(12)
+		sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
+		sc.Lanes = lanes
+		sc.Workers = workers
+		if policy != "" {
+			sc.Nodes[0].Session.Policy = policy
 		}
-		if len(session) > 0 {
-			opts = append(opts, protean.WithNodeOptions(session...))
-		}
-		c := testFleet(t, opts...)
-		fleetMix(t, c, 12)
-		fr, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
+		return runFleet(t, sc)
 	}
-	scalar := run(1, 1)
+	scalar := run(1, 1, "")
 	for _, workers := range []int{1, 4, 8} {
-		batched := run(0, workers)
+		batched := run(0, workers, "")
 		if !reflect.DeepEqual(scalar, batched) {
 			t.Fatalf("lane-batched fleet result differs from scalar at workers=%d", workers)
 		}
 		if scalar.Table().CSV() != batched.Table().CSV() {
 			t.Errorf("lane-batched CSV not byte-identical at workers=%d", workers)
 		}
-		sj, err := json.Marshal(scalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bj, err := json.Marshal(batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sj, bj) {
+		if !bytes.Equal(mustJSON(t, scalar), mustJSON(t, batched)) {
 			t.Errorf("lane-batched JSON not byte-identical at workers=%d", workers)
 		}
 	}
 	// Seed-sensitive sessions veto batching: under the random replacement
 	// policy each job's derived seed matters, so auto mode must fall back
-	// to scalar execution and still match WithLanes(1) exactly.
-	randScalar := run(1, 1, protean.WithPolicy(protean.PolicyRandom))
-	randAuto := run(0, 4, protean.WithPolicy(protean.PolicyRandom))
+	// to scalar execution and still match Lanes 1 exactly.
+	randScalar := run(1, 1, "random")
+	randAuto := run(0, 4, "random")
 	if !reflect.DeepEqual(randScalar, randAuto) {
 		t.Fatal("random-policy fleet differs between lanes auto and off: batching was not vetoed")
-	}
-}
-
-func TestWithLanesValidation(t *testing.T) {
-	if _, err := protean.NewCluster(protean.WithLanes(-1)); err == nil {
-		t.Error("negative lanes accepted")
-	}
-	if _, err := protean.NewCluster(protean.WithLanes(65)); err == nil {
-		t.Error("lanes above the 64-lane width accepted")
-	}
-	sc := protean.Scenario{
-		Lanes: 65,
-		Nodes: []protean.NodeSpec{{}},
-		Jobs:  []protean.JobSpec{{Workload: "echo"}},
-	}
-	if err := sc.Validate(); err == nil {
-		t.Error("scenario with lanes above the 64-lane width validated")
 	}
 }

@@ -26,36 +26,24 @@
 // -sta prints each distinct circuit image's static timing summary —
 // critical-path depth in LUT levels under the fabric's unit-delay model
 // (see fabric.Timing) — to stderr at spawn time. Like -lint it composes
-// with -app and -scenario, bites only on gate-level bitstream images,
-// and is rejected with -cluster.
+// with -app and -scenario and bites only on gate-level bitstream
+// images.
 //
 // -app accepts any registered workload name (see -list), "mix" for one
 // instance of each paper application in rotation, or a comma-separated
 // list of names to rotate through.
 //
-// With -cluster the same workload rotation becomes a job stream for a
-// simulated fleet instead of one session:
-//
-//	proteansim -cluster -app mix -jobs 12 -n 2 -nodes 4
-//	           [-placement rr|random|least-loaded|affinity|wa]
-//	           [-slots N] [-gap cycles]
-//
-// Each job runs -n instances of the next rotation entry in its own
-// session on whichever node the placement policy picks; the report shows
-// the per-job timeline, per-node utilisation and the fleet-level
-// configuration traffic that affinity placement saves.
-//
-// With -scenario the whole run comes from a declarative JSON spec
-// instead of flags — heterogeneous node classes, Poisson or trace
-// arrivals, admission bounds and a tunable weighted-affinity weight are
-// all spec-only features (the hybrid itself is also reachable as
-// -placement wa at its default weight):
+// With -scenario the run is a simulated fleet instead of one session,
+// described by a declarative JSON spec: node classes, arrivals, admission
+// bounds, placement policy and the job stream:
 //
 //	proteansim -scenario testdata/scenario_hetero.json [-progress]
 //
-// The spec format is protean.Scenario (see LoadScenario); the report
-// adds the admission outcome (shed/deferred) and the sojourn-latency
-// distribution of the admitted jobs.
+// The spec format is protean.Scenario (see LoadScenario). The report
+// shows the per-job timeline, per-node utilisation, the fleet-level
+// configuration traffic that affinity placement saves, the admission
+// outcome (shed/deferred) and the sojourn-latency distribution of the
+// admitted jobs.
 package main
 
 import (
@@ -85,19 +73,13 @@ func main() {
 	disasmN := flag.Int("disasm", 0, "stream a disassembly of the first N executed instructions to stderr")
 	lintW := flag.Bool("lint", false, "lint circuit images at build time and print findings to stderr")
 	staW := flag.Bool("sta", false, "print static timing summaries of circuit images at build time to stderr")
-	clusterMode := flag.Bool("cluster", false, "run a simulated fleet fed from a job queue instead of one session")
-	nodes := flag.Int("nodes", 4, "cluster: fleet size")
-	jobs := flag.Int("jobs", 8, "cluster: number of jobs (rotating through the -app list)")
-	placement := flag.String("placement", "affinity", "cluster: placement policy: rr, random, least-loaded, affinity, wa (weighted-affinity)")
-	slots := flag.Int("slots", 0, "cluster: per-node bitstream store slots (0 = default)")
-	gap := flag.Uint64("gap", 0, "cluster: mean inter-arrival gap in cycles (0 = batch arrivals)")
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec (JSON file); only -progress applies alongside")
 	traceOut := flag.String("trace-out", "", "write the run's modeled-cycle timeline as Chrome trace-event JSON to this file (view in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the run's metrics snapshot (Prometheus text format) to stdout after the report")
 	flag.Parse()
 
 	// A stray positional argument stops flag parsing, silently dropping
-	// every flag after it (`-cluster 3 -lint` never sees -lint); reject
+	// every flag after it (`-n 3 4 -lint` never sees -lint); reject
 	// it rather than run a half-configured session.
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "proteansim: unexpected argument %q (the tool takes flags only)\n", flag.Arg(0))
@@ -128,13 +110,6 @@ func main() {
 		} else {
 			err = runScenario(*scenarioPath, *progress, *lintW, *staW, *traceOut, *metrics)
 		}
-	} else if *clusterMode {
-		if *showTrace || *disasmN > 0 || *lintW || *staW || *traceOut != "" || *metrics {
-			err = fmt.Errorf("-trace, -disasm, -lint, -sta, -trace-out and -metrics are per-session or spec-level aids and are not supported with -cluster; run the same fleet as a -scenario spec to analyse it")
-		} else {
-			err = runCluster(*appName, *jobs, *n, *nodes, *placement, *slots, *gap,
-				uint32(*quantum), *policy, *soft, *sharing, *items, *scaleF, *seed, *progress, *gate)
-		}
 	} else {
 		err = run(*appName, *n, uint32(*quantum), *policy, *soft, *sharing, *items, *scaleF, *seed, *showTrace, *progress, *gate, *disasmN, *lintW, *staW, *traceOut, *metrics)
 	}
@@ -142,59 +117,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "proteansim:", err)
 		os.Exit(1)
 	}
-}
-
-// runCluster runs the -cluster mode: a fleet of nodes fed jobs rotating
-// through the -app list, and a report of the fleet timeline and the
-// configuration traffic the placement policy produced.
-func runCluster(appName string, jobs, perJob, nodes int, placementName string, slots int,
-	gap uint64, quantum uint32, policyName string, soft, sharing bool,
-	items, scaleF int, seed int64, progress, gate bool) error {
-	pol, err := protean.ParsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	place, err := protean.ParsePlacement(placementName)
-	if err != nil {
-		return err
-	}
-	names, err := parseApps(appName, gate)
-	if err != nil {
-		return err
-	}
-	opts := []protean.ClusterOption{
-		protean.WithNodes(nodes),
-		protean.WithPlacement(place),
-		protean.WithClusterSeed(seed),
-		protean.WithOpenLoop(gap),
-		protean.WithNodeOptions(
-			protean.WithScale(scaleF),
-			protean.WithQuantum(quantum), // 0 = scaled 10ms default
-			protean.WithPolicy(pol),
-			protean.WithSoftDispatch(soft),
-			protean.WithSharing(sharing),
-		),
-	}
-	if slots > 0 {
-		opts = append(opts, protean.WithStoreSlots(slots))
-	}
-	if progress {
-		opts = append(opts, protean.WithFleetProgress(protean.WriterSink(os.Stderr)))
-	}
-	c, err := protean.NewCluster(opts...)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < jobs; i++ {
-		if err := c.Submit(names[i%len(names)], perJob, items); err != nil {
-			return err
-		}
-	}
-	fr, err := c.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	return printFleet(fr)
 }
 
 // runScenario runs the -scenario mode: the whole fleet description —
@@ -249,8 +171,8 @@ func runScenario(path string, progress, lint, sta bool, traceOut string, metrics
 	return ferr
 }
 
-// printFleet renders the fleet report shared by -cluster and -scenario:
-// per-job timeline, per-node utilisation, configuration traffic, and —
+// printFleet renders the -scenario fleet report: per-job timeline,
+// per-node utilisation, configuration traffic, and —
 // when admission control or open-loop arrivals are in play — the shed /
 // deferral outcome and the sojourn-latency distribution.
 func printFleet(fr *protean.FleetResult) error {

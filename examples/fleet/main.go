@@ -19,34 +19,36 @@ import (
 // under round-robin and config-affinity — a paired comparison on
 // identical simulations.
 func runFleets() (rr, aff *protean.FleetResult, err error) {
-	c, err := protean.NewCluster(
-		protean.WithNodes(4),
-		// Tight stores — two configurations per node against four in the
-		// mix — so locality is scarce and placement decides who thrashes.
-		protean.WithStoreSlots(2),
-		protean.WithClusterSeed(7),
+	sc := protean.Scenario{
+		Seed: 7,
+		Nodes: []protean.NodeSpec{{
+			Count: 4,
+			// Tight stores — two configurations per node against four in
+			// the mix — so locality is scarce and placement decides who
+			// thrashes.
+			StoreSlots: 2,
+			Session: protean.SessionSpec{
+				Scale:   400,
+				Quantum: protean.Quantum1ms / 400,
+			},
+		}},
 		// Open-loop arrivals: jobs trickle in with deterministic
-		// Poisson-ish gaps instead of all being present at cycle 0.
-		protean.WithOpenLoop(40_000),
-		protean.WithNodeOptions(
-			protean.WithScale(400),
-			protean.WithQuantum(protean.Quantum1ms/400),
-		),
-	)
-	if err != nil {
-		return nil, nil, err
+		// exponential gaps instead of all being present at cycle 0.
+		Arrivals: protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 40_000},
 	}
 	// A dozen jobs rotating through the paper's three applications: alpha
 	// and twofish carry one circuit each, echo two — four distinct
 	// configurations fleet-wide.
 	rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
 	for i := 0; i < 12; i++ {
-		if err := c.Submit(rotation[i%len(rotation)], 2, 0); err != nil {
-			return nil, nil, err
-		}
+		sc.Jobs = append(sc.Jobs, protean.JobSpec{Workload: rotation[i%len(rotation)], Instances: 2})
 	}
-	frs, err := c.RunPlacements(context.Background(),
-		protean.PlaceRoundRobin, protean.PlaceAffinity)
+	r, err := protean.Start(context.Background(), sc,
+		protean.WithRunPlacements(protean.PlaceRoundRobin, protean.PlaceAffinity))
+	if err != nil {
+		return nil, nil, err
+	}
+	frs, err := r.WaitAll()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -69,7 +69,8 @@ type LatencyStats struct {
 	Mean, P50, P95, P99, Max uint64
 }
 
-// FleetResult is the structured outcome of Cluster.Run.
+// FleetResult is the structured outcome of a fleet run (Start,
+// RunScenario).
 type FleetResult struct {
 	// Policy names the placement policy that drove the run.
 	Policy string

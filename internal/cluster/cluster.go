@@ -96,8 +96,8 @@ const (
 
 // MaxMeanGap caps the open-loop mean inter-arrival gap: 2^48 cycles is
 // ~33 simulated days at 100 MHz, far beyond any sensible run, and keeps
-// the jitter draw (MeanGap+1) and the accumulating arrival clock safely
-// inside uint64 for any realistic job count.
+// the exponential draws and the accumulating arrival clock safely inside
+// uint64 for any realistic job count.
 const MaxMeanGap = uint64(1) << 48
 
 // MaxTraceArrival caps explicit trace arrival cycles (~1.4 simulated
@@ -111,15 +111,8 @@ const MaxTraceArrival = uint64(1) << 52
 type ArrivalKind int
 
 const (
-	// ArriveDefault keeps the legacy convention: batch when MeanGap is 0,
-	// the uniform-jitter open loop otherwise.
-	ArriveDefault ArrivalKind = iota
 	// ArriveBatch is the closed loop: every job is present at cycle 0.
-	ArriveBatch
-	// ArriveUniform is the open loop with deterministic uniform jitter
-	// over [MeanGap/2, 3·MeanGap/2] — the PR 4 "Poisson-ish" process,
-	// kept for byte-compatibility with option-built fleets.
-	ArriveUniform
+	ArriveBatch ArrivalKind = iota
 	// ArrivePoisson is the true open-loop Poisson process: exponential
 	// inter-arrival gaps with mean MeanGap, drawn by the integer
 	// von Neumann sampler (rng.Exp), so queueing behaviour is memoryless
@@ -134,8 +127,8 @@ const (
 // zero value is batch mode.
 type Arrivals struct {
 	Kind ArrivalKind
-	// MeanGap is the mean inter-arrival gap in cycles for the uniform and
-	// Poisson open loops. Gaps above MaxMeanGap are clamped to it.
+	// MeanGap is the mean inter-arrival gap in cycles for the Poisson
+	// open loop. Gaps above MaxMeanGap are clamped to it.
 	MeanGap uint64
 	// Times are the explicit arrival cycles for ArriveTrace.
 	Times []uint64
@@ -148,26 +141,9 @@ func (a Arrivals) times(n int, seed int64) ([]uint64, error) {
 	if gap > MaxMeanGap {
 		gap = MaxMeanGap
 	}
-	kind := a.Kind
-	if kind == ArriveDefault {
-		kind = ArriveBatch
-		if a.MeanGap > 0 {
-			kind = ArriveUniform
-		}
-	}
-	switch kind {
+	switch a.Kind {
 	case ArriveBatch:
 		// all zero
-	case ArriveUniform:
-		if gap == 0 {
-			break
-		}
-		s := rng.New(rng.Derive(seed, streamArrivals))
-		var t uint64
-		for i := range out {
-			t += gap/2 + s.Below(gap+1)
-			out[i] = t
-		}
 	case ArrivePoisson:
 		if gap == 0 {
 			break

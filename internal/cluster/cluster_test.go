@@ -70,26 +70,13 @@ func TestArrivalTimes(t *testing.T) {
 	if got := expand(t, Arrivals{}, 4, 1); !reflect.DeepEqual(got, []uint64{0, 0, 0, 0}) {
 		t.Errorf("batch arrivals = %v", got)
 	}
-	a := Arrivals{MeanGap: 1000}
+	a := Arrivals{Kind: ArrivePoisson, MeanGap: 1000}
 	got := expand(t, a, 64, 1)
-	prev := uint64(0)
-	for i, v := range got {
-		gap := v - prev
-		if gap < 500 || gap > 1500 {
-			t.Fatalf("gap %d at job %d outside [MeanGap/2, 3·MeanGap/2]", gap, i)
-		}
-		prev = v
-	}
 	if !reflect.DeepEqual(got, expand(t, a, 64, 1)) {
 		t.Error("arrival times not deterministic")
 	}
 	if reflect.DeepEqual(got, expand(t, a, 64, 2)) {
 		t.Error("arrival times ignore the seed")
-	}
-	// The legacy zero Kind must mean "uniform iff MeanGap > 0" so
-	// option-built fleets keep their PR 4 arrival sequences bit-for-bit.
-	if !reflect.DeepEqual(got, expand(t, Arrivals{Kind: ArriveUniform, MeanGap: 1000}, 64, 1)) {
-		t.Error("explicit uniform differs from the legacy default expansion")
 	}
 }
 
@@ -111,9 +98,6 @@ func TestArrivalPoisson(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, expand(t, a, 512, 1)) {
 		t.Error("poisson arrivals not deterministic")
-	}
-	if reflect.DeepEqual(got, expand(t, Arrivals{Kind: ArriveUniform, MeanGap: 1000}, 512, 1)) {
-		t.Error("poisson arrivals identical to uniform jitter")
 	}
 }
 
@@ -240,7 +224,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		tr, err := Run(Config{
 			Nodes: 3, StoreSlots: 1, Seed: 9, Workers: workers,
-			Policy: Affinity(), Arrivals: Arrivals{MeanGap: 500},
+			Policy: Affinity(), Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 500},
 		}, jobs, func(i, _ int, seed int64) (Exec, error) {
 			// Service time depends on the derived seed, so this also
 			// checks that seeds are independent of worker count.
@@ -326,17 +310,15 @@ func TestParsePlacement(t *testing.T) {
 }
 
 func TestArrivalGapClamped(t *testing.T) {
-	// A maximal gap must neither panic (MeanGap+1 overflow) nor wrap the
-	// arrival clock for a handful of jobs, in either open-loop process.
-	for _, kind := range []ArrivalKind{ArriveUniform, ArrivePoisson} {
-		got := expand(t, Arrivals{Kind: kind, MeanGap: ^uint64(0)}, 8, 1)
-		prev := uint64(0)
-		for i, v := range got {
-			if v < prev {
-				t.Fatalf("kind %d: arrival clock wrapped at job %d: %d < %d", kind, i, v, prev)
-			}
-			prev = v
+	// A maximal gap must neither panic nor wrap the arrival clock for a
+	// handful of jobs.
+	got := expand(t, Arrivals{Kind: ArrivePoisson, MeanGap: ^uint64(0)}, 8, 1)
+	prev := uint64(0)
+	for i, v := range got {
+		if v < prev {
+			t.Fatalf("arrival clock wrapped at job %d: %d < %d", i, v, prev)
 		}
+		prev = v
 	}
 }
 

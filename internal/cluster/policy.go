@@ -112,9 +112,6 @@ type weightedAffinity struct{ weight uint64 }
 
 func (weightedAffinity) Name() string { return "weighted-affinity" }
 
-// Weight exposes the tunable for scenario snapshots (Cluster.Scenario).
-func (w weightedAffinity) Weight() uint64 { return w.weight }
-
 func (w weightedAffinity) Place(f *Fleet, job *Job) int {
 	best := 0
 	bestScore := w.score(f, job, 0)

@@ -23,32 +23,39 @@ var placementRotation = []workload.Kind{workload.Alpha, workload.Twofish, worklo
 
 // RunFleet runs one placement-sweep cell: the standard job stream on a
 // fleet of the given size, executed once (on sw.Workers job workers) and
-// replayed under each of the given policies (Cluster.RunPlacements), so
-// policy comparisons are paired by construction — identical seeds,
+// replayed under each of the given policies (protean.WithRunPlacements),
+// so policy comparisons are paired by construction — identical seeds,
 // arrivals and session work; only the dispatcher differs. Exported for
 // the cluster benchmark. Results are worker-count independent.
 func (sw Sweeper) RunFleet(nodes int, pols ...protean.PlacementPolicy) ([]*protean.FleetResult, error) {
-	c, err := protean.NewCluster(
-		protean.WithNodes(nodes),
-		protean.WithClusterSeed(sw.CellSeed(uint64(nodes))),
-		protean.WithClusterWorkers(sw.Workers),
-		protean.WithStoreSlots(2),
-		protean.WithOpenLoop(uint64(sw.Scale.Quantum(Quantum10ms))*4),
-		protean.WithNodeOptions(
-			protean.WithScale(sw.Scale.Factor),
-			protean.WithQuantum(sw.Scale.Quantum(Quantum1ms)),
-		),
-	)
-	if err != nil {
-		return nil, err
+	sc := protean.Scenario{
+		Seed:    sw.CellSeed(uint64(nodes)),
+		Workers: sw.Workers,
+		Nodes: []protean.NodeSpec{{
+			Count:      nodes,
+			StoreSlots: 2,
+			Session: protean.SessionSpec{
+				Scale:   sw.Scale.Factor,
+				Quantum: sw.Scale.Quantum(Quantum1ms),
+			},
+		}},
+		Arrivals: protean.ArrivalSpec{
+			Process: protean.ArrivalPoisson,
+			MeanGap: uint64(sw.Scale.Quantum(Quantum10ms)) * 4,
+		},
 	}
 	for i := 0; i < placementJobs; i++ {
 		kind := placementRotation[i%len(placementRotation)]
-		if err := c.Submit(workloadName(kind, workload.ModeHWOnly), 2, 0); err != nil {
-			return nil, err
-		}
+		sc.Jobs = append(sc.Jobs, protean.JobSpec{
+			Workload:  workloadName(kind, workload.ModeHWOnly),
+			Instances: 2,
+		})
 	}
-	frs, err := c.RunPlacements(context.Background(), pols...)
+	r, err := protean.Start(context.Background(), sc, protean.WithRunPlacements(pols...))
+	if err != nil {
+		return nil, err
+	}
+	frs, err := r.WaitAll()
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func TestRunFleetPairsSeedsAcrossPolicies(t *testing.T) {
 		t.Skip("fleet run")
 	}
 	// Two *independent* executions with the same sweep seed must pair with
-	// a single shared-execution RunPlacements call: same session work,
+	// a single shared-execution WithRunPlacements run: same session work,
 	// same arrivals.
 	sw := Sweeper{Scale: fleetScale, Seed: 1}
 	solo, err := sw.RunFleet(4, protean.PlaceRoundRobin)

@@ -409,8 +409,9 @@ func (r *EquivReport) String() string {
 // Counterexample is one concrete input vector and state pair under
 // which the two circuits disagree on the named output bit. States are
 // full state frames in each side's native layout (Sim FF order, or one
-// bit per CLB), so they load directly via LoadFFState / LoadState; the
-// disagreement shows in the same cycle's sampled outputs. For
+// bit per CLB): a Sim state loads directly via LoadFFState, a CLB state
+// via LoadFrame with each bit as a 0/1 byte. The disagreement shows in
+// the same cycle's sampled outputs. For
 // sequential circuits the state respects the proven register
 // correspondence but may be unreachable from reset (see package
 // comment).

@@ -42,24 +42,6 @@ func (in *Instance) LoadFrame(frame []uint8) error {
 	return nil
 }
 
-// SaveState reads back the state frame group as bools.
-//
-// Deprecated: use SaveFrame; the []bool form survives only for callers
-// predating the canonical byte frame.
-func (in *Instance) SaveState() []bool {
-	return frameToBools(in.SaveFrame())
-}
-
-// LoadState restores a state frame group from bools.
-//
-// Deprecated: use LoadFrame.
-func (in *Instance) LoadState(state []bool) error {
-	if len(state) != len(in.ffQ) {
-		return fmt.Errorf("fabric: state has %d bits, instance has %d CLBs", len(state), len(in.ffQ))
-	}
-	return in.LoadFrame(boolsToFrame(state))
-}
-
 // SaveFrame reads back the PFU's state frame group in the canonical
 // one-byte-per-CLB form. This is the cheap half of the split
 // configuration of §4.1.
@@ -81,26 +63,6 @@ func (p *PFU) LoadFrame(frame []uint8) error {
 	for i, v := range frame {
 		p.ffQ[i] = v != 0
 	}
-	return nil
-}
-
-// SaveState reads back the state frame group as bools.
-//
-// Deprecated: use SaveFrame.
-func (p *PFU) SaveState() []bool {
-	st := make([]bool, len(p.ffQ))
-	copy(st, p.ffQ)
-	return st
-}
-
-// LoadState restores a state frame group from bools.
-//
-// Deprecated: use LoadFrame.
-func (p *PFU) LoadState(state []bool) error {
-	if len(state) != len(p.ffQ) {
-		return fmt.Errorf("fabric: state has %d bits, PFU has %d CLBs", len(state), len(p.ffQ))
-	}
-	copy(p.ffQ, state)
 	return nil
 }
 
@@ -128,22 +90,4 @@ func UnpackFrame(data []byte, n int) ([]uint8, error) {
 		frame[i] = data[i/8] >> (i % 8) & 1
 	}
 	return frame, nil
-}
-
-func frameToBools(frame []uint8) []bool {
-	out := make([]bool, len(frame))
-	for i, v := range frame {
-		out[i] = v != 0
-	}
-	return out
-}
-
-func boolsToFrame(state []bool) []uint8 {
-	out := make([]uint8, len(state))
-	for i, v := range state {
-		if v {
-			out[i] = 1
-		}
-	}
-	return out
 }

@@ -216,57 +216,6 @@ func TestLaneFrameValidation(t *testing.T) {
 	}
 }
 
-// TestFrameShimsMatch locks the deprecated []bool state API to the
-// canonical byte-frame API on both scalar engines.
-func TestFrameShimsMatch(t *testing.T) {
-	n := SeqMul16()
-	cfg := placeT(t, n)
-	prog := compileT(t, cfg)
-	inst := prog.NewInstance()
-	pfu, err := NewPFU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 7; s++ {
-		inst.Step(0x1234, 0x5678, s == 0)
-		pfu.Step(0x1234, 0x5678, s == 0)
-	}
-	for _, eng := range []struct {
-		name  string
-		frame []uint8
-		state []bool
-	}{
-		{"instance", inst.SaveFrame(), inst.SaveState()},
-		{"pfu", pfu.SaveFrame(), pfu.SaveState()},
-	} {
-		if len(eng.frame) != len(eng.state) {
-			t.Fatalf("%s: frame %d bytes vs state %d bits", eng.name, len(eng.frame), len(eng.state))
-		}
-		for i := range eng.frame {
-			if (eng.frame[i] != 0) != eng.state[i] {
-				t.Fatalf("%s: frame/state disagree at CLB %d", eng.name, i)
-			}
-		}
-	}
-	// The shims must load what they saved.
-	fresh := prog.NewInstance()
-	if err := fresh.LoadState(inst.SaveState()); err != nil {
-		t.Fatal(err)
-	}
-	freshPFU, err := NewPFU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := freshPFU.LoadState(pfu.SaveState()); err != nil {
-		t.Fatal(err)
-	}
-	a1, _ := fresh.Step(0x1234, 0x5678, false)
-	a2, _ := inst.Step(0x1234, 0x5678, false)
-	if a1 != a2 {
-		t.Fatalf("shim-restored instance diverged: %#x vs %#x", a1, a2)
-	}
-}
-
 // TestPackUnpackFrame round-trips the modeled frame-group packing.
 func TestPackUnpackFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))

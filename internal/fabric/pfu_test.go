@@ -115,13 +115,13 @@ func TestPFUStateMigration(t *testing.T) {
 		p1.Step(a, b, init)
 		init = false
 	}
-	state := p1.SaveState()
+	state := p1.SaveFrame()
 
 	p2, err := NewPFU(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.LoadState(state); err != nil {
+	if err := p2.LoadFrame(state); err != nil {
 		t.Fatal(err)
 	}
 	var out uint32
@@ -175,8 +175,8 @@ func TestPFUAllowsRegisteredCycle(t *testing.T) {
 
 func TestPFULoadStateLengthCheck(t *testing.T) {
 	pfu := newPFUT(t, Xor32())
-	if err := pfu.LoadState(make([]bool, 3)); err == nil {
-		t.Fatal("short state must be rejected")
+	if err := pfu.LoadFrame(make([]uint8, 3)); err == nil {
+		t.Fatal("short state frame must be rejected")
 	}
 }
 

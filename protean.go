@@ -28,9 +28,9 @@
 // Run is cancellable through the context and returns a structured Result:
 // per-process completions, CIS / kernel / RFU statistics and console
 // output, with Result.Err verifying every built-in workload's checksum
-// against its Go model. The option constructors (and NewCluster's) are
-// retained as compatible sugar over the Scenario spec; new code that
-// wants portable, reloadable run descriptions should declare a Scenario.
+// against its Go model. A fleet of sessions — nodes, arrivals, admission,
+// placement and jobs — is declared as a Scenario and run with Start or
+// RunScenario; a SessionSpec carries the same knobs as the options.
 package protean
 
 import (

@@ -15,9 +15,8 @@ import (
 // complete run: a fleet of (possibly heterogeneous) workstations, an
 // arrival process, an admission-control policy, a placement policy and
 // the job list. It is the single source of truth the whole system
-// executes from — the functional options on New and NewCluster are sugar
-// that populates an equivalent Scenario, and protean.Start is the one
-// entry point that runs one (a Session is simply a fleet of one).
+// executes from, and protean.Start is the one entry point that runs one
+// (a Session is simply a fleet of one).
 //
 // Scenarios round-trip through JSON (MarshalJSON / LoadScenario), so a
 // run can be described in a spec file, checked into a repo, replayed by
@@ -105,7 +104,6 @@ type SessionSpec struct {
 // Arrival process names for ArrivalSpec.Process.
 const (
 	ArrivalBatch   = "batch"
-	ArrivalUniform = "uniform"
 	ArrivalPoisson = "poisson"
 	ArrivalTrace   = "trace"
 )
@@ -113,13 +111,11 @@ const (
 // ArrivalSpec selects the fleet's arrival process.
 type ArrivalSpec struct {
 	// Process is one of "batch" (closed loop, everything at cycle 0 —
-	// the default), "uniform" (open loop, deterministic uniform jitter
-	// over [MeanGap/2, 3·MeanGap/2] — the legacy WithOpenLoop process),
-	// "poisson" (open loop, exponential gaps from the integer-arithmetic
-	// rng.Exp sampler) or "trace" (explicit arrival cycles).
+	// the default), "poisson" (open loop, exponential gaps from the
+	// integer-arithmetic rng.Exp sampler) or "trace" (explicit arrival
+	// cycles).
 	Process string `json:"process,omitempty"`
-	// MeanGap is the mean inter-arrival gap in cycles for the open-loop
-	// processes.
+	// MeanGap is the mean inter-arrival gap in cycles for "poisson".
 	MeanGap uint64 `json:"mean_gap,omitempty"`
 	// Times are the explicit arrival cycles for "trace", nondecreasing,
 	// one per job (a longer trace covers a shorter job list).
@@ -244,75 +240,28 @@ func (ss SessionSpec) options() ([]Option, error) {
 	return opts, nil
 }
 
-// spec is the inverse of SessionSpec.options: it snapshots a resolved
-// option configuration as the serializable spec, dropping the
-// non-modeled debugging extras (trace, progress sink, disassembly) that
-// extraOptions carries instead.
-func (c config) spec() SessionSpec {
-	ss := SessionSpec{
-		Scale:        c.scale.Factor,
-		Quantum:      c.quantum,
-		Policy:       c.policy.String(),
-		SoftDispatch: c.soft,
-		Sharing:      c.sharing,
-		FullReadback: c.fullReadback,
-		PageInCycles: c.pageIn,
-		AtomicCDP:    c.atomicCDP,
-		MaxFaults:    c.maxFaults,
-		TLB1Entries:  c.tlb1,
-		PFUs:         c.pfus,
-		Budget:       c.budget,
-		LintWarnings: c.lintWarnings,
-	}
-	if c.costsSet {
-		ss.Costs = c.costs
-	}
-	return ss
-}
-
-// extraOptions rebuilds the non-modeled session extras of a resolved
-// configuration — the debugging aids a Scenario deliberately cannot
-// express, re-applied per job session by the option-built cluster path.
-func (c config) extraOptions() []Option {
-	var out []Option
-	if c.traceCap > 0 {
-		out = append(out, WithTrace(c.traceCap))
-	}
-	if c.sink != nil {
-		out = append(out, WithProgress(c.sink))
-	}
-	if c.disasmW != nil && c.disasmN > 0 {
-		out = append(out, WithDisasm(c.disasmW, c.disasmN))
-	}
-	return out
-}
-
 // resolve turns an ArrivalSpec into the cluster's arrival process.
 func (as ArrivalSpec) resolve() (cluster.Arrivals, error) {
 	switch as.Process {
 	case "", ArrivalBatch:
 		if as.MeanGap != 0 {
-			return cluster.Arrivals{}, fmt.Errorf("protean: batch arrivals take no mean gap (got %d); use process %q", as.MeanGap, ArrivalUniform)
+			return cluster.Arrivals{}, fmt.Errorf("protean: batch arrivals take no mean gap (got %d); use process %q", as.MeanGap, ArrivalPoisson)
 		}
 		if len(as.Times) != 0 {
 			return cluster.Arrivals{}, fmt.Errorf("protean: batch arrivals take no times; use process %q", ArrivalTrace)
 		}
 		return cluster.Arrivals{Kind: cluster.ArriveBatch}, nil
-	case ArrivalUniform, ArrivalPoisson:
+	case ArrivalPoisson:
 		if as.MeanGap == 0 {
-			return cluster.Arrivals{}, fmt.Errorf("protean: %s arrivals need a positive mean gap", as.Process)
+			return cluster.Arrivals{}, fmt.Errorf("protean: poisson arrivals need a positive mean gap")
 		}
 		if as.MeanGap > cluster.MaxMeanGap {
 			return cluster.Arrivals{}, fmt.Errorf("protean: mean gap %d exceeds the %d-cycle cap", as.MeanGap, cluster.MaxMeanGap)
 		}
 		if len(as.Times) != 0 {
-			return cluster.Arrivals{}, fmt.Errorf("protean: %s arrivals take no times", as.Process)
+			return cluster.Arrivals{}, fmt.Errorf("protean: poisson arrivals take no times")
 		}
-		kind := cluster.ArriveUniform
-		if as.Process == ArrivalPoisson {
-			kind = cluster.ArrivePoisson
-		}
-		return cluster.Arrivals{Kind: kind, MeanGap: as.MeanGap}, nil
+		return cluster.Arrivals{Kind: cluster.ArrivePoisson, MeanGap: as.MeanGap}, nil
 	case ArrivalTrace:
 		if as.MeanGap != 0 {
 			return cluster.Arrivals{}, fmt.Errorf("protean: trace arrivals take no mean gap")
@@ -326,9 +275,11 @@ func (as ArrivalSpec) resolve() (cluster.Arrivals, error) {
 			}
 		}
 		return cluster.Arrivals{Kind: cluster.ArriveTrace, Times: as.Times}, nil
+	case "uniform":
+		return cluster.Arrivals{}, fmt.Errorf("protean: the uniform-jitter arrival process is retired; use process %q with the same mean gap", ArrivalPoisson)
 	}
-	return cluster.Arrivals{}, fmt.Errorf("protean: unknown arrival process %q (want %s, %s, %s or %s)",
-		as.Process, ArrivalBatch, ArrivalUniform, ArrivalPoisson, ArrivalTrace)
+	return cluster.Arrivals{}, fmt.Errorf("protean: unknown arrival process %q (want %s, %s or %s)",
+		as.Process, ArrivalBatch, ArrivalPoisson, ArrivalTrace)
 }
 
 // resolve turns an AdmissionSpec into the cluster's admission control.
@@ -367,17 +318,6 @@ func (ps PlacementSpec) resolve() (PlacementPolicy, error) {
 		return nil, fmt.Errorf("protean: placement weight applies only to weighted-affinity, not %q", pol.Name())
 	}
 	return pol, nil
-}
-
-// placementSpecOf snapshots a policy value as its spec, preserving the
-// weighted-affinity tunable. Custom policies snapshot by Name only —
-// such a spec documents the run but will not reload.
-func placementSpecOf(p PlacementPolicy) PlacementSpec {
-	ps := PlacementSpec{Policy: p.Name()}
-	if w, ok := p.(interface{ Weight() uint64 }); ok {
-		ps.Weight = w.Weight()
-	}
-	return ps
 }
 
 // fleetJob is one resolved job: a workload to run somewhere in the
@@ -688,8 +628,7 @@ type Runner struct {
 // delivers the FleetResult. Resolution errors (the Validate class of
 // problems) surface here, before any simulation runs.
 //
-// This is the system's one entry point: NewCluster + Submit + Run is
-// option-flavoured sugar over exactly this path, and a Session is the
+// This is the system's one fleet entry point; a Session is the
 // degenerate fleet of one node.
 func Start(ctx context.Context, sc Scenario, opts ...StartOption) (*Runner, error) {
 	var scfg startConfig

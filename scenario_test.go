@@ -7,14 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"protean"
 )
 
-// testScenario is the spec-form twin of testFleet + fleetMix: a 4-node
-// fleet at a fast scale, tight 2-slot stores, uniform open-loop arrivals,
-// and a thrash-heavy heterogeneous job rotation.
+// testScenario is the standard test fleet: a 4-node fleet at a fast
+// scale, tight 2-slot stores so placement locality matters, Poisson
+// open-loop arrivals, and a thrash-heavy heterogeneous job rotation —
+// the three paper applications, 4 distinct circuit configurations.
 func testScenario(jobs int) protean.Scenario {
 	rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
 	sc := protean.Scenario{
@@ -28,7 +30,7 @@ func testScenario(jobs int) protean.Scenario {
 				Policy:  "round-robin",
 			},
 		}},
-		Arrivals: protean.ArrivalSpec{Process: protean.ArrivalUniform, MeanGap: 40_000},
+		Arrivals: protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 40_000},
 	}
 	for i := 0; i < jobs; i++ {
 		sc.Jobs = append(sc.Jobs, protean.JobSpec{Workload: rotation[i%len(rotation)], Instances: 2})
@@ -130,8 +132,12 @@ func TestScenarioValidation(t *testing.T) {
 		"admission w/o bound":  mutate(func(sc *protean.Scenario) { sc.Admission = protean.AdmissionSpec{Policy: protean.AdmissionShed} }),
 		"bad admission policy": mutate(func(sc *protean.Scenario) { sc.Admission = protean.AdmissionSpec{Bound: 1, Policy: "drop"} }),
 		"unknown arrivals":     mutate(func(sc *protean.Scenario) { sc.Arrivals.Process = "bursty" }),
-		"uniform w/o gap":      mutate(func(sc *protean.Scenario) { sc.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalUniform} }),
-		"batch with gap":       mutate(func(sc *protean.Scenario) { sc.Arrivals = protean.ArrivalSpec{MeanGap: 100} }),
+		"negative lanes":       mutate(func(sc *protean.Scenario) { sc.Lanes = -1 }),
+		"lanes over 64":        mutate(func(sc *protean.Scenario) { sc.Lanes = 65 }),
+		"retired uniform process": mutate(func(sc *protean.Scenario) {
+			sc.Arrivals = protean.ArrivalSpec{Process: "uniform", MeanGap: 40_000}
+		}),
+		"batch with gap": mutate(func(sc *protean.Scenario) { sc.Arrivals = protean.ArrivalSpec{MeanGap: 100} }),
 		"short trace": mutate(func(sc *protean.Scenario) {
 			sc.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalTrace, Times: []uint64{0}}
 		}),
@@ -166,6 +172,10 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("%s: started", name)
 		}
 	}
+	// The retired uniform-jitter process points its users at Poisson.
+	if err := cases["retired uniform process"].Validate(); err == nil || !strings.Contains(err.Error(), `"poisson"`) {
+		t.Errorf("uniform arrivals: error %v does not name the poisson process", err)
+	}
 	// Unknown JSON fields are typos, not extensions.
 	if _, err := protean.LoadScenario([]byte(`{"nodes":[{}],"jobs":[{"workload":"alpha"}],"quantum":5}`)); err == nil {
 		t.Error("unknown top-level field accepted")
@@ -179,77 +189,6 @@ func TestScenarioValidation(t *testing.T) {
 	sc := testScenario(3)
 	if err := sc.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
-	}
-}
-
-// TestScenarioOptionsEquivalence is the tentpole's acceptance check: an
-// options-built cluster run, its Scenario snapshot run through Start, and
-// the snapshot serialized to JSON and reloaded must all produce
-// byte-identical FleetResult CSV and JSON — for every worker count.
-func TestScenarioOptionsEquivalence(t *testing.T) {
-	const jobs = 9
-	baseline := func(workers int) *protean.FleetResult {
-		c := testFleet(t, protean.WithClusterWorkers(workers))
-		fleetMix(t, c, jobs)
-		fr, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
-	}
-	ref := baseline(1)
-	refCSV, refJSON := ref.Table().CSV(), mustJSON(t, ref)
-
-	for _, workers := range []int{1, 4, 8} {
-		if workers != 1 {
-			fr := baseline(workers)
-			if got := fr.Table().CSV(); got != refCSV {
-				t.Errorf("options-built CSV differs at workers=%d", workers)
-			}
-		}
-		// Spec-built: the hand-written Scenario equivalent to testFleet.
-		sc := testScenario(jobs)
-		sc.Workers = workers
-		fr, err := protean.RunScenario(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fr.Table().CSV(); got != refCSV {
-			t.Errorf("spec-built CSV differs from options-built at workers=%d:\n got %s\nwant %s",
-				workers, got, refCSV)
-		}
-		if got := mustJSON(t, fr); !bytes.Equal(got, refJSON) {
-			t.Errorf("spec-built JSON differs from options-built at workers=%d", workers)
-		}
-		// Spec-through-JSON: marshal, reload, run.
-		data, err := json.Marshal(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := protean.LoadScenario(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr2, err := protean.RunScenario(context.Background(), loaded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fr2.Table().CSV(); got != refCSV {
-			t.Errorf("JSON-loaded CSV differs from options-built at workers=%d", workers)
-		}
-	}
-
-	// The cluster's own snapshot must agree with the hand-written spec's
-	// results too (its canonicalized jobs carry explicit items).
-	c := testFleet(t)
-	fleetMix(t, c, jobs)
-	snap := c.Scenario()
-	fr, err := protean.RunScenario(context.Background(), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fr.Table().CSV(); got != refCSV {
-		t.Errorf("Cluster.Scenario() snapshot CSV differs from its own Run")
 	}
 }
 
@@ -332,36 +271,33 @@ func TestScenarioHeterogeneousNodes(t *testing.T) {
 	}
 }
 
-// TestScenarioPoissonArrivals checks the new arrival process end to end:
-// Poisson arrivals change the fleet timeline against uniform jitter at
-// the same mean, leave the per-session statistics untouched, and stay
-// byte-identical across worker counts (the rng.Exp determinism contract
-// at fleet scale).
+// TestScenarioPoissonArrivals checks the open-loop arrival process end to
+// end: Poisson arrivals change the fleet timeline against batch arrivals,
+// leave the per-session statistics untouched, and stay byte-identical
+// across worker counts (the rng.Exp determinism contract at fleet scale).
 func TestScenarioPoissonArrivals(t *testing.T) {
-	run := func(process string, workers int) *protean.FleetResult {
+	poisson := protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 40_000}
+	run := func(arrivals protean.ArrivalSpec, workers int) *protean.FleetResult {
 		sc := testScenario(9)
 		sc.Workers = workers
-		sc.Arrivals = protean.ArrivalSpec{Process: process, MeanGap: 40_000}
-		fr, err := protean.RunScenario(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc.Arrivals = arrivals
+		fr := runFleet(t, sc)
 		if err := fr.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return fr
 	}
-	uni := run(protean.ArrivalUniform, 1)
-	poi := run(protean.ArrivalPoisson, 1)
-	if reflect.DeepEqual(uni.Jobs, poi.Jobs) {
-		t.Error("poisson arrivals indistinguishable from uniform jitter")
+	batch := run(protean.ArrivalSpec{}, 1)
+	poi := run(poisson, 1)
+	if reflect.DeepEqual(batch.Jobs, poi.Jobs) {
+		t.Error("poisson arrivals indistinguishable from batch arrivals")
 	}
-	if uni.CIS != poi.CIS {
-		t.Errorf("arrival process changed session statistics: %+v vs %+v", uni.CIS, poi.CIS)
+	if batch.CIS != poi.CIS {
+		t.Errorf("arrival process changed session statistics: %+v vs %+v", batch.CIS, poi.CIS)
 	}
 	ref := mustJSON(t, poi)
 	for _, workers := range []int{4, 8} {
-		if got := mustJSON(t, run(protean.ArrivalPoisson, workers)); !bytes.Equal(got, ref) {
+		if got := mustJSON(t, run(poisson, workers)); !bytes.Equal(got, ref) {
 			t.Errorf("poisson fleet JSON differs at workers=%d", workers)
 		}
 	}
@@ -453,7 +389,7 @@ func TestScenarioAdmission(t *testing.T) {
 	// Queueing must dominate tail latency: the batch pile-up's worst
 	// sojourn far exceeds a wide-open-loop fleet's.
 	relaxed := testScenario(12)
-	relaxed.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalUniform, MeanGap: 4_000_000}
+	relaxed.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 4_000_000}
 	frRelaxed, err := protean.RunScenario(context.Background(), relaxed)
 	if err != nil {
 		t.Fatal(err)
@@ -469,15 +405,17 @@ func TestScenarioAdmission(t *testing.T) {
 // circuit kind to one node and idles the spare, while round-robin stays
 // oblivious to locality. The weighted hybrid must beat affinity on
 // makespan and round-robin on configuration loads — on one identical,
-// paired job stream (RunPlacements replays policies over the same
+// paired job stream (WithRunPlacements replays policies over the same
 // executions).
 func TestScenarioWeightedAffinityHybrid(t *testing.T) {
 	// 3 circuit kinds (alpha, twofish, echo at 1+1+2 configurations) on a
 	// 4-node fleet: n > k, so pure affinity concentrates on 3 nodes.
-	c := testFleet(t)
-	fleetMix(t, c, 12)
-	frs, err := c.RunPlacements(context.Background(),
-		protean.PlaceRoundRobin, protean.PlaceAffinity, protean.PlaceWeightedAffinity(0))
+	r, err := protean.Start(context.Background(), testScenario(12), protean.WithRunPlacements(
+		protean.PlaceRoundRobin, protean.PlaceAffinity, protean.PlaceWeightedAffinity(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frs, err := r.WaitAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,44 +442,6 @@ func TestScenarioWeightedAffinityHybrid(t *testing.T) {
 		rr.Makespan, aff.Makespan, wa.Makespan,
 		rr.ConfigLoads(), aff.ConfigLoads(), wa.ConfigLoads(),
 		usedNodes(rr), usedNodes(aff), usedNodes(wa))
-}
-
-// TestClusterSubmitDuringRun pins the Submit-after-Run-started bugfix:
-// once Run is underway (observed from a fleet progress event fired
-// mid-run), Submit must error instead of mutating the job list of a
-// scenario that has already been resolved.
-func TestClusterSubmitDuringRun(t *testing.T) {
-	var c *protean.Cluster
-	errs := make(chan error, 64)
-	sink := protean.SinkFunc(func(e protean.Event) {
-		if e.Kind == protean.EventJobDone {
-			errs <- c.Submit("alpha/hw-nosoft", 1, 0)
-		}
-	})
-	c = testFleet(t, protean.WithFleetProgress(sink), protean.WithClusterWorkers(2))
-	fleetMix(t, c, 3)
-	fr, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(errs)
-	n := 0
-	for err := range errs {
-		n++
-		if err == nil {
-			t.Fatal("Submit during a started Run succeeded")
-		}
-	}
-	if n == 0 {
-		t.Fatal("no mid-run Submit was attempted")
-	}
-	// The run must have executed exactly the 3 pre-run submissions.
-	if len(fr.Jobs) != 3 {
-		t.Errorf("run executed %d jobs, want the 3 submitted before Run", len(fr.Jobs))
-	}
-	if err := c.Submit("alpha/hw-nosoft", 1, 0); err == nil {
-		t.Error("Submit after Run returned succeeded")
-	}
 }
 
 // TestStartRunner exercises the Start/Wait surface directly: a started

@@ -18,15 +18,15 @@ import (
 )
 
 func main() {
-	write("testdata/scenario_uniform.json", uniform())
+	write("testdata/scenario_uniform.json", homogeneous())
 	write("testdata/scenario_hetero.json", hetero())
 }
 
-// uniform is the options-equivalent homogeneous spec: what
-// NewCluster(WithNodes(4), WithStoreSlots(2), WithClusterSeed(7),
-// WithOpenLoop(40000), WithPlacement(PlaceAffinity),
-// WithNodeOptions(WithScale(800), WithQuantum(Quantum1ms/800))) builds.
-func uniform() protean.Scenario {
+// homogeneous is the one-class spec (written to scenario_uniform.json,
+// "uniform" as in a fleet of identical nodes): four tight-store nodes at
+// a fast scale, Poisson arrivals, config-affinity placement and the
+// paper rotation, one JobSpec per job in submission order.
+func homogeneous() protean.Scenario {
 	sc := protean.Scenario{
 		Seed: 7,
 		Nodes: []protean.NodeSpec{{
@@ -38,7 +38,7 @@ func uniform() protean.Scenario {
 				Policy:  "round-robin",
 			},
 		}},
-		Arrivals:  protean.ArrivalSpec{Process: protean.ArrivalUniform, MeanGap: 40_000},
+		Arrivals:  protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 40_000},
 		Placement: protean.PlacementSpec{Policy: "config-affinity"},
 	}
 	rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
@@ -48,7 +48,7 @@ func uniform() protean.Scenario {
 	return sc
 }
 
-// hetero exercises everything the options cannot express: two node
+// hetero exercises the heterogeneous side of the spec: two node
 // classes (one double-clock, small-array outlier), Poisson arrivals,
 // a shedding admission bound and the weighted-affinity hybrid.
 func hetero() protean.Scenario {
