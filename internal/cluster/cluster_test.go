@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -603,9 +604,9 @@ func TestExecuteBatchingMatchesScalar(t *testing.T) {
 		bcfg := cfg
 		bcfg.Workers = workers
 		bcfg.Lanes = 4
-		var batchCalls int
+		var batchCalls atomic.Int64 // bumped from concurrent batch runners
 		bcfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]Exec, error) {
-			batchCalls++
+			batchCalls.Add(1)
 			if len(idxs) < 2 {
 				t.Errorf("batch runner called with %d jobs", len(idxs))
 			}
@@ -625,7 +626,7 @@ func TestExecuteBatchingMatchesScalar(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: batched profiles differ from scalar", workers)
 		}
-		if workers == 1 && batchCalls == 0 {
+		if workers == 1 && batchCalls.Load() == 0 {
 			t.Fatal("batch runner never called")
 		}
 		wtr, err := Replay(cfg, jobs, want)

@@ -1,7 +1,8 @@
 // Package wire implements proteand's compact length-prefixed binary
 // protocol: a hand-rolled msgpack-style codec (tag byte + big-endian
-// payload, no reflection) plus the fixed message vocabulary the daemon
-// and its clients speak.
+// payload), a reflective positional object layer that frames Go structs
+// as fixed-arity arrays (object.go), and the fixed message vocabulary the
+// daemon and its clients speak.
 //
 // The codec is canonical: every value has exactly one accepted encoding
 // (the shortest tag family that fits), and the decoder rejects
@@ -201,14 +202,6 @@ func (e *Encoder) MapHeader(n int) {
 	default:
 		e.buf = append(e.buf, tagMap32)
 		e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
-	}
-}
-
-// Uints appends a uint64 slice as an array.
-func (e *Encoder) Uints(vs []uint64) {
-	e.ArrayHeader(len(vs))
-	for _, v := range vs {
-		e.Uint(v)
 	}
 }
 
@@ -546,22 +539,4 @@ func (d *Decoder) ArrayHeaderExact(want int) error {
 		return fmt.Errorf("%w: array of %d elements where %d expected", ErrCodec, n, want)
 	}
 	return nil
-}
-
-// Uints decodes a uint64 array.
-func (d *Decoder) Uints() ([]uint64, error) {
-	n, err := d.ArrayHeader()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		if vs[i], err = d.Uint(); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"protean"
 )
 
 // FuzzWireDecode feeds arbitrary bytes to both decoder entry points the
@@ -50,6 +52,14 @@ func FuzzWireDecode(f *testing.F) {
 		AppendMessage(e, 3, StatusOK{Job: 9, State: StateRunning})
 	})
 	seed(func(e *Encoder) { AppendMessage(e, 0, EventGap{Job: 4, Dropped: 1000}) })
+	exp := uint32(7)
+	seed(func(e *Encoder) { AppendMessage(e, 4, ResultOK{Job: 9, Fleet: sampleFleet(&exp)}) })
+	seed(func(e *Encoder) { AppendMessage(e, 5, MetricsOK{Snap: sampleSnapshot()}) })
+	seed(func(e *Encoder) {
+		AppendMessage(e, 0, Event{Job: 9, Ev: protean.Event{
+			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, OK: true,
+		}})
+	})
 	f.Add([]byte{0xdd, 0xff, 0xff, 0xff, 0xff})   // hostile array32 count
 	f.Add([]byte{0xcc, 0x05})                     // non-canonical uint
 	f.Add(bytes.Repeat([]byte{0x91}, MaxDepth+8)) // deep nesting

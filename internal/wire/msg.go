@@ -2,13 +2,14 @@ package wire
 
 import (
 	"fmt"
+	"reflect"
 
 	"protean"
 )
 
 // Version is the protocol revision negotiated by Hello/HelloOK. A server
 // rejects clients whose major revision differs.
-const Version = 1
+const Version = 2
 
 // Message kinds — the first element of every message envelope.
 const (
@@ -44,13 +45,12 @@ const (
 //	[kind uint, id uint64, body array]
 //
 // where id correlates a response with its request (0 for unsolicited
-// stream frames) and body is a fixed-arity array per kind — positional
-// fields, no reflection, no field names on the wire.
+// stream frames) and body is the message struct framed by the positional
+// object codec (object.go) — a fixed-arity array per kind, no field
+// names on the wire.
 type Msg interface {
 	// Kind returns the message's envelope tag.
 	Kind() uint64
-	// encodeBody appends the body array.
-	encodeBody(e *Encoder)
 }
 
 // Hello opens a connection.
@@ -172,104 +172,25 @@ func (EventGap) Kind() uint64  { return KEventGap }
 func (Done) Kind() uint64      { return KDone }
 func (Error) Kind() uint64     { return KError }
 
-func (m Hello) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Version)
-}
-
-func (m HelloOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(2)
-	e.Uint(m.Version)
-	e.Str(m.Server)
-}
-
-func (m Submit) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Bin(m.Spec)
-}
-
-func (m SubmitOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Job)
-}
-
-func (m Status) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Job)
-}
-
-func (m StatusOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(4)
-	e.Uint(m.Job)
-	e.Str(m.State)
-	e.Uint(m.Makespan)
-	e.Str(m.Err)
-}
-
-func (m Cancel) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Job)
-}
-
-func (m CancelOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(2)
-	e.Uint(m.Job)
-	e.Bool(m.Canceled)
-}
-
-func (m Result) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Job)
-}
-
-func (m ResultOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(2)
-	e.Uint(m.Job)
-	encodeFleetResult(e, m.Fleet)
-}
-
-func (m Metrics) encodeBody(e *Encoder) {
-	e.ArrayHeader(0)
-}
-
-func (m MetricsOK) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	encodeSnapshot(e, m.Snap)
-}
-
-func (m Watch) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Uint(m.Job)
-}
-
-func (m Event) encodeBody(e *Encoder) {
-	e.ArrayHeader(8)
-	e.Uint(m.Job)
-	e.Int(int64(m.Ev.Kind))
-	e.Str(m.Ev.Label)
-	e.Uint(uint64(m.Ev.PID))
-	e.Uint(m.Ev.Cycle)
-	e.Int(int64(m.Ev.Procs))
-	e.Bool(m.Ev.OK)
-	e.Str(m.Ev.Message)
-}
-
-func (m EventGap) encodeBody(e *Encoder) {
-	e.ArrayHeader(2)
-	e.Uint(m.Job)
-	e.Uint(m.Dropped)
-}
-
-func (m Done) encodeBody(e *Encoder) {
-	e.ArrayHeader(3)
-	e.Uint(m.Job)
-	e.Str(m.State)
-	e.Str(m.Err)
-}
-
-func (m Error) encodeBody(e *Encoder) {
-	e.ArrayHeader(1)
-	e.Str(m.Msg)
+// msgTypes maps each message kind to its body type, indexed by kind.
+var msgTypes = [...]reflect.Type{
+	KHello:     reflect.TypeFor[Hello](),
+	KHelloOK:   reflect.TypeFor[HelloOK](),
+	KSubmit:    reflect.TypeFor[Submit](),
+	KSubmitOK:  reflect.TypeFor[SubmitOK](),
+	KStatus:    reflect.TypeFor[Status](),
+	KStatusOK:  reflect.TypeFor[StatusOK](),
+	KCancel:    reflect.TypeFor[Cancel](),
+	KCancelOK:  reflect.TypeFor[CancelOK](),
+	KResult:    reflect.TypeFor[Result](),
+	KResultOK:  reflect.TypeFor[ResultOK](),
+	KMetrics:   reflect.TypeFor[Metrics](),
+	KMetricsOK: reflect.TypeFor[MetricsOK](),
+	KWatch:     reflect.TypeFor[Watch](),
+	KEvent:     reflect.TypeFor[Event](),
+	KEventGap:  reflect.TypeFor[EventGap](),
+	KDone:      reflect.TypeFor[Done](),
+	KError:     reflect.TypeFor[Error](),
 }
 
 // AppendMessage appends one enveloped message to the encoder: the frame
@@ -278,7 +199,7 @@ func AppendMessage(e *Encoder, id uint64, m Msg) {
 	e.ArrayHeader(3)
 	e.Uint(m.Kind())
 	e.Uint(id)
-	m.encodeBody(e)
+	e.encodeObject(reflect.ValueOf(m))
 }
 
 // EncodeMessage encodes one enveloped message as a fresh payload.
@@ -324,197 +245,12 @@ func ReadMessage(d *Decoder) (uint64, Msg, error) {
 }
 
 func decodeBody(d *Decoder, kind uint64) (Msg, error) {
-	switch kind {
-	case KHello:
-		var m Hello
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Version, err = d.Uint()
-		return m, err
-	case KHelloOK:
-		var m HelloOK
-		if err := d.ArrayHeaderExact(2); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Version, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		m.Server, err = d.Str()
-		return m, err
-	case KSubmit:
-		var m Submit
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Spec, err = d.Bin()
-		return m, err
-	case KSubmitOK:
-		var m SubmitOK
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Job, err = d.Uint()
-		return m, err
-	case KStatus:
-		var m Status
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Job, err = d.Uint()
-		return m, err
-	case KStatusOK:
-		var m StatusOK
-		if err := d.ArrayHeaderExact(4); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		if m.State, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if m.Makespan, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		m.Err, err = d.Str()
-		return m, err
-	case KCancel:
-		var m Cancel
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Job, err = d.Uint()
-		return m, err
-	case KCancelOK:
-		var m CancelOK
-		if err := d.ArrayHeaderExact(2); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		m.Canceled, err = d.Bool()
-		return m, err
-	case KResult:
-		var m Result
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Job, err = d.Uint()
-		return m, err
-	case KResultOK:
-		var m ResultOK
-		if err := d.ArrayHeaderExact(2); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		m.Fleet, err = decodeFleetResult(d)
-		return m, err
-	case KMetrics:
-		if err := d.ArrayHeaderExact(0); err != nil {
-			return nil, err
-		}
-		return Metrics{}, nil
-	case KMetricsOK:
-		var m MetricsOK
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Snap, err = decodeSnapshot(d)
-		return m, err
-	case KWatch:
-		var m Watch
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Job, err = d.Uint()
-		return m, err
-	case KEvent:
-		var m Event
-		if err := d.ArrayHeaderExact(8); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		k, err := d.Int()
-		if err != nil {
-			return nil, err
-		}
-		m.Ev.Kind = protean.EventKind(k)
-		if m.Ev.Label, err = d.Str(); err != nil {
-			return nil, err
-		}
-		pid, err := d.Uint()
-		if err != nil {
-			return nil, err
-		}
-		if pid > 0xffffffff {
-			return nil, fmt.Errorf("%w: pid %d overflows uint32", ErrCodec, pid)
-		}
-		m.Ev.PID = uint32(pid)
-		if m.Ev.Cycle, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		procs, err := d.Int()
-		if err != nil {
-			return nil, err
-		}
-		m.Ev.Procs = int(procs)
-		if m.Ev.OK, err = d.Bool(); err != nil {
-			return nil, err
-		}
-		m.Ev.Message, err = d.Str()
-		return m, err
-	case KEventGap:
-		var m EventGap
-		if err := d.ArrayHeaderExact(2); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		m.Dropped, err = d.Uint()
-		return m, err
-	case KDone:
-		var m Done
-		if err := d.ArrayHeaderExact(3); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Job, err = d.Uint(); err != nil {
-			return nil, err
-		}
-		if m.State, err = d.Str(); err != nil {
-			return nil, err
-		}
-		m.Err, err = d.Str()
-		return m, err
-	case KError:
-		var m Error
-		if err := d.ArrayHeaderExact(1); err != nil {
-			return nil, err
-		}
-		var err error
-		m.Msg, err = d.Str()
-		return m, err
+	if kind >= uint64(len(msgTypes)) || msgTypes[kind] == nil {
+		return nil, fmt.Errorf("%w: unknown message kind %d", ErrCodec, kind)
 	}
-	return nil, fmt.Errorf("%w: unknown message kind %d", ErrCodec, kind)
+	v := reflect.New(msgTypes[kind]).Elem()
+	if err := d.decodeObject(v); err != nil {
+		return nil, err
+	}
+	return v.Interface().(Msg), nil
 }

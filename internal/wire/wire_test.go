@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"protean"
@@ -123,6 +124,22 @@ func TestMessageRoundTrip(t *testing.T) {
 		Done{Job: 42, State: StateCanceled, Err: "context canceled"},
 		Error{Msg: "unknown job 99"},
 	}
+	// The kind→type table holds exactly one body type per K* constant
+	// (kinds run 1..KError), and each message decodes into its own type.
+	if len(msgTypes) != KError+1 || msgTypes[0] != nil {
+		t.Fatalf("msgTypes has %d slots (slot 0 %v), want kinds 1..%d", len(msgTypes), msgTypes[0], KError)
+	}
+	seen := map[uint64]bool{}
+	for _, m := range msgs {
+		if msgTypes[m.Kind()] != reflect.TypeOf(m) {
+			t.Fatalf("msgTypes[%d] = %v, want %T", m.Kind(), msgTypes[m.Kind()], m)
+		}
+		seen[m.Kind()] = true
+	}
+	if len(seen) != KError {
+		t.Fatalf("round trip covers %d kinds, want %d", len(seen), KError)
+	}
+
 	for i, m := range msgs {
 		id := uint64(i * 31)
 		payload := EncodeMessage(id, m)
@@ -143,7 +160,8 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeMessageRejects covers the malformed-envelope classes.
+// TestDecodeMessageRejects covers the malformed-envelope classes and the
+// object decoder's shape, range and allocation checks.
 func TestDecodeMessageRejects(t *testing.T) {
 	good := EncodeMessage(1, Status{Job: 5})
 	cases := map[string][]byte{
@@ -153,6 +171,30 @@ func TestDecodeMessageRejects(t *testing.T) {
 		"unknown kind": EncodeMessage(1, fakeKind{}),
 		"not an array": {0x01},
 		"wrong arity":  {0x92, 0x01, 0x00},
+		"pid overflows uint32": envelope(KEvent, func(e *Encoder) {
+			e.ArrayHeader(2)
+			e.Uint(4)
+			e.ArrayHeader(7)
+			e.Int(int64(protean.EventJobDone))
+			e.Str("alpha x2")
+			e.Uint(1 << 32)
+			e.Uint(0)
+			e.Int(0)
+			e.Bool(true)
+			e.Str("")
+		}),
+		"nested job arity": shiftedJob(t),
+		"claimed jobs": envelope(KResultOK, func(e *Encoder) {
+			e.ArrayHeader(2)
+			e.Uint(1)
+			e.ArrayHeader(reflect.TypeFor[protean.FleetResult]().NumField())
+			e.Str("")
+			e.ArrayHeader(0)
+			e.ArrayHeader(1 << 20)
+			for i := 0; i < 16; i++ { // pad past the fleet header's own bound
+				e.Uint(0)
+			}
+		}),
 	}
 	for name, payload := range cases {
 		if _, _, err := DecodeMessage(payload); err == nil {
@@ -164,8 +206,39 @@ func TestDecodeMessageRejects(t *testing.T) {
 // fakeKind encodes an envelope with an unassigned kind tag.
 type fakeKind struct{}
 
-func (fakeKind) Kind() uint64          { return 200 }
-func (fakeKind) encodeBody(e *Encoder) { e.ArrayHeader(0) }
+func (fakeKind) Kind() uint64 { return 200 }
+
+// envelope frames a hand-built body under the given kind, for shapes
+// the typed encoder cannot produce.
+func envelope(kind uint64, body func(e *Encoder)) []byte {
+	var e Encoder
+	e.ArrayHeader(3)
+	e.Uint(kind)
+	e.Uint(1)
+	body(&e)
+	return e.Bytes()
+}
+
+// shiftedJob is a ResultOK frame whose one JobResult has lost its last
+// field (a nil Run) to the fleet array that follows it. Every value
+// still lines up positionally, so only the arity checks reject it.
+func shiftedJob(t *testing.T) []byte {
+	fr := &protean.FleetResult{Jobs: []protean.JobResult{{Node: -1, Shed: true}}}
+	v, _, err := DecodeValue(EncodeMessage(1, ResultOK{Job: 1, Fleet: fr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := v.(Array)[2].(Array)
+	fleet := body[1].(Array)
+	job := fleet[2].(Array)[0].(Array)
+	fleet[2].(Array)[0] = job[:len(job)-1]
+	body[1] = slices.Insert(fleet, 3, Value(nil))
+	var e Encoder
+	if err := e.EncodeValue(v); err != nil {
+		t.Fatal(err)
+	}
+	return e.Bytes()
+}
 
 // TestFleetResultWireJSONIdentity is the codec half of the daemon's
 // acceptance bar: a real FleetResult encoded to the wire, decoded back,
