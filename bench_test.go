@@ -74,10 +74,11 @@ func BenchmarkClusterAffinityVsRoundRobin(b *testing.B) {
 
 // BenchmarkClusterLaneBatching measures fleet job throughput on a
 // same-configuration thrash mix — many identical jobs per workload, the
-// shape lane batching folds — with batching on (auto, the default)
-// versus off, reporting jobs/sec for both and the speedup. Every
-// iteration also asserts the batching contract: the CSV render of the
-// batched FleetResult is byte-identical to the scalar one.
+// shape batching folds into one shared session each — with batching on
+// (auto, the default) versus off, reporting jobs/sec for both and the
+// speedup. Every iteration also asserts the batching contract: the CSV
+// render of the batched FleetResult is byte-identical to the unbatched
+// one.
 func BenchmarkClusterLaneBatching(b *testing.B) {
 	const jobs = 24
 	run := func(lanes int) *protean.FleetResult {
@@ -102,7 +103,7 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 	scalar := run(1)
 	scalarPerRun := time.Since(start).Seconds()
 	if scalar.Table().CSV() != batched.Table().CSV() {
-		b.Fatal("lane-batched fleet CSV differs from scalar")
+		b.Fatal("batched fleet CSV differs from unbatched")
 	}
 	if batchedPerRun > 0 {
 		b.ReportMetric(jobs/batchedPerRun, "jobs/sec")
@@ -115,7 +116,7 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 
 // BenchmarkFleet1kNodes measures fleet job throughput at the 1k-node
 // scale the cluster layer is sized for: 512 thrash-mix jobs placed by
-// the affinity dispatcher across 1000 nodes, lane batching on.
+// the affinity dispatcher across 1000 nodes, batching on.
 func BenchmarkFleet1kNodes(b *testing.B) {
 	const nodes, jobs = 1000, 512
 	run := func() *protean.FleetResult {
@@ -166,9 +167,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	b.StopTimer()
 	untracedPerRun := b.Elapsed().Seconds() / float64(b.N)
+	traced := scenario()
+	traced.Metrics = true
 	start := time.Now()
-	fr, err := protean.RunScenario(context.Background(), scenario(),
-		protean.WithRunTrace(io.Discard), protean.WithRunMetrics())
+	fr, err := protean.RunScenario(context.Background(), traced, protean.WithRunTrace(io.Discard))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -364,10 +366,9 @@ func BenchmarkGatePFU(b *testing.B) {
 }
 
 // BenchmarkCompiledPFU measures the same gate-level cycle on the compiled
-// execution engine, and reports two inline-measured speedups as custom
-// metrics: over the interpretive step on the identical configuration
-// (speedup-vs-gate-x), and of the bit-sliced lane engine at full 64-lane
-// occupancy over 64 scalar compiled settles (lanes-speedup-x).
+// execution engine, and reports its inline-measured speedup over the
+// interpretive step on the identical configuration as a custom metric
+// (speedup-vs-gate-x).
 func BenchmarkCompiledPFU(b *testing.B) {
 	n := fabric.AlphaBlend()
 	fabric.Optimize(n)
@@ -399,56 +400,6 @@ func BenchmarkCompiledPFU(b *testing.B) {
 	gatePerOp := time.Since(start).Seconds() / probe
 	if compiledPerOp > 0 {
 		b.ReportMetric(gatePerOp/compiledPerOp, "speedup-vs-gate-x")
-	}
-	// Lane engine at full occupancy: one Step settles 64 circuits, so the
-	// per-circuit cost is the lane step divided by the lane width.
-	li := prog.NewLaneInstance()
-	var la, lb, lout [fabric.Lanes]uint32
-	for l := 0; l < fabric.Lanes; l++ {
-		la[l] = uint32(l) * 0x9E3779B9
-		lb[l] = ^la[l]
-	}
-	start = time.Now()
-	for i := 0; i < probe; i++ {
-		var initMask uint64
-		if i%8 == 0 {
-			initMask = ^uint64(0)
-		}
-		li.Step(&la, &lb, initMask, &lout)
-	}
-	lanePerOp := time.Since(start).Seconds() / probe
-	if lanePerOp > 0 {
-		b.ReportMetric(compiledPerOp/(lanePerOp/fabric.Lanes), "lanes-speedup-x")
-	}
-}
-
-// BenchmarkLanesPFU measures one full-occupancy bit-sliced lane step (64
-// circuit instances settled per op).
-func BenchmarkLanesPFU(b *testing.B) {
-	n := fabric.AlphaBlend()
-	fabric.Optimize(n)
-	cfg, _, err := fabric.Place(n, fabric.DefaultPFUSpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := fabric.Compile(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	li := prog.NewLaneInstance()
-	var la, lb, lout [fabric.Lanes]uint32
-	for l := 0; l < fabric.Lanes; l++ {
-		la[l] = uint32(l) * 0x9E3779B9
-		lb[l] = ^la[l]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var initMask uint64
-		if i%8 == 0 {
-			initMask = ^uint64(0)
-		}
-		li.Step(&la, &lb, initMask, &lout)
 	}
 }
 

@@ -287,15 +287,17 @@ func TestTableEscapesCommas(t *testing.T) {
 	}
 }
 
-// TestClusterLanesByteIdentical locks the lane-batching contract at the
+// TestClusterLanesByteIdentical locks the batching contract at the
 // facade: with same-configuration job batching on (Scenario.Lanes 0, the
 // default auto mode) and off (Lanes 1), the FleetResult — CSV and JSON
 // serializations included — is byte-identical at every worker count.
-// The mix repeats each workload, so batching genuinely folds several
-// jobs into shared bit-sliced sessions.
+// The mix repeats each workload, behavioural and gate-level (alpha/gate
+// runs a real bitstream image), so batching genuinely folds several
+// jobs into shared sessions.
 func TestClusterLanesByteIdentical(t *testing.T) {
 	run := func(lanes, workers int, policy string) *protean.FleetResult {
 		sc := testScenario(12)
+		sc.Jobs = append(sc.Jobs, protean.JobSpec{Workload: "alpha/gate", Instances: 2, Items: 200, Count: 3})
 		sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
 		sc.Lanes = lanes
 		sc.Workers = workers
@@ -319,7 +321,7 @@ func TestClusterLanesByteIdentical(t *testing.T) {
 	}
 	// Seed-sensitive sessions veto batching: under the random replacement
 	// policy each job's derived seed matters, so auto mode must fall back
-	// to scalar execution and still match Lanes 1 exactly.
+	// to one session per job and still match Lanes 1 exactly.
 	randScalar := run(1, 1, "random")
 	randAuto := run(0, 4, "random")
 	if !reflect.DeepEqual(randScalar, randAuto) {

@@ -1,7 +1,7 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover) and
-// BENCH_cluster.json (the fleet layer — placement, lane batching, job
+// BENCH_cluster.json (the fleet layer — placement, job batching, job
 // throughput at 1k-node scale, and the observability overhead ratio of
 // a traced versus untraced run). Each file runs its benchmark suite for
 // one iteration and records every reported metric (ns/op, allocs, and
@@ -53,7 +53,7 @@ var suites = []struct {
 		comment: "substrate performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkLanesPFU|" +
+			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
 				"BenchmarkTLBLookup)$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
@@ -90,7 +90,7 @@ type trajectory struct {
 
 // benchLine matches one `go test -bench` result line:
 //
-//	BenchmarkCompiledPFU-8   1   2505 ns/op   45.82 lanes-speedup-x   0 B/op   0 allocs/op
+//	BenchmarkCompiledPFU-8   1   2505 ns/op   2.04 speedup-vs-gate-x   0 B/op   0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 func main() {

@@ -134,10 +134,10 @@ func runScenario(path string, progress, lint, sta bool, traceOut string, metrics
 	if traceOut != "" {
 		sc.TraceOut = traceOut
 	}
-	var opts []protean.StartOption
 	if metrics {
-		opts = append(opts, protean.WithRunMetrics())
+		sc.Metrics = true
 	}
+	var opts []protean.StartOption
 	if progress {
 		opts = append(opts, protean.WithRunProgress(protean.WriterSink(os.Stderr)))
 	}

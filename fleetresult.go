@@ -101,7 +101,7 @@ type FleetResult struct {
 	Kernel KernelStats
 	RFU    RFUStats
 	// Metrics is the run's deterministic metrics snapshot, when
-	// Scenario.Metrics or WithRunMetrics enabled it; nil otherwise.
+	// Scenario.Metrics enabled it; nil otherwise.
 	Metrics *Metrics `json:"metrics,omitempty"`
 }
 

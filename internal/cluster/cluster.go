@@ -62,14 +62,15 @@ type Job struct {
 	// configurations, same workload program, same length, with the
 	// derived seed provably not influencing execution. Jobs sharing a
 	// nonzero Batch id may execute together in one BatchRunner call
-	// (one lane each of a bit-sliced session); 0 means never batch.
+	// (which may simulate one session for all of them); 0 means never
+	// batch.
 	// Callers own the guarantee — the dispatcher only groups what they
 	// marked.
 	Batch int
 }
 
-// MaxBatch caps how many jobs one BatchRunner call may carry: the lane
-// width of the bit-sliced fabric engine (fabric.Lanes).
+// MaxBatch caps how many jobs one BatchRunner call may carry, bounding
+// the work a single call (one worker) stands for.
 const MaxBatch = 64
 
 // Exec is the node-independent execution profile of one job on one node
@@ -253,8 +254,10 @@ type Config struct {
 	// Runner would have seen), and the result holds one Exec per index,
 	// in order. Each profile must be byte-identical to what Runner
 	// would have produced for that job alone — batching is an execution
-	// strategy, never a semantic change. When nil, every job runs
-	// through Runner regardless of Lanes.
+	// strategy, never a semantic change. Since same-Batch jobs are
+	// identical simulations, a BatchRunner typically runs one session
+	// for idxs[0] and returns its profile for every index. When nil,
+	// every job runs through Runner regardless of Lanes.
 	BatchRunner func(idxs []int, class int, seeds []int64) ([]Exec, error)
 }
 
@@ -525,8 +528,8 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 			chunk := chunk
 			if len(chunk) == 1 {
 				// Singleton chunks — unbatchable jobs, one-member groups,
-				// chunking remainders — take the scalar runner: exactness
-				// for free, and the scalar engine is faster at occupancy 1.
+				// chunking remainders — take Runner directly: a batch of
+				// one shares nothing.
 				i := chunk[0]
 				seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
 				cells = append(cells, func() (cellOut, error) {

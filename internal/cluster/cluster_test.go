@@ -586,7 +586,7 @@ func TestExecutionChunks(t *testing.T) {
 }
 
 // TestExecuteBatchingMatchesScalar locks the batching contract: with a
-// batch runner that reproduces the scalar runner lane by lane, the
+// batch runner that reproduces the scalar runner job by job, the
 // execution profiles — and the replayed trace — are identical to the
 // unbatched run, per-job seeds included, at every worker count.
 func TestExecuteBatchingMatchesScalar(t *testing.T) {

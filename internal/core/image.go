@@ -87,10 +87,6 @@ type Image struct {
 	// newInstance stamps out one execution model of the circuit.
 	newInstance func() (Model, error)
 
-	// newLanes, when non-nil, stamps out a bit-sliced 64-lane execution
-	// model of the circuit; see Image.NewLaneInstance.
-	newLanes func() (Model, error)
-
 	// lint, when non-nil, reports static-analysis findings for the
 	// loadable configuration; see Image.Lint.
 	lint func() []string
@@ -110,25 +106,6 @@ func (img *Image) NewInstance() (Model, error) {
 	m, err := img.newInstance()
 	if err != nil {
 		return nil, fmt.Errorf("core: instantiating %s: %w", img.Name, err)
-	}
-	return m, nil
-}
-
-// NewLaneInstance stamps out a bit-sliced execution-model instance when
-// the image's circuit supports one (fabric images compile to a 64-lane
-// word-parallel program; see fabric.LaneInstance). The returned model
-// behaves identically to NewInstance's — same outputs, same latency,
-// same state frames — it just settles all 64 lanes per clock, of which
-// the Model interface drives lane 0. Images without a lane lowering
-// (behavioural and model images) fall back to the scalar instance, so
-// callers may use this path unconditionally.
-func (img *Image) NewLaneInstance() (Model, error) {
-	if img.newLanes == nil {
-		return img.NewInstance()
-	}
-	m, err := img.newLanes()
-	if err != nil {
-		return nil, fmt.Errorf("core: lane-instantiating %s: %w", img.Name, err)
 	}
 	return m, nil
 }
@@ -173,9 +150,6 @@ func NewBitstreamImage(name string, bits []byte) (*Image, error) {
 		newInstance: func() (Model, error) {
 			return &fabricModel{inst: prog.NewInstance()}, nil
 		},
-		newLanes: func() (Model, error) {
-			return &laneFabricModel{inst: prog.NewLaneInstance()}, nil
-		},
 		lint:   func() []string { return lintBitstream(key, bits) },
 		timing: func() *fabric.TimingReport { return timingBitstream(key, bits) },
 	}, nil
@@ -198,35 +172,6 @@ func (m *fabricModel) SaveState() []byte {
 }
 
 func (m *fabricModel) LoadState(state []byte) error {
-	frame, err := fabric.UnpackFrame(state, m.inst.Spec().CLBs())
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return m.inst.LoadFrame(frame)
-}
-
-// laneFabricModel adapts a bit-sliced fabric.LaneInstance to the Model
-// interface. The Model protocol is scalar, so Step broadcasts the
-// operands across all 64 lanes and samples lane 0 — bit-identical to
-// fabricModel (the lane lowering is an exact re-expression of the same
-// compiled program), just settled 64-wide. State frames save and load
-// through lane 0, which under broadcast stepping carries the whole
-// instance's state.
-type laneFabricModel struct {
-	inst *fabric.LaneInstance
-}
-
-func (m *laneFabricModel) Reset() { m.inst.Reset() }
-
-func (m *laneFabricModel) Step(a, b uint32, init bool) (uint32, bool) {
-	return m.inst.StepUniform(a, b, init)
-}
-
-func (m *laneFabricModel) SaveState() []byte {
-	return fabric.PackFrame(m.inst.SaveFrame())
-}
-
-func (m *laneFabricModel) LoadState(state []byte) error {
 	frame, err := fabric.UnpackFrame(state, m.inst.Spec().CLBs())
 	if err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -82,11 +82,6 @@ type RFU struct {
 
 	pfus []pfu
 
-	// lanes selects the bit-sliced execution engine for images that have
-	// one (Config.Lanes). Purely a host-side strategy: the modeled
-	// machine is unchanged.
-	lanes bool
-
 	// Operand capture registers for software dispatch (§4.3).
 	capA, capB, capRes uint32
 	capDst             uint32
@@ -101,12 +96,6 @@ type Config struct {
 	PFUs        int // number of PFUs (the ProteanARM uses 4)
 	TLB1Entries int
 	TLB2Entries int
-	// Lanes stamps bit-sliced lane instances (Image.NewLaneInstance) in
-	// place of scalar ones wherever the RFU stamps an instance itself
-	// (LoadImage, Restore). A host-side execution strategy, not a
-	// machine feature: lane instances are bit-identical to scalar ones
-	// under the Model protocol, so nothing modeled changes.
-	Lanes bool
 }
 
 // DefaultConfig is the ProteanARM arrangement: 4 PFUs (§5) and 16-entry
@@ -129,7 +118,6 @@ func New(cfg Config) *RFU {
 		TLB2:           NewTLB(cfg.TLB2Entries),
 		DispatchCycles: 1,
 		pfus:           make([]pfu, cfg.PFUs),
-		lanes:          cfg.Lanes,
 	}
 	r.Reset()
 	return r
@@ -184,19 +172,11 @@ func (r *RFU) LoadImage(pfuIdx int, img *Image) (int, error) {
 	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
 		return 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
 	}
-	m, err := r.stamp(img)
+	m, err := img.NewInstance()
 	if err != nil {
 		return 0, err
 	}
 	return r.LoadInstance(pfuIdx, img, m)
-}
-
-// stamp picks the configured execution engine for self-stamped instances.
-func (r *RFU) stamp(img *Image) (Model, error) {
-	if r.lanes {
-		return img.NewLaneInstance()
-	}
-	return img.NewInstance()
 }
 
 // SwappedCircuit is the state the OS holds for a circuit it has swapped off
@@ -236,7 +216,7 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 // counter. The byte count covers both frame sections — full static frames
 // and the tiny state frame group.
 func (r *RFU) Restore(pfuIdx int, sc *SwappedCircuit) (int, error) {
-	m, err := r.stamp(sc.Image)
+	m, err := sc.Image.NewInstance()
 	if err != nil {
 		return 0, err
 	}

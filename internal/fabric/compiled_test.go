@@ -210,3 +210,26 @@ func TestCompiledInstancesIndependent(t *testing.T) {
 		t.Fatalf("interleaved instances diverged: %d, %d", out1, out2)
 	}
 }
+
+// TestPackUnpackFrame round-trips the modeled frame-group packing.
+func TestPackUnpackFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{0, 1, 7, 8, 9, 150} {
+		frame := make([]uint8, n)
+		for i := range frame {
+			frame[i] = uint8(rng.Intn(2))
+		}
+		back, err := UnpackFrame(PackFrame(frame), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			if back[i] != frame[i] {
+				t.Fatalf("n=%d: byte %d changed across pack/unpack", n, i)
+			}
+		}
+	}
+	if _, err := UnpackFrame([]byte{0}, 9); err == nil {
+		t.Fatal("short frame group must be rejected")
+	}
+}

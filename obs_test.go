@@ -33,9 +33,9 @@ func TestObservabilityDeterminism(t *testing.T) {
 	run := func(workers int) (traceJSON, metricsJSON, prom []byte) {
 		sc := obsScenario()
 		sc.Workers = workers
+		sc.Metrics = true
 		var buf bytes.Buffer
-		fr, err := protean.RunScenario(context.Background(), sc,
-			protean.WithRunTrace(&buf), protean.WithRunMetrics())
+		fr, err := protean.RunScenario(context.Background(), sc, protean.WithRunTrace(&buf))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

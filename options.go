@@ -33,7 +33,6 @@ type config struct {
 	budget       uint64
 	lintWarnings bool
 	timingStats  bool
-	lanes        bool
 	sink         Sink
 	disasmW      io.Writer
 	disasmN      int
@@ -83,9 +82,13 @@ func WithSharing(on bool) Option {
 // WithScale shrinks the session by an integer factor while preserving the
 // ratios that shape the paper's figures (see Scale). It sets the
 // configuration-port bandwidth, the kernel cost model, and the defaults
-// for quantum and per-workload work-unit counts.
+// for quantum and per-workload work-unit counts. 0 means paper scale
+// (factor 1); negative factors are rejected.
 func WithScale(factor int) Option {
 	return func(c *config) error {
+		if factor < 0 {
+			return fmt.Errorf("protean: scale factor must be >= 0, got %d", factor)
+		}
 		c.scale = Scale{Factor: factor}
 		return nil
 	}
@@ -253,19 +256,6 @@ func WithLintWarnings() Option {
 func WithTimingStats() Option {
 	return func(c *config) error {
 		c.timingStats = true
-		return nil
-	}
-}
-
-// withLaneEngine stamps bit-sliced 64-lane fabric instances in place of
-// scalar ones wherever the RFU stamps instances itself. Unexported, and
-// deliberately absent from SessionSpec: it is a host-side execution
-// strategy with bit-identical results, not a modeled machine knob — the
-// fleet batch runner applies it when it folds a group of identical jobs
-// into one lane-engine session.
-func withLaneEngine() Option {
-	return func(c *config) error {
-		c.lanes = true
 		return nil
 	}
 }

@@ -113,7 +113,7 @@ func New(opts ...Option) (*Session, error) {
 
 	m := machine.New(machine.Config{
 		ConfigBytesPerCycle: c.scale.ConfigBytesPerCycle(),
-		RFU:                 core.Config{PFUs: c.pfus, TLB1Entries: c.tlb1, Lanes: c.lanes},
+		RFU:                 core.Config{PFUs: c.pfus, TLB1Entries: c.tlb1},
 	})
 	var tl *trace.Log
 	if c.traceCap > 0 {

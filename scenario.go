@@ -31,13 +31,13 @@ type Scenario struct {
 	// Workers sizes the host-side job-execution pool; 0 means GOMAXPROCS,
 	// 1 runs jobs serially. Results are byte-identical for every setting.
 	Workers int `json:"workers,omitempty"`
-	// Lanes tunes same-configuration job batching: identical jobs may
-	// execute together as lanes of one bit-sliced session (up to Lanes
-	// per batch) instead of one scalar session each, whenever batching
-	// provably cannot change results (it is skipped for seed-sensitive
-	// sessions, e.g. the random replacement policy). 0 means auto (the
-	// full 64-lane width), 1 disables batching, 2..64 caps the batch
-	// size. Like Workers, a host-side execution knob: the FleetResult is
+	// Lanes tunes same-configuration job batching: up to Lanes identical
+	// jobs share one session and its Result instead of simulating one
+	// session each, whenever batching provably cannot change results (it
+	// is skipped for seed-sensitive sessions, e.g. the random
+	// replacement policy, and for session extras). 0 means auto (batches
+	// of up to 64), 1 disables batching, 2..64 caps the batch size. Like
+	// Workers, a host-side execution knob: the FleetResult is
 	// byte-identical for every setting.
 	Lanes int `json:"lanes,omitempty"`
 	// Nodes describes the fleet, one spec per node class instance.
@@ -364,7 +364,6 @@ type startConfig struct {
 	extras   []Option
 	policies []PlacementPolicy
 	traceW   io.Writer
-	metrics  bool
 }
 
 // WithRunProgress streams structured fleet events (one EventJobDone per
@@ -409,15 +408,6 @@ func WithRunTrace(w io.Writer) StartOption {
 	}
 }
 
-// WithRunMetrics attaches a deterministic metrics snapshot to each
-// FleetResult — the option-valued twin of Scenario.Metrics.
-func WithRunMetrics() StartOption {
-	return func(c *startConfig) error {
-		c.metrics = true
-		return nil
-	}
-}
-
 // WithRunSessionOptions applies extra options to every job session —
 // meant for the non-modeled debugging aids (WithTrace, WithProgress,
 // WithDisasm) that a Scenario deliberately cannot express. Passing
@@ -439,7 +429,7 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	}
 	rs := &resolvedScenario{
 		sink: scfg.sink, extras: scfg.extras, lanes: sc.Lanes,
-		traceW: scfg.traceW, metrics: sc.Metrics || scfg.metrics,
+		traceW: scfg.traceW, metrics: sc.Metrics,
 	}
 	if rs.traceW == nil {
 		rs.tracePath = sc.TraceOut
@@ -541,7 +531,7 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	// Jobs with the same resolved identity are identical simulations (the
 	// derived seed is the only per-job input, and batching is vetoed for
 	// seed-sensitive sessions): tag each identity with a batch id so the
-	// dispatcher may fold same-identity jobs into one bit-sliced session.
+	// dispatcher may fold same-identity jobs into one shared session.
 	// Ids are assigned in first-appearance order, so the tagging — like
 	// everything in resolve — is deterministic.
 	type jobIdentity struct {
@@ -720,38 +710,27 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	}
 
 	ccfg := rs.ccfg
-	// Same-identity jobs may fold into one bit-sliced lane session — but
-	// only when nothing per-job could leak into the shared result: every
-	// class must be seed-insensitive (no random replacement policy) and
-	// there must be no session extras (a shared trace or disassembly
-	// would observe one session where the scalar path observes many).
+	// Same-identity jobs may share one session — but only when nothing
+	// per-job could leak into the shared result: every class must be
+	// seed-insensitive (no random replacement policy) and there must be
+	// no session extras (a shared trace or disassembly would observe one
+	// session where the unbatched path observes many).
 	batchable := rs.lanes > 1 && len(rs.extras) == 0 && !slices.Contains(rs.classRandom, true)
 	if batchable {
 		ccfg.Lanes = rs.lanes
 		ccfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]cluster.Exec, error) {
-			// One lane-engine session stands for the whole batch: the
-			// jobs are identical simulations, so each owns one lane of
-			// the bit-sliced fabric instances and all lanes compute the
-			// same values — the session's Result is every job's Result.
-			j := rs.jobs[idxs[0]]
-			opts := make([]Option, 0, len(rs.classOpts[class])+2)
-			opts = append(opts, rs.classOpts[class]...)
-			opts = append(opts, WithSeed(seeds[0]), withLaneEngine())
-			s, err := New(opts...)
+			// The jobs are identical simulations, so the first job's
+			// session stands for the whole batch: its Result is every
+			// job's Result.
+			e, err := runner(idxs[0], class, seeds[0])
 			if err != nil {
 				return nil, err
 			}
-			if _, err := s.Spawn(j.workload, j.instances, j.items); err != nil {
-				return nil, err
-			}
-			res, err := s.Run(ctx)
-			if err != nil {
-				return nil, err
-			}
+			res := results[class][idxs[0]]
 			es := make([]cluster.Exec, len(idxs))
 			for k, i := range idxs {
 				results[class][i] = res
-				es[k] = cluster.Exec{Cycles: res.Cycles}
+				es[k] = e
 			}
 			return es, nil
 		}

@@ -126,6 +126,7 @@ func TestScenarioValidation(t *testing.T) {
 		"negative clock scale": mutate(func(sc *protean.Scenario) { sc.Nodes[0].ClockScale = -1 }),
 		"bad session policy":   mutate(func(sc *protean.Scenario) { sc.Nodes[0].Session.Policy = "fifo" }),
 		"negative PFUs":        mutate(func(sc *protean.Scenario) { sc.Nodes[0].Session.PFUs = -4 }),
+		"negative scale":       mutate(func(sc *protean.Scenario) { sc.Nodes[0].Session.Scale = -5 }),
 		"unknown placement":    mutate(func(sc *protean.Scenario) { sc.Placement.Policy = "gravity" }),
 		"weight on non-hybrid": mutate(func(sc *protean.Scenario) { sc.Placement = protean.PlacementSpec{Policy: "random", Weight: 5} }),
 		"negative queue bound": mutate(func(sc *protean.Scenario) { sc.Admission.Bound = -1 }),
