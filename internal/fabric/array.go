@@ -112,34 +112,14 @@ func Place(n *Netlist, spec ArraySpec) (*ArrayConfig, *PlaceStats, error) {
 	if err := checkPFUPorts(n); err != nil {
 		return nil, nil, err
 	}
-	if _, err := n.Levelize(); err != nil {
+	topo, err := n.Levelize()
+	if err != nil {
 		return nil, nil, err
 	}
 
 	// Fanout count per net, to decide LUT+FF packing.
-	fanout := make([]int, n.NumNets)
-	for i := range n.LUTs {
-		for _, in := range n.LUTs[i].In {
-			if in != NilNet {
-				fanout[in]++
-			}
-		}
-	}
-	for i := range n.FFs {
-		fanout[n.FFs[i].D]++
-	}
-	for _, p := range n.Ports {
-		if p.Dir == DirOut {
-			for _, net := range p.Nets {
-				fanout[net]++
-			}
-		}
-	}
-
-	lutOf := make(map[Net]int, len(n.LUTs))
-	for i := range n.LUTs {
-		lutOf[n.LUTs[i].Out] = i
-	}
+	fanout := n.fanout()
+	lutOf, _ := n.drivers()
 
 	// Build cells: FFs absorb their driving LUT when it exclusively feeds
 	// them.
@@ -147,7 +127,7 @@ func Place(n *Netlist, spec ArraySpec) (*ArrayConfig, *PlaceStats, error) {
 	var cells []cell
 	for fi := range n.FFs {
 		d := n.FFs[fi].D
-		if li, ok := lutOf[d]; ok && fanout[d] == 1 {
+		if li := lutOf[d]; li >= 0 && fanout[d] == 1 {
 			lutPacked[li] = true
 			cells = append(cells, cell{lut: li, ff: fi})
 		} else {
@@ -210,7 +190,6 @@ func Place(n *Netlist, spec ArraySpec) (*ArrayConfig, *PlaceStats, error) {
 			order = append(order, ci)
 		}
 	}
-	topo, _ := n.Levelize()
 	cellOfLUT := make([]int, len(n.LUTs))
 	for ci, c := range cells {
 		if c.lut >= 0 {

@@ -88,7 +88,7 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := levelizeConfig(cfg)
+	lv, err := levelizeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 			}
 		}
 	}
-	for _, i := range order {
+	for _, i := range lv.order {
 		cc := &cfg.CLBs[i]
 		switch {
 		case cc.Flags&FlagOutFF == 0:

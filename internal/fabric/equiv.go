@@ -213,7 +213,7 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := levelizeConfig(cfg)
+	lv, err := levelizeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 		}
 	}
 	b := newSymBuilder(c)
-	for _, i := range order {
+	for _, i := range lv.order {
 		cc := &cfg.CLBs[i]
 		var in [4]int32
 		for p := 0; p < 4; p++ {

@@ -172,6 +172,11 @@ func FuzzEquiv(f *testing.F) {
 		if err := mut.Validate(); err != nil {
 			t.Fatalf("mutation produced invalid netlist: %v", err)
 		}
+		lint, err := Lint(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCycleVerdict(t, mut, lint)
 		if _, err := mut.Levelize(); err != nil {
 			return // route swap closed a combinational loop: not comparable
 		}

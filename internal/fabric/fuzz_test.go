@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +50,16 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(stateOnly)
+	// A combinational loop (CLB 0 and CLB 1 invert each other), so the
+	// verdict check starts from a configuration every engine rejects.
+	loop := NewArrayConfig(ArraySpec{W: 2, H: 2})
+	loop.CLBs[0] = CLBConfig{Table: 0x5555, InSel: [4]uint16{WireCLB0 + 1 + 1}, Flags: FlagLUTUsed}
+	loop.CLBs[1] = CLBConfig{Table: 0x5555, InSel: [4]uint16{WireCLB0 + 0 + 1}, Flags: FlagLUTUsed}
+	loopBits, err := EncodeStatic(loop)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(loopBits)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(data)
 		if err != nil {
@@ -87,13 +98,46 @@ func FuzzDecode(f *testing.F) {
 		// A decoded configuration already passed Validate, so the linter
 		// must analyse it without error, and compilation must either
 		// succeed or reject it cleanly (combinational cycles).
-		if _, err := LintConfig(img.Config); err != nil {
+		lint, err := LintConfig(img.Config)
+		if err != nil {
 			t.Fatalf("validated config does not lint: %v", err)
 		}
-		if prog, err := Compile(img.Config); err == nil {
+		prog, err := Compile(img.Config)
+		if err == nil {
 			inst := prog.NewInstance()
 			inst.Step(0xDEADBEEF, 0x12345678, true)
 			inst.Step(0, 0, false)
 		}
+		checkConfigVerdict(t, img.Config, lint, err)
 	})
+}
+
+// checkConfigVerdict asserts one verdict on a validated configuration:
+// NewPFU, Compile (whose error is compileErr) and Timing all accept it
+// or all reject it with the same error, rejecting exactly when LintConfig
+// reports a combinational cycle and naming the first CLB of one of the
+// reported cycles. On acceptance Timing's depth is LintConfig's.
+func checkConfigVerdict(t *testing.T, cfg *ArrayConfig, lint *LintReport, compileErr error) {
+	t.Helper()
+	_, pfuErr := NewPFU(cfg)
+	timing, timingErr := Timing(cfg)
+	verdict := func(err error) string {
+		if err == nil {
+			return "accepted"
+		}
+		return err.Error()
+	}
+	v := verdict(pfuErr)
+	if verdict(compileErr) != v || verdict(timingErr) != v {
+		t.Fatalf("verdicts differ: NewPFU %q, Compile %q, Timing %q", v, verdict(compileErr), verdict(timingErr))
+	}
+	want := cycleRejections(lint, "fabric: combinational cycle through CLB %d; configuration rejected")
+	switch {
+	case pfuErr == nil && len(want) > 0:
+		t.Fatalf("accepted a configuration LintConfig reports cyclic: %v", want)
+	case pfuErr != nil && !slices.Contains(want, v):
+		t.Fatalf("rejection %q names no cycle LintConfig reports %v", v, want)
+	case pfuErr == nil && timing.MaxDepth != lint.Stats.Depth:
+		t.Fatalf("Timing depth %d, LintConfig depth %d", timing.MaxDepth, lint.Stats.Depth)
+	}
 }

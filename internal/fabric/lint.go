@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,6 +17,10 @@ type DiagKind int
 // constants, registers nothing reads, truth tables depending on
 // floating pins, and combinational loops (which NewPFU/Compile reject;
 // the linter additionally names the cycle).
+//
+// Lint and LintConfig differ only in the table checks. Cycles, depth
+// and liveness come from the LUT-graph core in graph.go, the same walk
+// and closure NewPFU, Compile, Timing and Optimize use.
 const (
 	// DiagDeadCone: a LUT whose output reaches no output tap and no
 	// flip-flop input.
@@ -120,90 +125,24 @@ func Lint(n *Netlist) (*LintReport, error) {
 	r.Stats.LUTs = len(n.LUTs)
 	r.Stats.FFs = len(n.FFs)
 
-	// Fanout: readers per net.
-	fanout := make([]int, n.NumNets)
-	for i := range n.LUTs {
-		for _, in := range n.LUTs[i].In {
-			if in != NilNet {
-				fanout[in]++
-			}
-		}
+	for _, f := range n.fanout() {
+		r.Stats.MaxFanout = max(r.Stats.MaxFanout, f)
 	}
-	for i := range n.FFs {
-		fanout[n.FFs[i].D]++
-	}
-	for _, p := range n.Ports {
-		if p.Dir == DirOut {
-			for _, net := range p.Nets {
-				fanout[net]++
-			}
-		}
-	}
-	for _, f := range fanout {
-		if f > r.Stats.MaxFanout {
-			r.Stats.MaxFanout = f
-		}
-	}
-
-	lutOf := make([]int, n.NumNets) // net -> driving LUT index, -1 none
-	ffOf := make([]int, n.NumNets)  // net -> driving FF index, -1 none
-	for i := range lutOf {
-		lutOf[i], ffOf[i] = -1, -1
-	}
-	for i := range n.LUTs {
-		lutOf[n.LUTs[i].Out] = i
-	}
-	for i := range n.FFs {
-		ffOf[n.FFs[i].Q] = i
-	}
-
-	// Cycle detection with explicit paths, plus topological order and
-	// per-net depth when acyclic.
-	cycles, order := lutCycles(n, lutOf)
-	for _, cyc := range cycles {
-		r.Diags = append(r.Diags, Diag{
-			Kind: DiagCombCycle,
-			Elem: cyc[0],
-			Path: cyc,
-			Msg:  "combinational cycle: " + cyclePath("LUT", cyc),
-		})
-	}
-	if len(cycles) == 0 {
-		depth := make([]int, n.NumNets)
-		for _, li := range order {
-			l := &n.LUTs[li]
-			d := 0
-			for _, in := range l.In {
-				if in != NilNet && depth[in] > d {
-					d = depth[in]
-				}
-			}
-			depth[l.Out] = d + 1
-			if d+1 > r.Stats.Depth {
-				r.Stats.Depth = d + 1
-			}
-		}
-	}
+	lutOf, ffOf := n.drivers()
+	r.addCycles("LUT", n.graph(lutOf).levelize())
 
 	// Cone liveness: backward closure from output taps and flip-flop
 	// inputs; a LUT outside it computes nothing any register or output
 	// will ever see.
 	liveCone := make([]bool, n.NumNets)
-	var seedCone []Net
-	for _, p := range n.Ports {
-		if p.Dir == DirOut {
-			seedCone = append(seedCone, p.Nets...)
-		}
-	}
+	seedCone := n.outputNets()
 	for i := range n.FFs {
 		seedCone = append(seedCone, n.FFs[i].D)
 	}
-	closeOver(seedCone, liveCone, func(net Net, push func(Net)) {
+	closure(seedCone, liveCone, func(net Net, push func(Net)) {
 		if li := lutOf[net]; li >= 0 {
 			for _, in := range n.LUTs[li].In {
-				if in != NilNet {
-					push(in)
-				}
+				push(in)
 			}
 		}
 	})
@@ -217,28 +156,10 @@ func Lint(n *Netlist) (*LintReport, error) {
 		}
 	}
 
-	// Output liveness: the same closure, but seeded from output taps
-	// only and flowing through flip-flops (Q -> D). A flip-flop whose Q
-	// stays outside it holds state nothing observes.
-	liveOut := make([]bool, n.NumNets)
-	var seedOut []Net
-	for _, p := range n.Ports {
-		if p.Dir == DirOut {
-			seedOut = append(seedOut, p.Nets...)
-		}
-	}
-	closeOver(seedOut, liveOut, func(net Net, push func(Net)) {
-		if li := lutOf[net]; li >= 0 {
-			for _, in := range n.LUTs[li].In {
-				if in != NilNet {
-					push(in)
-				}
-			}
-		}
-		if fi := ffOf[net]; fi >= 0 {
-			push(n.FFs[fi].D)
-		}
-	})
+	// Output liveness: the closure Optimize sweeps with, seeded from
+	// output taps only and flowing through flip-flops (Q -> D). A
+	// flip-flop whose Q stays outside it holds state nothing observes.
+	liveOut := n.observable(lutOf, ffOf)
 	for fi := range n.FFs {
 		if !liveOut[n.FFs[fi].Q] {
 			r.Diags = append(r.Diags, Diag{
@@ -294,110 +215,32 @@ func Lint(n *Netlist) (*LintReport, error) {
 	return r, nil
 }
 
-// closeOver runs a backward-liveness worklist: mark each seed net, then
-// expand(net, push) pushes the nets feeding it.
-func closeOver(seeds []Net, live []bool, expand func(Net, func(Net))) {
-	var work []Net
-	push := func(net Net) {
-		if net != NilNet && !live[net] {
-			live[net] = true
-			work = append(work, net)
+// addCycles records the walk's shared graph findings: one
+// DiagCombCycle per cycle, rendered as "LUT 3 -> LUT 7 -> LUT 3" with
+// elem naming the node kind, and the depth (0 when cyclic).
+func (r *LintReport) addCycles(elem string, lv levels) {
+	for _, cyc := range lv.cycles {
+		var sb strings.Builder
+		for _, e := range cyc {
+			fmt.Fprintf(&sb, "%s %d -> ", elem, e)
 		}
+		fmt.Fprintf(&sb, "%s %d", elem, cyc[0])
+		r.Diags = append(r.Diags, Diag{
+			Kind: DiagCombCycle,
+			Elem: cyc[0],
+			Path: cyc,
+			Msg:  "combinational cycle: " + sb.String(),
+		})
 	}
-	for _, s := range seeds {
-		push(s)
-	}
-	for len(work) > 0 {
-		net := work[len(work)-1]
-		work = work[:len(work)-1]
-		expand(net, push)
-	}
-}
-
-// lutCycles finds combinational cycles among LUTs, returning each
-// distinct cycle as a path of LUT indices, plus a topological
-// evaluation order (valid only when no cycles were found).
-func lutCycles(n *Netlist, lutOf []int) (cycles [][]int, order []int) {
-	state := make([]int8, len(n.LUTs)) // 0 unvisited, 1 on stack, 2 done
-	type frame struct {
-		lut  int
-		next int
-	}
-	var stack []frame
-	onStack := func() []int {
-		path := make([]int, len(stack))
-		for i, f := range stack {
-			path[i] = f.lut
-		}
-		return path
-	}
-	for start := range n.LUTs {
-		if state[start] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{start, 0})
-		state[start] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			l := &n.LUTs[f.lut]
-			advanced := false
-			for f.next < 4 {
-				in := l.In[f.next]
-				f.next++
-				if in == NilNet {
-					continue
-				}
-				dep := lutOf[in]
-				if dep < 0 {
-					continue
-				}
-				switch state[dep] {
-				case 0:
-					state[dep] = 1
-					stack = append(stack, frame{dep, 0})
-					advanced = true
-				case 1:
-					// Found a back edge: the cycle is the stack suffix
-					// from dep's frame to the top.
-					path := onStack()
-					for i, lut := range path {
-						if lut == dep {
-							cyc := make([]int, len(path)-i)
-							copy(cyc, path[i:])
-							cycles = append(cycles, cyc)
-							break
-						}
-					}
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.next >= 4 {
-				state[f.lut] = 2
-				order = append(order, f.lut)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return cycles, order
-}
-
-// cyclePath renders a cycle as "LUT 3 -> LUT 7 -> LUT 3".
-func cyclePath(elem string, cyc []int) string {
-	var sb strings.Builder
-	for _, e := range cyc {
-		fmt.Fprintf(&sb, "%s %d -> ", elem, e)
-	}
-	fmt.Fprintf(&sb, "%s %d", elem, cyc[0])
-	return sb.String()
+	r.Stats.Depth = lv.max
 }
 
 // LintConfig inspects a decoded array configuration for the same
 // catalog as Lint, at the CLB level: dead logic, constant tables,
 // unobservable registers, floating-pin dependence, and combinational
-// cycles with their path (NewPFU and Compile reject such
-// configurations with only the first offending CLB named).
+// cycles with their path. The cycles and depth come from the walk
+// NewPFU and Compile reject with, which names only the first offending
+// CLB.
 func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -414,6 +257,13 @@ func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 		if c.Flags&FlagFFUsed != 0 {
 			r.Stats.FFs++
 		}
+	}
+
+	// taps lists the wire behind each output select, -1 when unrouted
+	// (the liveness closures skip it).
+	var taps []int
+	for _, sel := range cfg.OutSel {
+		taps = append(taps, int(sel)-1)
 	}
 
 	// Fanout: readers per wire (routed input pins + output taps).
@@ -434,48 +284,16 @@ func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 			}
 		}
 	}
-	for _, sel := range cfg.OutSel {
-		if w := int(sel) - 1; w >= 0 {
+	for _, w := range taps {
+		if w >= 0 {
 			fanout[w]++
 		}
 	}
 	for _, f := range fanout {
-		if f > r.Stats.MaxFanout {
-			r.Stats.MaxFanout = f
-		}
+		r.Stats.MaxFanout = max(r.Stats.MaxFanout, f)
 	}
 
-	// Cycle detection with paths over the combinational CLB graph (the
-	// graph levelizeConfig walks), plus depth when acyclic.
-	cycles, order := clbCycles(cfg)
-	for _, cyc := range cycles {
-		r.Diags = append(r.Diags, Diag{
-			Kind: DiagCombCycle,
-			Elem: cyc[0],
-			Path: cyc,
-			Msg:  "combinational cycle: " + cyclePath("CLB", cyc),
-		})
-	}
-	if len(cycles) == 0 {
-		depth := make([]int, ncl)
-		for _, i := range order {
-			c := used(i)
-			d := 0
-			for pin := 0; pin < 4; pin++ {
-				w := pinWire(c, pin)
-				if w >= WireCLB0 {
-					src := w - WireCLB0
-					if cfg.CLBs[src].Flags&FlagLUTUsed != 0 && cfg.CLBs[src].Flags&FlagOutFF == 0 && depth[src] > d {
-						d = depth[src]
-					}
-				}
-			}
-			depth[i] = d + 1
-			if d+1 > r.Stats.Depth {
-				r.Stats.Depth = d + 1
-			}
-		}
-	}
+	r.addCycles("CLB", configGraph(cfg).levelize())
 
 	// expand pushes the wires a live CLB output depends on: through the
 	// register (pin 0 or the internal LUT feed) when the output is the
@@ -498,31 +316,22 @@ func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 	// Cone liveness: seeded from output taps and every wire feeding a
 	// used flip-flop.
 	liveCone := make([]bool, cfg.Spec.NumWires())
-	var seedCone []int
-	for _, sel := range cfg.OutSel {
-		if w := int(sel) - 1; w >= 0 {
-			seedCone = append(seedCone, w)
-		}
-	}
+	seedCone := slices.Clone(taps)
 	for i := 0; i < ncl; i++ {
 		c := used(i)
 		if c.Flags&FlagFFUsed == 0 {
 			continue
 		}
 		if c.Flags&FlagFFFromPin != 0 {
-			if w := pinWire(c, 0); w >= 0 {
-				seedCone = append(seedCone, w)
-			}
+			seedCone = append(seedCone, pinWire(c, 0))
 		} else if c.Flags&FlagLUTUsed != 0 {
 			// The LUT feeds the register internally: its pins are live.
 			for pin := 0; pin < 4; pin++ {
-				if w := pinWire(c, pin); w >= 0 {
-					seedCone = append(seedCone, w)
-				}
+				seedCone = append(seedCone, pinWire(c, pin))
 			}
 		}
 	}
-	closeWires(seedCone, liveCone, expand)
+	closure(seedCone, liveCone, expand)
 	for i := 0; i < ncl; i++ {
 		c := used(i)
 		if c.Flags&FlagLUTUsed == 0 {
@@ -542,13 +351,7 @@ func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 	// whose CLB output wire stays dead — or whose Q is not even routed
 	// to the output mux (FlagOutFF clear) — is unobservable state.
 	liveOut := make([]bool, cfg.Spec.NumWires())
-	var seedOut []int
-	for _, sel := range cfg.OutSel {
-		if w := int(sel) - 1; w >= 0 {
-			seedOut = append(seedOut, w)
-		}
-	}
-	closeWires(seedOut, liveOut, expand)
+	closure(taps, liveOut, expand)
 	for i := 0; i < ncl; i++ {
 		c := used(i)
 		if c.Flags&FlagFFUsed == 0 {
@@ -620,25 +423,6 @@ func LintConfig(cfg *ArrayConfig) (*LintReport, error) {
 	return r, nil
 }
 
-// closeWires is closeOver for wire indices.
-func closeWires(seeds []int, live []bool, expand func(int, func(int))) {
-	var work []int
-	push := func(w int) {
-		if w >= 0 && !live[w] {
-			live[w] = true
-			work = append(work, w)
-		}
-	}
-	for _, s := range seeds {
-		push(s)
-	}
-	for len(work) > 0 {
-		w := work[len(work)-1]
-		work = work[:len(work)-1]
-		expand(w, push)
-	}
-}
-
 // constOverMask reports whether tbl is constant when unconnected pins
 // (outside mask) are held at zero.
 func constOverMask(tbl uint16, mask int) bool {
@@ -670,69 +454,4 @@ func inputIgnoredUnder(tbl uint16, pin int, mask int) bool {
 		}
 	}
 	return true
-}
-
-// clbCycles mirrors lutCycles over the configuration's combinational
-// CLB graph: used LUTs whose output wire is combinational (FlagOutFF
-// clear) form the nodes; registered outputs break cycles.
-func clbCycles(cfg *ArrayConfig) (cycles [][]int, order []int) {
-	ncl := cfg.Spec.CLBs()
-	state := make([]int8, ncl)
-	type frame struct {
-		clb  int
-		next int
-	}
-	var stack []frame
-	for start := 0; start < ncl; start++ {
-		if state[start] != 0 || cfg.CLBs[start].Flags&FlagLUTUsed == 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{start, 0})
-		state[start] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			c := &cfg.CLBs[f.clb]
-			advanced := false
-			for f.next < 4 {
-				pin := f.next
-				f.next++
-				w := int(c.InSel[pin]) - 1
-				if w < WireCLB0 {
-					continue
-				}
-				dep := w - WireCLB0
-				dc := &cfg.CLBs[dep]
-				if dc.Flags&FlagLUTUsed == 0 || dc.Flags&FlagOutFF != 0 {
-					continue // not combinational: source or register
-				}
-				switch state[dep] {
-				case 0:
-					state[dep] = 1
-					stack = append(stack, frame{dep, 0})
-					advanced = true
-				case 1:
-					path := make([]int, 0, len(stack))
-					found := false
-					for _, fr := range stack {
-						if fr.clb == dep {
-							found = true
-						}
-						if found {
-							path = append(path, fr.clb)
-						}
-					}
-					cycles = append(cycles, path)
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.next >= 4 {
-				state[f.clb] = 2
-				order = append(order, f.clb)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return cycles, order
 }

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,6 +15,33 @@ func kindsOf(r *LintReport) []DiagKind {
 		kinds[i] = d.Kind
 	}
 	return kinds
+}
+
+// cycleRejections renders, for each cycle r reports, the rejection
+// naming its first element; format takes that element's index.
+func cycleRejections(r *LintReport, format string) []string {
+	var errs []string
+	for _, d := range r.Diags {
+		if d.Kind == DiagCombCycle {
+			errs = append(errs, fmt.Sprintf(format, d.Path[0]))
+		}
+	}
+	return errs
+}
+
+// checkCycleVerdict asserts that Levelize rejects a netlist exactly when
+// Lint reports a combinational cycle, and that the rejection names the
+// first LUT of one of the reported cycles.
+func checkCycleVerdict(t *testing.T, n *Netlist, r *LintReport) {
+	t.Helper()
+	want := cycleRejections(r, fmt.Sprintf("fabric: netlist %q: combinational cycle through LUT %%d", n.Name))
+	_, err := n.Levelize()
+	switch {
+	case err == nil && len(want) > 0:
+		t.Errorf("%s: Levelize accepted a netlist Lint reports cyclic: %v", n.Name, want)
+	case err != nil && !slices.Contains(want, err.Error()):
+		t.Errorf("%s: Levelize error %q names no cycle Lint reports %v", n.Name, err, want)
+	}
 }
 
 func TestLintDeadCone(t *testing.T) {
@@ -146,6 +175,7 @@ func TestLintCombCycleWithPath(t *testing.T) {
 	if _, err := n.Levelize(); err == nil {
 		t.Error("Levelize accepted a cyclic netlist")
 	}
+	checkCycleVerdict(t, n, r)
 }
 
 func TestLintStats(t *testing.T) {
@@ -266,6 +296,7 @@ func TestStockLibraryLintsClean(t *testing.T) {
 		if !r.Clean() {
 			t.Errorf("%s netlist lint:\n%s", n.Name, r)
 		}
+		checkCycleVerdict(t, n, r)
 		cfg, _, err := Place(n, DefaultPFUSpec)
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)

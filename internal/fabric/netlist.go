@@ -123,24 +123,7 @@ type Stats struct {
 // Stats computes resource usage; depth requires a levelizable netlist and is
 // 0 otherwise.
 func (n *Netlist) Stats() Stats {
-	s := Stats{LUTs: len(n.LUTs), FFs: len(n.FFs), Nets: n.NumNets}
-	if order, err := n.Levelize(); err == nil {
-		depth := make([]int, n.NumNets)
-		for _, li := range order {
-			l := &n.LUTs[li]
-			d := 0
-			for _, in := range l.In {
-				if in != NilNet && depth[in] > d {
-					d = depth[in]
-				}
-			}
-			depth[l.Out] = d + 1
-			if d+1 > s.Depth {
-				s.Depth = d + 1
-			}
-		}
-	}
-	return s
+	return Stats{LUTs: len(n.LUTs), FFs: len(n.FFs), Nets: n.NumNets, Depth: n.levels().max}
 }
 
 // driverKind classifies what drives each net, for validation.
@@ -240,62 +223,11 @@ func (n *Netlist) Validate() error {
 // error if the combinational logic contains a cycle. Flip-flop outputs and
 // input ports are sources and break cycles.
 func (n *Netlist) Levelize() ([]int, error) {
-	// Map each net to the LUT (if any) that drives it.
-	lutOf := make([]int32, n.NumNets)
-	for i := range lutOf {
-		lutOf[i] = -1
+	lv := n.levels()
+	if len(lv.cycles) > 0 {
+		return nil, fmt.Errorf("fabric: netlist %q: combinational cycle through LUT %d", n.Name, lv.cycles[0][0])
 	}
-	for i := range n.LUTs {
-		lutOf[n.LUTs[i].Out] = int32(i)
-	}
-	order := make([]int, 0, len(n.LUTs))
-	state := make([]int8, len(n.LUTs)) // 0 unvisited, 1 visiting, 2 done
-	// Iterative DFS to avoid deep recursion on long adder chains.
-	type frame struct {
-		lut  int
-		next int
-	}
-	var stack []frame
-	for start := range n.LUTs {
-		if state[start] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{start, 0})
-		state[start] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			l := &n.LUTs[f.lut]
-			advanced := false
-			for f.next < 4 {
-				in := l.In[f.next]
-				f.next++
-				if in == NilNet {
-					continue
-				}
-				dep := lutOf[in]
-				if dep < 0 {
-					continue
-				}
-				switch state[dep] {
-				case 0:
-					state[dep] = 1
-					stack = append(stack, frame{int(dep), 0})
-					advanced = true
-				case 1:
-					return nil, fmt.Errorf("fabric: netlist %q: combinational cycle through LUT %d", n.Name, dep)
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.next >= 4 {
-				state[f.lut] = 2
-				order = append(order, f.lut)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return order, nil
+	return lv.order, nil
 }
 
 // Optimize performs constant folding, structural deduplication and
@@ -323,44 +255,7 @@ func Optimize(n *Netlist) int {
 // behaviour is untouched: the kept set is the backward closure of the
 // output ports through LUT inputs and flip-flop D pins.
 func sweepDead(n *Netlist) int {
-	lutOf := make([]int32, n.NumNets)
-	ffOf := make([]int32, n.NumNets)
-	for i := range lutOf {
-		lutOf[i], ffOf[i] = -1, -1
-	}
-	for i := range n.LUTs {
-		lutOf[n.LUTs[i].Out] = int32(i)
-	}
-	for i := range n.FFs {
-		ffOf[n.FFs[i].Q] = int32(i)
-	}
-	live := make([]bool, n.NumNets)
-	var work []Net
-	mark := func(net Net) {
-		if net != NilNet && !live[net] {
-			live[net] = true
-			work = append(work, net)
-		}
-	}
-	for _, p := range n.Ports {
-		if p.Dir == DirOut {
-			for _, net := range p.Nets {
-				mark(net)
-			}
-		}
-	}
-	for len(work) > 0 {
-		net := work[len(work)-1]
-		work = work[:len(work)-1]
-		if li := lutOf[net]; li >= 0 {
-			for _, in := range n.LUTs[li].In {
-				mark(in)
-			}
-		}
-		if fi := ffOf[net]; fi >= 0 {
-			mark(n.FFs[fi].D)
-		}
-	}
+	live := n.observable(n.drivers())
 	removed := 0
 	keptLUTs := n.LUTs[:0]
 	for i := range n.LUTs {

@@ -1,7 +1,5 @@
 package fabric
 
-import "fmt"
-
 // PFU simulates one configured CLB array implementing the paper's PFU
 // execution interface (§4.4): two 32-bit operand inputs, the init control
 // signal in, a 32-bit result and the completion signal out. Each Step is
@@ -11,7 +9,9 @@ import "fmt"
 // NewPFU doubles as the functional-security validator of §2: a
 // configuration whose combinational logic loops (and so could never
 // terminate or would oscillate) is rejected at load time, before it ever
-// executes.
+// executes. The check is levelizeConfig, a walk of the LUT graph in
+// graph.go that Compile, Timing and LintConfig share, so every engine
+// and analysis rejects exactly the same loops.
 type PFU struct {
 	cfg   *ArrayConfig
 	order []int  // CLB indices with used LUTs, in evaluation order
@@ -26,90 +26,22 @@ func NewPFU(cfg *ArrayConfig) (*PFU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	lv, err := levelizeConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
 	p := &PFU{
 		cfg:   cfg,
+		order: lv.order,
 		wires: make([]bool, cfg.Spec.NumWires()),
 		ffQ:   make([]bool, cfg.Spec.CLBs()),
 		ffNxt: make([]bool, cfg.Spec.CLBs()),
-	}
-	if err := p.levelize(); err != nil {
-		return nil, err
 	}
 	for i, sel := range cfg.OutSel {
 		p.outW[i] = int(sel) - 1
 	}
 	p.Reset()
 	return p, nil
-}
-
-// levelize orders used LUT CLBs so every combinational input is computed
-// before its consumer.
-func (p *PFU) levelize() error {
-	order, err := levelizeConfig(p.cfg)
-	if err != nil {
-		return err
-	}
-	p.order = order
-	return nil
-}
-
-// levelizeConfig orders a configuration's used-LUT CLBs so every
-// combinational input is computed before its consumer, rejecting
-// combinational cycles. CLB outputs that come from the flip-flop
-// (FlagOutFF) are sequential sources and break cycles. Shared by the
-// interpretive PFU and the compiled engine, so both reject exactly the
-// same configurations.
-func levelizeConfig(cfg *ArrayConfig) ([]int, error) {
-	n := cfg.Spec.CLBs()
-	// combOut[i]: CLB i's output wire is combinational (driven by LUT
-	// directly).
-	needsEval := make([]bool, n)
-	combOut := make([]bool, n)
-	for i := range cfg.CLBs {
-		c := &cfg.CLBs[i]
-		if c.Flags&FlagLUTUsed != 0 {
-			needsEval[i] = true
-			if c.Flags&FlagOutFF == 0 {
-				combOut[i] = true
-			}
-		}
-	}
-	state := make([]int8, n)
-	order := make([]int, 0, n)
-	var visit func(i int) error
-	visit = func(i int) error {
-		switch state[i] {
-		case 2:
-			return nil
-		case 1:
-			return fmt.Errorf("fabric: combinational cycle through CLB %d; configuration rejected", i)
-		}
-		state[i] = 1
-		c := &cfg.CLBs[i]
-		for pin := 0; pin < 4; pin++ {
-			sel := int(c.InSel[pin]) - 1
-			if sel < WireCLB0 {
-				continue
-			}
-			src := sel - WireCLB0
-			if combOut[src] {
-				if err := visit(src); err != nil {
-					return err
-				}
-			}
-		}
-		state[i] = 2
-		order = append(order, i)
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if needsEval[i] {
-			if err := visit(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
 }
 
 // Reset restores every register to its configured initial value, the

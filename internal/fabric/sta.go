@@ -51,10 +51,10 @@ func (p *TimingPath) PathString() string {
 }
 
 // TimingReport is the full static timing picture of one configuration.
-// MaxDepth equals the levelized depth fabric.LintConfig reports — both
-// take the maximum over every used LUT, whether or not it reaches an
-// endpoint — so the two analyses can never disagree about the critical
-// depth.
+// MaxDepth is the depth fabric.LintConfig reports: both read it from the
+// one levelizing walk, as the maximum over every used LUT whether or not
+// it reaches an endpoint, so the two analyses can never disagree about
+// the critical depth.
 type TimingReport struct {
 	Name      string
 	MaxDepth  int
@@ -100,41 +100,18 @@ func Timing(cfg *ArrayConfig) (*TimingReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := levelizeConfig(cfg)
+	// Per-CLB depth comes from the levelizing walk itself, the same
+	// numbers LintConfig reports: a used LUT is one level past its
+	// deepest combinational source; registered and input sources are
+	// depth 0. pred records the source CLB achieving the maximum, for
+	// path reconstruction.
+	lv, err := levelizeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
 	ncl := cfg.Spec.CLBs()
-	r := &TimingReport{Name: "config"}
-
-	// Per-CLB depth, exactly as LintConfig computes it: a used LUT is
-	// one level past its deepest combinational source; registered and
-	// input sources are depth 0. pred records the source CLB achieving
-	// the maximum, for path reconstruction.
-	depth := make([]int, ncl)
-	pred := make([]int, ncl)
-	for i := range pred {
-		pred[i] = -1
-	}
-	for _, i := range order {
-		c := &cfg.CLBs[i]
-		d, p := 0, -1
-		for pin := 0; pin < 4; pin++ {
-			w := int(c.InSel[pin]) - 1
-			if w < WireCLB0 {
-				continue
-			}
-			src := w - WireCLB0
-			if cfg.CLBs[src].Flags&FlagLUTUsed != 0 && cfg.CLBs[src].Flags&FlagOutFF == 0 && depth[src] > d {
-				d, p = depth[src], src
-			}
-		}
-		depth[i] = d + 1
-		pred[i] = p
-		if d+1 > r.MaxDepth {
-			r.MaxDepth = d + 1
-		}
-	}
+	depth, pred := lv.depth, lv.pred
+	r := &TimingReport{Name: "config", MaxDepth: lv.max}
 	r.Histogram = make([]int, r.MaxDepth+1)
 	for i := 0; i < ncl; i++ {
 		if cfg.CLBs[i].Flags&FlagLUTUsed != 0 {
