@@ -525,6 +525,7 @@ func BenchmarkAssembleTwofish(b *testing.B) {
 // BenchmarkScenario measures one end-to-end kernel run (4 alpha instances,
 // no contention) per iteration.
 func BenchmarkScenario(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.Run(exp.Scenario{
 			App:       workload.Alpha,

@@ -1,12 +1,13 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
-// configuration loads, bitstream decode, the equivalence prover) and
-// BENCH_cluster.json (the fleet layer — placement, job batching, job
-// throughput at 1k-node scale, and the observability overhead ratio of
-// a traced versus untraced run). Each file runs its benchmark suite for
-// one iteration and records every reported metric (ns/op, allocs, and
-// the custom metrics the benchmarks emit — speedup-vs-gate-x,
-// jobs/sec, obs-overhead-x, ...) as a benchmark-name → metric map.
+// configuration loads, bitstream decode, the equivalence prover, the ARM
+// interpreter) and BENCH_cluster.json (the fleet layer — placement, job
+// batching, job throughput at 1k-node scale, one end-to-end kernel
+// session, and the observability overhead ratio of a traced versus
+// untraced run). Each file runs its benchmark suite for one iteration
+// and records every reported metric (ns/op, allocs, and the custom
+// metrics the benchmarks emit — speedup-vs-gate-x, jobs/sec,
+// obs-overhead-x, ...) as a benchmark-name → metric map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
 // it runs `benchjson -check`, which regenerates the suites and fails
@@ -55,7 +56,7 @@ var suites = []struct {
 		runs: []benchRun{
 			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
-				"BenchmarkTLBLookup)$"},
+				"BenchmarkTLBLookup|BenchmarkInterpreter)$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
 		},
 	},
@@ -65,7 +66,7 @@ var suites = []struct {
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
 			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterLaneBatching|" +
-				"BenchmarkFleet1kNodes|BenchmarkObsOverhead)$"},
+				"BenchmarkFleet1kNodes|BenchmarkObsOverhead|BenchmarkScenario)$"},
 		},
 	},
 	{

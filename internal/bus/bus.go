@@ -274,16 +274,3 @@ func (b *Bus) LoadBytes(addr uint32, data []byte) error {
 	}
 	return nil
 }
-
-// ReadBytes copies n bytes out of memory starting at addr.
-func (b *Bus) ReadBytes(addr uint32, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for i := range out {
-		v, f := b.Read8(addr+uint32(i), Load)
-		if f != nil {
-			return nil, f
-		}
-		out[i] = v
-	}
-	return out, nil
-}

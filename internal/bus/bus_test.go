@@ -85,8 +85,10 @@ func TestZeroSizeAndWrapRejected(t *testing.T) {
 }
 
 func TestWaitStates(t *testing.T) {
+	r := NewRAM(0x100)
+	r.waits = 2
 	b := New()
-	b.MustMap(0, NewRAMWaits(0x100, 2))
+	b.MustMap(0, r)
 	b.Read32(0, Load)
 	b.Write32(4, 9)
 	if w := b.TakeWaits(); w != 4 {
@@ -120,17 +122,180 @@ func TestLoadReadBytes(t *testing.T) {
 	if err := b.LoadBytes(0x110, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReadBytes(0x110, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("byte %d = %d", i, got[i])
+	for i, want := range data {
+		got, f := b.Read8(0x110+uint32(i), Load)
+		if f != nil || got != want {
+			t.Fatalf("byte %d = %d, %v", i, got, f)
 		}
 	}
 	if err := b.LoadBytes(0x1FE, data); err == nil {
 		t.Error("overflowing load did not fail")
+	}
+}
+
+func TestRAMUntouchedReadsZero(t *testing.T) {
+	r := NewRAM(16 << 20)
+	allocs := testing.AllocsPerRun(100, func() {
+		for off := uint32(0); off < r.Size(); off += 0x10001 {
+			if v, ok := r.Read32(off &^ 3); !ok || v != 0 {
+				t.Fatalf("Read32(%#x) = %#x, %v", off&^3, v, ok)
+			}
+			if v, ok := r.Read8(off); !ok || v != 0 {
+				t.Fatalf("Read8(%#x) = %#x, %v", off, v, ok)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reads of untouched pages allocated %v times", allocs)
+	}
+	for i, p := range r.pages {
+		if p != nil {
+			t.Fatalf("a read materialised page %d", i)
+		}
+	}
+	r.Write8(0x5000, 1)
+	for i, p := range r.pages {
+		if (p != nil) != (i == 5) {
+			t.Fatalf("page %d allocated = %v after one write to page 5", i, p != nil)
+		}
+	}
+}
+
+func TestRAMWordAcrossPageBoundary(t *testing.T) {
+	for off := uint32(pageSize - 3); off < pageSize; off++ {
+		r := NewRAM(2 * pageSize)
+		if !r.Write32(off, 0x11223344) {
+			t.Fatalf("Write32(%#x) rejected", off)
+		}
+		for k, want := range []byte{0x44, 0x33, 0x22, 0x11} {
+			if got, _ := r.Read8(off + uint32(k)); got != want {
+				t.Errorf("off %#x: byte %d = %#x, want %#x", off, k, got, want)
+			}
+		}
+		r.Write8(off+1, 0xAB)
+		if v, ok := r.Read32(off); !ok || v != 0x1122AB44 {
+			t.Errorf("Read32(%#x) = %#x, %v", off, v, ok)
+		}
+		if r.pages[0] == nil || r.pages[1] == nil {
+			t.Errorf("off %#x: straddling write did not reach both pages", off)
+		}
+	}
+}
+
+func TestRAMLoad(t *testing.T) {
+	r := NewRAM(4 * pageSize)
+	data := make([]byte, 2*pageSize+10)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	if !r.Load(pageSize-5, data) {
+		t.Fatal("Load spanning three pages rejected")
+	}
+	for i, want := range data {
+		if got, _ := r.Read8(pageSize - 5 + uint32(i)); got != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if !r.Load(r.Size()-4, data[:4]) || !r.Load(r.Size(), nil) {
+		t.Error("Load ending exactly at the region end rejected")
+	}
+	if r.Load(r.Size()-3, data[:4]) {
+		t.Error("Load past the region end accepted")
+	}
+	if r.Load(0xFFFFFFFE, data[:4]) {
+		t.Error("wrapping Load accepted")
+	}
+	if r.pages[3][pageMask-3] != data[0] || r.pages[3][pageMask-2] != data[1] {
+		t.Error("rejected Load wrote into the region")
+	}
+}
+
+func TestRAMOddSizeFaultsAtSize(t *testing.T) {
+	r := NewRAM(0x100)
+	if len(r.pages) != 1 {
+		t.Fatalf("%d pages for a 0x100-byte region", len(r.pages))
+	}
+	if _, ok := r.Read8(0xFF); !ok {
+		t.Error("Read8 at the last byte rejected")
+	}
+	if _, ok := r.Read8(0x100); ok {
+		t.Error("Read8 at size accepted")
+	}
+	if r.Write8(0x100, 1) {
+		t.Error("Write8 at size accepted")
+	}
+	if _, ok := r.Read32(0xFC); !ok {
+		t.Error("Read32 of the last word rejected")
+	}
+	if _, ok := r.Read32(0xFD); ok {
+		t.Error("Read32 straddling size accepted")
+	}
+	if r.Write32(0xFD, 1) {
+		t.Error("Write32 straddling size accepted")
+	}
+	b := New()
+	b.MustMap(0x1000, r)
+	if _, f := b.Read8(0x1100, Load); f == nil {
+		t.Error("bus read at region end did not fault")
+	}
+}
+
+// TestRAMMatchesFlatModel drives random byte and word accesses against a
+// flat byte-slice model; offsets cluster around page boundaries and the
+// region end so the straddle and fault paths are exercised.
+func TestRAMMatchesFlatModel(t *testing.T) {
+	const size = 3*pageSize + 0x10
+	type op struct {
+		Kind  uint8
+		Near  uint8
+		Delta int8
+		V     uint32
+	}
+	f := func(ops []op) bool {
+		r := NewRAM(size)
+		flat := make([]byte, size)
+		for _, o := range ops {
+			off := uint32(o.Near%4)*pageSize + uint32(int32(o.Delta))
+			if o.Near%4 == 3 {
+				off = size + uint32(int32(o.Delta)) // around the region end
+			}
+			inRange := func(n uint32) bool { return off+n-1 >= off && off+n-1 < size }
+			switch o.Kind % 4 {
+			case 0:
+				v, ok := r.Read8(off)
+				if ok != inRange(1) || (ok && v != flat[off]) {
+					return false
+				}
+			case 1:
+				if r.Write8(off, byte(o.V)) != inRange(1) {
+					return false
+				}
+				if inRange(1) {
+					flat[off] = byte(o.V)
+				}
+			case 2:
+				v, ok := r.Read32(off)
+				if ok != inRange(4) {
+					return false
+				}
+				if ok && v != uint32(flat[off])|uint32(flat[off+1])<<8|uint32(flat[off+2])<<16|uint32(flat[off+3])<<24 {
+					return false
+				}
+			case 3:
+				if r.Write32(off, o.V) != inRange(4) {
+					return false
+				}
+				if inRange(4) {
+					for k := uint32(0); k < 4; k++ {
+						flat[off+k] = byte(o.V >> (8 * k))
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

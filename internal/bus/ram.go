@@ -1,69 +1,114 @@
 package bus
 
-// RAM is a flat byte-addressable memory region. The zero value is unusable;
-// use NewRAM.
+import "encoding/binary"
+
+// RAM pages are allocated on first write; an untouched page reads as zero.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// RAM is a byte-addressable memory region backed by a table of lazily
+// allocated pages, so a large region costs only the pages a program
+// writes. The zero value is unusable; use NewRAM.
 type RAM struct {
-	data  []byte
+	pages []*[pageSize]byte
+	size  uint32
 	waits uint32
 }
 
-// NewRAM allocates a RAM region of size bytes with zero wait states.
+// NewRAM returns a zero-filled RAM region of size bytes with zero wait
+// states.
 func NewRAM(size uint32) *RAM {
-	return &RAM{data: make([]byte, size)}
-}
-
-// NewRAMWaits allocates a RAM region that charges waits extra cycles per
-// access, modelling slower off-chip memory.
-func NewRAMWaits(size, waits uint32) *RAM {
-	return &RAM{data: make([]byte, size), waits: waits}
+	n := (uint64(size) + pageMask) >> pageShift
+	return &RAM{pages: make([]*[pageSize]byte, n), size: size}
 }
 
 // Size reports the region size in bytes.
-func (r *RAM) Size() uint32 { return uint32(len(r.data)) }
+func (r *RAM) Size() uint32 { return r.size }
 
 // WaitStates reports the configured wait states per access.
 func (r *RAM) WaitStates() uint32 { return r.waits }
 
+// page returns the page holding off, allocating it on first use.
+func (r *RAM) page(off uint32) *[pageSize]byte {
+	p := r.pages[off>>pageShift]
+	if p == nil {
+		p = new([pageSize]byte)
+		r.pages[off>>pageShift] = p
+	}
+	return p
+}
+
 // Read8 implements Region.
 func (r *RAM) Read8(off uint32) (byte, bool) {
-	if off >= uint32(len(r.data)) {
+	if off >= r.size {
 		return 0, false
 	}
-	return r.data[off], true
+	if p := r.pages[off>>pageShift]; p != nil {
+		return p[off&pageMask], true
+	}
+	return 0, true
 }
 
 // Write8 implements Region.
 func (r *RAM) Write8(off uint32, v byte) bool {
-	if off >= uint32(len(r.data)) {
+	if off >= r.size {
 		return false
 	}
-	r.data[off] = v
+	r.page(off)[off&pageMask] = v
 	return true
 }
 
-// Read32 implements Word32Region.
+// Read32 implements Word32Region. A word straddling two pages takes the
+// byte path.
 func (r *RAM) Read32(off uint32) (uint32, bool) {
-	if off+3 >= uint32(len(r.data)) || off+3 < off {
+	if off+3 >= r.size || off+3 < off {
 		return 0, false
 	}
-	d := r.data[off : off+4 : off+4]
-	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, true
+	i := off & pageMask
+	if i > pageSize-4 {
+		var v uint32
+		for k := uint32(0); k < 4; k++ {
+			b, _ := r.Read8(off + k)
+			v |= uint32(b) << (8 * k)
+		}
+		return v, true
+	}
+	if p := r.pages[off>>pageShift]; p != nil {
+		return binary.LittleEndian.Uint32(p[i:]), true
+	}
+	return 0, true
 }
 
-// Write32 implements Word32Region.
+// Write32 implements Word32Region. A word straddling two pages takes the
+// byte path.
 func (r *RAM) Write32(off uint32, v uint32) bool {
-	if off+3 >= uint32(len(r.data)) || off+3 < off {
+	if off+3 >= r.size || off+3 < off {
 		return false
 	}
-	d := r.data[off : off+4 : off+4]
-	d[0] = byte(v)
-	d[1] = byte(v >> 8)
-	d[2] = byte(v >> 16)
-	d[3] = byte(v >> 24)
+	i := off & pageMask
+	if i > pageSize-4 {
+		for k := uint32(0); k < 4; k++ {
+			r.Write8(off+k, byte(v>>(8*k)))
+		}
+		return true
+	}
+	binary.LittleEndian.PutUint32(r.page(off)[i:], v)
 	return true
 }
 
-// Bytes exposes the backing store for fast bulk loading in tests and
-// loaders. Mutating it is equivalent to writing through the bus without
-// wait-state charges.
-func (r *RAM) Bytes() []byte { return r.data }
+// Load copies data into the region starting at off, for program loading.
+// It reports false, copying nothing, when data does not fit.
+func (r *RAM) Load(off uint32, data []byte) bool {
+	if uint64(off)+uint64(len(data)) > uint64(r.size) {
+		return false
+	}
+	for len(data) > 0 {
+		n := copy(r.page(off)[off&pageMask:], data)
+		data = data[n:]
+		off += uint32(n)
+	}
+	return true
+}

@@ -144,47 +144,60 @@ func (n *Netlist) Validate() error {
 		return fmt.Errorf("fabric: netlist %q: negative net count", n.Name)
 	}
 	drv := make([]driverKind, n.NumNets)
-	claim := func(net Net, k driverKind, what string) error {
+	// Labels are formatted only on the error paths: Validate runs on every
+	// netlist a circuit library builds.
+	label := func(k driverKind, i int) string {
+		switch k {
+		case drvLUT:
+			return fmt.Sprintf("LUT %d", i)
+		case drvFF:
+			return fmt.Sprintf("FF %d", i)
+		}
+		return "input port " + n.Ports[i].Name
+	}
+	// claim records k (element i of its kind) as net's driver.
+	claim := func(net Net, k driverKind, i int) error {
 		if net < 0 || int(net) >= n.NumNets {
-			return fmt.Errorf("fabric: netlist %q: %s drives out-of-range net %d", n.Name, what, net)
+			return fmt.Errorf("fabric: netlist %q: %s drives out-of-range net %d", n.Name, label(k, i), net)
 		}
 		if drv[net] != drvNone {
-			return fmt.Errorf("fabric: netlist %q: net %d multiply driven (%s)", n.Name, net, what)
+			return fmt.Errorf("fabric: netlist %q: net %d multiply driven (%s)", n.Name, net, label(k, i))
 		}
 		drv[net] = k
 		return nil
 	}
-	for _, p := range n.Ports {
+	for i, p := range n.Ports {
 		if p.Dir != DirIn {
 			continue
 		}
 		for _, net := range p.Nets {
-			if err := claim(net, drvInput, "input port "+p.Name); err != nil {
+			if err := claim(net, drvInput, i); err != nil {
 				return err
 			}
 		}
 	}
 	for i := range n.LUTs {
-		if err := claim(n.LUTs[i].Out, drvLUT, fmt.Sprintf("LUT %d", i)); err != nil {
+		if err := claim(n.LUTs[i].Out, drvLUT, i); err != nil {
 			return err
 		}
 	}
 	for i := range n.FFs {
-		if err := claim(n.FFs[i].Q, drvFF, fmt.Sprintf("FF %d", i)); err != nil {
+		if err := claim(n.FFs[i].Q, drvFF, i); err != nil {
 			return err
 		}
 	}
-	checkUse := func(net Net, what string) error {
-		if net == NilNet {
-			return nil
+	// unread reports why net cannot be read ("out-of-range" or
+	// "undriven"), or "" when it can.
+	unread := func(net Net) string {
+		switch {
+		case net == NilNet:
+			return ""
+		case net < 0 || int(net) >= n.NumNets:
+			return "out-of-range"
+		case drv[net] == drvNone:
+			return "undriven"
 		}
-		if net < 0 || int(net) >= n.NumNets {
-			return fmt.Errorf("fabric: netlist %q: %s reads out-of-range net %d", n.Name, what, net)
-		}
-		if drv[net] == drvNone {
-			return fmt.Errorf("fabric: netlist %q: %s reads undriven net %d", n.Name, what, net)
-		}
-		return nil
+		return ""
 	}
 	for i := range n.LUTs {
 		seenNil := false
@@ -196,14 +209,14 @@ func (n *Netlist) Validate() error {
 			if seenNil {
 				return fmt.Errorf("fabric: netlist %q: LUT %d has non-trailing unconnected input %d", n.Name, i, j)
 			}
-			if err := checkUse(in, fmt.Sprintf("LUT %d input %d", i, j)); err != nil {
-				return err
+			if why := unread(in); why != "" {
+				return fmt.Errorf("fabric: netlist %q: LUT %d input %d reads %s net %d", n.Name, i, j, why, in)
 			}
 		}
 	}
 	for i := range n.FFs {
-		if err := checkUse(n.FFs[i].D, fmt.Sprintf("FF %d D", i)); err != nil {
-			return err
+		if why := unread(n.FFs[i].D); why != "" {
+			return fmt.Errorf("fabric: netlist %q: FF %d D reads %s net %d", n.Name, i, why, n.FFs[i].D)
 		}
 	}
 	for _, p := range n.Ports {
@@ -211,8 +224,8 @@ func (n *Netlist) Validate() error {
 			continue
 		}
 		for b, net := range p.Nets {
-			if err := checkUse(net, fmt.Sprintf("output port %s bit %d", p.Name, b)); err != nil {
-				return err
+			if why := unread(net); why != "" {
+				return fmt.Errorf("fabric: netlist %q: output port %s bit %d reads %s net %d", n.Name, p.Name, b, why, net)
 			}
 		}
 	}

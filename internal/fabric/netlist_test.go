@@ -72,6 +72,48 @@ func TestValidateRejectsNonTrailingNil(t *testing.T) {
 	}
 }
 
+// TestValidateErrorText pins every Validate message byte for byte, and
+// that a valid netlist is checked without formatting any label.
+func TestValidateErrorText(t *testing.T) {
+	in := Port{Name: "a", Dir: DirIn, Nets: []Net{0}}
+	buf := LUT{In: [4]Net{0, NilNet, NilNet, NilNet}, Table: 0xAAAA, Out: 1}
+	for _, c := range []struct {
+		n    Netlist
+		want string
+	}{
+		{Netlist{NumNets: 1, Ports: []Port{{Name: "a", Dir: DirIn, Nets: []Net{0, 1}}}},
+			`input port a drives out-of-range net 1`},
+		{Netlist{NumNets: 2, Ports: []Port{in}, LUTs: []LUT{buf, {Out: 2}}},
+			`LUT 1 drives out-of-range net 2`},
+		{Netlist{NumNets: 2, Ports: []Port{in}, FFs: []FF{{D: 0, Q: 0}}},
+			`net 0 multiply driven (FF 0)`},
+		{Netlist{NumNets: 3, Ports: []Port{in}, LUTs: []LUT{buf, {In: [4]Net{0, 5, NilNet, NilNet}, Out: 2}}},
+			`LUT 1 input 1 reads out-of-range net 5`},
+		{Netlist{NumNets: 3, Ports: []Port{in}, LUTs: []LUT{{In: [4]Net{0, 2, NilNet, NilNet}, Out: 1}}},
+			`LUT 0 input 1 reads undriven net 2`},
+		{Netlist{NumNets: 3, Ports: []Port{in}, FFs: []FF{{D: 2, Q: 1}}},
+			`FF 0 D reads undriven net 2`},
+		{Netlist{NumNets: 2, Ports: []Port{in, {Name: "y", Dir: DirOut, Nets: []Net{0, 1}}}},
+			`output port y bit 1 reads undriven net 1`},
+	} {
+		c.n.Name = "bad"
+		err := c.n.Validate()
+		if want := `fabric: netlist "bad": ` + c.want; err == nil || err.Error() != want {
+			t.Errorf("Validate = %v, want %s", err, want)
+		}
+	}
+
+	ok := Netlist{Name: "ok", NumNets: 3, Ports: []Port{in, {Name: "y", Dir: DirOut, Nets: []Net{2}}},
+		LUTs: []LUT{buf}, FFs: []FF{{D: 1, Q: 2}}}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := ok.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("valid netlist: %v allocations, want only the driver table", allocs)
+	}
+}
+
 func TestLevelizeDetectsCombinationalCycle(t *testing.T) {
 	// Two inverters in a ring.
 	n := &Netlist{

@@ -123,9 +123,8 @@ func (m *Machine) StallForConfig(nBytes int) uint32 {
 
 // LoadProgram copies an assembled image into RAM.
 func (m *Machine) LoadProgram(origin uint32, code []byte) error {
-	if int(origin)+len(code) > len(m.RAM.Bytes()) {
+	if !m.RAM.Load(origin, code) {
 		return fmt.Errorf("machine: program at %#x (%d bytes) exceeds RAM", origin, len(code))
 	}
-	copy(m.RAM.Bytes()[origin:], code)
 	return nil
 }

@@ -86,11 +86,33 @@ func TestStallForConfigBandwidth(t *testing.T) {
 
 func TestLoadProgramBounds(t *testing.T) {
 	m := New(Config{RAMBytes: 0x1000})
-	if err := m.LoadProgram(0xF00, make([]byte, 0x200)); err == nil {
-		t.Fatal("out-of-RAM load accepted")
+	err := m.LoadProgram(0xF00, make([]byte, 0x200))
+	if want := "machine: program at 0xf00 (512 bytes) exceeds RAM"; err == nil || err.Error() != want {
+		t.Fatalf("out-of-RAM load: %v, want %q", err, want)
+	}
+	if err := m.LoadProgram(0xFFFFFFF0, make([]byte, 0x20)); err == nil {
+		t.Fatal("wrapping load accepted")
 	}
 	if err := m.LoadProgram(0x100, make([]byte, 0x200)); err != nil {
 		t.Fatal(err)
+	}
+	if err := m.LoadProgram(0xE00, make([]byte, 0x200)); err != nil {
+		t.Fatalf("load ending at the last RAM byte: %v", err)
+	}
+
+	// A program spanning pages reads back through the bus.
+	m = New(Config{})
+	code := make([]byte, 0x2100)
+	for i := range code {
+		code[i] = byte(i * 13)
+	}
+	if err := m.LoadProgram(0x8F80, code); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range code {
+		if got, f := m.Bus.Read8(0x8F80+uint32(i), bus.Load); f != nil || got != want {
+			t.Fatalf("byte %#x = %#x, %v; want %#x", i, got, f, want)
+		}
 	}
 }
 

@@ -108,12 +108,14 @@ func (j *job) addWatcher(w *watcher) (ok bool, st wire.StatusOK) {
 func (j *job) finish(fr *protean.FleetResult, err error) string {
 	j.mu.Lock()
 	switch {
+	case j.canceled && (err == nil || errors.Is(err, context.Canceled)):
+		// An acknowledged cancel wins even when the run finished before
+		// it observed its context: the client was told the job stops.
+		j.state = wire.StateCanceled
+		j.errMsg = context.Canceled.Error()
 	case err == nil:
 		j.state = wire.StateDone
 		j.fleet = fr
-	case j.canceled && errors.Is(err, context.Canceled):
-		j.state = wire.StateCanceled
-		j.errMsg = err.Error()
 	default:
 		j.state = wire.StateFailed
 		j.errMsg = err.Error()

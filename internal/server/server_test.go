@@ -269,6 +269,25 @@ func TestDaemonCancel(t *testing.T) {
 	}
 }
 
+// TestAcknowledgedCancelWinsOverCleanFinish pins the race where a run
+// returns nil before it observes a cancel that was already acknowledged
+// to the client: the job must still end Canceled, with no result.
+func TestAcknowledgedCancelWinsOverCleanFinish(t *testing.T) {
+	j := &job{id: 1, cancel: func() {}, state: wire.StateRunning}
+	if !j.requestCancel() {
+		t.Fatal("cancel of running job reported already-finished")
+	}
+	if st := j.finish(&protean.FleetResult{}, nil); st != wire.StateCanceled {
+		t.Fatalf("finished as %q, want %q", st, wire.StateCanceled)
+	}
+	if fr, err := j.result(); err == nil {
+		t.Errorf("result of canceled job succeeded: %v", fr)
+	}
+	if st := j.status(); st.State != wire.StateCanceled || st.Err != context.Canceled.Error() {
+		t.Errorf("status = %+v", st)
+	}
+}
+
 // TestWatcherBackpressure pins the counted-drop contract at the queue
 // level, with no pump running so the queue state is exact: a full
 // queue sheds events into the drop counter, and the next successful
