@@ -144,12 +144,11 @@ func BenchmarkFleet1kNodes(b *testing.B) {
 	b.ReportMetric(float64(fr.Makespan), "makespan-cycles")
 }
 
-// BenchmarkObsOverhead measures the cost of the observability layer on a
-// fleet scenario run: the timed loop runs untraced, then one probe run
-// with Chrome tracing and metrics enabled measures the traced cost, and
-// the ratio is reported as obs-overhead-x (1.0 = free). The contract in
-// DESIGN.md is that untraced runs pay nothing and traced runs stay cheap
-// because emission happens replay-side, after the simulation.
+// BenchmarkObsOverhead times untraced fleet scenario runs, then makes
+// one run with Chrome tracing and metrics enabled and checks that it
+// produced a metrics snapshot. The traced/untraced cost ratio is
+// perfbench's trace.overhead_ratio, which interleaves the two modes
+// over many runs; a single probe here measured only noise.
 func BenchmarkObsOverhead(b *testing.B) {
 	scenario := func() protean.Scenario {
 		sc := testScenario(9)
@@ -166,20 +165,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	untracedPerRun := b.Elapsed().Seconds() / float64(b.N)
 	traced := scenario()
 	traced.Metrics = true
-	start := time.Now()
 	fr, err := protean.RunScenario(context.Background(), traced, protean.WithRunTrace(io.Discard))
 	if err != nil {
 		b.Fatal(err)
 	}
 	if fr.Metrics == nil {
 		b.Fatal("traced run produced no metrics snapshot")
-	}
-	tracedPerRun := time.Since(start).Seconds()
-	if untracedPerRun > 0 {
-		b.ReportMetric(tracedPerRun/untracedPerRun, "obs-overhead-x")
 	}
 }
 

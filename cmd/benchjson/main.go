@@ -2,12 +2,12 @@
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover, the ARM
 // interpreter) and BENCH_cluster.json (the fleet layer — placement, job
-// batching, job throughput at 1k-node scale, one end-to-end kernel
-// session, and the observability overhead ratio of a traced versus
-// untraced run). Each file runs its benchmark suite for one iteration
-// and records every reported metric (ns/op, allocs, and the custom
-// metrics the benchmarks emit — speedup-vs-gate-x, jobs/sec,
-// obs-overhead-x, ...) as a benchmark-name → metric map.
+// batching, job throughput at 1k-node scale, placement replay alone at
+// 1k/10k/100k nodes, one end-to-end kernel session, and a traced fleet
+// run). Each file runs its benchmark suite for one iteration and records
+// every reported metric (ns/op, allocs, and the custom metrics the
+// benchmarks emit — speedup-vs-gate-x, jobs/sec, ...) as a
+// benchmark-name → metric map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
 // it runs `benchjson -check`, which regenerates the suites and fails
@@ -67,6 +67,7 @@ var suites = []struct {
 		runs: []benchRun{
 			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterLaneBatching|" +
 				"BenchmarkFleet1kNodes|BenchmarkObsOverhead|BenchmarkScenario)$"},
+			{"./internal/cluster", "^BenchmarkReplay$"},
 		},
 	},
 	{

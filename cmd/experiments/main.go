@@ -6,6 +6,7 @@
 // Usage:
 //
 //	experiments [-fig 2|3|ablations|claims|cluster|admission|all] [-scale N] [-seed S] [-workers N] [-csv dir] [-metrics dir] [-quiet]
+//	            [-cpuprofile f] [-memprofile f]
 //
 // -scale divides the paper-size experiment (see internal/exp.Scale); the
 // default of 100 reproduces every figure in a couple of minutes. -scale 1
@@ -16,6 +17,9 @@
 // point count and the distribution of y values in modeled cycles. The
 // dumps derive only from figure data, so they are byte-identical for
 // any worker count, like the figures themselves.
+//
+// -cpuprofile and -memprofile write host CPU and allocation profiles
+// (go tool pprof); samples carry sweep-cell and fleet-job labels.
 //
 // -workers sizes the sweep worker pool (default: GOMAXPROCS). Every sweep
 // cell is an independent simulation, so the figures are identical for any
@@ -44,6 +48,8 @@ func main() {
 	metricsDir := flag.String("metrics", "", "directory to write per-figure metrics expositions into")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress")
 	twofish3 := flag.Bool("fig3-twofish", false, "include the twofish series the paper omits from figure 3")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile to this file on exit")
 	flag.Parse()
 
 	sw := exp.Sweeper{
@@ -55,7 +61,16 @@ func main() {
 		sw.Progress = protean.WriterSink(os.Stderr)
 	}
 
-	if err := run(*fig, sw, *csvDir, *metricsDir, *twofish3, os.Stdout); err != nil {
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	err = run(*fig, sw, *csvDir, *metricsDir, *twofish3, os.Stdout)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}

@@ -4,11 +4,13 @@
 // in-process fleet runner, and streams progress and results back to
 // clients. SIGINT/SIGTERM drain gracefully — running jobs finish and
 // queued replies flush before the sockets close; a second signal
-// forces exit.
+// forces exit. -cpuprofile and -memprofile write host profiles, ended
+// and flushed once the drain completes.
 //
 // Usage:
 //
 //	proteand [-tcp HOST:PORT] [-unix PATH] [-max-active N] [-queue-depth N] [-name NAME]
+//	         [-cpuprofile f] [-memprofile f]
 //
 // With neither -tcp nor -unix, the daemon listens on 127.0.0.1:9190.
 package main
@@ -23,6 +25,7 @@ import (
 	"sync"
 	"syscall"
 
+	"protean/internal/obs"
 	"protean/internal/server"
 )
 
@@ -32,6 +35,8 @@ func main() {
 	name := flag.String("name", "proteand", "server name reported in the handshake")
 	maxActive := flag.Int("max-active", runtime.NumCPU(), "max concurrently running jobs (0 = unbounded)")
 	queueDepth := flag.Int("queue-depth", 0, "per-connection write queue depth in frames (0 = default)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this file, ended on graceful drain")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile to this file on graceful drain")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "proteand: unexpected arguments %q\n", flag.Args())
@@ -41,6 +46,11 @@ func main() {
 		*tcpAddr = "127.0.0.1:9190"
 	}
 
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "proteand:", err)
+		os.Exit(1)
+	}
 	srv := server.New(server.Config{Name: *name, MaxActive: *maxActive, QueueDepth: *queueDepth})
 	var wg sync.WaitGroup
 	listen := func(network, addr string) {
@@ -81,6 +91,10 @@ func main() {
 	wg.Wait()
 	if *unixPath != "" {
 		os.Remove(*unixPath)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "proteand: profile:", err)
+		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "proteand: drained")
 }

@@ -8,7 +8,7 @@
 //	proteansim -app alpha|twofish|echo|mix -n 4 [-quantum cycles]
 //	           [-policy rr|random|lru|2chance] [-soft] [-sharing]
 //	           [-items N] [-scale N] [-trace] [-progress] [-lint] [-sta]
-//	           [-trace-out f.json] [-metrics]
+//	           [-trace-out f.json] [-metrics] [-cpuprofile f] [-memprofile f]
 //
 // -trace-out writes the run's modeled-cycle timeline as Chrome
 // trace-event JSON — open the file in Perfetto (ui.perfetto.dev) or
@@ -16,6 +16,9 @@
 // the Prometheus text format after the report. Both compose with -app
 // (per-process tracks) and with -scenario (per-node fleet tracks); the
 // emitted bytes depend only on the modeled run, never on worker count.
+//
+// -cpuprofile and -memprofile write host CPU and allocation profiles
+// (go tool pprof); fleet jobs carry fleet-job/fleet-batch labels.
 //
 // -lint lints every circuit image the spawned programs register (dead
 // logic, constant LUTs, unused flip-flops, floating inputs — see
@@ -54,6 +57,7 @@ import (
 	"strings"
 
 	"protean"
+	"protean/internal/obs"
 )
 
 func main() {
@@ -76,6 +80,8 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec (JSON file); only -progress applies alongside")
 	traceOut := flag.String("trace-out", "", "write the run's modeled-cycle timeline as Chrome trace-event JSON to this file (view in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the run's metrics snapshot (Prometheus text format) to stdout after the report")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile to this file on exit")
 	flag.Parse()
 
 	// A stray positional argument stops flag parsing, silently dropping
@@ -90,7 +96,11 @@ func main() {
 		fmt.Println(strings.Join(protean.Workloads(), "\n"))
 		return
 	}
-	var err error
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "proteansim:", err)
+		os.Exit(1)
+	}
 	if *scenarioPath != "" {
 		// The spec is the whole configuration: every explicitly set flag
 		// other than -scenario/-progress would be silently overridden, so
@@ -100,7 +110,7 @@ func main() {
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "scenario", "progress", "lint", "sta", "trace-out", "metrics":
+			case "scenario", "progress", "lint", "sta", "trace-out", "metrics", "cpuprofile", "memprofile":
 			default:
 				conflicts = append(conflicts, "-"+f.Name)
 			}
@@ -112,6 +122,9 @@ func main() {
 		}
 	} else {
 		err = run(*appName, *n, uint32(*quantum), *policy, *soft, *sharing, *items, *scaleF, *seed, *showTrace, *progress, *gate, *disasmN, *lintW, *staW, *traceOut, *metrics)
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proteansim:", err)

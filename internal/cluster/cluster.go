@@ -32,6 +32,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"protean/internal/conc"
@@ -397,11 +398,11 @@ func (st *store) holds(k Key) bool {
 	return false
 }
 
-// nodeState is one node's mutable dispatcher state during replay.
+// nodeState is one node's mutable dispatcher state during replay; the
+// cycle it next goes idle lives in the Fleet's backlog tree.
 type nodeState struct {
-	cfg    NodeConfig
-	freeAt uint64
-	store  store
+	cfg   NodeConfig
+	store store
 	// completions lists the completion cycle of every job placed here, in
 	// placement order (nondecreasing: the node serves FIFO); admission
 	// control derives queue depths from it.
@@ -428,12 +429,117 @@ func (ns *nodeState) slotFreeAt(now uint64, bound int) uint64 {
 
 // Fleet is the dispatcher's read-only view of the nodes at one placement
 // instant. PlacementPolicy implementations query it; all mutation happens
-// in the replay loop.
+// in the replay loop, which also keeps two indexes so the built-in
+// policies need not scan every node per job.
 type Fleet struct {
 	nodes  []nodeState
 	now    uint64 // arrival cycle of the job being placed
 	placed int
 	rand   *rng.Stream
+	// holders maps each key to the nodes whose store holds it, in
+	// ascending order (kept by touch).
+	holders map[Key][]int
+	// free is a min tournament tree over the nodes' freeAt cycles: node
+	// n's leaf is free[len(free)/2+n], padding leaves are ^0 and every
+	// inner entry is the minimum of its two children (kept by setFreeAt).
+	free []uint64
+}
+
+// newFleet builds the replay state of an idle, empty fleet.
+func newFleet(ncs []NodeConfig, seed int64) *Fleet {
+	size := 1
+	for size < len(ncs) {
+		size *= 2
+	}
+	f := &Fleet{
+		nodes:   make([]nodeState, len(ncs)),
+		rand:    rng.New(rng.Derive(seed, streamPlacement)),
+		holders: make(map[Key][]int),
+		free:    make([]uint64, 2*size),
+	}
+	for i, nc := range ncs {
+		f.nodes[i].cfg = nc
+		f.nodes[i].store.slots = nc.StoreSlots
+	}
+	for i := size + len(ncs); i < 2*size; i++ {
+		f.free[i] = ^uint64(0)
+	}
+	for i := size - 1; i >= 1; i-- {
+		f.free[i] = min(f.free[2*i], f.free[2*i+1])
+	}
+	return f
+}
+
+// freeAt returns the cycle at which node n drains its queue.
+func (f *Fleet) freeAt(n int) uint64 { return f.free[len(f.free)/2+n] }
+
+// setFreeAt moves node n's drain cycle and repairs the tree above it.
+func (f *Fleet) setFreeAt(n int, at uint64) {
+	i := len(f.free)/2 + n
+	f.free[i] = at
+	for ; i > 1; i /= 2 {
+		f.free[i/2] = min(f.free[i], f.free[i^1])
+	}
+}
+
+// leastLoaded returns the node with the smallest backlog, ties toward
+// the lowest index: the leftmost leaf at or below max(now, earliest
+// freeAt). When some node is idle that is the lowest-index idle node
+// (every idle backlog is 0); otherwise it is the lowest-index node that
+// frees first. The query holds for any now, including the later
+// instants a deferred placement probes.
+func (f *Fleet) leastLoaded() int {
+	size := len(f.free) / 2
+	limit := max(f.now, f.free[1])
+	i := 1
+	for i < size {
+		i *= 2
+		if f.free[i] > limit {
+			i++
+		}
+	}
+	return i - size
+}
+
+// lessLoaded orders nodes by backlog, then index.
+func (f *Fleet) lessLoaded(a, b int) bool {
+	ba, bb := f.Backlog(a), f.Backlog(b)
+	return ba < bb || ba == bb && a < b
+}
+
+// touch is store.touch on node n that keeps the holders index in step: a
+// miss lists n under the inserted key and unlists it from the LRU victim.
+func (f *Fleet) touch(n int, k Key) bool {
+	st := &f.nodes[n].store
+	if !st.holds(k) {
+		if len(st.keys) == st.slots {
+			hs := f.holders[st.keys[0]]
+			i, _ := slices.BinarySearch(hs, n)
+			f.holders[st.keys[0]] = slices.Delete(hs, i, i+1)
+		}
+		hs := f.holders[k]
+		i, _ := slices.BinarySearch(hs, n)
+		f.holders[k] = slices.Insert(hs, i, n)
+	}
+	return st.touch(k)
+}
+
+// eachHolder calls fn once for every node holding at least one of the
+// job's configurations, with its affinity hits. Each circuit contributes
+// its key's holders; a node that holds an earlier circuit's key (a
+// repeated key included) was already visited under it.
+func (f *Fleet) eachHolder(job *Job, fn func(n, hits int)) {
+	for i, c := range job.Circuits {
+	next:
+		for _, n := range f.holders[c.Key] {
+			for _, prev := range job.Circuits[:i] {
+				if f.Holds(n, prev.Key) {
+					continue next
+				}
+			}
+			fn(n, f.AffinityHits(n, job))
+		}
+	}
 }
 
 // NumNodes returns the fleet size.
@@ -445,10 +551,10 @@ func (f *Fleet) Placed() int { return f.placed }
 // Backlog returns how many cycles of queued work node n has at the
 // current placement instant.
 func (f *Fleet) Backlog(n int) uint64 {
-	if f.nodes[n].freeAt <= f.now {
-		return 0
+	if at := f.freeAt(n); at > f.now {
+		return at - f.now
 	}
-	return f.nodes[n].freeAt - f.now
+	return 0
 }
 
 // ClockScale returns node n's clock multiplier, so capability-aware
@@ -667,14 +773,7 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		nodes: make([]nodeState, len(ncs)),
-		rand:  rng.New(rng.Derive(cfg.Seed, streamPlacement)),
-	}
-	for i, nc := range ncs {
-		f.nodes[i].cfg = nc
-		f.nodes[i].store.slots = nc.StoreSlots
-	}
+	f := newFleet(ncs, cfg.Seed)
 	tr := &Trace{
 		Policy: pol.Name(),
 		Jobs:   make([]JobTrace, len(jobs)),
@@ -738,19 +837,16 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 			if !distinctAt(job, ci) {
 				continue
 			}
-			if ns.store.touch(c.Key) {
+			if f.touch(n, c.Key) {
 				jt.WarmHits++
 			} else {
 				jt.ColdLoads++
 				jt.FetchCycles += (uint64(c.Bytes) + bw - 1) / bw
 			}
 		}
-		jt.Start = now
-		if ns.freeAt > jt.Start {
-			jt.Start = ns.freeAt
-		}
+		jt.Start = max(now, f.freeAt(n))
 		jt.Completion = jt.Start + jt.FetchCycles + jt.Cycles
-		ns.freeAt = jt.Completion
+		f.setFreeAt(n, jt.Completion)
 		ns.completions = append(ns.completions, jt.Completion)
 		f.placed++
 

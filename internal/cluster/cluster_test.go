@@ -121,10 +121,7 @@ func TestArrivalTrace(t *testing.T) {
 }
 
 func TestRoundRobinCycles(t *testing.T) {
-	tr, err := Run(Config{Nodes: 3, Seed: 1}, altJobs(6), fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runChecked(t, Config{Nodes: 3, Seed: 1}, altJobs(6), fixedRunner(100))
 	for i, jt := range tr.Jobs {
 		if jt.Node != i%3 {
 			t.Errorf("job %d on node %d, want %d", i, jt.Node, i%3)
@@ -136,11 +133,8 @@ func TestLeastLoadedPrefersIdle(t *testing.T) {
 	// Job 0 is huge; with batch arrivals, least-loaded must route all
 	// later jobs around node 0.
 	jobs := altJobs(4)
-	tr, err := Run(Config{Nodes: 2, Seed: 1, Policy: LeastLoaded()},
+	tr := runChecked(t, Config{Nodes: 2, Seed: 1, Policy: LeastLoaded()},
 		jobs, fixedRunner(1_000_000, 10, 10, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if tr.Jobs[0].Node != 0 {
 		t.Fatalf("first job on node %d", tr.Jobs[0].Node)
 	}
@@ -158,22 +152,16 @@ func TestAffinityPinsKindsToNodes(t *testing.T) {
 	// phase with the 2-cycle of kinds, so every node alternates kinds and
 	// every placement is cold.
 	jobs := altJobs(12)
-	aff, err := Run(Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: Affinity()},
+	aff := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: Affinity()},
 		jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if aff.ColdLoads != 2 {
 		t.Errorf("affinity cold loads = %d, want 2", aff.ColdLoads)
 	}
 	if aff.WarmHits != 10 {
 		t.Errorf("affinity warm hits = %d, want 10", aff.WarmHits)
 	}
-	rr, err := Run(Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: RoundRobin()},
+	rr := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: RoundRobin()},
 		jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rr.ColdLoads != 12 {
 		t.Errorf("round-robin cold loads = %d, want 12 (kinds out of phase with nodes)", rr.ColdLoads)
 	}
@@ -186,14 +174,8 @@ func TestAffinityFallsBackToLeastLoaded(t *testing.T) {
 	// No node ever holds job circuits (jobs carry none), so affinity must
 	// behave exactly like least-loaded.
 	jobs := make([]Job, 8)
-	aff, err := Run(Config{Nodes: 4, Seed: 1, Policy: Affinity()}, jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll, err := Run(Config{Nodes: 4, Seed: 1, Policy: LeastLoaded()}, jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	aff := runChecked(t, Config{Nodes: 4, Seed: 1, Policy: Affinity()}, jobs, fixedRunner(100))
+	ll := runChecked(t, Config{Nodes: 4, Seed: 1, Policy: LeastLoaded()}, jobs, fixedRunner(100))
 	for i := range aff.Jobs {
 		if aff.Jobs[i].Node != ll.Jobs[i].Node {
 			t.Errorf("job %d: affinity node %d, least-loaded node %d",
@@ -205,10 +187,7 @@ func TestAffinityFallsBackToLeastLoaded(t *testing.T) {
 func TestRandomPlacementDeterministicPerSeed(t *testing.T) {
 	jobs := altJobs(32)
 	run := func(seed int64) *Trace {
-		tr, err := Run(Config{Nodes: 4, Seed: seed, Policy: Random()}, jobs, fixedRunner(100))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := runChecked(t, Config{Nodes: 4, Seed: seed, Policy: Random()}, jobs, fixedRunner(100))
 		return tr
 	}
 	if !reflect.DeepEqual(run(3), run(3)) {
@@ -223,7 +202,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	jobs := altJobs(24)
 	var ref *Trace
 	for _, workers := range []int{1, 4, 16} {
-		tr, err := Run(Config{
+		tr := runChecked(t, Config{
 			Nodes: 3, StoreSlots: 1, Seed: 9, Workers: workers,
 			Policy: Affinity(), Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 500},
 		}, jobs, func(i, _ int, seed int64) (Exec, error) {
@@ -231,9 +210,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			// checks that seeds are independent of worker count.
 			return Exec{Cycles: 100 + uint64(seed)%1000}, nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if ref == nil {
 			ref = tr
 		} else if !reflect.DeepEqual(ref, tr) {
@@ -245,10 +221,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunTimeline(t *testing.T) {
 	// One node: jobs serialize; completion = start + fetch + cycles.
 	jobs := altJobs(2)
-	tr, err := Run(Config{Nodes: 1, FetchBytesPerCycle: 100, Seed: 1}, jobs, fixedRunner(500))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runChecked(t, Config{Nodes: 1, FetchBytesPerCycle: 100, Seed: 1}, jobs, fixedRunner(500))
 	j0, j1 := tr.Jobs[0], tr.Jobs[1]
 	if j0.FetchCycles != 10 { // 1000 bytes at 100 B/cycle
 		t.Errorf("fetch cycles = %d, want 10", j0.FetchCycles)
@@ -346,10 +319,7 @@ func classRunner(base uint64) Runner {
 
 func TestHeterogeneousClassesAndClock(t *testing.T) {
 	jobs := altJobs(2)
-	tr, err := Run(heteroConfig(), jobs, classRunner(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runChecked(t, heteroConfig(), jobs, classRunner(1000))
 	// Round-robin: job 0 on node 0 (class 0, clock 1 → 1000 cycles),
 	// job 1 on node 1 (class 1 profile 2000 cycles, clock 2 → 1000).
 	if got := tr.Jobs[0].Cycles; got != 1000 {
@@ -362,10 +332,7 @@ func TestHeterogeneousClassesAndClock(t *testing.T) {
 		t.Errorf("node trace lost its configuration: %+v", tr.Nodes[1])
 	}
 	// Odd service must round up, never truncate to free cycles.
-	tr, err = Run(heteroConfig(), jobs, classRunner(1001))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr = runChecked(t, heteroConfig(), jobs, classRunner(1001))
 	if got := tr.Jobs[1].Cycles; got != 1001 {
 		t.Errorf("ceil division lost cycles: %d, want 1001", got)
 	}
@@ -404,11 +371,8 @@ func TestAdmissionShed(t *testing.T) {
 	// One node, bound 2, batch arrivals: the first two jobs are admitted,
 	// the rest shed.
 	jobs := altJobs(5)
-	tr, err := Run(Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 2}},
+	tr := runChecked(t, Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 2}},
 		jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if tr.Shed != 3 {
 		t.Fatalf("shed = %d, want 3: %+v", tr.Shed, tr.Jobs)
 	}
@@ -430,11 +394,8 @@ func TestAdmissionDefer(t *testing.T) {
 	// One node, bound 1, defer: jobs serialize, each waiting for the
 	// previous completion, and nothing is shed.
 	jobs := altJobs(3)
-	tr, err := Run(Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
+	tr := runChecked(t, Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
 		jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if tr.Shed != 0 || tr.Deferred != 2 {
 		t.Fatalf("shed=%d deferred=%d, want 0/2", tr.Shed, tr.Deferred)
 	}
@@ -457,11 +418,8 @@ func TestAdmissionDeferRebalances(t *testing.T) {
 	// chosen node is full the deferral must re-place onto whichever node
 	// frees first rather than shed.
 	jobs := altJobs(6)
-	tr, err := Run(Config{Nodes: 2, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
+	tr := runChecked(t, Config{Nodes: 2, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
 		jobs, fixedRunner(100, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if tr.Shed != 0 {
 		t.Fatalf("defer mode shed %d jobs", tr.Shed)
 	}
@@ -497,11 +455,8 @@ func TestWeightedAffinityHugeWeightSaturates(t *testing.T) {
 			{Key: key(2), Bytes: 100},
 		}}
 	}
-	tr, err := Run(Config{Nodes: 2, StoreSlots: 2, Seed: 1, Policy: WeightedAffinity(1 << 63)},
+	tr := runChecked(t, Config{Nodes: 2, StoreSlots: 2, Seed: 1, Policy: WeightedAffinity(1 << 63)},
 		jobs, fixedRunner(100))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, jt := range tr.Jobs {
 		if jt.Node != 0 {
 			t.Errorf("job %d diverted to node %d: saturating score lost to a cold node", jt.ID, jt.Node)
@@ -520,11 +475,8 @@ func TestWeightedAffinityBalancesKindsAcrossSpareNodes(t *testing.T) {
 	jobs := altJobs(12)
 	service := uint64(10_000)
 	run := func(pol PlacementPolicy) *Trace {
-		tr, err := Run(Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: pol},
+		tr := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: pol},
 			jobs, fixedRunner(service))
-		if err != nil {
-			t.Fatal(err)
-		}
 		return tr
 	}
 	aff := run(Affinity())
@@ -637,6 +589,7 @@ func TestExecuteBatchingMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTrace(t, jobs, got, gtr)
 		if !reflect.DeepEqual(wtr, gtr) {
 			t.Fatalf("workers=%d: batched trace differs from scalar", workers)
 		}

@@ -45,15 +45,7 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return "least-loaded" }
 
-func (leastLoaded) Place(f *Fleet, _ *Job) int {
-	best := 0
-	for n := 1; n < f.NumNodes(); n++ {
-		if f.Backlog(n) < f.Backlog(best) {
-			best = n
-		}
-	}
-	return best
-}
+func (leastLoaded) Place(f *Fleet, _ *Job) int { return f.leastLoaded() }
 
 // Affinity prefers the node whose bitstream store already holds the most
 // of the job's configurations — the paper's configuration-locality cost
@@ -68,19 +60,16 @@ type affinity struct{}
 func (affinity) Name() string { return "config-affinity" }
 
 func (affinity) Place(f *Fleet, job *Job) int {
+	// Holders arrive from several per-key lists, not in index order, so
+	// the lower-index tie break lives in lessLoaded.
 	best, bestHits := -1, 0
-	for n := 0; n < f.NumNodes(); n++ {
-		hits := f.AffinityHits(n, job)
-		switch {
-		case hits == 0:
-			continue
-		case best < 0, hits > bestHits,
-			hits == bestHits && f.Backlog(n) < f.Backlog(best):
+	f.eachHolder(job, func(n, hits int) {
+		if best < 0 || hits > bestHits || hits == bestHits && f.lessLoaded(n, best) {
 			best, bestHits = n, hits
 		}
-	}
+	})
 	if best < 0 {
-		return leastLoaded{}.Place(f, job)
+		return f.leastLoaded()
 	}
 	return best
 }
@@ -112,25 +101,29 @@ type weightedAffinity struct{ weight uint64 }
 
 func (weightedAffinity) Name() string { return "weighted-affinity" }
 
+// Place scores only the least-loaded head and the nodes holding one of
+// the job's configurations. Every other node scores −backlog, which the
+// head matches or beats (ties toward the lower index included), so the
+// maximum over this subset is the maximum over the fleet.
 func (w weightedAffinity) Place(f *Fleet, job *Job) int {
-	best := 0
-	bestScore := w.score(f, job, 0)
-	for n := 1; n < f.NumNodes(); n++ {
-		if s := w.score(f, job, n); s > bestScore {
+	best := f.leastLoaded()
+	bestScore := w.score(f, best, f.AffinityHits(best, job))
+	f.eachHolder(job, func(n, hits int) {
+		if s := w.score(f, n, hits); s > bestScore || s == bestScore && n < best {
 			best, bestScore = n, s
 		}
-	}
+	})
 	return best
 }
 
-// score is weight·hits − backlog as a saturating signed value: the
-// hits·weight product goes through a 64×64→128-bit multiply so a
-// pathological spec-supplied weight saturates instead of wrapping (a
-// wrap would rank a better-locality node below a worse one), and
+// score is weight·hits − backlog for node n as a saturating signed
+// value: the hits·weight product goes through a 64×64→128-bit multiply
+// so a pathological spec-supplied weight saturates instead of wrapping
+// (a wrap would rank a better-locality node below a worse one), and
 // backlogs are clamped symmetrically.
-func (w weightedAffinity) score(f *Fleet, job *Job, n int) int64 {
+func (w weightedAffinity) score(f *Fleet, n, hits int) int64 {
 	const maxInt64 = int64(^uint64(0) >> 1)
-	hi, gain := bits.Mul64(uint64(f.AffinityHits(n, job)), w.weight)
+	hi, gain := bits.Mul64(uint64(hits), w.weight)
 	score := maxInt64
 	if hi == 0 && gain < uint64(maxInt64) {
 		score = int64(gain)

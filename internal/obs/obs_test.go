@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -266,5 +268,39 @@ func TestTask(t *testing.T) {
 	Task(context.Background(), "cell", "f1/n=4", func() { ran = true })
 	if !ran {
 		t.Fatal("Task did not run f")
+	}
+}
+
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Task(context.Background(), "cell", "profiled", func() {})
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(path), err)
+		}
+	}
+
+	// Empty paths profile nothing; an unwritable path fails up front.
+	stop, err = StartProfiles("", "")
+	if err != nil || stop() != nil {
+		t.Errorf("empty paths: err %v", err)
+	}
+	if _, err := StartProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
+		t.Error("unwritable CPU profile path accepted")
+	}
+	stop, err = StartProfiles("", filepath.Join(dir, "missing", "mem.prof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stop() == nil {
+		t.Error("unwritable allocation profile path accepted")
 	}
 }
