@@ -4,15 +4,16 @@
 // interpreter) and BENCH_cluster.json (the fleet layer — placement, job
 // batching, job throughput at 1k-node scale, placement replay alone at
 // 1k/10k/100k nodes, one end-to-end kernel session, and a traced fleet
-// run). Each file runs its benchmark suite for one iteration and records
+// run). Each file runs its benchmark suite five times (-count 5), every
+// sample for at least 200ms of benchmark time, and records the median of
 // every reported metric (ns/op, allocs, and the custom metrics the
 // benchmarks emit — speedup-vs-gate-x, jobs/sec, ...) as a
 // benchmark-name → metric map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
-// it runs `benchjson -check`, which regenerates the suites and fails
-// only on schema drift — a benchmark or metric that appeared in or
-// vanished from a committed file. That keeps the trajectory files
+// it runs `benchjson -check`, which runs each suite for one iteration
+// and fails only on schema drift — a benchmark or metric that appeared
+// in or vanished from a committed file. That keeps the trajectory files
 // honest: adding a benchmark (or losing one) forces a regeneration in
 // the same commit.
 //
@@ -90,6 +91,14 @@ type trajectory struct {
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 }
 
+// Written files hold the median of writeCount samples, each at least
+// writeBenchtime long; -check compares names only, so one iteration of
+// one sample does.
+const (
+	writeCount     = "5"
+	writeBenchtime = "200ms"
+)
+
 // benchLine matches one `go test -bench` result line:
 //
 //	BenchmarkCompiledPFU-8   1   2505 ns/op   2.04 speedup-vs-gate-x   0 B/op   0 allocs/op
@@ -106,7 +115,11 @@ func main() {
 			continue
 		}
 		matched = true
-		got, err := run(s.comment, s.runs)
+		benchtime, count := writeBenchtime, writeCount
+		if *check {
+			benchtime, count = "1x", "1"
+		}
+		got, err := run(s.comment, s.runs, benchtime, count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -147,30 +160,45 @@ func main() {
 	}
 }
 
-// run executes one pinned suite and parses every metric it reports.
-func run(comment string, runs []benchRun) (*trajectory, error) {
-	tr := &trajectory{
-		Comment:    comment,
-		Benchmarks: make(map[string]map[string]float64),
-	}
+// run executes one pinned suite and records the median of every metric
+// it reports.
+func run(comment string, runs []benchRun, benchtime, count string) (*trajectory, error) {
+	samples := make(map[string]map[string][]float64)
 	for _, s := range runs {
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", s.bench, "-benchtime", "1x", "-count", "1", s.pkg)
+		cmd := exec.Command("go", "test", "-run", "^$", "-bench", s.bench, "-benchtime", benchtime, "-count", count, s.pkg)
 		outBuf, err := cmd.CombinedOutput()
 		if err != nil {
 			return nil, fmt.Errorf("go test -bench %s %s: %w\n%s", s.bench, s.pkg, err, outBuf)
 		}
-		if err := parse(string(outBuf), tr.Benchmarks); err != nil {
+		if err := parse(string(outBuf), samples); err != nil {
 			return nil, fmt.Errorf("parsing %s output: %w", s.pkg, err)
 		}
 	}
-	if len(tr.Benchmarks) == 0 {
+	if len(samples) == 0 {
 		return nil, fmt.Errorf("no benchmark results parsed")
+	}
+	tr := &trajectory{
+		Comment:    comment,
+		Benchmarks: make(map[string]map[string]float64, len(samples)),
+	}
+	for name, metrics := range samples {
+		tr.Benchmarks[name] = make(map[string]float64, len(metrics))
+		for k, vs := range metrics {
+			tr.Benchmarks[name][k] = median(vs)
+		}
 	}
 	return tr, nil
 }
 
-// parse extracts metric maps from `go test -bench` output into dst.
-func parse(out string, dst map[string]map[string]float64) error {
+// median returns the middle value of vs, reordering vs. Sample counts
+// are odd (writeCount, or one under -check).
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	return vs[len(vs)/2]
+}
+
+// parse appends every metric sample in `go test -bench` output to dst.
+func parse(out string, dst map[string]map[string][]float64) error {
 	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -181,15 +209,16 @@ func parse(out string, dst map[string]map[string]float64) error {
 		if len(fields)%2 != 0 {
 			return fmt.Errorf("odd metric fields in %q", line)
 		}
-		metrics := make(map[string]float64, len(fields)/2)
+		if dst[name] == nil {
+			dst[name] = make(map[string][]float64, len(fields)/2)
+		}
 		for i := 0; i < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return fmt.Errorf("metric value %q in %q: %w", fields[i], line, err)
 			}
-			metrics[fields[i+1]] = v
+			dst[name][fields[i+1]] = append(dst[name][fields[i+1]], v)
 		}
-		dst[name] = metrics
 	}
 	return nil
 }

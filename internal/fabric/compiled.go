@@ -21,6 +21,16 @@ import "encoding/binary"
 //     settle loop free of the read-modify-write dependency chains that
 //     word-packed wire writes would serialise on).
 //
+// The op lists come in two schedules, one per value of the init input.
+// The §4.4 protocol holds init high on the first cycle of an instruction
+// and low on the rest, so Compile specialises the lowering twice with the
+// init wire folded to a constant: LUTs reading a known-constant wire are
+// cofactored, LUTs left constant become reads of the constant-0 or
+// constant-1 wire, single-input identities become reads of their source,
+// and ops that nothing live reads are dropped. Step runs the schedule
+// for the init value it is given; each schedule writes every wire it
+// reads, so neither depends on what the other left in the scratch.
+//
 // Compilation happens once per distinct configuration; Instances stamped
 // from the program carry only register state plus the wire scratch, so
 // loading a circuit into a PFU slot is an allocation, not a decode.
@@ -28,8 +38,26 @@ import "encoding/binary"
 // differentially tested against.
 type Compiled struct {
 	spec   ArraySpec
-	nWires int // wire scratch size, including the constant-0 wire
+	nWires int // wire scratch size, including the two constant wires
 
+	// sched[0] runs when init is low, sched[1] when it is high.
+	sched [2]schedule
+	ops   int // per-cycle ops before specialisation, for Ops
+
+	// ffDrive lists CLBs whose output wire is driven from the register
+	// (sequential sources); their wires are refreshed before the
+	// combinational pass.
+	ffDrive []int32
+
+	// lutFFQ lists the CLB/register index of every LUT-fed flip-flop;
+	// at the clock edge each latches the value its staging op left.
+	lutFFQ []int32
+
+	ffInit []uint8 // power-on register values, one byte per CLB
+}
+
+// schedule is the per-cycle work for one value of init.
+type schedule struct {
 	// Combinational ops — LUTs that drive their CLB output wire —
 	// grouped by dependency level and, within a level, by input arity:
 	// every input is computed before its consumer, and combSegs lets the
@@ -44,19 +72,10 @@ type Compiled struct {
 	// not the wires).
 	stageOps []lutOp
 
-	// ffDrive lists CLBs whose output wire is driven from the register
-	// (sequential sources); their wires are refreshed before the
-	// combinational pass.
-	ffDrive []int32
-
-	// Clock-edge ops. pinFF are route-through flip-flops latching a wire;
-	// lutFF latch the value staged by their CLB's LUT.
-	pinFF  []edgeOp // route-through FF latches
-	lutFFQ []int32  // CLB/register index per LUT-fed FF
+	// pinFF are route-through flip-flops latching a wire at the edge.
+	pinFF []edgeOp
 
 	outTap [33]int32 // resolved output wire per out bit (32 = done)
-
-	ffInit []uint8 // power-on register values, one byte per CLB
 }
 
 // lutOp is one lowered LUT evaluation: four precomputed input wire
@@ -96,19 +115,31 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 	n := spec.CLBs()
 	c := &Compiled{
 		spec: spec,
-		// +1: the constant-0 wire. Rounded up to a power of two so the
-		// settle loop can mask indices instead of bounds-checking them.
-		nWires: ceilPow2(spec.NumWires() + 1),
+		// +2: the constant-0 and constant-1 wires. Rounded up to a power
+		// of two so the settle loop can mask indices instead of
+		// bounds-checking them.
+		nWires: ceilPow2(spec.NumWires() + 2),
 	}
 	c.ffInit = make([]uint8, n)
-	// constW is the always-zero wire every unconnected select resolves to.
-	constW := int32(spec.NumWires())
+	// const0 is the always-zero wire every unconnected select resolves
+	// to; const0+1 is the always-one wire.
+	const0 := int32(spec.NumWires())
 	wireOf := func(sel uint16) int32 {
 		if sel == 0 {
-			return constW
+			return const0
 		}
 		return int32(sel) - 1
 	}
+	lutOf := func(cc *CLBConfig, out int32) lutOp {
+		op := lutOp{out: out, tab: cc.Table}
+		for pin := 0; pin < 4; pin++ {
+			op.in[pin] = wireOf(cc.InSel[pin])
+		}
+		return op
+	}
+	// base is the unspecialised lowering, in levelized order; Compile
+	// keeps only its two specialisations.
+	var base schedule
 	for i := range cfg.CLBs {
 		cc := &cfg.CLBs[i]
 		if cc.Flags&FlagOutFF != 0 {
@@ -119,7 +150,7 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 		}
 		if cc.Flags&FlagFFUsed != 0 {
 			if cc.Flags&FlagFFFromPin != 0 {
-				c.pinFF = append(c.pinFF, edgeOp{d: wireOf(cc.InSel[0]), q: int32(i)})
+				base.pinFF = append(base.pinFF, edgeOp{d: wireOf(cc.InSel[0]), q: int32(i)})
 			} else if cc.Flags&FlagLUTUsed != 0 {
 				c.lutFFQ = append(c.lutFFQ, int32(i))
 			}
@@ -129,53 +160,129 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 		cc := &cfg.CLBs[i]
 		switch {
 		case cc.Flags&FlagOutFF == 0:
-			op := lutOp{out: int32(WireCLB0 + i), tab: cc.Table}
-			for pin := 0; pin < 4; pin++ {
-				op.in[pin] = wireOf(cc.InSel[pin])
-			}
-			c.combOps = append(c.combOps, op)
-			// (regrouped by level and arity below)
+			base.combOps = append(base.combOps, lutOf(cc, int32(WireCLB0+i)))
 		case cc.Flags&FlagFFFromPin == 0:
-			op := lutOp{out: int32(i), tab: cc.Table}
-			for pin := 0; pin < 4; pin++ {
-				op.in[pin] = wireOf(cc.InSel[pin])
-			}
-			c.stageOps = append(c.stageOps, op)
+			base.stageOps = append(base.stageOps, lutOf(cc, int32(i)))
 			// default: the LUT output reaches neither the wire (FF-driven)
 			// nor the FF (pin-fed) — a dead op the interpreter evaluates
 			// and discards; dropped here.
 		}
 	}
 	for i, sel := range cfg.OutSel {
-		c.outTap[i] = wireOf(sel)
+		base.outTap[i] = wireOf(sel)
 	}
-	c.scheduleComb(constW)
+	c.ops = len(base.combOps) + len(base.stageOps)
+	for init := range c.sched {
+		c.sched[init] = base.specialise(const0, init)
+	}
 	return c, nil
 }
 
-// scheduleComb regroups the levelized combinational ops by dependency
-// level and, within each level, by input arity, emitting the segment list
-// the settle loop's specialised inner loops run over. Any within-level
-// permutation is legal: an op's inputs all come from strictly earlier
-// levels (or sequential/input wires, which are ready before the settle).
-func (c *Compiled) scheduleComb(constW int32) {
-	if len(c.combOps) == 0 {
-		return
+// specialise returns the schedule Step runs when the init wire holds v.
+// It walks s (an unspecialised lowering, combOps in levelized order)
+// with init folded to the constant v: every LUT reading a known-constant
+// wire is cofactored by foldLUT; a combinational LUT left constant, or
+// left a single-input identity, emits no op, and its readers read the
+// constant wire (const0 or const0+1) or its source instead. Then only
+// the combinational ops that an output tap, a staging op or a pin-fed
+// flip-flop reads, directly or through other ops, are kept and
+// regrouped by scheduleComb. Staging ops all stay: their flip-flops are
+// state frame contents whether or not an output observes them.
+func (s *schedule) specialise(const0 int32, v int) schedule {
+	const1 := const0 + 1
+	// ref[w] is the wire a reader of wire w reads instead of w.
+	ref := make([]int32, const1+1)
+	for w := range ref {
+		ref[w] = int32(w)
 	}
-	wireLevel := make(map[int32]int, len(c.combOps))
+	ref[WireInit] = const0 + int32(v)
+	known := func(w int32) (bool, bool) { return w == const1, w == const0 || w == const1 }
+	fold := func(op lutOp) (lutOp, int) {
+		for p, w := range op.in {
+			op.in[p] = ref[w]
+		}
+		var k int
+		op.tab, op.in, k = foldLUT(op.tab, op.in, const0, known)
+		return op, k
+	}
+	var sp schedule
+	var comb []lutOp
+	for _, op := range s.combOps {
+		op, k := fold(op)
+		switch {
+		case k == 0:
+			ref[op.out] = const0 + int32(op.tab&1)
+		case k == 1 && op.tab == 0xAAAA:
+			ref[op.out] = op.in[0]
+		default:
+			comb = append(comb, op)
+		}
+	}
+	for _, op := range s.stageOps {
+		op, _ = fold(op)
+		sp.stageOps = append(sp.stageOps, op)
+	}
+	for _, e := range s.pinFF {
+		sp.pinFF = append(sp.pinFF, edgeOp{d: ref[e.d], q: e.q})
+	}
+	for i, w := range s.outTap {
+		sp.outTap[i] = ref[w]
+	}
+	// Liveness: the backward closure of every wire the taps, staging ops
+	// and pin-fed flip-flops read, through the ops that write them.
+	writer := make([]int32, len(ref)) // 1 + index of the op writing a wire
+	for i, op := range comb {
+		writer[op.out] = int32(i) + 1
+	}
+	seeds := append([]int32(nil), sp.outTap[:]...)
+	for _, op := range sp.stageOps {
+		seeds = append(seeds, op.in[:]...)
+	}
+	for _, e := range sp.pinFF {
+		seeds = append(seeds, e.d)
+	}
+	live := make([]bool, len(ref))
+	closure(seeds, live, func(w int32, push func(int32)) {
+		if i := writer[w]; i > 0 {
+			for _, x := range comb[i-1].in {
+				push(x)
+			}
+		}
+	})
+	kept := comb[:0]
+	for _, op := range comb {
+		if live[op.out] {
+			kept = append(kept, op)
+		}
+	}
+	sp.combOps, sp.combSegs = scheduleComb(kept, const0)
+	return sp
+}
+
+// scheduleComb regroups levelized combinational ops by dependency level
+// and, within each level, by input arity, returning them with the
+// segment list the settle loop's specialised inner loops run over. Any
+// within-level permutation is legal: an op's inputs all come from
+// strictly earlier levels (or sequential/input wires, which are ready
+// before the settle).
+func scheduleComb(combOps []lutOp, const0 int32) ([]lutOp, []opSeg) {
+	if len(combOps) == 0 {
+		return nil, nil
+	}
+	wireLevel := make(map[int32]int, len(combOps))
 	type levOp struct {
 		op    lutOp
 		arity int
 	}
 	levels := make([][5][]levOp, 0, 8) // level -> arity -> ops
-	for _, op := range c.combOps {
+	for _, op := range combOps {
 		lv := 0
 		arity := 1 // a zero-input (constant) LUT still costs one load
 		for j, in := range op.in {
 			if l, ok := wireLevel[in]; ok && l+1 > lv {
 				lv = l + 1
 			}
-			if in != constW {
+			if in != const0 {
 				arity = j + 1
 			}
 		}
@@ -185,7 +292,7 @@ func (c *Compiled) scheduleComb(constW int32) {
 		}
 		levels[lv][arity] = append(levels[lv][arity], levOp{op: op, arity: arity})
 	}
-	ops := make([]lutOp, 0, len(c.combOps))
+	ops := make([]lutOp, 0, len(combOps))
 	var segs []opSeg
 	for _, byArity := range levels {
 		for a := 1; a <= 4; a++ {
@@ -201,8 +308,7 @@ func (c *Compiled) scheduleComb(constW int32) {
 			}
 		}
 	}
-	c.combOps = ops
-	c.combSegs = segs
+	return ops, segs
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -217,9 +323,15 @@ func ceilPow2(n int) int {
 // Spec reports the array geometry the program was compiled for.
 func (c *Compiled) Spec() ArraySpec { return c.spec }
 
-// Ops reports the number of per-cycle evaluation ops (combinational plus
-// staged), a proxy for Step cost.
-func (c *Compiled) Ops() int { return len(c.combOps) + len(c.stageOps) }
+// Ops reports the per-cycle evaluation ops (combinational plus staging),
+// a proxy for Step cost: base before init specialisation, and byInit[v]
+// in the schedule Step runs when init is v (0 low, 1 high).
+func (c *Compiled) Ops() (base int, byInit [2]int) {
+	for v := range c.sched {
+		byInit[v] = len(c.sched[v].combOps) + len(c.sched[v].stageOps)
+	}
+	return c.ops, byInit
+}
 
 // Instance is one executable copy of a Compiled program: the shared
 // read-only program plus this copy's register state and wire scratch.
@@ -241,6 +353,7 @@ func (c *Compiled) NewInstance() *Instance {
 		ffNxt: make([]uint8, c.spec.CLBs()),
 		ffQ:   make([]uint8, c.spec.CLBs()),
 	}
+	in.wires[c.spec.NumWires()+1] = 1 // the constant-1 wire
 	copy(in.ffQ, c.ffInit)
 	return in
 }
@@ -258,9 +371,14 @@ func (in *Instance) Reset() {
 
 // Step advances the circuit by one clock cycle, exactly like PFU.Step:
 // combinational logic settles, outputs are sampled, then every used
-// flip-flop latches.
+// flip-flop latches. It runs the schedule specialised for init, so the
+// init wire itself is never read.
 func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 	p := in.prog
+	s := &p.sched[0]
+	if init {
+		s = &p.sched[1]
+	}
 	w := in.wires
 	// Spread the operand bits across wire bytes 0..63 (wires 0..31 are a,
 	// 32..63 are b), eight bits per store via the SWAR byte-spread.
@@ -272,11 +390,6 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 	binary.LittleEndian.PutUint64(w[WireB0+8:], spreadBits(uint8(b>>8)))
 	binary.LittleEndian.PutUint64(w[WireB0+16:], spreadBits(uint8(b>>16)))
 	binary.LittleEndian.PutUint64(w[WireB0+24:], spreadBits(uint8(b>>24)))
-	var ib uint8
-	if init {
-		ib = 1
-	}
-	w[WireInit] = ib
 	ffQ := in.ffQ
 	for _, i := range p.ffDrive {
 		w[int32(WireCLB0)+i] = ffQ[i]
@@ -286,9 +399,9 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 	// two and every wire index is below it, so masking with len(w)-1 is
 	// the identity — the idiom exists solely to let the compiler prove
 	// the accesses in range and drop the bounds checks.
-	ops := p.combOps
+	ops := s.combOps
 	base := 0
-	for _, seg := range p.combSegs {
+	for _, seg := range s.combSegs {
 		end := base + int(seg.n)
 		switch seg.arity {
 		case 1:
@@ -325,7 +438,7 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 		base = end
 	}
 	ffNxt := in.ffNxt
-	sops := p.stageOps
+	sops := s.stageOps
 	for k := range sops {
 		op := &sops[k]
 		idx := uint32(w[int(op.in[0])&(len(w)-1)]) |
@@ -336,11 +449,11 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 	}
 	// Sample outputs before the clock edge.
 	for i := 0; i < 32; i++ {
-		out |= uint32(w[p.outTap[i]]) << i
+		out |= uint32(w[s.outTap[i]]) << i
 	}
-	done = w[p.outTap[32]] != 0
+	done = w[s.outTap[32]] != 0
 	// Clock edge.
-	pins := p.pinFF
+	pins := s.pinFF
 	for k := range pins {
 		ffQ[pins[k].q] = w[pins[k].d]
 	}
@@ -361,5 +474,4 @@ func spreadBits(v uint8) uint64 {
 }
 
 // State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame (the ffQ layout itself), with
-// deprecated []bool shims for the pre-frame signatures.
+// canonical one-byte-per-CLB frame (the ffQ layout itself).

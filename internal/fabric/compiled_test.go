@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,123 @@ func TestCompiledMatchesPFUStockCircuits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompiledInitSchedulesMatchPFU drives the two init schedules in
+// ways the §4.4 protocol never does: init high at random cycles, not
+// only the first; operands changing mid-instruction; and a fresh
+// instance swapped in by LoadFrame between an init-high and an init-low
+// step. A schedule that reads a wire only the other schedule writes sees
+// a stale value (or a fresh scratch's zero) and diverges from the PFU
+// and the netlist simulator here, and Verify rejects it. Stock circuits
+// run optimised, as the
+// stock flow places them; random netlists run unoptimised, so constant
+// and identity LUTs reach the compiler. Half of those read init on a
+// third of their pins, so most LUTs differ between the two schedules.
+func TestCompiledInitSchedulesMatchPFU(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var cases []*Netlist
+	for _, c := range stockLibrary {
+		cases = append(cases, c.mk())
+	}
+	for i := 0; i < 25; i++ {
+		n, _ := randomCircuit(rng, 5+rng.Intn(80), rng.Intn(10))
+		cases = append(cases, n, initHeavyCircuit(rng, 10+rng.Intn(80)))
+	}
+	for ci, n := range cases {
+		if ci < len(stockLibrary) {
+			Optimize(n)
+		}
+		name := fmt.Sprintf("%s#%d", n.Name, ci)
+		cfg, _, err := Place(n, DefaultPFUSpec)
+		if err != nil {
+			t.Fatalf("%s: place: %v", name, err)
+		}
+		sim, err := NewSim(n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pfu, err := NewPFU(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prog := compileT(t, cfg)
+		rep, err := prog.Verify(cfg)
+		if err != nil || !rep.Equivalent {
+			t.Fatalf("%s: Verify: %v %v", name, rep, err)
+		}
+		inst := prog.NewInstance()
+		a, b := rng.Uint32(), rng.Uint32()
+		swaps, prevInit := 0, false
+		for step := 0; step < 200; step++ {
+			if rng.Intn(4) == 0 {
+				a = rng.Uint32()
+			}
+			if rng.Intn(4) == 0 {
+				b = rng.Uint32()
+			}
+			init := rng.Intn(3) == 0
+			if prevInit && !init && rng.Intn(2) == 0 {
+				fresh := prog.NewInstance()
+				if err := fresh.LoadFrame(inst.SaveFrame()); err != nil {
+					t.Fatal(err)
+				}
+				inst = fresh
+				swaps++
+			}
+			prevInit = init
+			var initBit uint64
+			if init {
+				initBit = 1
+			}
+			sim.SetInput("a", uint64(a))
+			sim.SetInput("b", uint64(b))
+			sim.SetInput("init", initBit)
+			sim.Eval()
+			simOut, _ := sim.Output("out")
+			simDone, _ := sim.Output("done")
+			sim.Step()
+			pOut, pDone := pfu.Step(a, b, init)
+			cOut, cDone := inst.Step(a, b, init)
+			if cOut != pOut || cDone != pDone || cOut != uint32(simOut) || cDone != (simDone != 0) {
+				t.Fatalf("%s step %d (a=%#x b=%#x init=%v): compiled (%#x,%v), PFU (%#x,%v), sim (%#x,%v)",
+					name, step, a, b, init, cOut, cDone, pOut, pDone, simOut, simDone != 0)
+			}
+		}
+		if swaps == 0 {
+			t.Fatalf("%s: no init-high to init-low swap exercised", name)
+		}
+	}
+}
+
+// initHeavyCircuit builds a random netlist with the PFU port shape whose
+// LUTs read init on about a third of their pins, with flip-flops mixed
+// in and done driven by logic rather than a constant.
+func initHeavyCircuit(rng *rand.Rand, nLUTs int) *Netlist {
+	b := NewBuilder("initheavy")
+	pool := append(b.Input("a", 32), b.Input("b", 32)...)
+	init := b.Input("init", 1)[0]
+	for i := 0; i < nLUTs; i++ {
+		ins := make([]Net, 1+rng.Intn(4))
+		for j := range ins {
+			if rng.Intn(3) == 0 {
+				ins[j] = init
+			} else {
+				ins[j] = pool[rng.Intn(len(pool))]
+			}
+		}
+		pool = append(pool, b.Lut(uint16(rng.Uint32()), ins...))
+		if rng.Intn(6) == 0 {
+			pool = append(pool, b.DFF(pool[rng.Intn(len(pool))], rng.Intn(2) == 1))
+		}
+	}
+	outs := make([]Net, 32)
+	for i := range outs {
+		outs[i] = pool[rng.Intn(len(pool))]
+	}
+	b.Output("out", outs)
+	b.Output("done", []Net{pool[len(pool)-1]})
+	return b.MustBuild()
 }
 
 // TestCompileRejectsCombinationalCycle: the compiled engine must apply the

@@ -94,34 +94,9 @@ func newSymBuilder(c *symCircuit) *symBuilder {
 }
 
 func (b *symBuilder) addGate(in [4]int32, tab uint16) int32 {
-	// Fold constant operands into the table, compacting the live ones
-	// down; k tracks the current position of the pin under inspection
-	// in the progressively collapsed table.
-	var used [4]int32
-	k := 0
-	for i := 0; i < 4; i++ {
-		switch in[i] {
-		case symConst0:
-			tab = collapseInput(tab, k, false)
-		case symConst1:
-			tab = collapseInput(tab, k, true)
-		default:
-			used[k] = in[i]
-			k++
-		}
-	}
-	tab = CanonTable(tab, k)
-	// Drop operands the table ignores.
-	for p := 0; p < k; {
-		if inputIgnored(tab, p) {
-			tab = collapseInput(tab, p, false)
-			copy(used[p:], used[p+1:k])
-			k--
-			tab = CanonTable(tab, k)
-		} else {
-			p++
-		}
-	}
+	tab, g, k := foldLUT(tab, in, symConst0, func(r int32) (bool, bool) {
+		return r == symConst1, r == symConst0 || r == symConst1
+	})
 	if k == 0 {
 		if tab&1 != 0 {
 			return symConst1
@@ -129,20 +104,25 @@ func (b *symBuilder) addGate(in [4]int32, tab uint16) int32 {
 		return symConst0
 	}
 	if k == 1 && tab == 0xAAAA {
-		return used[0] // buffer
+		return g[0] // buffer
 	}
-	g := symGate{tab: tab}
-	copy(g.in[:], used[:k])
-	for i := k; i < 4; i++ {
-		g.in[i] = symConst0
-	}
-	if r, ok := b.strash[g]; ok {
+	key := symGate{in: g, tab: tab}
+	if r, ok := b.strash[key]; ok {
 		return r
 	}
 	r := b.c.gateBase() + int32(len(b.c.gates))
-	b.c.gates = append(b.c.gates, g)
-	b.strash[g] = r
+	b.c.gates = append(b.c.gates, key)
+	b.strash[key] = r
 	return r
+}
+
+// ite returns the gate computing s ? x1 : x0.
+func (b *symBuilder) ite(s, x1, x0 int32) int32 {
+	if x0 == x1 {
+		return x0
+	}
+	// Pins (s, x0, x1): entries 2, 5, 6 and 7 are true.
+	return b.addGate([4]int32{s, x0, x1, symConst0}, 0xE4E4)
 }
 
 // netlistSym lowers a structural netlist. Registers are the flip-flops
@@ -294,9 +274,16 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 
 // compiledSym lowers a compiled program from its op lists, independent
 // of the configuration it came from — Verify proves the two lowerings
-// equal. The program is already validated and levelized, so this cannot
-// fail.
-func compiledSym(cp *Compiled) *symCircuit {
+// equal. Each init schedule is lowered with the init input pinned to its
+// value, and every output and next-state ref joins the two with an
+// if-then-else on the init input, so the proof covers both schedules.
+//
+// The lowering models an unwritten wire as 0, which is what the scratch
+// holds only if no op ever writes that wire: a wire written by the other
+// schedule, or later in the same pass, holds a stale value. So a read of
+// any wire some op writes, before this pass has written it, is an error
+// rather than a proof obligation.
+func compiledSym(cp *Compiled) (*symCircuit, error) {
 	ncl := cp.spec.CLBs()
 	c := &symCircuit{name: "compiled", stateLen: ncl}
 	pfuBoundary(c)
@@ -309,59 +296,92 @@ func compiledSym(cp *Compiled) *symCircuit {
 		c.regInit = append(c.regInit, cp.ffInit[i] != 0)
 		c.regSlot = append(c.regSlot, int(i))
 	}
-	// wireVal mirrors the instance wire scratch: input wires carry the
-	// input refs, register-driven wires the register refs, everything
-	// else (including the dedicated constant wire) reads 0 until a comb
-	// op writes it.
-	wireVal := make([]int32, cp.nWires)
-	for i := range wireVal {
-		wireVal[i] = symConst0
-	}
-	for w := 0; w < WireCLB0; w++ {
-		wireVal[w] = int32(w)
-	}
-	for _, i := range cp.ffDrive {
-		wireVal[int32(WireCLB0)+i] = c.regRef(int(regOf[i]))
+	written := make([]bool, cp.nWires) // wires some op of either schedule writes
+	for v := range cp.sched {
+		for _, op := range cp.sched[v].combOps {
+			written[op.out] = true
+		}
 	}
 	b := newSymBuilder(c)
-	for _, op := range cp.combOps {
-		var in [4]int32
-		for p := 0; p < 4; p++ {
-			in[p] = wireVal[op.in[p]]
+	var outs [2][33]int32
+	var next [2][]int32
+	for v := range cp.sched {
+		s := &cp.sched[v]
+		// wireVal mirrors the instance wire scratch: input wires carry
+		// the input refs (init pinned to v), register-driven wires the
+		// register refs, the constant wires their constants, everything
+		// else 0 until a comb op writes it.
+		wireVal := make([]int32, cp.nWires)
+		for i := range wireVal {
+			wireVal[i] = symConst0
 		}
-		wireVal[op.out] = b.addGate(in, op.tab)
-	}
-	// Staged D values, indexed by CLB like the ffNxt scratch; CLBs with
-	// no staging op latch the scratch's permanent zero.
-	stageVal := make([]int32, ncl)
-	for i := range stageVal {
-		stageVal[i] = symConst0
-	}
-	for _, op := range cp.stageOps {
-		var in [4]int32
-		for p := 0; p < 4; p++ {
-			in[p] = wireVal[op.in[p]]
+		for w := 0; w < WireCLB0; w++ {
+			wireVal[w] = int32(w)
 		}
-		stageVal[op.out] = b.addGate(in, op.tab)
+		wireVal[WireInit] = [2]int32{symConst0, symConst1}[v]
+		wireVal[cp.spec.NumWires()+1] = symConst1
+		for _, i := range cp.ffDrive {
+			wireVal[int32(WireCLB0)+i] = c.regRef(int(regOf[i]))
+		}
+		stale := -1
+		set := make([]bool, cp.nWires) // wires this pass has written
+		read := func(w int32) int32 {
+			if written[w] && !set[w] && stale < 0 {
+				stale = int(w)
+			}
+			return wireVal[w]
+		}
+		for _, op := range s.combOps {
+			var in [4]int32
+			for p := 0; p < 4; p++ {
+				in[p] = read(op.in[p])
+			}
+			wireVal[op.out] = b.addGate(in, op.tab)
+			set[op.out] = true
+		}
+		// Staged D values, indexed by CLB like the ffNxt scratch; CLBs
+		// with no staging op latch the scratch's permanent zero.
+		stageVal := make([]int32, ncl)
+		for i := range stageVal {
+			stageVal[i] = symConst0
+		}
+		for _, op := range s.stageOps {
+			var in [4]int32
+			for p := 0; p < 4; p++ {
+				in[p] = read(op.in[p])
+			}
+			stageVal[op.out] = b.addGate(in, op.tab)
+		}
+		for i, tap := range s.outTap {
+			outs[v][i] = read(tap)
+		}
+		next[v] = make([]int32, len(c.regInit))
+		for r := range next[v] {
+			next[v][r] = c.regRef(r) // hold unless an edge op drives it
+		}
+		for _, op := range s.pinFF {
+			if r := regOf[op.q]; r >= 0 {
+				next[v][r] = read(op.d)
+			}
+		}
+		for _, q := range cp.lutFFQ {
+			if r := regOf[q]; r >= 0 {
+				next[v][r] = stageVal[q]
+			}
+		}
+		if stale >= 0 {
+			return nil, fmt.Errorf("fabric: compiled init=%d schedule reads wire %d before writing it", v, stale)
+		}
 	}
-	for i, tap := range cp.outTap {
-		c.outs = append(c.outs, outObl{key: pfuOutKey(i), ref: wireVal[tap]})
+	init := int32(WireInit) // input ref w is input wire w
+	for i := range outs[0] {
+		c.outs = append(c.outs, outObl{key: pfuOutKey(i), ref: b.ite(init, outs[1][i], outs[0][i])})
 	}
 	c.next = make([]int32, len(c.regInit))
 	for r := range c.next {
-		c.next[r] = c.regRef(r) // hold unless an edge op drives it
+		c.next[r] = b.ite(init, next[1][r], next[0][r])
 	}
-	for _, op := range cp.pinFF {
-		if r := regOf[op.q]; r >= 0 {
-			c.next[r] = wireVal[op.d]
-		}
-	}
-	for _, q := range cp.lutFFQ {
-		if r := regOf[q]; r >= 0 {
-			c.next[r] = stageVal[q]
-		}
-	}
-	return c
+	return c, nil
 }
 
 // pfuBoundary installs the PFU protocol input keys: a[0..31], b[0..31],
@@ -494,7 +514,11 @@ func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prove(compiledSym(c), sb, defaultProveOpts)
+	sa, err := compiledSym(c)
+	if err != nil {
+		return nil, err
+	}
+	return prove(sa, sb, defaultProveOpts)
 }
 
 // OptimizeChecked optimizes n in place like Optimize and then proves

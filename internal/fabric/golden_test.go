@@ -38,8 +38,8 @@ func digest(v any) string {
 // stockGolden renders everything about one optimised stock circuit that
 // depends on the order the LUT graph is walked in: the netlist
 // evaluation order, its stats, the placed bitstream (placement follows
-// that order), the compiled op lists (which follow the configuration's
-// order) and the lint and timing reports.
+// that order), the compiled op lists of both init schedules (which
+// follow the configuration's order) and the lint and timing reports.
 func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 	n := mk()
 	Optimize(n)
@@ -64,9 +64,11 @@ func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	fmt.Fprintf(&b, "comb-ops: %d %s\n", len(prog.combOps), digest(prog.combOps))
-	fmt.Fprintf(&b, "comb-segs: %v\n", prog.combSegs)
-	fmt.Fprintf(&b, "stage-ops: %d %s\n", len(prog.stageOps), digest(prog.stageOps))
+	for v, s := range prog.sched {
+		fmt.Fprintf(&b, "comb-ops init=%d: %d %s\n", v, len(s.combOps), digest(s.combOps))
+		fmt.Fprintf(&b, "comb-segs init=%d: %v\n", v, s.combSegs)
+		fmt.Fprintf(&b, "stage-ops init=%d: %d %s\n", v, len(s.stageOps), digest(s.stageOps))
+	}
 	lr, err := Lint(n)
 	if err != nil {
 		t.Fatalf("%s: lint: %v", name, err)
@@ -88,7 +90,8 @@ func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 
 // TestStockLibraryGolden pins, for every stock circuit, each output that
 // depends on LUT-graph walk order: Levelize order, Stats, the SHA-256 of
-// the placed static bitstream, the compiled op lists, and the Lint,
+// the placed static bitstream, the compiled op lists of each init
+// schedule, and the Lint,
 // LintConfig and Timing reports. Run with -update to rewrite the golden
 // file after a deliberate change.
 func TestStockLibraryGolden(t *testing.T) {

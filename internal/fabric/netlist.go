@@ -322,64 +322,25 @@ func optimizePass(n *Netlist) int {
 	removed := 0
 	for _, li := range order {
 		l := &n.LUTs[li]
-		// Rewrite inputs through aliases, then fold constants into the table.
-		tbl := l.Table
-		var ins [4]Net
-		copy(ins[:], l.In[:])
+		// Rewrite inputs through aliases, then fold constants (and the
+		// unconnected trailing pins, which read 0) into the table.
+		ins := l.In
 		for i := range ins {
 			if ins[i] != NilNet {
 				ins[i] = resolve(ins[i])
 			}
 		}
-		for i := 0; i < 4; i++ {
-			in := ins[i]
-			if in == NilNet {
-				continue
+		tbl, ins, _ := foldLUT(l.Table, ins, NilNet, func(net Net) (bool, bool) {
+			if net == NilNet {
+				return false, true
 			}
-			if cv := constVal[in]; cv != 0 {
-				tbl = collapseInput(tbl, i, cv == 2)
-				// Shift higher inputs down.
-				copy(ins[i:], ins[i+1:])
-				ins[3] = NilNet
-				i--
-			}
-		}
-		// Canonicalise the table over the used positions before testing
-		// for ignored inputs: source netlists may carry arbitrary bits in
-		// the unused upper table half, which would make a genuinely
-		// ignored input look live on this pass and only fall on the next
-		// one — Optimize must reach its fixpoint in a single call.
-		used := 0
-		for _, in := range ins {
-			if in != NilNet {
-				used++
-			}
-		}
-		tbl = CanonTable(tbl, used)
-		// If the table ignores an input, remove it (re-canonicalising:
-		// collapseInput leaves the upper half unreplicated).
-		for i := 0; i < used; {
-			if inputIgnored(tbl, i) {
-				tbl = collapseInput(tbl, i, false)
-				copy(ins[i:], ins[i+1:])
-				ins[3] = NilNet
-				used--
-				tbl = CanonTable(tbl, used)
-			} else {
-				i++
-			}
-		}
+			return constVal[net] == 2, constVal[net] != 0
+		})
 		l.In = ins
 		l.Table = tbl
 		switch {
-		case ins[0] == NilNet: // constant
-			if tbl&1 != 0 {
-				constVal[l.Out] = 2
-				l.Table = 0xFFFF
-			} else {
-				constVal[l.Out] = 1
-				l.Table = 0
-			}
+		case ins[0] == NilNet: // constant (the table is 0 or 0xFFFF)
+			constVal[l.Out] = 1 + int8(tbl&1)
 		case isBufferTable(tbl, ins): // single-input buffer
 			alias[l.Out] = ins[0]
 			drop[li] = true
@@ -425,6 +386,46 @@ func optimizePass(n *Netlist) int {
 	}
 	n.LUTs = kept
 	return removed
+}
+
+// foldLUT is the package's one LUT simplifier, shared by the optimizer,
+// the compiler's init specialisation and the equivalence prover's
+// normalizer. Pins whose value known reports fold into the table, pins
+// the table then ignores drop, and the k remaining pins compact into the
+// low positions (the vacated ones hold none). The table comes back
+// canonical over those k pins, so k == 0 is a constant (tab&1) and
+// k == 1 with table 0xAAAA is an identity buffer of in[0].
+func foldLUT[T comparable](tab uint16, in [4]T, none T, known func(T) (val, ok bool)) (uint16, [4]T, int) {
+	out := [4]T{none, none, none, none}
+	k := 0
+	for _, x := range in {
+		// k is the position pin x now has in the progressively
+		// collapsed table.
+		if v, ok := known(x); ok {
+			tab = collapseInput(tab, k, v)
+		} else {
+			out[k] = x
+			k++
+		}
+	}
+	// Canonicalise before testing for ignored pins: a source table may
+	// carry arbitrary bits in its unused upper entries, which would make
+	// an ignored pin look live, and Optimize must reach its fixpoint in
+	// one call. Re-canonicalise after each drop: collapseInput leaves the
+	// upper half unreplicated.
+	tab = CanonTable(tab, k)
+	for p := 0; p < k; {
+		if inputIgnored(tab, p) {
+			tab = collapseInput(tab, p, false)
+			copy(out[p:k], out[p+1:k])
+			k--
+			out[k] = none
+			tab = CanonTable(tab, k)
+		} else {
+			p++
+		}
+	}
+	return tab, out, k
 }
 
 // collapseInput specialises a 4-input truth table by fixing input i to val,

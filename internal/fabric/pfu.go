@@ -116,7 +116,7 @@ func (p *PFU) Step(a, b uint32, init bool) (out uint32, done bool) {
 }
 
 // State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame, with deprecated []bool shims.
+// canonical one-byte-per-CLB frame.
 
 // Spec reports the array geometry.
 func (p *PFU) Spec() ArraySpec { return p.cfg.Spec }
