@@ -74,11 +74,11 @@ func BenchmarkClusterAffinityVsRoundRobin(b *testing.B) {
 
 // BenchmarkClusterLaneBatching measures fleet job throughput on a
 // same-configuration thrash mix — many identical jobs per workload, the
-// shape batching folds into one shared session each — with batching on
-// (auto, the default) versus off, reporting jobs/sec for both and the
-// speedup. Every iteration also asserts the batching contract: the CSV
-// render of the batched FleetResult is byte-identical to the unbatched
-// one.
+// shape that folds into one shared session each — with sharing on
+// (Lanes 0, the default) versus one session per job (Lanes 1),
+// reporting jobs/sec for both and the speedup. Every iteration also
+// asserts the sharing contract: the CSV render of the shared
+// FleetResult is byte-identical to the one-session-per-job one.
 func BenchmarkClusterLaneBatching(b *testing.B) {
 	const jobs = 24
 	run := func(lanes int) *protean.FleetResult {
@@ -116,7 +116,7 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 
 // BenchmarkFleet1kNodes measures fleet job throughput at the 1k-node
 // scale the cluster layer is sized for: 512 thrash-mix jobs placed by
-// the affinity dispatcher across 1000 nodes, batching on.
+// the affinity dispatcher across 1000 nodes, sharing on.
 func BenchmarkFleet1kNodes(b *testing.B) {
 	const nodes, jobs = 1000, 512
 	run := func() *protean.FleetResult {

@@ -287,44 +287,62 @@ func TestTableEscapesCommas(t *testing.T) {
 	}
 }
 
-// TestClusterLanesByteIdentical locks the batching contract at the
-// facade: with same-configuration job batching on (Scenario.Lanes 0, the
-// default auto mode) and off (Lanes 1), the FleetResult — CSV and JSON
-// serializations included — is byte-identical at every worker count.
-// The mix repeats each workload, behavioural and gate-level (alpha/gate
-// runs a real bitstream image), so batching genuinely folds several
-// jobs into shared sessions.
+// TestClusterLanesByteIdentical locks the sharing contract at the
+// facade: with identical jobs sharing sessions (Scenario.Lanes 0, the
+// default) and with one session per job (Lanes 1), the FleetResult — CSV
+// and JSON serializations included — is byte-identical at every worker
+// count. The mix repeats each workload, behavioural and gate-level
+// (alpha/gate runs a real bitstream image), and holds one group of more
+// than 64 identical jobs, which must still share a single session.
 func TestClusterLanesByteIdentical(t *testing.T) {
-	run := func(lanes, workers int, policy string) *protean.FleetResult {
+	scenario := func(lanes, workers int, policy string) protean.Scenario {
 		sc := testScenario(12)
-		sc.Jobs = append(sc.Jobs, protean.JobSpec{Workload: "alpha/gate", Instances: 2, Items: 200, Count: 3})
+		sc.Jobs = append(sc.Jobs,
+			protean.JobSpec{Workload: "alpha/gate", Instances: 2, Items: 200, Count: 3},
+			protean.JobSpec{Workload: "echo/hw-nosoft", Instances: 1, Items: 50, Count: 70})
 		sc.Placement = protean.PlacementSpec{Policy: "config-affinity"}
 		sc.Lanes = lanes
 		sc.Workers = workers
 		if policy != "" {
 			sc.Nodes[0].Session.Policy = policy
 		}
-		return runFleet(t, sc)
+		return sc
+	}
+	run := func(lanes, workers int, policy string) *protean.FleetResult {
+		return runFleet(t, scenario(lanes, workers, policy))
+	}
+	// One node class, so every identity shares exactly one session.
+	identities := map[protean.JobSpec]bool{}
+	for _, js := range scenario(0, 1, "").Jobs {
+		js.Count = 0
+		identities[js] = true
 	}
 	scalar := run(1, 1, "")
 	for _, workers := range []int{1, 4, 8} {
-		batched := run(0, workers, "")
-		if !reflect.DeepEqual(scalar, batched) {
-			t.Fatalf("lane-batched fleet result differs from scalar at workers=%d", workers)
+		shared := run(0, workers, "")
+		sessions := map[*protean.Result]bool{}
+		for _, j := range shared.Jobs {
+			sessions[j.Run] = true
 		}
-		if scalar.Table().CSV() != batched.Table().CSV() {
-			t.Errorf("lane-batched CSV not byte-identical at workers=%d", workers)
+		if len(sessions) != len(identities) {
+			t.Errorf("workers=%d: %d distinct sessions for %d job identities", workers, len(sessions), len(identities))
 		}
-		if !bytes.Equal(mustJSON(t, scalar), mustJSON(t, batched)) {
-			t.Errorf("lane-batched JSON not byte-identical at workers=%d", workers)
+		if !reflect.DeepEqual(scalar, shared) {
+			t.Fatalf("shared-session fleet result differs from one session per job at workers=%d", workers)
+		}
+		if scalar.Table().CSV() != shared.Table().CSV() {
+			t.Errorf("shared-session CSV not byte-identical at workers=%d", workers)
+		}
+		if !bytes.Equal(mustJSON(t, scalar), mustJSON(t, shared)) {
+			t.Errorf("shared-session JSON not byte-identical at workers=%d", workers)
 		}
 	}
-	// Seed-sensitive sessions veto batching: under the random replacement
-	// policy each job's derived seed matters, so auto mode must fall back
+	// Seed-sensitive sessions veto sharing: under the random replacement
+	// policy each job's derived seed matters, so Lanes 0 must fall back
 	// to one session per job and still match Lanes 1 exactly.
 	randScalar := run(1, 1, "random")
 	randAuto := run(0, 4, "random")
 	if !reflect.DeepEqual(randScalar, randAuto) {
-		t.Fatal("random-policy fleet differs between lanes auto and off: batching was not vetoed")
+		t.Fatal("random-policy fleet differs between lanes 0 and 1: sharing was not vetoed")
 	}
 }

@@ -1,10 +1,10 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover, the ARM
-// interpreter) and BENCH_cluster.json (the fleet layer — placement, job
-// batching, job throughput at 1k-node scale, placement replay alone at
-// 1k/10k/100k nodes, one end-to-end kernel session, and a traced fleet
-// run). Each file runs its benchmark suite five times (-count 5), every
+// interpreter) and BENCH_cluster.json (the fleet layer — placement,
+// identical jobs sharing one session, job throughput at 1k-node scale,
+// placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
+// session, and a traced fleet run). Each file runs its benchmark suite five times (-count 5), every
 // sample for at least 200ms of benchmark time, and records the median of
 // every reported metric (ns/op, allocs, and the custom metrics the
 // benchmarks emit — speedup-vs-gate-x, jobs/sec, ...) as a

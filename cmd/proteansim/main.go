@@ -18,7 +18,7 @@
 // emitted bytes depend only on the modeled run, never on worker count.
 //
 // -cpuprofile and -memprofile write host CPU and allocation profiles
-// (go tool pprof); fleet jobs carry fleet-job/fleet-batch labels.
+// (go tool pprof); fleet jobs carry fleet-job labels.
 //
 // -lint lints every circuit image the spawned programs register (dead
 // logic, constant LUTs, unused flip-flops, floating inputs — see

@@ -62,17 +62,12 @@ type Job struct {
 	// Batch groups jobs whose sessions are identical simulations: same
 	// configurations, same workload program, same length, with the
 	// derived seed provably not influencing execution. Jobs sharing a
-	// nonzero Batch id may execute together in one BatchRunner call
-	// (which may simulate one session for all of them); 0 means never
-	// batch.
+	// nonzero Batch id form a share group that Execute simulates once
+	// per class, through its first member; 0 means the job runs alone.
 	// Callers own the guarantee — the dispatcher only groups what they
 	// marked.
 	Batch int
 }
-
-// MaxBatch caps how many jobs one BatchRunner call may carry, bounding
-// the work a single call (one worker) stands for.
-const MaxBatch = 64
 
 // Exec is the node-independent execution profile of one job on one node
 // class: the machine cycles its session simulated at that class's
@@ -245,21 +240,6 @@ type Config struct {
 	// called from the worker goroutines in completion order and must be
 	// safe for concurrent use.
 	OnExec func(i, class int, e Exec)
-	// Lanes caps how many same-Batch jobs execute together in one
-	// BatchRunner call; <= 1 disables batching, values above MaxBatch
-	// clamp to it.
-	Lanes int
-	// BatchRunner executes a whole batch of same-Batch jobs under one
-	// node class: idxs are the job indices (all sharing one nonzero
-	// Job.Batch), seeds their per-job derived seeds (the same values
-	// Runner would have seen), and the result holds one Exec per index,
-	// in order. Each profile must be byte-identical to what Runner
-	// would have produced for that job alone — batching is an execution
-	// strategy, never a semantic change. Since same-Batch jobs are
-	// identical simulations, a BatchRunner typically runs one session
-	// for idxs[0] and returns its profile for every index. When nil,
-	// every job runs through Runner regardless of Lanes.
-	BatchRunner func(idxs []int, class int, seeds []int64) ([]Exec, error)
 }
 
 // nodeConfigs expands the configuration into one NodeConfig per node with
@@ -611,9 +591,9 @@ func Run(cfg Config, jobs []Job, run Runner) (*Trace, error) {
 // compares policies on one set of simulations instead of re-simulating
 // per policy. The derived seed depends only on the job index, never the
 // class, so heterogeneous fleets stay comparable with homogeneous ones.
-// When Lanes and BatchRunner are set, jobs sharing a nonzero Batch id
-// execute together in chunks of at most Lanes (see Config.BatchRunner);
-// the profiles, and hence the replayed trace, are identical either way.
+// A share group (jobs with one nonzero Batch id) runs once per class:
+// Runner sees its first member, with that member's seed, and the
+// profile is recorded — and OnExec fired — for every member.
 func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	if run == nil {
 		return nil, fmt.Errorf("cluster: nil runner")
@@ -622,61 +602,45 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 		return nil, fmt.Errorf("cluster: no jobs submitted")
 	}
 	classes := cfg.classes()
-	chunks := executionChunks(cfg, jobs)
-	type cellOut struct {
-		idxs  []int
-		execs []Exec
+	// One execution unit per unshared job and per share group (members
+	// in index order), ordered by first appearance, so the partition is
+	// deterministic and independent of Workers.
+	var units [][]int
+	unitOf := map[int]int{}
+	for i, j := range jobs {
+		if u, ok := unitOf[j.Batch]; ok {
+			units[u] = append(units[u], i)
+			continue
+		}
+		if j.Batch != 0 {
+			unitOf[j.Batch] = len(units)
+		}
+		units = append(units, []int{i})
 	}
-	cells := make([]func() (cellOut, error), 0, classes*len(chunks))
-	for class := 0; class < classes; class++ {
-		class := class
-		for _, chunk := range chunks {
-			chunk := chunk
-			if len(chunk) == 1 {
-				// Singleton chunks — unbatchable jobs, one-member groups,
-				// chunking remainders — take Runner directly: a batch of
-				// one shares nothing.
-				i := chunk[0]
-				seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
-				cells = append(cells, func() (cellOut, error) {
-					var e Exec
-					var err error
-					obs.Task(context.Background(), "fleet-job", fmt.Sprintf("%s/c%d", jobs[i].Label, class), func() {
-						e, err = run(i, class, seed)
-					})
-					if err != nil {
-						return cellOut{}, fmt.Errorf("cluster: job %d (%s) class %d: %w", i, jobs[i].Label, class, err)
-					}
-					if cfg.OnExec != nil {
-						cfg.OnExec(i, class, e)
-					}
-					return cellOut{idxs: chunk, execs: []Exec{e}}, nil
-				})
-				continue
-			}
-			cells = append(cells, func() (cellOut, error) {
-				seeds := make([]int64, len(chunk))
-				for k, i := range chunk {
-					seeds[k] = rng.Derive(cfg.Seed, streamJob, uint64(i))
+	cells := make([]func() (Exec, error), 0, classes*len(units))
+	for class := range classes {
+		for _, members := range units {
+			i := members[0]
+			seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
+			cells = append(cells, func() (Exec, error) {
+				name := fmt.Sprintf("%s/c%d", jobs[i].Label, class)
+				if len(members) > 1 {
+					name = fmt.Sprintf("%s×%d/c%d", jobs[i].Label, len(members), class)
 				}
-				var es []Exec
+				var e Exec
 				var err error
-				obs.Task(context.Background(), "fleet-batch", fmt.Sprintf("%s×%d/c%d", jobs[chunk[0]].Label, len(chunk), class), func() {
-					es, err = cfg.BatchRunner(chunk, class, seeds)
+				obs.Task(context.Background(), "fleet-job", name, func() {
+					e, err = run(i, class, seed)
 				})
 				if err != nil {
-					return cellOut{}, fmt.Errorf("cluster: batch of %d jobs (%s, first job %d) class %d: %w",
-						len(chunk), jobs[chunk[0]].Label, chunk[0], class, err)
-				}
-				if len(es) != len(chunk) {
-					return cellOut{}, fmt.Errorf("cluster: batch runner returned %d profiles for %d jobs", len(es), len(chunk))
+					return Exec{}, fmt.Errorf("cluster: job %d (%s) class %d: %w", i, jobs[i].Label, class, err)
 				}
 				if cfg.OnExec != nil {
-					for k, i := range chunk {
-						cfg.OnExec(i, class, es[k])
+					for _, m := range members {
+						cfg.OnExec(m, class, e)
 					}
 				}
-				return cellOut{idxs: chunk, execs: es}, nil
+				return e, nil
 			})
 		}
 	}
@@ -687,56 +651,13 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	out := make([][]Exec, classes)
 	for class := range out {
 		out[class] = make([]Exec, len(jobs))
-	}
-	for c, co := range outs {
-		class := c / len(chunks)
-		for k, i := range co.idxs {
-			out[class][i] = co.execs[k]
+		for u, members := range units {
+			for _, m := range members {
+				out[class][m] = outs[class*len(units)+u]
+			}
 		}
 	}
 	return out, nil
-}
-
-// executionChunks partitions the job indices into execution units: one
-// chunk per unbatchable job, and chunks of at most the lane cap for each
-// nonzero Batch group. Grouping follows submission order throughout —
-// first appearance orders the groups, members stay in index order — so
-// the partition is deterministic and independent of Workers.
-func executionChunks(cfg Config, jobs []Job) [][]int {
-	lanes := cfg.Lanes
-	if lanes > MaxBatch {
-		lanes = MaxBatch
-	}
-	if lanes <= 1 || cfg.BatchRunner == nil {
-		chunks := make([][]int, len(jobs))
-		for i := range jobs {
-			chunks[i] = []int{i}
-		}
-		return chunks
-	}
-	groups := make(map[int][]int)
-	var order []int
-	var chunks [][]int
-	for i := range jobs {
-		b := jobs[i].Batch
-		if b == 0 {
-			chunks = append(chunks, []int{i})
-			continue
-		}
-		if _, ok := groups[b]; !ok {
-			order = append(order, b)
-		}
-		groups[b] = append(groups[b], i)
-	}
-	for _, b := range order {
-		idxs := groups[b]
-		for len(idxs) > lanes {
-			chunks = append(chunks, idxs[:lanes])
-			idxs = idxs[lanes:]
-		}
-		chunks = append(chunks, idxs)
-	}
-	return chunks
 }
 
 // Replay is phase 2 alone: expand the arrival process and replay

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"protean/internal/rng"
 )
 
 // key makes a distinguishable Key from a byte tag.
@@ -495,124 +499,114 @@ func TestWeightedAffinityBalancesKindsAcrossSpareNodes(t *testing.T) {
 		rr.Makespan, aff.Makespan, wa.Makespan, rr.ColdLoads, aff.ColdLoads, wa.ColdLoads)
 }
 
-// batchJobs builds n jobs in two batch groups plus some unbatchable ones.
-func batchJobs(n int) []Job {
-	jobs := altJobs(n)
-	for i := range jobs {
-		switch i % 3 {
-		case 0:
-			jobs[i].Batch = 1
-		case 1:
-			jobs[i].Batch = 2
-		default:
-			jobs[i].Batch = 0 // never batched
-		}
-	}
-	return jobs
-}
-
-func TestExecutionChunks(t *testing.T) {
-	jobs := batchJobs(10) // batch ids: 1,2,0,1,2,0,1,2,0,1
-	runner := func([]int, int, []int64) ([]Exec, error) { return nil, nil }
-	chunks := executionChunks(Config{Lanes: 3, BatchRunner: runner}, jobs)
-	want := [][]int{{2}, {5}, {8}, {0, 3, 6}, {9}, {1, 4, 7}}
-	if !reflect.DeepEqual(chunks, want) {
-		t.Fatalf("chunks %v, want %v", chunks, want)
-	}
-	// Lanes above MaxBatch clamp; Lanes <= 1 or a nil runner means all
-	// singletons.
-	if got := executionChunks(Config{Lanes: 1, BatchRunner: runner}, jobs); len(got) != len(jobs) {
-		t.Fatalf("Lanes=1 produced %d chunks for %d jobs", len(got), len(jobs))
-	}
-	if got := executionChunks(Config{Lanes: 64}, jobs); len(got) != len(jobs) {
-		t.Fatalf("nil BatchRunner produced %d chunks for %d jobs", len(got), len(jobs))
-	}
-	big := make([]Job, MaxBatch+10)
-	for i := range big {
-		big[i].Batch = 7
-	}
-	got := executionChunks(Config{Lanes: MaxBatch + 100, BatchRunner: runner}, big)
-	if len(got) != 2 || len(got[0]) != MaxBatch || len(got[1]) != 10 {
-		t.Fatalf("oversized group split into %d chunks", len(got))
-	}
-}
-
-// TestExecuteBatchingMatchesScalar locks the batching contract: with a
-// batch runner that reproduces the scalar runner job by job, the
-// execution profiles — and the replayed trace — are identical to the
-// unbatched run, per-job seeds included, at every worker count.
-func TestExecuteBatchingMatchesScalar(t *testing.T) {
-	jobs := batchJobs(40)
-	run := func(i, class int, seed int64) (Exec, error) {
-		return Exec{Cycles: uint64(i*1000+class*10) + uint64(seed&0x7)}, nil
-	}
-	cfg := Config{Nodes: 3, Classes: 2, Seed: 42, Workers: 1,
-		NodeConfigs: []NodeConfig{{Class: 0}, {Class: 1}, {Class: 0}}}
-	want, err := Execute(cfg, jobs, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		bcfg := cfg
-		bcfg.Workers = workers
-		bcfg.Lanes = 4
-		var batchCalls atomic.Int64 // bumped from concurrent batch runners
-		bcfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]Exec, error) {
-			batchCalls.Add(1)
-			if len(idxs) < 2 {
-				t.Errorf("batch runner called with %d jobs", len(idxs))
+// TestExecuteShareGroups checks the share-group contract on random
+// taggings — one group always larger than 64 — with 1–3 classes at
+// workers 1, 4 and 8: Runner runs once per class for each share group
+// (on its first member, with that member's seed) and once per class for
+// each unshared job; every member gets the group's profile and an
+// OnExec call; and under a seed-insensitive runner the profiles, and
+// hence the replays, equal a run with every Batch cleared.
+func TestExecuteShareGroups(t *testing.T) {
+	r := rng.New(20)
+	for trial := range 6 {
+		classes := 1 + int(r.Below(3))
+		big := 65 + int(r.Below(20))
+		jobs := altJobs(big + 20 + int(r.Below(60)))
+		for i := range jobs {
+			if i < big {
+				jobs[i].Batch = 1
+			} else {
+				jobs[i].Batch = int(r.Below(6)) // 0 = unshared
 			}
-			es := make([]Exec, len(idxs))
-			for k, i := range idxs {
-				var err error
-				if es[k], err = run(i, class, seeds[k]); err != nil {
-					return nil, err
+		}
+		for i := len(jobs) - 1; i > 0; i-- {
+			k := int(r.Below(uint64(i + 1)))
+			jobs[i].Batch, jobs[k].Batch = jobs[k].Batch, jobs[i].Batch
+		}
+		first := map[int]int{}
+		unshared := 0
+		cleared := slices.Clone(jobs)
+		for i := range jobs {
+			cleared[i].Batch = 0
+			if b := jobs[i].Batch; b == 0 {
+				unshared++
+			} else if _, ok := first[b]; !ok {
+				first[b] = i
+			}
+		}
+		cycles := func(i, class int) uint64 {
+			if b := jobs[i].Batch; b != 0 {
+				return uint64(1000*b + 10*class)
+			}
+			return uint64(100_000 + 10*i + class)
+		}
+		cfg := Config{Classes: classes, Seed: int64(trial), Workers: 1,
+			Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 2000}}
+		for n := range 5 {
+			cfg.NodeConfigs = append(cfg.NodeConfigs, NodeConfig{Class: n % classes})
+		}
+		want, err := Execute(cfg, cleared, func(i, class int, _ int64) (Exec, error) {
+			return Exec{Cycles: cycles(i, class)}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wtr, err := Replay(cfg, cleared, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrace(t, cleared, want, wtr)
+		for _, workers := range []int{1, 4, 8} {
+			cfg.Workers = workers
+			var calls, onExecs atomic.Int64 // bumped from concurrent cells
+			cfg.OnExec = func(i, class int, e Exec) {
+				onExecs.Add(1)
+				if e.Cycles != cycles(i, class) {
+					t.Errorf("OnExec job %d class %d: %d cycles, want %d", i, class, e.Cycles, cycles(i, class))
 				}
 			}
-			return es, nil
+			got, err := Execute(cfg, jobs, func(i, class int, seed int64) (Exec, error) {
+				calls.Add(1)
+				if b := jobs[i].Batch; b != 0 && first[b] != i {
+					t.Errorf("group %d ran job %d, not its first member %d", b, i, first[b])
+				}
+				if ws := rng.Derive(cfg.Seed, streamJob, uint64(i)); seed != ws {
+					t.Errorf("job %d ran with seed %d, want %d", i, seed, ws)
+				}
+				return Exec{Cycles: cycles(i, class)}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, wc := calls.Load(), int64(classes*(len(first)+unshared)); c != wc {
+				t.Errorf("trial %d workers=%d: %d runner calls, want %d", trial, workers, c, wc)
+			}
+			if c, wc := onExecs.Load(), int64(classes*len(jobs)); c != wc {
+				t.Errorf("trial %d workers=%d: %d OnExec calls, want %d", trial, workers, c, wc)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers=%d: shared profiles differ from one run per job", trial, workers)
+			}
+			gtr, err := Replay(cfg, jobs, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTrace(t, jobs, got, gtr)
+			if !reflect.DeepEqual(gtr, wtr) {
+				t.Fatalf("trial %d workers=%d: shared replay differs from one run per job", trial, workers)
+			}
 		}
-		got, err := Execute(bcfg, jobs, run)
-		if err != nil {
-			t.Fatal(err)
+		// A shared session's error names the group's first member.
+		sentinel := errors.New("boom")
+		cfg.OnExec = nil
+		_, err = Execute(cfg, jobs, func(i, _ int, _ int64) (Exec, error) {
+			if jobs[i].Batch == 1 {
+				return Exec{}, sentinel
+			}
+			return Exec{Cycles: 1}, nil
+		})
+		if name := fmt.Sprintf("job %d (%s)", first[1], jobs[first[1]].Label); !errors.Is(err, sentinel) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("trial %d: shared runner error %v does not wrap the sentinel with %q", trial, err, name)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: batched profiles differ from scalar", workers)
-		}
-		if workers == 1 && batchCalls.Load() == 0 {
-			t.Fatal("batch runner never called")
-		}
-		wtr, err := Replay(cfg, jobs, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gtr, err := Replay(bcfg, jobs, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTrace(t, jobs, got, gtr)
-		if !reflect.DeepEqual(wtr, gtr) {
-			t.Fatalf("workers=%d: batched trace differs from scalar", workers)
-		}
-	}
-}
-
-// TestExecuteBatchErrors covers the batch cell's failure paths.
-func TestExecuteBatchErrors(t *testing.T) {
-	jobs := batchJobs(6)
-	run := fixedRunner(100)
-	cfg := Config{Lanes: 4, Seed: 1}
-	cfg.BatchRunner = func(idxs []int, _ int, _ []int64) ([]Exec, error) {
-		return nil, errors.New("boom")
-	}
-	_, err := Execute(cfg, jobs, run)
-	if err == nil || !strings.Contains(err.Error(), "batch of 2 jobs") {
-		t.Fatalf("batch error not wrapped: %v", err)
-	}
-	cfg.BatchRunner = func(idxs []int, _ int, _ []int64) ([]Exec, error) {
-		return make([]Exec, len(idxs)+1), nil
-	}
-	_, err = Execute(cfg, jobs, run)
-	if err == nil || !strings.Contains(err.Error(), "profiles") {
-		t.Fatalf("profile-count mismatch not detected: %v", err)
 	}
 }

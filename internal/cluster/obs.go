@@ -51,10 +51,10 @@ func (tr *Trace) dispatcherTrack() int { return len(tr.Nodes) }
 // a fetch span (cold configuration traffic) and an exec span per placed
 // job, plus a dispatcher track carrying defer-wait spans and shed
 // instants. jobs, when non-nil, must be the submission slice the trace
-// was replayed from; it annotates exec spans with their batch
-// group so batched sessions are visible in Perfetto. Jobs are walked in
-// submission order — replay-side emission only, so the rendered trace
-// is byte-identical at any Execute worker count.
+// was replayed from; it annotates exec spans with their Batch id (the
+// "batch" arg) so share groups are visible in Perfetto. Jobs are walked
+// in submission order — replay-side emission only, so the rendered
+// trace is byte-identical at any Execute worker count.
 func (tr *Trace) EmitChrome(t *obs.Tracer, jobs []Job) {
 	for n, nt := range tr.Nodes {
 		t.SetTrackName(n, fmt.Sprintf("node %d (class %d ×%d)", n, nt.Class, nt.ClockScale))

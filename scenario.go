@@ -31,14 +31,13 @@ type Scenario struct {
 	// Workers sizes the host-side job-execution pool; 0 means GOMAXPROCS,
 	// 1 runs jobs serially. Results are byte-identical for every setting.
 	Workers int `json:"workers,omitempty"`
-	// Lanes tunes same-configuration job batching: up to Lanes identical
-	// jobs share one session and its Result instead of simulating one
-	// session each, whenever batching provably cannot change results (it
-	// is skipped for seed-sensitive sessions, e.g. the random
-	// replacement policy, and for session extras). 0 means auto (batches
-	// of up to 64), 1 disables batching, 2..64 caps the batch size. Like
-	// Workers, a host-side execution knob: the FleetResult is
-	// byte-identical for every setting.
+	// Lanes selects how identical jobs execute. 0 (the default) lets
+	// every set of identical jobs share one session and its Result,
+	// whenever sharing provably cannot change results (it is skipped for
+	// seed-sensitive sessions, e.g. the random replacement policy, and
+	// for session extras); 1 runs one session per job. No other value is
+	// valid. Like Workers, a host-side execution knob: the FleetResult
+	// is byte-identical for either setting.
 	Lanes int `json:"lanes,omitempty"`
 	// Nodes describes the fleet, one spec per node class instance.
 	Nodes []NodeSpec `json:"nodes"`
@@ -340,11 +339,12 @@ type resolvedScenario struct {
 	policies  []PlacementPolicy
 	sink      Sink
 	extras    []Option
-	// lanes is the resolved batching cap (Scenario.Lanes with auto
-	// expanded); classRandom marks classes whose sessions depend on the
-	// derived seed (random replacement policy), which vetoes batching.
-	lanes       int
-	classRandom []bool
+	// share lets identical jobs share one session: Scenario.Lanes is 0,
+	// there are no session extras (a shared trace or disassembly would
+	// observe one session where one-per-job observes many), and no class
+	// runs the random replacement policy, whose sessions depend on the
+	// derived seed.
+	share bool
 	// traceW / tracePath route the Chrome fleet timeline (an explicit
 	// writer beats the spec's file path); metrics turns on FleetResult
 	// metrics snapshots.
@@ -424,18 +424,16 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	if len(sc.Nodes) == 0 {
 		return nil, fmt.Errorf("protean: scenario needs at least one node spec")
 	}
-	if sc.Lanes < 0 || sc.Lanes > cluster.MaxBatch {
-		return nil, fmt.Errorf("protean: lanes must be 0 (auto) to %d, got %d", cluster.MaxBatch, sc.Lanes)
+	if sc.Lanes != 0 && sc.Lanes != 1 {
+		return nil, fmt.Errorf("protean: lanes must be 0 (share identical jobs) or 1 (one session per job), got %d", sc.Lanes)
 	}
 	rs := &resolvedScenario{
-		sink: scfg.sink, extras: scfg.extras, lanes: sc.Lanes,
+		sink: scfg.sink, extras: scfg.extras,
+		share:  sc.Lanes == 0 && len(scfg.extras) == 0,
 		traceW: scfg.traceW, metrics: sc.Metrics,
 	}
 	if rs.traceW == nil {
 		rs.tracePath = sc.TraceOut
-	}
-	if rs.lanes == 0 {
-		rs.lanes = cluster.MaxBatch
 	}
 	classIdx := map[SessionSpec]int{}
 	for ni, ns := range sc.Nodes {
@@ -457,13 +455,12 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 			class = len(rs.classOpts)
 			classIdx[ns.Session] = class
 			rs.classOpts = append(rs.classOpts, opts)
-			random := false
 			if ns.Session.Policy != "" {
 				// Already validated by options() above.
-				pol, _ := ParsePolicy(ns.Session.Policy)
-				random = pol == PolicyRandom
+				if pol, _ := ParsePolicy(ns.Session.Policy); pol == PolicyRandom {
+					rs.share = false
+				}
 			}
-			rs.classRandom = append(rs.classRandom, random)
 		}
 		count := ns.Count
 		if count == 0 {
@@ -529,7 +526,7 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 		return nil, fmt.Errorf("protean: scenario has no jobs")
 	}
 	// Jobs with the same resolved identity are identical simulations (the
-	// derived seed is the only per-job input, and batching is vetoed for
+	// derived seed is the only per-job input, and sharing is vetoed for
 	// seed-sensitive sessions): tag each identity with a batch id so the
 	// dispatcher may fold same-identity jobs into one shared session.
 	// Ids are assigned in first-appearance order, so the tagging — like
@@ -709,39 +706,32 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 		return cluster.Exec{Cycles: res.Cycles}, nil
 	}
 
-	ccfg := rs.ccfg
-	// Same-identity jobs may share one session — but only when nothing
-	// per-job could leak into the shared result: every class must be
-	// seed-insensitive (no random replacement policy) and there must be
-	// no session extras (a shared trace or disassembly would observe one
-	// session where the unbatched path observes many).
-	batchable := rs.lanes > 1 && len(rs.extras) == 0 && !slices.Contains(rs.classRandom, true)
-	if batchable {
-		ccfg.Lanes = rs.lanes
-		ccfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]cluster.Exec, error) {
-			// The jobs are identical simulations, so the first job's
-			// session stands for the whole batch: its Result is every
-			// job's Result.
-			e, err := runner(idxs[0], class, seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			res := results[class][idxs[0]]
-			es := make([]cluster.Exec, len(idxs))
-			for k, i := range idxs {
-				results[class][i] = res
-				es[k] = e
-			}
-			return es, nil
+	// Execute sees the jobs with Batch cleared unless sharing is on;
+	// stand[i] is the job whose session stands for job i — the first
+	// member of its share group, or i itself. Replay and the Chrome trace
+	// always get the tagged jobs.
+	jobs := make([]cluster.Job, len(rs.jobs))
+	execJobs := make([]cluster.Job, len(rs.jobs))
+	stand := make([]int, len(rs.jobs))
+	first := map[int]int{}
+	for i := range rs.jobs {
+		jobs[i], execJobs[i], stand[i] = rs.jobs[i].job, rs.jobs[i].job, i
+		if !rs.share {
+			execJobs[i].Batch = 0
+		} else if f, ok := first[jobs[i].Batch]; ok {
+			stand[i] = f
+		} else {
+			first[jobs[i].Batch] = i
 		}
 	}
+	ccfg := rs.ccfg
 	if rs.sink != nil {
 		sink := rs.sink
 		ccfg.OnExec = func(i, class int, e cluster.Exec) {
-			// The runner stored results[class][i] before OnExec fires
-			// (same goroutine), so the event carries the verification
-			// verdict.
-			res := results[class][i]
+			// The runner stored the standing session's result before
+			// OnExec fires (same goroutine), so the event carries the
+			// verification verdict.
+			res := results[class][stand[i]]
 			ok := res != nil && res.Err() == nil
 			tag := ""
 			if rs.classes > 1 {
@@ -757,13 +747,14 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 			})
 		}
 	}
-	jobs := make([]cluster.Job, len(rs.jobs))
-	for i := range rs.jobs {
-		jobs[i] = rs.jobs[i].job
-	}
-	execs, err := cluster.Execute(ccfg, jobs, runner)
+	execs, err := cluster.Execute(ccfg, execJobs, runner)
 	if err != nil {
 		return nil, err
+	}
+	for _, rc := range results {
+		for i, s := range stand {
+			rc[i] = rc[s]
+		}
 	}
 	frs := make([]*FleetResult, len(rs.policies))
 	for pi, pol := range rs.policies {

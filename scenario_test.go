@@ -135,6 +135,7 @@ func TestScenarioValidation(t *testing.T) {
 		"unknown arrivals":     mutate(func(sc *protean.Scenario) { sc.Arrivals.Process = "bursty" }),
 		"negative lanes":       mutate(func(sc *protean.Scenario) { sc.Lanes = -1 }),
 		"lanes over 64":        mutate(func(sc *protean.Scenario) { sc.Lanes = 65 }),
+		"lanes 2":              mutate(func(sc *protean.Scenario) { sc.Lanes = 2 }),
 		"retired uniform process": mutate(func(sc *protean.Scenario) {
 			sc.Arrivals = protean.ArrivalSpec{Process: "uniform", MeanGap: 40_000}
 		}),
@@ -176,6 +177,12 @@ func TestScenarioValidation(t *testing.T) {
 	// The retired uniform-jitter process points its users at Poisson.
 	if err := cases["retired uniform process"].Validate(); err == nil || !strings.Contains(err.Error(), `"poisson"`) {
 		t.Errorf("uniform arrivals: error %v does not name the poisson process", err)
+	}
+	// Lanes takes exactly two values, and the error names both.
+	for _, name := range []string{"negative lanes", "lanes over 64", "lanes 2"} {
+		if err := cases[name].Validate(); err == nil || !strings.Contains(err.Error(), "0 (share identical jobs) or 1 (one session per job)") {
+			t.Errorf("%s: error %v does not name lanes 0 and 1", name, err)
+		}
 	}
 	// Unknown JSON fields are typos, not extensions.
 	if _, err := protean.LoadScenario([]byte(`{"nodes":[{}],"jobs":[{"workload":"alpha"}],"quantum":5}`)); err == nil {
