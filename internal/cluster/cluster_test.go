@@ -499,15 +499,29 @@ func TestWeightedAffinityBalancesKindsAcrossSpareNodes(t *testing.T) {
 		rr.Makespan, aff.Makespan, wa.Makespan, rr.ColdLoads, aff.ColdLoads, wa.ColdLoads)
 }
 
-// TestExecuteShareGroups checks the share-group contract on random
-// taggings — one group always larger than 64 — with 1–3 classes at
-// workers 1, 4 and 8: Runner runs once per class for each share group
-// (on its first member, with that member's seed) and once per class for
-// each unshared job; every member gets the group's profile and an
-// OnExec call; and under a seed-insensitive runner the profiles, and
-// hence the replays, equal a run with every Batch cleared.
-func TestExecuteShareGroups(t *testing.T) {
+// shareTrial is one random share-group tagging for the Execute tests.
+type shareTrial struct {
+	jobs     []Job       // tagged; one group (Batch 1) has more than 64 jobs
+	cleared  []Job       // jobs with every Batch cleared
+	first    map[int]int // Batch id -> index of the group's first member
+	unshared int         // jobs with Batch 0
+	cfg      Config      // 1-3 classes over 5 nodes, Workers 1
+}
+
+// cycles is a seed-insensitive profile: a group's members share one
+// value per class, an unshared job has its own.
+func (st shareTrial) cycles(i, class int) uint64 {
+	if b := st.jobs[i].Batch; b != 0 {
+		return uint64(1000*b + 10*class)
+	}
+	return uint64(100_000 + 10*i + class)
+}
+
+// shareTrials builds six random taggings, each with one share group of
+// 65–84 jobs, a few smaller groups and some unshared jobs, shuffled.
+func shareTrials() []shareTrial {
 	r := rng.New(20)
+	var out []shareTrial
 	for trial := range 6 {
 		classes := 1 + int(r.Below(3))
 		big := 65 + int(r.Below(20))
@@ -523,89 +537,125 @@ func TestExecuteShareGroups(t *testing.T) {
 			k := int(r.Below(uint64(i + 1)))
 			jobs[i].Batch, jobs[k].Batch = jobs[k].Batch, jobs[i].Batch
 		}
-		first := map[int]int{}
-		unshared := 0
-		cleared := slices.Clone(jobs)
+		st := shareTrial{jobs: jobs, cleared: slices.Clone(jobs), first: map[int]int{}}
 		for i := range jobs {
-			cleared[i].Batch = 0
+			st.cleared[i].Batch = 0
 			if b := jobs[i].Batch; b == 0 {
-				unshared++
-			} else if _, ok := first[b]; !ok {
-				first[b] = i
+				st.unshared++
+			} else if _, ok := st.first[b]; !ok {
+				st.first[b] = i
 			}
 		}
-		cycles := func(i, class int) uint64 {
-			if b := jobs[i].Batch; b != 0 {
-				return uint64(1000*b + 10*class)
-			}
-			return uint64(100_000 + 10*i + class)
-		}
-		cfg := Config{Classes: classes, Seed: int64(trial), Workers: 1,
+		st.cfg = Config{Classes: classes, Seed: int64(trial), Workers: 1,
 			Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 2000}}
 		for n := range 5 {
-			cfg.NodeConfigs = append(cfg.NodeConfigs, NodeConfig{Class: n % classes})
+			st.cfg.NodeConfigs = append(st.cfg.NodeConfigs, NodeConfig{Class: n % classes})
 		}
-		want, err := Execute(cfg, cleared, func(i, class int, _ int64) (Exec, error) {
-			return Exec{Cycles: cycles(i, class)}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wtr, err := Replay(cfg, cleared, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTrace(t, cleared, want, wtr)
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestExecutionChunks checks how Execute partitions jobs into execution
+// units on random taggings at workers 1, 4 and 8: Runner runs once per
+// class for each share group — a group larger than 64 included, with no
+// cap splitting it — on its first member with that member's seed, and
+// once per class for each unshared job; every member gets the group's
+// profile and an OnExec call.
+func TestExecutionChunks(t *testing.T) {
+	for trial, st := range shareTrials() {
+		cfg := st.cfg
 		for _, workers := range []int{1, 4, 8} {
 			cfg.Workers = workers
 			var calls, onExecs atomic.Int64 // bumped from concurrent cells
 			cfg.OnExec = func(i, class int, e Exec) {
 				onExecs.Add(1)
-				if e.Cycles != cycles(i, class) {
-					t.Errorf("OnExec job %d class %d: %d cycles, want %d", i, class, e.Cycles, cycles(i, class))
+				if e.Cycles != st.cycles(i, class) {
+					t.Errorf("OnExec job %d class %d: %d cycles, want %d", i, class, e.Cycles, st.cycles(i, class))
 				}
 			}
-			got, err := Execute(cfg, jobs, func(i, class int, seed int64) (Exec, error) {
+			got, err := Execute(cfg, st.jobs, func(i, class int, seed int64) (Exec, error) {
 				calls.Add(1)
-				if b := jobs[i].Batch; b != 0 && first[b] != i {
-					t.Errorf("group %d ran job %d, not its first member %d", b, i, first[b])
+				if b := st.jobs[i].Batch; b != 0 && st.first[b] != i {
+					t.Errorf("group %d ran job %d, not its first member %d", b, i, st.first[b])
 				}
 				if ws := rng.Derive(cfg.Seed, streamJob, uint64(i)); seed != ws {
 					t.Errorf("job %d ran with seed %d, want %d", i, seed, ws)
 				}
-				return Exec{Cycles: cycles(i, class)}, nil
+				return Exec{Cycles: st.cycles(i, class)}, nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c, wc := calls.Load(), int64(classes*(len(first)+unshared)); c != wc {
+			if c, wc := calls.Load(), int64(cfg.Classes*(len(st.first)+st.unshared)); c != wc {
 				t.Errorf("trial %d workers=%d: %d runner calls, want %d", trial, workers, c, wc)
 			}
-			if c, wc := onExecs.Load(), int64(classes*len(jobs)); c != wc {
+			if c, wc := onExecs.Load(), int64(cfg.Classes*len(st.jobs)); c != wc {
 				t.Errorf("trial %d workers=%d: %d OnExec calls, want %d", trial, workers, c, wc)
+			}
+			for i := range st.jobs {
+				for class := range cfg.Classes {
+					if c := got[class][i].Cycles; c != st.cycles(i, class) {
+						t.Fatalf("trial %d workers=%d: job %d class %d has %d cycles, want %d", trial, workers, i, class, c, st.cycles(i, class))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExecuteBatchingMatchesScalar locks the sharing contract: under a
+// seed-insensitive runner, the profiles of a tagged run — and its
+// replayed trace — equal a run with every Batch cleared, at workers 1,
+// 4 and 8, and both replays pass checkTrace.
+func TestExecuteBatchingMatchesScalar(t *testing.T) {
+	for trial, st := range shareTrials() {
+		cfg := st.cfg
+		run := func(i, class int, _ int64) (Exec, error) {
+			return Exec{Cycles: st.cycles(i, class)}, nil
+		}
+		want, err := Execute(cfg, st.cleared, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wtr, err := Replay(cfg, st.cleared, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrace(t, st.cleared, want, wtr)
+		for _, workers := range []int{1, 4, 8} {
+			cfg.Workers = workers
+			got, err := Execute(cfg, st.jobs, run)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d workers=%d: shared profiles differ from one run per job", trial, workers)
 			}
-			gtr, err := Replay(cfg, jobs, got)
+			gtr, err := Replay(cfg, st.jobs, got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTrace(t, jobs, got, gtr)
+			checkTrace(t, st.jobs, got, gtr)
 			if !reflect.DeepEqual(gtr, wtr) {
 				t.Fatalf("trial %d workers=%d: shared replay differs from one run per job", trial, workers)
 			}
 		}
-		// A shared session's error names the group's first member.
-		sentinel := errors.New("boom")
-		cfg.OnExec = nil
-		_, err = Execute(cfg, jobs, func(i, _ int, _ int64) (Exec, error) {
-			if jobs[i].Batch == 1 {
+	}
+}
+
+// TestExecuteBatchErrors checks that a shared session's runner error is
+// wrapped with the group's first member's index and label.
+func TestExecuteBatchErrors(t *testing.T) {
+	sentinel := errors.New("boom")
+	for trial, st := range shareTrials() {
+		_, err := Execute(st.cfg, st.jobs, func(i, _ int, _ int64) (Exec, error) {
+			if st.jobs[i].Batch == 1 {
 				return Exec{}, sentinel
 			}
 			return Exec{Cycles: 1}, nil
 		})
-		if name := fmt.Sprintf("job %d (%s)", first[1], jobs[first[1]].Label); !errors.Is(err, sentinel) || !strings.Contains(err.Error(), name) {
+		if name := fmt.Sprintf("job %d (%s)", st.first[1], st.jobs[st.first[1]].Label); !errors.Is(err, sentinel) || !strings.Contains(err.Error(), name) {
 			t.Fatalf("trial %d: shared runner error %v does not wrap the sentinel with %q", trial, err, name)
 		}
 	}
