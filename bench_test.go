@@ -396,6 +396,43 @@ func BenchmarkCompiledPFU(b *testing.B) {
 	}
 }
 
+// BenchmarkCompiledInstruction measures one whole custom instruction of
+// the placed alpha-blend circuit on the compiled engine: fresh, an issue
+// with init high that runs as one 8-cycle burst; reissue, the same
+// instruction clocked one Step per cycle, as an instruction resuming
+// after an interrupt runs. BenchmarkCompiledPFU measures one such cycle.
+func BenchmarkCompiledInstruction(b *testing.B) {
+	n := fabric.AlphaBlend()
+	fabric.Optimize(n)
+	cfg, _, err := fabric.Place(n, fabric.DefaultPFUSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := fabric.Compile(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if prog.BurstCycles() != fabric.AlphaBlendCycles {
+		b.Fatalf("alphablend burst is %d cycles, want %d", prog.BurstCycles(), fabric.AlphaBlendCycles)
+	}
+	inst := prog.NewInstance()
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			inst.Burst(uint32(i), ^uint32(i))
+		}
+	})
+	b.Run("reissue", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			init := true
+			for done := false; !done; init = false {
+				_, done = inst.Step(uint32(i), ^uint32(i), init)
+			}
+		}
+	})
+}
+
 // BenchmarkConfigLoad measures a full PFU configuration (instance
 // stamp-out + reset), the operation the CIS performs on every load, for
 // the behavioural alpha image.

@@ -17,17 +17,26 @@
 // honest: adding a benchmark (or losing one) forces a regeneration in
 // the same commit.
 //
+// `benchjson -compare old.json new.json` reads two trajectory files and,
+// for every metric both hold, prints the old → new median and their
+// ratio, flagging a metric that moved outside its band (see band): ns/op,
+// B/op and allocs/op are lower-is-better, every other metric
+// higher-is-better. It exits nonzero when a flagged move is a regression.
+//
 // Usage:
 //
 //	go run ./cmd/benchjson            # rewrite both trajectory files
 //	go run ./cmd/benchjson -check     # fail on schema drift, ignore values
 //	go run ./cmd/benchjson -only BENCH_cluster.json
+//	go run ./cmd/benchjson -compare old/BENCH_fabric.json BENCH_fabric.json
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -55,7 +64,7 @@ var suites = []struct {
 		comment: "substrate performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|" +
+			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkCompiledInstruction|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
 				"BenchmarkTLBLookup|BenchmarkInterpreter)$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
@@ -107,7 +116,24 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 func main() {
 	check := flag.Bool("check", false, "regenerate and fail on schema drift against the committed files (values are not compared)")
 	only := flag.String("only", "", "limit to one trajectory file (e.g. BENCH_cluster.json)")
+	compareFiles := flag.Bool("compare", false, "compare two trajectory files, old.json new.json; exit nonzero on a regression")
 	flag.Parse()
+	if *compareFiles {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -compare takes two files: old.json new.json")
+			os.Exit(2)
+		}
+		regressions, err := compare(os.Stdout, flag.Arg(0), flag.Arg(1))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if regressions > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d metric(s) regressed past their band\n", regressions)
+			os.Exit(1)
+		}
+		return
+	}
 
 	matched := false
 	for _, s := range suites {
@@ -280,4 +306,66 @@ func sortedMetricKeys(m map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// band is how far, as a fraction of the old median, a metric may move
+// before -compare flags it. Timings are noisy medians of five samples;
+// allocation counts and sizes are exact, so any growth is flagged.
+func band(metric string) float64 {
+	switch metric {
+	case "B/op", "allocs/op":
+		return 0
+	}
+	return 0.10
+}
+
+// lowerIsBetter reports a metric's direction: the per-op costs go down
+// when code gets better, the custom metrics (speedups, throughputs) up.
+func lowerIsBetter(metric string) bool {
+	switch metric {
+	case "ns/op", "B/op", "allocs/op":
+		return true
+	}
+	return false
+}
+
+// compare writes one line per metric the two trajectory files share, in
+// name order, and returns how many regressed past their band.
+func compare(w io.Writer, oldPath, newPath string) (regressions int, err error) {
+	oldTr, err := load(oldPath)
+	if err != nil {
+		return 0, err
+	}
+	newTr, err := load(newPath)
+	if err != nil {
+		return 0, err
+	}
+	for _, name := range sortedKeys(oldTr.Benchmarks) {
+		nm, ok := newTr.Benchmarks[name]
+		if !ok {
+			continue
+		}
+		for _, metric := range sortedMetricKeys(oldTr.Benchmarks[name]) {
+			nv, ok := nm[metric]
+			if !ok {
+				continue
+			}
+			ov := oldTr.Benchmarks[name][metric]
+			ratio := nv / ov
+			if ov == nv {
+				ratio = 1
+			}
+			line := fmt.Sprintf("%-36s %-18s %10.4g → %-10.4g %7.3fx", name, metric, ov, nv, ratio)
+			if math.Abs(ratio-1) > band(metric) {
+				if (ratio > 1) == lowerIsBetter(metric) {
+					line += "  REGRESSION"
+					regressions++
+				} else {
+					line += "  improved"
+				}
+			}
+			fmt.Fprintln(w, line)
+		}
+	}
+	return regressions, nil
 }

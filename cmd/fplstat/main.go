@@ -2,9 +2,10 @@
 // 500-CLB PFU fabric and reports synthesis statistics: LUT/FF counts
 // before and after optimisation, placement utilisation, wirelength, the
 // size of the two configuration sections (§4.1's full image vs state
-// frames) and the compiled program's per-cycle ops: unspecialised
-// (ops) and in the schedules Step runs when init is high (init=1) and
-// low (init=0).
+// frames) and the compiled program's ops: the configuration's LUTs
+// (ops), the per-cycle schedules Step runs when init is high (init=1)
+// and low (init=0), and the whole-instruction burst with its length in
+// cycles (burst (K); "-" when the circuit has none).
 //
 // With -lint the tool additionally runs the fabric netlist linter
 // (fabric.Lint and fabric.LintConfig) over every optimised circuit and
@@ -66,9 +67,9 @@ func main() {
 
 	fmt.Printf("PFU fabric: %dx%d = %d CLBs; static image %d bytes, state frames %d bytes\n\n",
 		spec.W, spec.H, spec.CLBs(), fabric.StaticBytes(spec), fabric.StateBytes(spec))
-	fmt.Printf("%-12s %8s %8s %8s %6s %6s %7s %10s %6s %6s %6s %6s\n",
+	fmt.Printf("%-12s %8s %8s %8s %6s %6s %7s %10s %6s %6s %6s %6s %10s\n",
 		"circuit", "luts", "luts-opt", "ffs", "depth", "cells", "util%", "wirelength", "maxw",
-		"ops", "init=1", "init=0")
+		"ops", "init=1", "init=0", "burst (K)")
 	findings := 0
 	for _, c := range circuits {
 		n := c.mk()
@@ -106,11 +107,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fplstat: %s: compile: %v\n", c.name, err)
 			os.Exit(1)
 		}
-		ops, byInit := prog.Ops()
-		fmt.Printf("%-12s %8d %8d %8d %6d %6d %6.1f%% %10d %6d %6d %6d %6d\n",
+		ops, byInit, burst := prog.Ops()
+		burstCol := "-"
+		if k := prog.BurstCycles(); k > 0 {
+			burstCol = fmt.Sprintf("%d (%d)", burst, k)
+		}
+		fmt.Printf("%-12s %8d %8d %8d %6d %6d %6.1f%% %10d %6d %6d %6d %6d %10s\n",
 			c.name, before.LUTs, after.LUTs, after.FFs, after.Depth,
 			stats.Cells, stats.Utilization*100, stats.Wirelength, stats.MaxWire,
-			ops, byInit[1], byInit[0])
+			ops, byInit[1], byInit[0], burstCol)
 		if *lint {
 			findings += lintCircuit(c.name, n, cfg)
 		}

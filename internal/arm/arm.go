@@ -157,6 +157,12 @@ type CPU struct {
 	// IRQLine is polled before each instruction and during long
 	// coprocessor operations; nil means no interrupt source.
 	IRQLine func() bool
+	// CyclesToIRQ, if set, reports how many cycles from now IRQLine next
+	// rises: 0 while it is asserted, ^uint64(0) when it never will. A
+	// long coprocessor operation is clocked in runs that end on that
+	// cycle, so the edge and any abort land exactly where cycle-by-cycle
+	// clocking puts them; nil clocks one cycle per run.
+	CyclesToIRQ func() uint64
 	// OnTick, if set, is called as cycles elapse (at least once per
 	// instruction) so devices can advance in near-real time.
 	OnTick func(cycles uint32)

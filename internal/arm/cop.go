@@ -30,8 +30,10 @@ type CDPOutcome struct {
 
 // CopExec is a multi-cycle coprocessor execution in progress.
 type CopExec interface {
-	// Tick advances one cycle; done reports completion on this cycle.
-	Tick() (done bool)
+	// Run clocks the execution for at most max cycles (max ≥ 1),
+	// stopping at the cycle that completes it. It reports the cycles
+	// clocked and whether the last of them completed the execution.
+	Run(max uint32) (cycles uint32, done bool)
 	// Abort cancels the execution before completion because the core is
 	// taking an interrupt; the instruction will be reissued afterwards and
 	// must then resume transparently (§4.4).

@@ -2,6 +2,7 @@ package arm
 
 import (
 	"fmt"
+	"math"
 
 	"protean/internal/bus"
 )
@@ -840,6 +841,26 @@ func (c *CPU) execBranch(instr uint32) uint32 {
 	return 3
 }
 
+// runLimit bounds one run of a coprocessor execution: it ends on the
+// cycle the interrupt line next rises, so tick sees the edge on that very
+// cycle and the poll after the run sees it where a per-cycle loop would.
+// While the line is already asserted a run is one cycle when the
+// instruction can be interrupted (the poll aborts it) and unbounded when
+// it cannot (no edge is left to land on).
+func (c *CPU) runLimit(interruptible bool) uint32 {
+	if c.CyclesToIRQ == nil {
+		return 1
+	}
+	n := c.CyclesToIRQ()
+	if n == 0 {
+		if interruptible {
+			return 1
+		}
+		n = math.MaxUint32
+	}
+	return uint32(min(n, math.MaxUint32))
+}
+
 // execCoprocessor handles CDP/MCR/MRC, including the Proteus RFU's
 // interruptible long instructions and software dispatch.
 func (c *CPU) execCoprocessor(instr, fetchPC uint32) uint32 {
@@ -869,17 +890,15 @@ func (c *CPU) execCoprocessor(instr, fetchPC uint32) uint32 {
 			c.branched = true
 			return 3 + out.Cycles
 		default:
-			cycles := 1 + out.Cycles
-			c.tick(cycles)
-			total := cycles
+			c.tick(1 + out.Cycles)
+			interruptible := !c.AtomicCDP && c.IRQLine != nil && !c.flag(FlagI)
 			for {
-				done := out.Exec.Tick()
-				c.tick(1)
-				total++
+				n, done := out.Exec.Run(c.runLimit(interruptible))
+				c.tick(n)
 				if done {
 					return 0 // cycles already ticked
 				}
-				if !c.AtomicCDP && c.IRQLine != nil && !c.flag(FlagI) && c.IRQLine() {
+				if interruptible && c.IRQLine() {
 					// Interrupt during a long instruction: abort and
 					// arrange for the IRQ return to reissue it (§4.4).
 					out.Exec.Abort()

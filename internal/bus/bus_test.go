@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -370,5 +371,52 @@ func TestConsoleCapture(t *testing.T) {
 	c.Reset()
 	if c.String() != "" {
 		t.Fatal("reset did not clear")
+	}
+}
+
+// TestTimerCyclesToIRQ: CyclesToIRQ is the exact Tick count after which
+// the line rises — never when the timer cannot expire, 0 while it is
+// pending, and the countdown otherwise, including a Tick(n) that lands
+// exactly on the expiry.
+func TestTimerCyclesToIRQ(t *testing.T) {
+	tm := NewTimer()
+	tm.SetPeriod(10)
+	if got := tm.CyclesToIRQ(); got != math.MaxUint64 {
+		t.Fatalf("disabled timer: CyclesToIRQ = %d, want never", got)
+	}
+	tm.Enable(true)
+	tm.SetPeriod(0)
+	tm.Tick(1000)
+	if got := tm.CyclesToIRQ(); got != math.MaxUint64 || tm.IRQ() {
+		t.Fatalf("period 0: CyclesToIRQ = %d, IRQ %v; want never", got, tm.IRQ())
+	}
+	tm.SetPeriod(10)
+	tm.Tick(3)
+	n := tm.CyclesToIRQ()
+	if n != 7 {
+		t.Fatalf("CyclesToIRQ = %d after 3 of 10 cycles, want 7", n)
+	}
+	tm.Tick(n - 1)
+	if tm.IRQ() || tm.CyclesToIRQ() != 1 {
+		t.Fatalf("one cycle early: IRQ %v, CyclesToIRQ %d", tm.IRQ(), tm.CyclesToIRQ())
+	}
+	tm.Tick(1)
+	if !tm.IRQ() || tm.Expiries != 1 {
+		t.Fatalf("Tick landing on the expiry: IRQ %v, expiries %d", tm.IRQ(), tm.Expiries)
+	}
+	if got := tm.CyclesToIRQ(); got != 0 {
+		t.Fatalf("pending: CyclesToIRQ = %d, want 0", got)
+	}
+	tm.Tick(25) // expiries continue while pending
+	if got := tm.CyclesToIRQ(); got != 0 || tm.Expiries != 3 {
+		t.Fatalf("still pending: CyclesToIRQ = %d, expiries %d", got, tm.Expiries)
+	}
+	tm.Ack()
+	if got := tm.CyclesToIRQ(); got != 5 {
+		t.Fatalf("acknowledged 5 cycles before the next expiry: CyclesToIRQ = %d", got)
+	}
+	tm.Enable(false)
+	if got := tm.CyclesToIRQ(); got != math.MaxUint64 {
+		t.Fatalf("disabled again: CyclesToIRQ = %d, want never", got)
 	}
 }

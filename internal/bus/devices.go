@@ -1,6 +1,9 @@
 package bus
 
-import "bytes"
+import (
+	"bytes"
+	"math"
+)
 
 // Device register offsets for the Timer region.
 const (
@@ -46,6 +49,19 @@ func (t *Timer) Tick(n uint64) {
 		t.pending = true
 		t.Expiries++
 	}
+}
+
+// CyclesToIRQ reports how many cycles of Tick it takes for the interrupt
+// line to next rise: 0 while it is asserted (pending until acknowledged),
+// ^uint64(0) when the timer cannot expire (disabled, or period 0).
+func (t *Timer) CyclesToIRQ() uint64 {
+	switch {
+	case t.pending:
+		return 0
+	case !t.enable || t.period == 0:
+		return math.MaxUint64
+	}
+	return max(t.value, 1) // a zero countdown expires on the next cycle
 }
 
 // IRQ reports whether the timer interrupt line is asserted.

@@ -49,6 +49,12 @@ type Model interface {
 	Reset()
 	// Step advances one clock with the operand buses held at a and b.
 	Step(a, b uint32, init bool) (out uint32, done bool)
+	// Burst runs a whole instruction issued fresh (init high on its
+	// first cycle, low after) in one call when the model has a compiled
+	// burst of at most max cycles, leaving the state and returning the
+	// result as that many Steps would; cycles is 0, and nothing ran,
+	// otherwise.
+	Burst(a, b uint32, max uint32) (out uint32, cycles uint32)
 	// SaveState reads back the CLB register contents (state frames).
 	SaveState() []byte
 	// LoadState restores saved state frames.
@@ -167,16 +173,20 @@ func (m *fabricModel) Step(a, b uint32, init bool) (uint32, bool) {
 	return m.inst.Step(a, b, init)
 }
 
-func (m *fabricModel) SaveState() []byte {
-	return fabric.PackFrame(m.inst.SaveFrame())
+func (m *fabricModel) Burst(a, b uint32, max uint32) (uint32, uint32) {
+	if k := uint32(m.inst.Program().BurstCycles()); k > 0 && k <= max {
+		return m.inst.Burst(a, b), k
+	}
+	return 0, 0
 }
 
+func (m *fabricModel) SaveState() []byte { return m.inst.PackFrame() }
+
 func (m *fabricModel) LoadState(state []byte) error {
-	frame, err := fabric.UnpackFrame(state, m.inst.Spec().CLBs())
-	if err != nil {
+	if err := m.inst.UnpackFrame(state); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	return m.inst.LoadFrame(frame)
+	return nil
 }
 
 // BehaviouralSpec describes a behavioural circuit model: a cycle-accurate
@@ -260,6 +270,9 @@ func (m *behaviouralModel) Reset() {
 func (m *behaviouralModel) Step(a, b uint32, init bool) (uint32, bool) {
 	return m.spec.Step(m.state, a, b, init)
 }
+
+// Burst never runs: a behavioural model steps through every cycle.
+func (m *behaviouralModel) Burst(a, b uint32, max uint32) (uint32, uint32) { return 0, 0 }
 
 func (m *behaviouralModel) SaveState() []byte {
 	out := make([]byte, 4*len(m.state))

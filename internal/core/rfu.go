@@ -186,6 +186,10 @@ type SwappedCircuit struct {
 	State   []byte
 	Status  bool
 	Counter uint32
+
+	// model is the evicted execution model, which the first Restore
+	// reuses instead of stamping a fresh one; it is nil after that.
+	model Model
 }
 
 // SwapOut reads back a PFU's state frames and invalidates the slot,
@@ -204,6 +208,7 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 		State:   p.model.SaveState(),
 		Status:  p.status,
 		Counter: p.counter,
+		model:   p.model,
 	}
 	r.pfus[pfuIdx] = pfu{status: true}
 	r.Stats.StateSaves++
@@ -211,14 +216,21 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 }
 
 // Restore configures a PFU with a previously swapped circuit: the state
-// frames restore into a *freshly stamped* instance of the cached static
-// image (§4.1's split configuration), plus the RFU-side status bit and
-// counter. The byte count covers both frame sections — full static frames
-// and the tiny state frame group.
+// frames restore into an instance of the cached static image (§4.1's
+// split configuration), plus the RFU-side status bit and counter. The
+// instance is the one SwapOut evicted, whose every register LoadState
+// overwrites; it moves out of sc, so a second Restore of the same
+// circuit (sharing mode can ask for one) stamps a fresh instance rather
+// than aliasing a live one. The byte count covers both frame sections —
+// full static frames and the tiny state frame group.
 func (r *RFU) Restore(pfuIdx int, sc *SwappedCircuit) (int, error) {
-	m, err := sc.Image.NewInstance()
-	if err != nil {
-		return 0, err
+	m := sc.model
+	sc.model = nil
+	if m == nil {
+		var err error
+		if m, err = sc.Image.NewInstance(); err != nil {
+			return 0, err
+		}
 	}
 	n, err := r.LoadInstance(pfuIdx, sc.Image, m)
 	if err != nil {
@@ -425,21 +437,41 @@ type pfuExec struct {
 	dst  uint32
 }
 
-// Tick implements arm.CopExec.
-func (e *pfuExec) Tick() bool {
+// Run implements arm.CopExec. A fresh issue (status set) whose model has
+// a burst of at most max cycles runs whole in one call; otherwise the
+// model steps with init = status until done or max cycles. Either way
+// the status bit, ExecCycles, the usage counter and Completions end as
+// that many single cycles would leave them.
+func (e *pfuExec) Run(max uint32) (uint32, bool) {
 	p := &e.r.pfus[e.pfu]
-	init := p.status
-	out, done := p.model.Step(e.a, e.b, init)
-	p.status = done
-	e.r.Stats.ExecCycles++
-	if done {
-		e.r.Regs[e.dst] = out
-		// Counted at completion, not issue, so interrupted-and-reissued
-		// instructions count once (§4.5).
-		p.counter++
-		e.r.Stats.Completions++
+	if p.status {
+		if out, k := p.model.Burst(e.a, e.b, max); k > 0 {
+			e.r.Stats.ExecCycles += uint64(k)
+			e.complete(p, out)
+			return k, true
+		}
 	}
-	return done
+	for n := uint32(1); ; n++ {
+		out, done := p.model.Step(e.a, e.b, p.status)
+		p.status = done
+		e.r.Stats.ExecCycles++
+		if done {
+			e.complete(p, out)
+			return n, true
+		}
+		if n >= max {
+			return n, false
+		}
+	}
+}
+
+// complete retires a finished instruction. Completions are counted here,
+// not at issue, so interrupted-and-reissued instructions count once
+// (§4.5).
+func (e *pfuExec) complete(p *pfu, out uint32) {
+	e.r.Regs[e.dst] = out
+	p.counter++
+	e.r.Stats.Completions++
 }
 
 // Abort implements arm.CopExec: nothing to do — the status register

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"protean/internal/arm"
@@ -8,6 +9,12 @@ import (
 	"protean/internal/bus"
 	"protean/internal/fabric"
 )
+
+// runOne clocks an execution for one cycle, reporting completion.
+func runOne(e *pfuExec) bool {
+	_, done := e.Run(1)
+	return done
+}
 
 // addImage returns a behavioural test image: out = a + b after `latency`
 // cycles, with the iteration counter as its only state word.
@@ -289,7 +296,7 @@ func TestSwapOutRestoreMidInstruction(t *testing.T) {
 	}
 	exec := &pfuExec{r: rfu, pfu: 0, a: 5, b: 6, dst: 3}
 	for i := 0; i < 4; i++ {
-		if exec.Tick() {
+		if runOne(exec) {
 			t.Fatal("finished early")
 		}
 	}
@@ -306,7 +313,7 @@ func TestSwapOutRestoreMidInstruction(t *testing.T) {
 	// Something else uses PFU 0 meanwhile.
 	rfu.LoadImage(0, addImage(2))
 	other := &pfuExec{r: rfu, pfu: 0, a: 1, b: 1, dst: 0}
-	for !other.Tick() {
+	for !runOne(other) {
 	}
 	// Restore into a different PFU and finish.
 	if _, err := rfu.Restore(2, sc); err != nil {
@@ -314,7 +321,7 @@ func TestSwapOutRestoreMidInstruction(t *testing.T) {
 	}
 	exec2 := &pfuExec{r: rfu, pfu: 2, a: 5, b: 6, dst: 3}
 	ticks := 0
-	for !exec2.Tick() {
+	for !runOne(exec2) {
 		ticks++
 		if ticks > 20 {
 			t.Fatal("did not finish")
@@ -350,7 +357,7 @@ func TestCounterReadClear(t *testing.T) {
 	rfu.LoadImage(1, addImage(1))
 	exec := &pfuExec{r: rfu, pfu: 1, a: 1, b: 2, dst: 0}
 	for i := 0; i < 3; i++ {
-		for !exec.Tick() {
+		for !runOne(exec) {
 		}
 	}
 	v, ok := rfu.MRC(OpCounter, 1, 0, 0, false)
@@ -431,7 +438,7 @@ func TestFabricImageThroughRFU(t *testing.T) {
 	rfu.Regs[0], rfu.Regs[1] = 123, 456
 	exec := &pfuExec{r: rfu, pfu: 0, a: rfu.Regs[0], b: rfu.Regs[1], dst: 2}
 	ticks := 0
-	for !exec.Tick() {
+	for !runOne(exec) {
 		ticks++
 		if ticks > 64 {
 			t.Fatal("no completion")
@@ -484,7 +491,7 @@ func TestRFUResetClearsEverything(t *testing.T) {
 	rfu := New(DefaultConfig)
 	rfu.LoadImage(0, addImage(1))
 	exec := &pfuExec{r: rfu, pfu: 0, a: 1, b: 1, dst: 0}
-	for !exec.Tick() {
+	for !runOne(exec) {
 	}
 	rfu.Reset()
 	for i := 0; i < rfu.NumPFUs(); i++ {
@@ -510,5 +517,47 @@ done:
 	}
 	if m.rfu.Regs[7] != 55 {
 		t.Fatalf("RFU reg = %d", m.rfu.Regs[7])
+	}
+}
+
+// TestRestoreReusesEvictedModel: Restore hands the instance SwapOut
+// evicted back to the array instead of stamping a new one, and a second
+// Restore of the same SwappedCircuit — which sharing mode can ask for —
+// gets a fresh instance, so the two restored circuits run independently.
+func TestRestoreReusesEvictedModel(t *testing.T) {
+	rfu := New(DefaultConfig)
+	if _, err := rfu.LoadImage(0, addImage(10)); err != nil {
+		t.Fatal(err)
+	}
+	evicted := rfu.pfus[0].model
+	exec := &pfuExec{r: rfu, pfu: 0, a: 5, b: 6, dst: 3}
+	for i := 0; i < 4; i++ {
+		runOne(exec)
+	}
+	sc, _, err := rfu.SwapOut(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range []int{1, 2} {
+		if _, err := rfu.Restore(slot, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rfu.pfus[1].model != evicted {
+		t.Fatal("the first Restore stamped a fresh instance instead of reusing the evicted one")
+	}
+	if rfu.pfus[2].model == evicted {
+		t.Fatal("the second Restore of one SwappedCircuit aliased the live instance")
+	}
+	// Finish on PFU 1; PFU 2 still holds the saved mid-instruction state
+	// and finishes in the same 6 cycles.
+	for slot := 1; slot <= 2; slot++ {
+		if !bytes.Equal(rfu.pfus[slot].model.SaveState(), sc.State) {
+			t.Fatalf("PFU %d does not hold the saved state", slot)
+		}
+		e := &pfuExec{r: rfu, pfu: slot, a: 5, b: 6, dst: 3}
+		if n, done := e.Run(100); !done || n != 6 || rfu.Regs[3] != 11 {
+			t.Fatalf("PFU %d: %d cycles, done %v, result %d; want 6, true, 11", slot, n, done, rfu.Regs[3])
+		}
 	}
 }

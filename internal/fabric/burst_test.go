@@ -1,0 +1,261 @@
+package fabric
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// issuer drives one engine through the §4.4 issue protocol the way the
+// RFU does: a status bit feeds init and latches done, a run stops after
+// max cycles (an interrupt) or at done, and an aborted instruction is
+// reissued with the status left as it was. With burst set, a fresh issue
+// whose program has a burst of at most max cycles runs it in one call.
+type issuer struct {
+	cfg    *ArrayConfig
+	prog   *Compiled
+	inst   *Instance // compiled engines
+	pfu    *PFU      // the interpretive reference
+	burst  bool
+	status bool
+	bursts int // instructions the burst ran
+}
+
+func (e *issuer) step(a, b uint32) (uint32, bool) {
+	if e.pfu != nil {
+		return e.pfu.Step(a, b, e.status)
+	}
+	return e.inst.Step(a, b, e.status)
+}
+
+// run issues (or reissues) an instruction for at most max cycles.
+func (e *issuer) run(a, b uint32, max int) (out uint32, n int, done bool) {
+	if e.burst && e.status {
+		if k := e.prog.BurstCycles(); k > 0 && k <= max {
+			e.bursts++
+			return e.inst.Burst(a, b), k, true
+		}
+	}
+	for n < max && !done {
+		out, done = e.step(a, b)
+		e.status = done
+		n++
+	}
+	return out, n, done
+}
+
+func (e *issuer) frame() []uint8 {
+	if e.pfu != nil {
+		return e.pfu.SaveFrame()
+	}
+	return e.inst.SaveFrame()
+}
+
+// evict moves the engine's state frame into a fresh instance of its
+// engine, as a swap off the array and back does.
+func (e *issuer) evict(t *testing.T) {
+	t.Helper()
+	f := e.frame()
+	if e.pfu != nil {
+		p, err := NewPFU(e.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.pfu = p
+		if err := p.LoadFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	e.inst = e.prog.NewInstance()
+	if err := e.inst.LoadFrame(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withDoneChain rewires n's done output to a one-hot chain that init
+// starts, so done folds to constant 0 on cycles 1..k−1 of a fresh
+// instruction and to constant 1 on cycle k: the circuit compiles to a
+// k-cycle burst. out[0] becomes an accumulator that XORs in the old
+// out[0] every cycle, so the burst's result also depends on a register
+// value from before the instruction.
+func withDoneChain(n *Netlist, k int) {
+	initPort, _ := n.PortByName("init")
+	init := initPort.Nets[0]
+	newNet := func() Net {
+		n.NumNets++
+		return Net(n.NumNets - 1)
+	}
+	andNot := func(x, y Net) Net {
+		out := newNet()
+		n.LUTs = append(n.LUTs, LUT{In: [4]Net{x, y, NilNet, NilNet}, Table: 0x2222, Out: out})
+		return out
+	}
+	dff := func(d Net) Net {
+		q := newNet()
+		n.FFs = append(n.FFs, FF{D: d, Q: q})
+		return q
+	}
+	q := dff(init)
+	for j := 2; j < k; j++ {
+		q = dff(andNot(q, init))
+	}
+	done := andNot(q, init)
+	outPort, _ := n.PortByName("out")
+	acc := newNet()
+	d := newNet()
+	n.LUTs = append(n.LUTs, LUT{In: [4]Net{acc, outPort.Nets[0], NilNet, NilNet}, Table: 0x6666, Out: d})
+	n.FFs = append(n.FFs, FF{D: d, Q: acc})
+	outPort.Nets[0] = acc
+	for i := range n.Ports {
+		if n.Ports[i].Name == "done" {
+			n.Ports[i].Nets = []Net{done}
+		}
+	}
+}
+
+// withHiddenFFs gives some CLBs a flip-flop whose Q drives no wire —
+// placement never makes one, but a decoded configuration can: LUT-fed
+// ones on combinational CLBs, pin-fed ones on combinational and unused
+// CLBs. Only the state frame shows them.
+func withHiddenFFs(rng *rand.Rand, cfg *ArrayConfig) {
+	nw := uint16(cfg.Spec.NumWires())
+	for i := range cfg.CLBs {
+		cc := &cfg.CLBs[i]
+		if cc.Flags&FlagOutFF != 0 || rng.Intn(8) != 0 {
+			continue
+		}
+		switch {
+		case cc.Flags&FlagLUTUsed != 0 && rng.Intn(2) == 0:
+			cc.Flags |= FlagFFUsed
+		case cc.Flags&FlagLUTUsed != 0 && cc.InSel[0] != 0:
+			cc.Flags |= FlagFFUsed | FlagFFFromPin
+		case cc.Flags == 0:
+			cc.Flags |= FlagFFUsed | FlagFFFromPin
+			cc.InSel[0] = 1 + uint16(rng.Intn(int(nw)))
+		}
+		if rng.Intn(2) == 0 {
+			cc.Flags |= FlagFFInit
+		}
+	}
+}
+
+// TestBurstMatchesSteppingAndPFU runs every instruction three ways — the
+// burst engine, per-cycle compiled stepping and the interpretive PFU —
+// over the stock library, random netlists and init-heavy netlists, the
+// latter two also with a done chain (so they compile to bursts) and
+// hidden flip-flops. Each circuit starts from a random state frame and
+// sees fresh issues, an interrupt at every cycle 1..K+1, eviction into a
+// fresh instance mid-instruction, and reissues; out, done, the cycles run
+// and every engine's state frame must agree after every run.
+func TestBurstMatchesSteppingAndPFU(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	type tcase struct {
+		name string
+		cfg  *ArrayConfig
+	}
+	var cases []tcase
+	for _, c := range stockLibrary {
+		cases = append(cases, tcase{c.name, placeT(t, c.mk())})
+	}
+	for i := 0; i < 20; i++ {
+		n, _ := randomCircuit(rng, 5+rng.Intn(80), rng.Intn(10))
+		h := initHeavyCircuit(rng, 10+rng.Intn(80))
+		for _, chained := range []bool{false, true} {
+			for _, src := range []*Netlist{n, h} {
+				src = src.Clone()
+				if chained {
+					withDoneChain(src, 2+rng.Intn(12))
+				}
+				cfg, _, err := Place(src, DefaultPFUSpec)
+				if err != nil {
+					t.Fatalf("%s#%d: place: %v", src.Name, i, err)
+				}
+				if chained {
+					withHiddenFFs(rng, cfg)
+				}
+				cases = append(cases, tcase{fmt.Sprintf("%s#%d/chain=%v", src.Name, i, chained), cfg})
+			}
+		}
+	}
+	bursts := 0
+	for _, tc := range cases {
+		prog := compileT(t, tc.cfg)
+		if rep, err := prog.Verify(tc.cfg); err != nil || !rep.Equivalent {
+			t.Fatalf("%s: Verify: %v %v", tc.name, rep, err)
+		}
+		pfu, err := NewPFU(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []*issuer{
+			{cfg: tc.cfg, prog: prog, inst: prog.NewInstance(), burst: true, status: true},
+			{cfg: tc.cfg, prog: prog, inst: prog.NewInstance(), status: true},
+			{cfg: tc.cfg, prog: prog, pfu: pfu, status: true},
+		}
+		start := make([]uint8, tc.cfg.Spec.CLBs())
+		for i := range start {
+			start[i] = uint8(rng.Intn(2))
+		}
+		for _, e := range engines {
+			var err error
+			if e.pfu != nil {
+				err = e.pfu.LoadFrame(start)
+			} else {
+				err = e.inst.LoadFrame(start)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(what string, a, b uint32, max int) bool {
+			t.Helper()
+			type result struct {
+				out  uint32
+				n    int
+				done bool
+			}
+			var got [3]result
+			var frames [3][]uint8
+			for i, e := range engines {
+				got[i].out, got[i].n, got[i].done = e.run(a, b, max)
+				frames[i] = e.frame()
+			}
+			for i := 1; i < 3; i++ {
+				if got[i].done != got[0].done || got[i].n != got[0].n || got[0].done && got[i].out != got[0].out {
+					t.Fatalf("%s: %s (a=%#x b=%#x max=%d): burst engine %+v, stepping %+v, PFU %+v",
+						tc.name, what, a, b, max, got[0], got[1], got[2])
+				}
+				if !slices.Equal(frames[i], frames[0]) {
+					t.Fatalf("%s: %s (a=%#x b=%#x max=%d): state frames differ after the run", tc.name, what, a, b, max)
+				}
+			}
+			return got[0].done
+		}
+		const unbounded = 80 // more cycles than any test instruction takes
+		k := prog.BurstCycles()
+		for irq := 1; irq <= max(k+1, 3); irq++ {
+			a, b := rng.Uint32(), rng.Uint32()
+			if check(fmt.Sprintf("fresh issue, IRQ at cycle %d", irq), a, b, irq) {
+				continue
+			}
+			if irq%2 == 0 {
+				for _, e := range engines {
+					e.evict(t)
+				}
+			}
+			if !check("reissue, IRQ again", a, b, 1+rng.Intn(3)) {
+				check("reissue to completion", a, b, unbounded)
+			}
+		}
+		check("fresh issue", rng.Uint32(), rng.Uint32(), unbounded)
+		if k > 0 && engines[0].bursts == 0 {
+			t.Fatalf("%s: a %d-cycle burst never ran", tc.name, k)
+		}
+		bursts += engines[0].bursts
+	}
+	if bursts == 0 {
+		t.Fatal("no case compiled to a burst")
+	}
+}

@@ -85,15 +85,6 @@ func Popcount32() *Netlist {
 	return bd.MustBuild()
 }
 
-// RefPopcount32 is the reference for Popcount32.
-func RefPopcount32(a uint32) uint32 {
-	n := uint32(0)
-	for ; a != 0; a &= a - 1 {
-		n++
-	}
-	return n
-}
-
 // CRC32Poly is the reflected IEEE CRC-32 polynomial.
 const CRC32Poly = 0xEDB88320
 
@@ -140,19 +131,6 @@ func CRC32Step() *Netlist {
 	return bd.MustBuild()
 }
 
-// RefCRC32Step is the reference for CRC32Step.
-func RefCRC32Step(crc uint32, data byte) uint32 {
-	crc ^= uint32(data)
-	for i := 0; i < 8; i++ {
-		if crc&1 != 0 {
-			crc = crc>>1 ^ CRC32Poly
-		} else {
-			crc >>= 1
-		}
-	}
-	return crc
-}
-
 // SatAdd16 returns a single-cycle circuit computing the signed saturating
 // sum of the low halfwords of a and b, sign-extended to 32 bits. This is
 // the audio echo application's mixing instruction.
@@ -179,20 +157,6 @@ func SatAdd16() *Netlist {
 	bd.Output("out", out)
 	bd.Output("done", []Net{bd.Const(true)})
 	return bd.MustBuild()
-}
-
-// RefSatAdd16 is the reference for SatAdd16.
-func RefSatAdd16(a, b uint32) uint32 {
-	x := int32(int16(a))
-	y := int32(int16(b))
-	s := x + y
-	if s > 0x7FFF {
-		s = 0x7FFF
-	}
-	if s < -0x8000 {
-		s = -0x8000
-	}
-	return uint32(s)
 }
 
 // SeqMul16 returns a 16-cycle sequential shift-add multiplier computing the
@@ -246,11 +210,6 @@ func SeqMul16() *Netlist {
 	bd.Output("out", accNext)
 	bd.Output("done", []Net{done})
 	return bd.MustBuild()
-}
-
-// RefSeqMul16 is the reference for SeqMul16.
-func RefSeqMul16(a, b uint32) uint32 {
-	return (a & 0xFFFF) * (b & 0xFFFF)
 }
 
 // SeqMul16Cycles is the instruction latency of SeqMul16.
@@ -368,15 +327,6 @@ func BarrelShift32() *Netlist {
 	return bd.MustBuild()
 }
 
-// RefBarrelShift32 is the reference for BarrelShift32.
-func RefBarrelShift32(a, b uint32) uint32 {
-	amt := b & 31
-	if b&32 != 0 {
-		return a >> amt
-	}
-	return a << amt
-}
-
 // LFSR32 returns a free-running 32-bit Fibonacci LFSR (taps 32,22,2,1):
 // each invocation clocks it b[4:0]+1 times and returns the new state. The
 // state register seeds from operand a on init when a is nonzero, else from
@@ -421,18 +371,4 @@ func LFSR32() *Netlist {
 	bd.Output("out", next)
 	bd.Output("done", []Net{done})
 	return bd.MustBuild()
-}
-
-// RefLFSR32 is the reference for LFSR32: steps the register b&31 + 1
-// times from state (or the canonical seed when state is 0).
-func RefLFSR32(state, b uint32) uint32 {
-	if state == 0 {
-		state = 1
-	}
-	steps := b&31 + 1
-	for i := uint32(0); i < steps; i++ {
-		fb := (state>>31 ^ state>>21 ^ state>>1 ^ state) & 1
-		state = state<<1 | fb
-	}
-	return state
 }

@@ -303,3 +303,70 @@ func TestLFSRNeverZero(t *testing.T) {
 		}
 	}
 }
+
+// Reference models of the stock circuits, for the tests that check the
+// gate-level netlists against them.
+
+// RefPopcount32 is the reference for Popcount32.
+func RefPopcount32(a uint32) uint32 {
+	n := uint32(0)
+	for ; a != 0; a &= a - 1 {
+		n++
+	}
+	return n
+}
+
+// RefCRC32Step is the reference for CRC32Step.
+func RefCRC32Step(crc uint32, data byte) uint32 {
+	crc ^= uint32(data)
+	for i := 0; i < 8; i++ {
+		if crc&1 != 0 {
+			crc = crc>>1 ^ CRC32Poly
+		} else {
+			crc >>= 1
+		}
+	}
+	return crc
+}
+
+// RefSatAdd16 is the reference for SatAdd16.
+func RefSatAdd16(a, b uint32) uint32 {
+	x := int32(int16(a))
+	y := int32(int16(b))
+	s := x + y
+	if s > 0x7FFF {
+		s = 0x7FFF
+	}
+	if s < -0x8000 {
+		s = -0x8000
+	}
+	return uint32(s)
+}
+
+// RefSeqMul16 is the reference for SeqMul16.
+func RefSeqMul16(a, b uint32) uint32 {
+	return (a & 0xFFFF) * (b & 0xFFFF)
+}
+
+// RefBarrelShift32 is the reference for BarrelShift32.
+func RefBarrelShift32(a, b uint32) uint32 {
+	amt := b & 31
+	if b&32 != 0 {
+		return a >> amt
+	}
+	return a << amt
+}
+
+// RefLFSR32 is the reference for LFSR32: steps the register b&31 + 1
+// times from state (or the canonical seed when state is 0).
+func RefLFSR32(state, b uint32) uint32 {
+	if state == 0 {
+		state = 1
+	}
+	steps := b&31 + 1
+	for i := uint32(0); i < steps; i++ {
+		fb := (state>>31 ^ state>>21 ^ state>>1 ^ state) & 1
+		state = state<<1 | fb
+	}
+	return state
+}

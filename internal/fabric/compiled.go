@@ -4,32 +4,31 @@ import "encoding/binary"
 
 // Compiled is a circuit program: a validated, levelized ArrayConfig
 // lowered once into flat structure-of-arrays form that a tight,
-// branch-free Step can execute. Where the interpretive PFU re-walks the
+// branch-free pass can execute. Where the interpretive PFU re-walks the
 // CLB array each cycle — re-deriving input selects, flag dispatch and
 // output taps from the configuration words — a Compiled program resolves
-// all of that at compile time:
+// all of that at compile time.
 //
-//   - every LUT's four input wire indices are precomputed (unconnected
-//     pins point at a dedicated constant-0 wire, so the hot loop never
-//     branches on "is this pin routed");
-//   - LUT truth tables are packed into a flat slice in evaluation order;
-//   - combinational evaluation, flip-flop staging and the clock edge are
-//     separated into independent op lists;
-//   - the 33 output taps are resolved to wire indices up front;
-//   - register state is kept in packed words, with a flat one-byte-per-
-//     wire scratch for the combinational settle (byte stores keep the
-//     settle loop free of the read-modify-write dependency chains that
-//     word-packed wire writes would serialise on).
+// There is one lowering. Compile builds the configuration's symbolic
+// circuit (configSym, the prover's IR: inputs, registers and hash-consed
+// LUT gates, with constants folded by foldLUT, buffers aliased and equal
+// gates shared) and composes copies of it in one symBuilder with init
+// pinned to a constant. Registers are input wires of the pass, and each
+// register's next-state ref becomes a latch tap. emit turns the gates a
+// set of roots needs into ref-ordered LUT ops, regrouped by scheduleComb,
+// plus the output taps and latches. Three schedules come out of it:
 //
-// The op lists come in two schedules, one per value of the init input.
-// The §4.4 protocol holds init high on the first cycle of an instruction
-// and low on the rest, so Compile specialises the lowering twice with the
-// init wire folded to a constant: LUTs reading a known-constant wire are
-// cofactored, LUTs left constant become reads of the constant-0 or
-// constant-1 wire, single-input identities become reads of their source,
-// and ops that nothing live reads are dropped. Step runs the schedule
-// for the init value it is given; each schedule writes every wire it
-// reads, so neither depends on what the other left in the scratch.
+//   - sched[1]: one cycle with init high (the first of an instruction);
+//   - sched[0]: one cycle with init low (every later cycle);
+//   - burst: the K composed cycles of a whole instruction issued fresh
+//     (init 1,0,…,0), built only when done folds to constant 0 on cycles
+//     1..K−1 and to constant 1 on cycle K. It writes the result, done and
+//     every register's final value, and nothing of the cycles between.
+//
+// Each schedule writes every gate wire it reads before reading it, so no
+// pass depends on what another left in the scratch; Compiled.Verify
+// checks that while proving the two per-cycle schedules and validating
+// the burst.
 //
 // Compilation happens once per distinct configuration; Instances stamped
 // from the program carry only register state plus the wire scratch, so
@@ -38,48 +37,57 @@ import "encoding/binary"
 // differentially tested against.
 type Compiled struct {
 	spec   ArraySpec
-	nWires int // wire scratch size, including the two constant wires
+	nWires int // wire scratch size: inputs, registers, constants, gates
 
 	// sched[0] runs when init is low, sched[1] when it is high.
 	sched [2]schedule
-	ops   int // per-cycle ops before specialisation, for Ops
+	// burst runs one whole instruction of burstK cycles; burstK is 0
+	// when the circuit has none.
+	burst  schedule
+	burstK int
 
-	// ffDrive lists CLBs whose output wire is driven from the register
-	// (sequential sources); their wires are refreshed before the
-	// combinational pass.
-	ffDrive []int32
-
-	// lutFFQ lists the CLB/register index of every LUT-fed flip-flop;
-	// at the clock edge each latches the value its staging op left.
-	lutFFQ []int32
-
+	luts   int     // LUTs the configuration evaluates per cycle, for Ops
+	nRegs  int     // registers, wires wireReg0.. when a pass reads them
 	ffInit []uint8 // power-on register values, one byte per CLB
 }
 
-// schedule is the per-cycle work for one value of init.
+// maxBurstCycles caps the instruction length Compile unrolls into a
+// burst; longer instructions step per cycle.
+const maxBurstCycles = 64
+
+// Wire scratch layout. The 64 operand wires keep their array numbering.
+// No pass writes the init wire (every schedule has init pinned), so it
+// is the constant-0 wire; the constant-1 wire follows it, set once when
+// an instance is stamped. Register r's wire is wireReg0+r in a pass that
+// reads the register; each pass numbers its gate wires in ref order from
+// the register wires it does not read upwards.
+const (
+	wireConst0 = WireInit
+	wireConst1 = WireInit + 1
+	wireReg0   = WireInit + 2
+)
+
+// schedule is the work of one pass over the scratch.
 type schedule struct {
-	// Combinational ops — LUTs that drive their CLB output wire —
-	// grouped by dependency level and, within a level, by input arity:
-	// every input is computed before its consumer, and combSegs lets the
-	// settle loop run an arity-specialised inner loop per run of same-
-	// arity ops (a 2-input LUT costs two wire loads, not four).
+	// Combinational ops grouped by dependency level and, within a level,
+	// by input arity: every input is computed before its consumer, and
+	// combSegs lets the settle loop run an arity-specialised inner loop
+	// per run of same-arity ops (a 2-input LUT costs two wire loads, not
+	// four).
 	combOps  []lutOp
 	combSegs []opSeg
 
-	// Staging ops: LUTs feeding their own flip-flop internally. They
-	// write no wires, so they run after the combinational pass, staging
-	// the D value for the clock edge (out indexes the register scratch,
-	// not the wires).
-	stageOps []lutOp
-
-	// pinFF are route-through flip-flops latching a wire at the edge.
-	pinFF []edgeOp
+	// refresh copies the registers the pass reads into their wires
+	// before it; latch copies each changed register's next value from its
+	// tap wire back into the frame after the outputs are sampled.
+	refresh []regMove
+	latch   []regMove
 
 	outTap [33]int32 // resolved output wire per out bit (32 = done)
 }
 
 // lutOp is one lowered LUT evaluation: four precomputed input wire
-// indices, the packed truth table, and the destination index. A fixed
+// indices, the packed truth table, and the destination wire. A fixed
 // 24-byte op keeps the settle loop sequential in memory and free of
 // per-field bounds checks.
 type lutOp struct {
@@ -88,10 +96,9 @@ type lutOp struct {
 	tab uint16
 }
 
-// edgeOp is one route-through flip-flop latch: register q samples wire d
-// at the clock edge.
-type edgeOp struct {
-	d, q int32
+// regMove pairs a register's frame slot (its CLB index) with a wire.
+type regMove struct {
+	slot, wire int32
 }
 
 // opSeg is a run of n consecutive combOps sharing one input arity.
@@ -104,209 +111,304 @@ type opSeg struct {
 // combinational loops NewPFU rejects, so it doubles as the §2 functional
 // security check — and lowers it into a Compiled program.
 func Compile(cfg *ArrayConfig) (*Compiled, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	lv, err := levelizeConfig(cfg)
+	cyc, err := configSym(cfg)
 	if err != nil {
 		return nil, err
 	}
-	spec := cfg.Spec
-	n := spec.CLBs()
 	c := &Compiled{
-		spec: spec,
-		// +2: the constant-0 and constant-1 wires. Rounded up to a power
-		// of two so the settle loop can mask indices instead of
-		// bounds-checking them.
-		nWires: ceilPow2(spec.NumWires() + 2),
+		spec:   cfg.Spec,
+		nRegs:  len(cyc.regInit),
+		ffInit: make([]uint8, cfg.Spec.CLBs()),
 	}
-	c.ffInit = make([]uint8, n)
-	// const0 is the always-zero wire every unconnected select resolves
-	// to; const0+1 is the always-one wire.
-	const0 := int32(spec.NumWires())
-	wireOf := func(sel uint16) int32 {
-		if sel == 0 {
-			return const0
-		}
-		return int32(sel) - 1
-	}
-	lutOf := func(cc *CLBConfig, out int32) lutOp {
-		op := lutOp{out: out, tab: cc.Table}
-		for pin := 0; pin < 4; pin++ {
-			op.in[pin] = wireOf(cc.InSel[pin])
-		}
-		return op
-	}
-	// base is the unspecialised lowering, in levelized order; Compile
-	// keeps only its two specialisations.
-	var base schedule
 	for i := range cfg.CLBs {
-		cc := &cfg.CLBs[i]
-		if cc.Flags&FlagOutFF != 0 {
-			c.ffDrive = append(c.ffDrive, int32(i))
-		}
-		if cc.Flags&FlagFFInit != 0 {
+		f := cfg.CLBs[i].Flags
+		if f&FlagFFInit != 0 {
 			c.ffInit[i] = 1
 		}
-		if cc.Flags&FlagFFUsed != 0 {
-			if cc.Flags&FlagFFFromPin != 0 {
-				base.pinFF = append(base.pinFF, edgeOp{d: wireOf(cc.InSel[0]), q: int32(i)})
-			} else if cc.Flags&FlagLUTUsed != 0 {
-				c.lutFFQ = append(c.lutFFQ, int32(i))
-			}
+		// A LUT whose CLB outputs a pin-fed register reaches nothing.
+		if f&FlagLUTUsed != 0 && f&(FlagOutFF|FlagFFFromPin) != FlagOutFF|FlagFFFromPin {
+			c.luts++
 		}
 	}
-	for _, i := range lv.order {
-		cc := &cfg.CLBs[i]
-		switch {
-		case cc.Flags&FlagOutFF == 0:
-			base.combOps = append(base.combOps, lutOf(cc, int32(WireCLB0+i)))
-		case cc.Flags&FlagFFFromPin == 0:
-			base.stageOps = append(base.stageOps, lutOf(cc, int32(i)))
-			// default: the LUT output reaches neither the wire (FF-driven)
-			// nor the FF (pin-fed) — a dead op the interpreter evaluates
-			// and discards; dropped here.
-		}
+	u := unroll(cyc)
+	c.sched[1] = c.emit(u.b.c, u.high)
+	c.sched[0] = c.emit(u.b.c, u.low)
+	if u.k > 0 {
+		c.burst, c.burstK = c.emit(u.b.c, u.burst), u.k
 	}
-	for i, sel := range cfg.OutSel {
-		base.outTap[i] = wireOf(sel)
-	}
-	c.ops = len(base.combOps) + len(base.stageOps)
-	for init := range c.sched {
-		c.sched[init] = base.specialise(const0, init)
-	}
+	// Round the scratch up to a power of two so the settle loop can mask
+	// indices instead of bounds-checking them.
+	c.nWires = ceilPow2(c.nWires)
 	return c, nil
 }
 
-// specialise returns the schedule Step runs when the init wire holds v.
-// It walks s (an unspecialised lowering, combOps in levelized order)
-// with init folded to the constant v: every LUT reading a known-constant
-// wire is cofactored by foldLUT; a combinational LUT left constant, or
-// left a single-input identity, emits no op, and its readers read the
-// constant wire (const0 or const0+1) or its source instead. Then only
-// the combinational ops that an output tap, a staging op or a pin-fed
-// flip-flop reads, directly or through other ops, are kept and
-// regrouped by scheduleComb. Staging ops all stay: their flip-flops are
-// state frame contents whether or not an output observes them.
-func (s *schedule) specialise(const0 int32, v int) schedule {
-	const1 := const0 + 1
-	// ref[w] is the wire a reader of wire w reads instead of w.
-	ref := make([]int32, const1+1)
-	for w := range ref {
-		ref[w] = int32(w)
-	}
-	ref[WireInit] = const0 + int32(v)
-	known := func(w int32) (bool, bool) { return w == const1, w == const0 || w == const1 }
-	fold := func(op lutOp) (lutOp, int) {
-		for p, w := range op.in {
-			op.in[p] = ref[w]
-		}
-		var k int
-		op.tab, op.in, k = foldLUT(op.tab, op.in, const0, known)
-		return op, k
-	}
-	var sp schedule
-	var comb []lutOp
-	for _, op := range s.combOps {
-		op, k := fold(op)
-		switch {
-		case k == 0:
-			ref[op.out] = const0 + int32(op.tab&1)
-		case k == 1 && op.tab == 0xAAAA:
-			ref[op.out] = op.in[0]
-		default:
-			comb = append(comb, op)
-		}
-	}
-	for _, op := range s.stageOps {
-		op, _ = fold(op)
-		sp.stageOps = append(sp.stageOps, op)
-	}
-	for _, e := range s.pinFF {
-		sp.pinFF = append(sp.pinFF, edgeOp{d: ref[e.d], q: e.q})
-	}
-	for i, w := range s.outTap {
-		sp.outTap[i] = ref[w]
-	}
-	// Liveness: the backward closure of every wire the taps, staging ops
-	// and pin-fed flip-flops read, through the ops that write them.
-	writer := make([]int32, len(ref)) // 1 + index of the op writing a wire
-	for i, op := range comb {
-		writer[op.out] = int32(i) + 1
-	}
-	seeds := append([]int32(nil), sp.outTap[:]...)
-	for _, op := range sp.stageOps {
-		seeds = append(seeds, op.in[:]...)
-	}
-	for _, e := range sp.pinFF {
-		seeds = append(seeds, e.d)
-	}
-	live := make([]bool, len(ref))
-	closure(seeds, live, func(w int32, push func(int32)) {
-		if i := writer[w]; i > 0 {
-			for _, x := range comb[i-1].in {
-				push(x)
-			}
-		}
-	})
-	kept := comb[:0]
-	for _, op := range comb {
-		if live[op.out] {
-			kept = append(kept, op)
-		}
-	}
-	sp.combOps, sp.combSegs = scheduleComb(kept, const0)
-	return sp
+// cycleRefs are the refs one composed cycle produces: out[0..31] and
+// done, and each register's next state.
+type cycleRefs struct {
+	outs [33]int32
+	next []int32
 }
 
-// scheduleComb regroups levelized combinational ops by dependency level
-// and, within each level, by input arity, returning them with the
-// segment list the settle loop's specialised inner loops run over. Any
-// within-level permutation is legal: an op's inputs all come from
-// strictly earlier levels (or sequential/input wires, which are ready
-// before the settle).
-func scheduleComb(combOps []lutOp, const0 int32) ([]lutOp, []opSeg) {
+// template is one cycle's logic ready to copy: the gates of c that its
+// refs need, by index in ref order.
+type template struct {
+	c     *symCircuit
+	gates []int32
+	cycleRefs
+}
+
+func newTemplate(c *symCircuit, r cycleRefs) *template {
+	t := &template{c: c, cycleRefs: r}
+	for g, live := range liveGates(c, r.outs[:], r.next) {
+		if live {
+			t.gates = append(t.gates, int32(g))
+		}
+	}
+	return t
+}
+
+// unrolled is a configuration's one-cycle circuit composed in one
+// builder whose inputs and registers are the cycle's own: the cycle with
+// init high and with init low, both from the registers, and — when done
+// folds to constant 0 on cycles 1..k−1 and to constant 1 on cycle k,
+// 2 ≤ k ≤ maxBurstCycles — the whole instruction issued fresh, whose
+// cycles after the first copy the init-low cycle with each register
+// reading the previous cycle's next state. k is 0 when there is no such
+// instruction.
+type unrolled struct {
+	b         *symBuilder
+	high, low cycleRefs
+	k         int
+	burst     cycleRefs
+	sub       []int32 // template ref -> builder ref, for the copy being built
+}
+
+func unroll(cyc *symCircuit) *unrolled {
+	r := cycleRefs{next: cyc.next}
+	for i, o := range cyc.outs {
+		r.outs[i] = o.ref
+	}
+	one := newTemplate(cyc, r)
+	// Room for the two cycles and a few more before the hash set grows.
+	u := &unrolled{b: newSymBuilder(&symCircuit{
+		name: cyc.name, inputs: cyc.inputs, regInit: cyc.regInit,
+		regSlot: cyc.regSlot, stateLen: cyc.stateLen,
+	}, 8*len(one.gates))}
+	regs := make([]int32, len(cyc.regInit))
+	for r := range regs {
+		regs[r] = cyc.regRef(r)
+	}
+	u.high = u.copy(one, symConst1, regs)
+	u.low = u.copy(one, symConst0, regs)
+	low := newTemplate(u.b.c, u.low)
+	for k, r := 1, u.high; r.outs[32] == symConst0 && k < maxBurstCycles; k++ {
+		r = u.copy(low, symConst0, r.next)
+		if r.outs[32] == symConst1 {
+			u.k, u.burst = k+1, r
+		}
+	}
+	return u
+}
+
+// copy appends one copy of t's gates to the builder with init pinned to
+// the constant ref init and the registers reading state, returning the
+// copy's refs.
+func (u *unrolled) copy(t *template, init int32, state []int32) cycleRefs {
+	c := t.c
+	base := c.gateBase()
+	if n := int(base) + len(c.gates); len(u.sub) < n {
+		u.sub = make([]int32, 2*n) // the builder's own circuit grows
+	}
+	for i := range c.inputs {
+		u.sub[i] = int32(i)
+	}
+	u.sub[WireInit] = init // input ref WireInit is the init input
+	for r, s := range state {
+		u.sub[c.regRef(r)] = s
+	}
+	ref := func(x int32) int32 {
+		if x < 0 {
+			return x // constant
+		}
+		return u.sub[x]
+	}
+	for _, g := range t.gates {
+		gt := c.gates[g] // a copy: c may be the builder's own circuit, which grows
+		key := symGate{in: [4]int32{ref(gt.in[0]), ref(gt.in[1]), ref(gt.in[2]), ref(gt.in[3])}, tab: gt.tab}
+		// t's gates are normalized already: one whose pins all stay
+		// non-constant needs no folding, only hash-consing.
+		folded := false
+		for p, x := range gt.in {
+			folded = folded || x >= 0 && key.in[p] < 0
+		}
+		if folded {
+			u.sub[base+g] = u.b.addGate(key.in, key.tab)
+		} else {
+			u.sub[base+g] = u.b.intern(key)
+		}
+	}
+	var r cycleRefs
+	for i, o := range t.outs {
+		r.outs[i] = ref(o)
+	}
+	r.next = make([]int32, len(t.next))
+	for i, x := range t.next {
+		r.next[i] = ref(x)
+	}
+	return r
+}
+
+// liveGates marks the gates of c that roots need, directly or through
+// other gates.
+func liveGates(c *symCircuit, roots ...[]int32) []bool {
+	base := c.gateBase()
+	live := make([]bool, len(c.gates))
+	mark := func(ref int32) {
+		if ref >= base {
+			live[ref-base] = true
+		}
+	}
+	for _, refs := range roots {
+		for _, ref := range refs {
+			mark(ref)
+		}
+	}
+	for g := len(c.gates) - 1; g >= 0; g-- {
+		if live[g] {
+			for _, x := range c.gates[g].in {
+				mark(x)
+			}
+		}
+	}
+	return live
+}
+
+// emit lowers the gates of sc that r's refs need into a schedule:
+// one op per gate in ref order (already topological), grouped by
+// scheduleComb; a tap per output; a latch per register whose next ref is
+// not itself; a refresh per register some op, tap or latch reads. Gate
+// wires take the register wires the pass does not read first, then the
+// wires past the registers; c.nWires grows to cover them.
+func (c *Compiled) emit(sc *symCircuit, r cycleRefs) schedule {
+	base, nIn := sc.gateBase(), int32(len(sc.inputs))
+	live := liveGates(sc, r.outs[:], r.next)
+	reads := make([]bool, c.nRegs)
+	read := func(ref int32) {
+		if ref >= nIn && ref < base {
+			reads[ref-nIn] = true
+		}
+	}
+	nLive := 0
+	for g := range sc.gates {
+		if live[g] {
+			nLive++
+			for _, x := range sc.gates[g].in {
+				read(x)
+			}
+		}
+	}
+	for _, x := range r.outs {
+		read(x)
+	}
+	for _, x := range r.next {
+		read(x)
+	}
+	gateWire := make([]int32, len(sc.gates))
+	wire := func(ref int32) int32 {
+		switch {
+		case ref == symConst0:
+			return wireConst0
+		case ref == symConst1:
+			return wireConst1
+		case ref >= base:
+			return gateWire[ref-base]
+		case ref >= nIn:
+			return wireReg0 + ref - nIn
+		}
+		return ref // input ref i is input wire i
+	}
+	ops := make([]lutOp, 0, nLive)
+	w, regEnd := int32(wireReg0), int32(wireReg0+c.nRegs)
+	for g, gt := range sc.gates {
+		if !live[g] {
+			continue
+		}
+		for w < regEnd && reads[w-wireReg0] {
+			w++
+		}
+		gateWire[g] = w
+		op := lutOp{out: w, tab: gt.tab}
+		for p, x := range gt.in {
+			op.in[p] = wire(x)
+		}
+		ops = append(ops, op)
+		w++
+	}
+	nWires := int(max(w, regEnd))
+	var s schedule
+	s.combOps, s.combSegs = scheduleComb(ops, wireConst0, nWires)
+	for i, o := range r.outs {
+		s.outTap[i] = wire(o)
+	}
+	for reg, x := range r.next {
+		if x != sc.regRef(reg) {
+			s.latch = append(s.latch, regMove{slot: int32(sc.regSlot[reg]), wire: wire(x)})
+		}
+	}
+	for reg, read := range reads {
+		if read {
+			s.refresh = append(s.refresh, regMove{slot: int32(sc.regSlot[reg]), wire: int32(wireReg0 + reg)})
+		}
+	}
+	c.nWires = max(c.nWires, nWires)
+	return s
+}
+
+// scheduleComb regroups topologically ordered combinational ops by
+// dependency level and, within each level, by input arity (a counting
+// sort, stable within each group), returning them with the segment list
+// the settle loop's specialised inner loops run over. Any within-level
+// permutation is legal: an op's inputs all come from strictly earlier
+// levels (or input, register and constant wires, which are ready before
+// the settle). nWires bounds every wire index.
+func scheduleComb(combOps []lutOp, const0 int32, nWires int) ([]lutOp, []opSeg) {
 	if len(combOps) == 0 {
 		return nil, nil
 	}
-	wireLevel := make(map[int32]int, len(combOps))
-	type levOp struct {
-		op    lutOp
-		arity int
-	}
-	levels := make([][5][]levOp, 0, 8) // level -> arity -> ops
-	for _, op := range combOps {
-		lv := 0
-		arity := 1 // a zero-input (constant) LUT still costs one load
+	wireLevel := make([]int32, nWires)   // 1 + level of the op writing a wire
+	group := make([]int32, len(combOps)) // level*4 + arity-1
+	nGroups := int32(0)
+	for i, op := range combOps {
+		lv, arity := int32(0), int32(1) // a zero-input (constant) LUT still costs one load
 		for j, in := range op.in {
-			if l, ok := wireLevel[in]; ok && l+1 > lv {
-				lv = l + 1
-			}
+			lv = max(lv, wireLevel[in])
 			if in != const0 {
-				arity = j + 1
+				arity = int32(j) + 1
 			}
 		}
-		wireLevel[op.out] = lv
-		for len(levels) <= lv {
-			levels = append(levels, [5][]levOp{})
-		}
-		levels[lv][arity] = append(levels[lv][arity], levOp{op: op, arity: arity})
+		wireLevel[op.out] = lv + 1
+		group[i] = lv*4 + arity - 1
+		nGroups = max(nGroups, group[i]+1)
 	}
-	ops := make([]lutOp, 0, len(combOps))
+	next := make([]int32, nGroups+1) // next[g+1] counts, then places, group g
+	for _, g := range group {
+		next[g+1]++
+	}
 	var segs []opSeg
-	for _, byArity := range levels {
-		for a := 1; a <= 4; a++ {
-			for _, lo := range byArity[a] {
-				ops = append(ops, lo.op)
-			}
-			if n := len(byArity[a]); n > 0 {
-				if len(segs) > 0 && segs[len(segs)-1].arity == int8(a) {
-					segs[len(segs)-1].n += int32(n)
-				} else {
-					segs = append(segs, opSeg{n: int32(n), arity: int8(a)})
-				}
+	for g := int32(0); g < nGroups; g++ {
+		if n := next[g+1]; n > 0 {
+			if arity := int8(g%4 + 1); len(segs) > 0 && segs[len(segs)-1].arity == arity {
+				segs[len(segs)-1].n += n
+			} else {
+				segs = append(segs, opSeg{n: n, arity: arity})
 			}
 		}
+		next[g+1] += next[g]
+	}
+	ops := make([]lutOp, len(combOps))
+	for i, op := range combOps {
+		ops[next[group[i]]] = op
+		next[group[i]]++
 	}
 	return ops, segs
 }
@@ -323,24 +425,30 @@ func ceilPow2(n int) int {
 // Spec reports the array geometry the program was compiled for.
 func (c *Compiled) Spec() ArraySpec { return c.spec }
 
-// Ops reports the per-cycle evaluation ops (combinational plus staging),
-// a proxy for Step cost: base before init specialisation, and byInit[v]
-// in the schedule Step runs when init is v (0 low, 1 high).
-func (c *Compiled) Ops() (base int, byInit [2]int) {
+// Ops reports evaluation ops, a proxy for execution cost: luts, the LUTs
+// the configuration evaluates per cycle (what a direct lowering, or the
+// interpretive PFU, runs); byInit[v], the ops of the schedule Step runs
+// when init is v (0 low, 1 high); and burst, the ops of the whole-
+// instruction burst (0 when BurstCycles is 0).
+func (c *Compiled) Ops() (luts int, byInit [2]int, burst int) {
 	for v := range c.sched {
-		byInit[v] = len(c.sched[v].combOps) + len(c.sched[v].stageOps)
+		byInit[v] = len(c.sched[v].combOps)
 	}
-	return c.ops, byInit
+	return c.luts, byInit, len(c.burst.combOps)
 }
+
+// BurstCycles reports K, the length of the instruction Burst runs in one
+// pass, or 0 when the program has no burst (done depends on the data or
+// the state, or the instruction is one cycle or longer than the cap).
+func (c *Compiled) BurstCycles() int { return c.burstK }
 
 // Instance is one executable copy of a Compiled program: the shared
 // read-only program plus this copy's register state and wire scratch.
-// Stamping an instance is a few small allocations — the compile-once,
+// Stamping an instance is two small allocations — the compile-once,
 // instantiate-many half of the split configuration story.
 type Instance struct {
 	prog  *Compiled
 	wires []uint8 // one byte per wire, 0/1
-	ffNxt []uint8 // staged D values, one byte per CLB
 	ffQ   []uint8 // register values, one byte per CLB (the state frame contents)
 }
 
@@ -350,19 +458,15 @@ func (c *Compiled) NewInstance() *Instance {
 	in := &Instance{
 		prog:  c,
 		wires: make([]uint8, c.nWires),
-		ffNxt: make([]uint8, c.spec.CLBs()),
 		ffQ:   make([]uint8, c.spec.CLBs()),
 	}
-	in.wires[c.spec.NumWires()+1] = 1 // the constant-1 wire
+	in.wires[wireConst1] = 1
 	copy(in.ffQ, c.ffInit)
 	return in
 }
 
 // Program returns the shared compiled program.
 func (in *Instance) Program() *Compiled { return in.prog }
-
-// Spec reports the array geometry.
-func (in *Instance) Spec() ArraySpec { return in.prog.spec }
 
 // Reset restores every register to its configured initial value.
 func (in *Instance) Reset() {
@@ -371,14 +475,28 @@ func (in *Instance) Reset() {
 
 // Step advances the circuit by one clock cycle, exactly like PFU.Step:
 // combinational logic settles, outputs are sampled, then every used
-// flip-flop latches. It runs the schedule specialised for init, so the
-// init wire itself is never read.
+// flip-flop latches. It runs the schedule specialised for init.
 func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
-	p := in.prog
-	s := &p.sched[0]
+	s := &in.prog.sched[0]
 	if init {
-		s = &p.sched[1]
+		s = &in.prog.sched[1]
 	}
+	return in.run(s, a, b)
+}
+
+// Burst runs one whole instruction issued fresh — init high on its first
+// cycle and low after, operands held — in a single pass, leaving the
+// registers and returning the result exactly as BurstCycles() Steps
+// would (the last of which raises done). It is valid only when
+// BurstCycles() > 0.
+func (in *Instance) Burst(a, b uint32) (out uint32) {
+	out, _ = in.run(&in.prog.burst, a, b)
+	return out
+}
+
+// run executes one schedule: spread the operands, refresh the registers
+// it reads, settle, sample the taps, latch.
+func (in *Instance) run(s *schedule, a, b uint32) (out uint32, done bool) {
 	w := in.wires
 	// Spread the operand bits across wire bytes 0..63 (wires 0..31 are a,
 	// 32..63 are b), eight bits per store via the SWAR byte-spread.
@@ -391,8 +509,8 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 	binary.LittleEndian.PutUint64(w[WireB0+16:], spreadBits(uint8(b>>16)))
 	binary.LittleEndian.PutUint64(w[WireB0+24:], spreadBits(uint8(b>>24)))
 	ffQ := in.ffQ
-	for _, i := range p.ffDrive {
-		w[int32(WireCLB0)+i] = ffQ[i]
+	for _, m := range s.refresh {
+		w[int(m.wire)&(len(w)-1)] = ffQ[m.slot]
 	}
 	// Settle combinational logic: branch-free table lookups over the
 	// precomputed input indices, in levelized order. len(w) is a power of
@@ -437,28 +555,15 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 		}
 		base = end
 	}
-	ffNxt := in.ffNxt
-	sops := s.stageOps
-	for k := range sops {
-		op := &sops[k]
-		idx := uint32(w[int(op.in[0])&(len(w)-1)]) |
-			uint32(w[int(op.in[1])&(len(w)-1)])<<1 |
-			uint32(w[int(op.in[2])&(len(w)-1)])<<2 |
-			uint32(w[int(op.in[3])&(len(w)-1)])<<3
-		ffNxt[op.out] = uint8(op.tab>>idx) & 1
-	}
 	// Sample outputs before the clock edge.
 	for i := 0; i < 32; i++ {
-		out |= uint32(w[s.outTap[i]]) << i
+		out |= uint32(w[int(s.outTap[i])&(len(w)-1)]) << i
 	}
-	done = w[s.outTap[32]] != 0
-	// Clock edge.
-	pins := s.pinFF
-	for k := range pins {
-		ffQ[pins[k].q] = w[pins[k].d]
-	}
-	for _, q := range p.lutFFQ {
-		ffQ[q] = ffNxt[q]
+	done = w[int(s.outTap[32])&(len(w)-1)] != 0
+	// Clock edge: the latches read wires and write the frame, so their
+	// order does not matter.
+	for _, m := range s.latch {
+		ffQ[m.slot] = w[int(m.wire)&(len(w)-1)]
 	}
 	return out, done
 }
@@ -474,4 +579,5 @@ func spreadBits(v uint8) uint64 {
 }
 
 // State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame (the ffQ layout itself).
+// canonical one-byte-per-CLB frame (the ffQ layout itself), and
+// PackFrame/UnpackFrame the modeled frame-group bytes.

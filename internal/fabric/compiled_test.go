@@ -329,25 +329,33 @@ func TestCompiledInstancesIndependent(t *testing.T) {
 	}
 }
 
-// TestPackUnpackFrame round-trips the modeled frame-group packing.
+// TestPackUnpackFrame round-trips an instance's registers through the
+// modeled frame-group packing.
 func TestPackUnpackFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	for _, n := range []int{0, 1, 7, 8, 9, 150} {
-		frame := make([]uint8, n)
+	for _, spec := range []ArraySpec{{W: 1, H: 1}, {W: 7, H: 1}, {W: 4, H: 2}, {W: 3, H: 3}, {W: 15, H: 10}} {
+		prog := compileT(t, NewArrayConfig(spec))
+		frame := make([]uint8, spec.CLBs())
 		for i := range frame {
 			frame[i] = uint8(rng.Intn(2))
 		}
-		back, err := UnpackFrame(PackFrame(frame), n)
-		if err != nil {
+		in := prog.NewInstance()
+		if err := in.LoadFrame(frame); err != nil {
 			t.Fatal(err)
 		}
-		for i := range frame {
-			if back[i] != frame[i] {
-				t.Fatalf("n=%d: byte %d changed across pack/unpack", n, i)
+		back := prog.NewInstance()
+		if err := back.UnpackFrame(in.PackFrame()); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range back.SaveFrame() {
+			if v != frame[i] {
+				t.Fatalf("%d CLBs: byte %d changed across pack/unpack", spec.CLBs(), i)
 			}
 		}
 	}
-	if _, err := UnpackFrame([]byte{0}, 9); err == nil {
-		t.Fatal("short frame group must be rejected")
+	in := compileT(t, NewArrayConfig(ArraySpec{W: 3, H: 3})).NewInstance()
+	err := in.UnpackFrame([]byte{0})
+	if want := "fabric: frame group is 1 bytes, want 2 for 9 CLBs"; err == nil || err.Error() != want {
+		t.Fatalf("short frame group: %v, want %q", err, want)
 	}
 }

@@ -1,7 +1,7 @@
 package fabric
 
 // Formal equivalence checking across the three execution substrates:
-// structural netlists (Sim), array configurations (the interpretive
+// structural netlists, array configurations (the interpretive
 // PFU) and compiled programs (Instance). Each substrate lowers to one
 // normalized symbolic circuit — inputs, registers, hash-consed LUT
 // gates, output obligations and next-state functions — and the prover
@@ -63,7 +63,8 @@ type outObl struct {
 // are in topological order (a gate's operands are strictly earlier
 // refs). regSlot maps each register to its position in the substrate's
 // state frame (FF index for netlists, CLB index for configurations), so
-// counterexample states load directly into Sim, PFU or Instance.
+// counterexample states load directly into a netlist simulator, a PFU or
+// an Instance.
 type symCircuit struct {
 	name     string
 	inputs   []inKey
@@ -85,12 +86,18 @@ func (c *symCircuit) regRef(r int) int32 {
 // gates share one ref (congruence closure, since operands are already
 // canonical).
 type symBuilder struct {
-	c      *symCircuit
-	strash map[symGate]int32
+	c *symCircuit
+	// strash is an open-addressing hash set over c.gates: each slot holds
+	// 1 + a gate index, 0 when empty. Its length is a power of two kept
+	// at least twice the gate count.
+	strash []int32
 }
 
-func newSymBuilder(c *symCircuit) *symBuilder {
-	return &symBuilder{c: c, strash: map[symGate]int32{}}
+// newSymBuilder returns a builder appending to c, which has no gates
+// yet, sized for about gates gates before anything grows.
+func newSymBuilder(c *symCircuit, gates int) *symBuilder {
+	c.gates = make([]symGate, 0, gates)
+	return &symBuilder{c: c, strash: make([]int32, ceilPow2(max(2*gates, 64)))}
 }
 
 func (b *symBuilder) addGate(in [4]int32, tab uint16) int32 {
@@ -106,14 +113,41 @@ func (b *symBuilder) addGate(in [4]int32, tab uint16) int32 {
 	if k == 1 && tab == 0xAAAA {
 		return g[0] // buffer
 	}
-	key := symGate{in: g, tab: tab}
-	if r, ok := b.strash[key]; ok {
-		return r
+	return b.intern(symGate{in: g, tab: tab})
+}
+
+// intern returns the ref of a normalized gate, appending it if no equal
+// gate exists yet.
+func (b *symBuilder) intern(key symGate) int32 {
+	gates := b.c.gates
+	if 2*(len(gates)+1) > len(b.strash) {
+		b.strash = make([]int32, 2*len(b.strash))
+		for g := range gates {
+			b.strash[b.slot(gates[g])] = int32(g) + 1
+		}
 	}
-	r := b.c.gateBase() + int32(len(b.c.gates))
-	b.c.gates = append(b.c.gates, key)
-	b.strash[key] = r
-	return r
+	i := b.slot(key)
+	if g := b.strash[i]; g > 0 {
+		return b.c.gateBase() + g - 1
+	}
+	b.c.gates = append(gates, key)
+	b.strash[i] = int32(len(b.c.gates))
+	return b.c.gateBase() + int32(len(gates))
+}
+
+// slot finds key's strash slot by linear probing: the slot holding an
+// equal gate, or the empty slot where it belongs.
+func (b *symBuilder) slot(key symGate) int {
+	h := uint64(key.tab)
+	for _, x := range key.in {
+		h = (h ^ uint64(uint32(x))) * 0x9E3779B97F4A7C15
+	}
+	mask := len(b.strash) - 1
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		if g := b.strash[i]; g == 0 || b.c.gates[g-1] == key {
+			return i
+		}
+	}
 }
 
 // ite returns the gate computing s ? x1 : x0.
@@ -126,7 +160,7 @@ func (b *symBuilder) ite(s, x1, x0 int32) int32 {
 }
 
 // netlistSym lowers a structural netlist. Registers are the flip-flops
-// in index order — the same order Sim.FFState and Sim.LoadFFState use.
+// in index order.
 func netlistSym(n *Netlist) (*symCircuit, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -154,7 +188,7 @@ func netlistSym(n *Netlist) (*symCircuit, error) {
 		c.regInit = append(c.regInit, n.FFs[i].Init)
 		c.regSlot = append(c.regSlot, i)
 	}
-	b := newSymBuilder(c)
+	b := newSymBuilder(c, len(order))
 	for _, li := range order {
 		l := &n.LUTs[li]
 		var in [4]int32
@@ -184,11 +218,15 @@ func netlistSym(n *Netlist) (*symCircuit, error) {
 // configSym lowers an array configuration, mirroring PFU.Step exactly.
 // The boundary is the PFU protocol: inputs a[32] b[32] init[1], outputs
 // out[32] done[1]. Registers are the CLBs whose output wire is the
-// flip-flop (FlagOutFF): only those ffQ bits are observable, and the
-// state-frame slot is the CLB index. Next-state per register follows
-// the clock-edge dispatch of PFU.Step: pin-fed registers latch their
-// routed wire, LUT-fed registers latch the staged LUT value, registers
-// with no update path (including FlagFFUsed clear) hold.
+// flip-flop (FlagOutFF), whose Q bits logic can observe, plus the
+// flip-flops that latch without driving their wire, which only the state
+// frame shows; the state-frame slot is the CLB index. Next-state per
+// register follows the clock-edge dispatch of PFU.Step: pin-fed
+// registers latch their routed wire, LUT-fed registers latch the staged
+// LUT value, registers with no update path (including FlagFFUsed clear)
+// hold. A LUT-fed flip-flop whose CLB outputs the LUT stages nothing, so
+// it latches the PFU's zeroed staging byte: constant 0. Compile builds
+// on this lowering, so it covers every register a frame carries.
 func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -205,7 +243,9 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 		regOf[i] = -1
 	}
 	for i := range cfg.CLBs {
-		if cfg.CLBs[i].Flags&FlagOutFF != 0 {
+		f := cfg.CLBs[i].Flags
+		latches := f&FlagFFUsed != 0 && f&(FlagFFFromPin|FlagLUTUsed) != 0
+		if f&FlagOutFF != 0 || latches {
 			regOf[i] = int32(len(c.regInit))
 			c.regInit = append(c.regInit, cfg.CLBs[i].Flags&FlagFFInit != 0)
 			c.regSlot = append(c.regSlot, i)
@@ -238,7 +278,7 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 			return symConst0
 		}
 	}
-	b := newSymBuilder(c)
+	b := newSymBuilder(c, len(lv.order))
 	for _, i := range lv.order {
 		cc := &cfg.CLBs[i]
 		var in [4]int32
@@ -263,8 +303,10 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 			c.next[r] = self
 		case cc.Flags&FlagFFFromPin != 0:
 			c.next[r] = wireRef(cc.InSel[0])
-		case cc.Flags&FlagLUTUsed != 0:
+		case cc.Flags&FlagLUTUsed != 0 && cc.Flags&FlagOutFF != 0:
 			c.next[r] = gateOf[i]
+		case cc.Flags&FlagLUTUsed != 0:
+			c.next[r] = symConst0
 		default:
 			c.next[r] = self
 		}
@@ -272,105 +314,42 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 	return c, nil
 }
 
-// compiledSym lowers a compiled program from its op lists, independent
-// of the configuration it came from — Verify proves the two lowerings
-// equal. Each init schedule is lowered with the init input pinned to its
-// value, and every output and next-state ref joins the two with an
-// if-then-else on the init input, so the proof covers both schedules.
-//
-// The lowering models an unwritten wire as 0, which is what the scratch
-// holds only if no op ever writes that wire: a wire written by the other
-// schedule, or later in the same pass, holds a stale value. So a read of
-// any wire some op writes, before this pass has written it, is an error
-// rather than a proof obligation.
+// compiledSym lowers a compiled program's two per-cycle schedules from
+// their ops, independent of the configuration they came from — Verify
+// proves the two lowerings equal. Registers are the frame slots the
+// schedules refresh or latch. Each schedule is re-lifted with the init
+// input pinned to its value, and every output and next-state ref joins
+// the two with an if-then-else on the init input, so the proof covers
+// both schedules.
 func compiledSym(cp *Compiled) (*symCircuit, error) {
 	ncl := cp.spec.CLBs()
 	c := &symCircuit{name: "compiled", stateLen: ncl}
 	pfuBoundary(c)
-	regOf := make([]int32, ncl)
-	for i := range regOf {
-		regOf[i] = -1
-	}
-	for _, i := range cp.ffDrive {
-		regOf[i] = int32(len(c.regInit))
-		c.regInit = append(c.regInit, cp.ffInit[i] != 0)
-		c.regSlot = append(c.regSlot, int(i))
-	}
-	written := make([]bool, cp.nWires) // wires some op of either schedule writes
+	moved := make([]bool, ncl)
 	for v := range cp.sched {
-		for _, op := range cp.sched[v].combOps {
-			written[op.out] = true
+		for _, m := range cp.sched[v].refresh {
+			moved[m.slot] = true
+		}
+		for _, m := range cp.sched[v].latch {
+			moved[m.slot] = true
 		}
 	}
-	b := newSymBuilder(c)
+	regOf := make([]int32, ncl)
+	for slot := range regOf {
+		regOf[slot] = -1
+		if moved[slot] {
+			regOf[slot] = int32(len(c.regInit))
+			c.regInit = append(c.regInit, cp.ffInit[slot] != 0)
+			c.regSlot = append(c.regSlot, slot)
+		}
+	}
+	b := newSymBuilder(c, len(cp.sched[0].combOps)+len(cp.sched[1].combOps))
 	var outs [2][33]int32
 	var next [2][]int32
 	for v := range cp.sched {
-		s := &cp.sched[v]
-		// wireVal mirrors the instance wire scratch: input wires carry
-		// the input refs (init pinned to v), register-driven wires the
-		// register refs, the constant wires their constants, everything
-		// else 0 until a comb op writes it.
-		wireVal := make([]int32, cp.nWires)
-		for i := range wireVal {
-			wireVal[i] = symConst0
-		}
-		for w := 0; w < WireCLB0; w++ {
-			wireVal[w] = int32(w)
-		}
-		wireVal[WireInit] = [2]int32{symConst0, symConst1}[v]
-		wireVal[cp.spec.NumWires()+1] = symConst1
-		for _, i := range cp.ffDrive {
-			wireVal[int32(WireCLB0)+i] = c.regRef(int(regOf[i]))
-		}
-		stale := -1
-		set := make([]bool, cp.nWires) // wires this pass has written
-		read := func(w int32) int32 {
-			if written[w] && !set[w] && stale < 0 {
-				stale = int(w)
-			}
-			return wireVal[w]
-		}
-		for _, op := range s.combOps {
-			var in [4]int32
-			for p := 0; p < 4; p++ {
-				in[p] = read(op.in[p])
-			}
-			wireVal[op.out] = b.addGate(in, op.tab)
-			set[op.out] = true
-		}
-		// Staged D values, indexed by CLB like the ffNxt scratch; CLBs
-		// with no staging op latch the scratch's permanent zero.
-		stageVal := make([]int32, ncl)
-		for i := range stageVal {
-			stageVal[i] = symConst0
-		}
-		for _, op := range s.stageOps {
-			var in [4]int32
-			for p := 0; p < 4; p++ {
-				in[p] = read(op.in[p])
-			}
-			stageVal[op.out] = b.addGate(in, op.tab)
-		}
-		for i, tap := range s.outTap {
-			outs[v][i] = read(tap)
-		}
-		next[v] = make([]int32, len(c.regInit))
-		for r := range next[v] {
-			next[v][r] = c.regRef(r) // hold unless an edge op drives it
-		}
-		for _, op := range s.pinFF {
-			if r := regOf[op.q]; r >= 0 {
-				next[v][r] = read(op.d)
-			}
-		}
-		for _, q := range cp.lutFFQ {
-			if r := regOf[q]; r >= 0 {
-				next[v][r] = stageVal[q]
-			}
-		}
-		if stale >= 0 {
-			return nil, fmt.Errorf("fabric: compiled init=%d schedule reads wire %d before writing it", v, stale)
+		var err error
+		if outs[v], next[v], err = relift(b, cp, &cp.sched[v], regOf); err != nil {
+			return nil, fmt.Errorf("fabric: compiled init=%d schedule %w", v, err)
 		}
 	}
 	init := int32(WireInit) // input ref w is input wire w
@@ -382,6 +361,67 @@ func compiledSym(cp *Compiled) (*symCircuit, error) {
 		c.next[r] = b.ite(init, next[1][r], next[0][r])
 	}
 	return c, nil
+}
+
+// relift symbolically executes one pass of schedule s in b, whose
+// circuit has the PFU boundary as inputs and the registers regOf maps
+// frame slots to: it returns the refs the pass samples at its output taps
+// and latches into each register (the register itself when the pass
+// does not latch it). The wire scratch is modelled exactly: operand
+// wires, the constant wires and the registers the pass refreshes hold
+// their values on entry and every other wire holds whatever an earlier
+// pass left, so reading a wire before this pass writes it is an error,
+// not a proof obligation.
+func relift(b *symBuilder, cp *Compiled, s *schedule, regOf []int32) (outs [33]int32, next []int32, err error) {
+	val := make([]int32, cp.nWires)
+	set := make([]bool, cp.nWires)
+	for w := WireA0; w < WireInit; w++ {
+		val[w], set[w] = int32(w), true
+	}
+	val[wireConst0], val[wireConst1] = symConst0, symConst1
+	set[wireConst0], set[wireConst1] = true, true
+	reg := func(slot int32) (int32, error) {
+		if r := regOf[slot]; r >= 0 {
+			return r, nil
+		}
+		return 0, fmt.Errorf("moves frame slot %d, which holds no register", slot)
+	}
+	for _, m := range s.refresh {
+		r, err := reg(m.slot)
+		if err != nil {
+			return outs, nil, err
+		}
+		val[m.wire], set[m.wire] = b.c.regRef(int(r)), true
+	}
+	stale := int32(-1)
+	read := func(w int32) int32 {
+		if !set[w] && stale < 0 {
+			stale = w
+		}
+		return val[w]
+	}
+	for _, op := range s.combOps {
+		val[op.out] = b.addGate([4]int32{read(op.in[0]), read(op.in[1]), read(op.in[2]), read(op.in[3])}, op.tab)
+		set[op.out] = true
+	}
+	for i, tap := range s.outTap {
+		outs[i] = read(tap)
+	}
+	next = make([]int32, len(b.c.regInit))
+	for r := range next {
+		next[r] = b.c.regRef(r) // hold unless latched
+	}
+	for _, m := range s.latch {
+		r, err := reg(m.slot)
+		if err != nil {
+			return outs, nil, err
+		}
+		next[r] = read(m.wire)
+	}
+	if stale >= 0 {
+		return outs, nil, fmt.Errorf("reads wire %d before writing it", stale)
+	}
+	return outs, next, nil
 }
 
 // pfuBoundary installs the PFU protocol input keys: a[0..31], b[0..31],
@@ -428,9 +468,9 @@ func (r *EquivReport) String() string {
 
 // Counterexample is one concrete input vector and state pair under
 // which the two circuits disagree on the named output bit. States are
-// full state frames in each side's native layout (Sim FF order, or one
-// bit per CLB): a Sim state loads directly via LoadFFState, a CLB state
-// via LoadFrame with each bit as a 0/1 byte. The disagreement shows in
+// full state frames in each side's native layout (netlist FF order, or
+// one bit per CLB): a netlist state is indexed by flip-flop, a CLB state
+// loads via LoadFrame with each bit as a 0/1 byte. The disagreement shows in
 // the same cycle's sampled outputs. For
 // sequential circuits the state respects the proven register
 // correspondence but may be unreachable from reset (see package
@@ -501,10 +541,14 @@ func EquivConfig(cfg *ArrayConfig, n *Netlist) (*EquivReport, error) {
 	return prove(sa, sb, defaultProveOpts)
 }
 
-// Verify proves the compiled program equivalent to a configuration:
-// the lowered op lists implement exactly the interpretive PFU semantics
-// of cfg. Compile's own output trivially corresponds register-for-
-// register, so this is a full proof, not a sample.
+// Verify checks the compiled program against a configuration: the
+// lowered op lists implement exactly the interpretive PFU semantics of
+// cfg. The two per-cycle schedules are proved equivalent to configSym,
+// and Compile's own output trivially corresponds register-for-register,
+// so that is a full proof, not a sample. The burst is checked by
+// translation validation instead (verifyBurst): its unrolled cones are
+// past what BDDs or enumeration can prove. A burst that fails the check
+// is an error.
 func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
 	if c.spec != cfg.Spec {
 		return nil, fmt.Errorf("fabric: Verify: program spec %dx%d does not match config spec %dx%d",
@@ -518,7 +562,53 @@ func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prove(sa, sb, defaultProveOpts)
+	rep, err := prove(sa, sb, defaultProveOpts)
+	if err != nil || !rep.Equivalent {
+		return rep, err
+	}
+	if err := c.verifyBurst(sb); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// verifyBurst validates the burst against cyc, the configuration's
+// one-cycle lowering: it unrolls cyc again and re-lifts the burst's ops
+// into the builder that composed the copies. Refs are canonical within
+// one hash-consing builder, so requiring the instruction length and
+// every out, done and next-state ref to be identical shows that the ops
+// compute exactly the unrolled instruction.
+func (c *Compiled) verifyBurst(cyc *symCircuit) error {
+	u := unroll(cyc)
+	if u.k != c.burstK {
+		return fmt.Errorf("fabric: burst runs %d cycles, the configuration unrolls to %d", c.burstK, u.k)
+	}
+	if u.k == 0 {
+		return nil
+	}
+	outs, next := u.burst.outs, u.burst.next
+	regOf := make([]int32, cyc.stateLen)
+	for i := range regOf {
+		regOf[i] = -1
+	}
+	for r, slot := range cyc.regSlot {
+		regOf[slot] = int32(r)
+	}
+	got, gotNext, err := relift(u.b, c, &c.burst, regOf)
+	if err != nil {
+		return fmt.Errorf("fabric: burst %w", err)
+	}
+	for i := range outs {
+		if got[i] != outs[i] {
+			return fmt.Errorf("fabric: burst %s differs from the unrolled configuration", pfuOutKey(i))
+		}
+	}
+	for r := range next {
+		if gotNext[r] != next[r] {
+			return fmt.Errorf("fabric: burst latches CLB %d differently from the unrolled configuration", cyc.regSlot[r])
+		}
+	}
+	return nil
 }
 
 // OptimizeChecked optimizes n in place like Optimize and then proves

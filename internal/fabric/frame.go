@@ -11,10 +11,10 @@ import "fmt"
 // The compiled engine stores its registers in this very layout, so its
 // SaveFrame is a copy and its LoadFrame needs no conversion.
 //
-// PackFrame/UnpackFrame translate between the canonical frame and the
-// modeled frame-group bytes (8 CLBs per byte) that cross the simulated
-// configuration port — the form core.Model.SaveState ships and
-// StateBytes prices.
+// The compiled Instance's PackFrame/UnpackFrame exchange its registers
+// directly with the modeled frame-group bytes (8 CLBs per byte) that
+// cross the simulated configuration port — the form core.Model.SaveState
+// ships and StateBytes prices.
 
 // SaveFrame reads back the state frame group: one byte per CLB register,
 // 0 or 1, in CLB order.
@@ -63,28 +63,25 @@ func (p *PFU) LoadFrame(frame []uint8) error {
 	return nil
 }
 
-// PackFrame packs a canonical frame into modeled frame-group bytes,
-// 8 CLB registers per byte, CLB i in byte i/8 bit i%8 — the form that
-// crosses the simulated configuration port.
-func PackFrame(frame []uint8) []byte {
-	out := make([]byte, (len(frame)+7)/8)
-	for i, v := range frame {
-		if v != 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
+// PackFrame reads back the instance's state frame group as modeled
+// frame-group bytes, 8 CLB registers per byte, CLB i in byte i/8 bit
+// i%8 — the form that crosses the simulated configuration port.
+func (in *Instance) PackFrame() []byte {
+	out := make([]byte, (len(in.ffQ)+7)/8)
+	for i, v := range in.ffQ {
+		out[i/8] |= v << (i % 8)
 	}
 	return out
 }
 
-// UnpackFrame expands modeled frame-group bytes back into the canonical
-// frame for a circuit with n CLBs.
-func UnpackFrame(data []byte, n int) ([]uint8, error) {
+// UnpackFrame restores every register from modeled frame-group bytes.
+func (in *Instance) UnpackFrame(data []byte) error {
+	n := len(in.ffQ)
 	if len(data) != (n+7)/8 {
-		return nil, fmt.Errorf("fabric: frame group is %d bytes, want %d for %d CLBs", len(data), (n+7)/8, n)
+		return fmt.Errorf("fabric: frame group is %d bytes, want %d for %d CLBs", len(data), (n+7)/8, n)
 	}
-	frame := make([]uint8, n)
-	for i := range frame {
-		frame[i] = data[i/8] >> (i % 8) & 1
+	for i := range in.ffQ {
+		in.ffQ[i] = data[i/8] >> (i % 8) & 1
 	}
-	return frame, nil
+	return nil
 }

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"bytes"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -44,6 +46,17 @@ func fuzzSeedBits(mk func() *Netlist, full bool) []byte {
 func FuzzDecode(f *testing.F) {
 	f.Add(fuzzSeedBits(Xor32, false))
 	f.Add(fuzzSeedBits(LFSR32, true))
+	// A circuit that compiles to a 5-cycle burst.
+	f.Add(fuzzSeedBits(func() *Netlist {
+		b := NewBuilder("burst5")
+		a, c := b.Input("a", 32), b.Input("b", 32)
+		b.Input("init", 1)
+		b.Output("out", b.XorW(a, c))
+		b.Output("done", []Net{b.Const(false)})
+		n := b.MustBuild()
+		withDoneChain(n, 5)
+		return n
+	}, false))
 	state := []bool{true, false, true, true}
 	stateOnly, err := EncodeState(ArraySpec{W: 2, H: 2}, state)
 	if err != nil {
@@ -107,9 +120,54 @@ func FuzzDecode(f *testing.F) {
 			inst := prog.NewInstance()
 			inst.Step(0xDEADBEEF, 0x12345678, true)
 			inst.Step(0, 0, false)
+			checkBurst(t, img.Config, prog, data)
 		}
 		checkConfigVerdict(t, img.Config, lint, err)
 	})
+}
+
+// checkBurst requires a compiled burst to do what K PFU steps do — done
+// low on cycles 1..K−1 and high on cycle K, the same result and the same
+// state frame after — from a state frame and operands drawn from seed.
+func checkBurst(t *testing.T, cfg *ArrayConfig, prog *Compiled, seed []byte) {
+	t.Helper()
+	k := prog.BurstCycles()
+	if k == 0 {
+		return
+	}
+	h := fnv.New64a()
+	h.Write(seed)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	frame := make([]uint8, cfg.Spec.CLBs())
+	for i := range frame {
+		frame[i] = uint8(rng.Intn(2))
+	}
+	a, b := rng.Uint32(), rng.Uint32()
+	pfu, err := NewPFU(cfg)
+	if err != nil {
+		t.Fatalf("compiled configuration rejected by NewPFU: %v", err)
+	}
+	inst := prog.NewInstance()
+	if err := pfu.LoadFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.LoadFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	var want uint32
+	for c := 1; c <= k; c++ {
+		out, done := pfu.Step(a, b, c == 1)
+		if done != (c == k) {
+			t.Fatalf("%d-cycle burst, but the PFU's done is %v on cycle %d", k, done, c)
+		}
+		want = out
+	}
+	if got := inst.Burst(a, b); got != want {
+		t.Fatalf("burst result %#x, %d PFU steps %#x", got, k, want)
+	}
+	if !slices.Equal(inst.SaveFrame(), pfu.SaveFrame()) {
+		t.Fatalf("state frame after the burst differs from %d PFU steps", k)
+	}
 }
 
 // checkConfigVerdict asserts one verdict on a validated configuration:

@@ -38,8 +38,9 @@ func digest(v any) string {
 // stockGolden renders everything about one optimised stock circuit that
 // depends on the order the LUT graph is walked in: the netlist
 // evaluation order, its stats, the placed bitstream (placement follows
-// that order), the compiled op lists of both init schedules (which
-// follow the configuration's order) and the lint and timing reports.
+// that order), the compiled op lists of both init schedules and of the
+// burst (which follow the configuration's order) and the lint and
+// timing reports.
 func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 	n := mk()
 	Optimize(n)
@@ -64,10 +65,21 @@ func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	for v, s := range prog.sched {
-		fmt.Fprintf(&b, "comb-ops init=%d: %d %s\n", v, len(s.combOps), digest(s.combOps))
-		fmt.Fprintf(&b, "comb-segs init=%d: %v\n", v, s.combSegs)
-		fmt.Fprintf(&b, "stage-ops init=%d: %d %s\n", v, len(s.stageOps), digest(s.stageOps))
+	scheds := []struct {
+		name string
+		s    *schedule
+	}{{"init=0", &prog.sched[0]}, {"init=1", &prog.sched[1]}}
+	if prog.burstK > 0 {
+		scheds = append(scheds, struct {
+			name string
+			s    *schedule
+		}{fmt.Sprintf("burst(%d)", prog.burstK), &prog.burst})
+	}
+	for _, sc := range scheds {
+		s := sc.s
+		fmt.Fprintf(&b, "comb-ops %s: %d %s\n", sc.name, len(s.combOps), digest(s.combOps))
+		fmt.Fprintf(&b, "comb-segs %s: %v\n", sc.name, s.combSegs)
+		fmt.Fprintf(&b, "latches %s: %d/%d %s\n", sc.name, len(s.refresh), len(s.latch), digest([2][]regMove{s.refresh, s.latch}))
 	}
 	lr, err := Lint(n)
 	if err != nil {
@@ -91,7 +103,7 @@ func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 // TestStockLibraryGolden pins, for every stock circuit, each output that
 // depends on LUT-graph walk order: Levelize order, Stats, the SHA-256 of
 // the placed static bitstream, the compiled op lists of each init
-// schedule, and the Lint,
+// schedule and the burst, and the Lint,
 // LintConfig and Timing reports. Run with -update to rewrite the golden
 // file after a deliberate change.
 func TestStockLibraryGolden(t *testing.T) {

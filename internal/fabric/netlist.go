@@ -428,23 +428,24 @@ func foldLUT[T comparable](tab uint16, in [4]T, none T, known func(T) (val, ok b
 	return tab, out, k
 }
 
+// varLow[i] marks the truth-table entries whose index has bit i clear.
+var varLow = [4]uint16{0x5555, 0x3333, 0x0F0F, 0x00FF}
+
 // collapseInput specialises a 4-input truth table by fixing input i to val,
 // producing a table over the remaining inputs (higher inputs shift down).
+// It selects the entries with bit i of the index equal to val, moves them
+// to the bit-i-clear positions, and squeezes the gaps out; the upper
+// eight entries come out zero.
 func collapseInput(tbl uint16, i int, val bool) uint16 {
-	var out uint16
-	for idx := 0; idx < 16; idx++ {
-		// Build source index: insert val at position i.
-		low := idx & (1<<i - 1)
-		high := idx >> i << (i + 1)
-		src := high | low
-		if val {
-			src |= 1 << i
-		}
-		if src < 16 && tbl>>src&1 != 0 {
-			out |= 1 << idx
-		}
+	t := tbl
+	if val {
+		t >>= 1 << i
 	}
-	return out
+	t &= varLow[i]
+	for j := i; j < 3; j++ {
+		t = (t | t>>(1<<j)) & varLow[j+1]
+	}
+	return t
 }
 
 // CanonTable replicates the low 2^k entries of a truth table across the
@@ -466,15 +467,7 @@ func CanonTable(tbl uint16, k int) uint16 {
 
 // inputIgnored reports whether truth table tbl is independent of input i.
 func inputIgnored(tbl uint16, i int) bool {
-	for idx := 0; idx < 16; idx++ {
-		if idx>>i&1 != 0 {
-			continue
-		}
-		if tbl>>idx&1 != tbl>>(idx|1<<i)&1 {
-			return false
-		}
-	}
-	return true
+	return tbl&varLow[i] == tbl>>(1<<i)&varLow[i]
 }
 
 // isBufferTable reports whether the LUT is a single-input identity.

@@ -4,8 +4,8 @@ import "fmt"
 
 // Sim is a functional simulator for an unplaced netlist: it evaluates the
 // combinational LUT network in levelized order and latches flip-flops on
-// Step. Use it to verify circuits before placement; the configured-array
-// simulator (PFU) provides the same semantics for placed bitstreams.
+// Step. The tests use it as the netlist-level reference that placed
+// configurations, run by the PFU and by compiled instances, must match.
 type Sim struct {
 	n     *Netlist
 	order []int

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -628,5 +629,75 @@ w:	subs r4, r4, #1
 	spread := float64(last-first) / float64(last)
 	if spread > 0.05 {
 		t.Errorf("completion spread %.1f%% too wide for equal processes", spread*100)
+	}
+}
+
+// TestSharingRestoresSwappedCircuitTwice pins down why core.RFU.Restore
+// may reuse an evicted instance only once: in sharing mode every owner of
+// an evicted circuit keeps the same SwappedCircuit, so when one owner's
+// restored copy is evicted again before another owner faults, that owner
+// restores the same SwappedCircuit a second time — from the state saved
+// at the first eviction, into an instance of its own.
+func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
+	m := machine.New(machine.Config{RFU: core.Config{PFUs: 1}})
+	k := New(m, Config{Sharing: true})
+	x, y := addImage("x", 4), addImage("y", 4)
+	regs := map[string]*Registration{}
+	for _, name := range []string{"a", "b", "c"} {
+		img := x
+		if name == "c" {
+			img = y
+		}
+		p, err := k.Spawn(name, &asm.Program{Origin: k.NextBase(), Code: make([]byte, 4)}, []*core.Image{img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[name] = &Registration{CID: 5, Image: img, owner: p, resident: -1}
+		p.registrations[5] = regs[name]
+	}
+	fault := func(name string) {
+		t.Helper()
+		if !k.CIS.fault(regs[name].owner, 5) {
+			t.Fatalf("fault for %s failed", name)
+		}
+	}
+	// clock runs the circuit mapped for name's CID 5 for n cycles, short
+	// of completion, so each eviction saves a different state.
+	clock := func(name string, n uint32) {
+		t.Helper()
+		m.RFU.PID = regs[name].owner.PID
+		out := m.RFU.CDP(5, 2, 0, 1, 0, true)
+		if out.Exec == nil {
+			t.Fatalf("%s: CID 5 is not mapped to hardware", name)
+		}
+		if _, done := out.Exec.Run(n); done {
+			t.Fatalf("%s: instruction completed", name)
+		}
+		out.Exec.Abort()
+	}
+	fault("a") // loads x
+	clock("a", 2)
+	fault("b") // shares a's instance
+	fault("c") // evicts x: a and b now hold one SwappedCircuit
+	sc := regs["a"].swapped
+	if sc == nil || regs["b"].swapped != sc {
+		t.Fatal("the sharers of an evicted circuit do not hold one SwappedCircuit")
+	}
+	fault("a") // restores sc, evicting y
+	clock("a", 1)
+	fault("c") // restores y, evicting a's copy of x into a new SwappedCircuit
+	if regs["a"].swapped == nil || regs["a"].swapped == sc || regs["b"].swapped != sc {
+		t.Fatal("b should still hold the first SwappedCircuit")
+	}
+	fault("b") // restores sc a second time
+	if got := k.CIS.Stats.Restores; got != 3 {
+		t.Fatalf("restores = %d, want 3 (sc twice, y once)", got)
+	}
+	saved, _, err := m.RFU.SwapOut(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.State, sc.State) {
+		t.Fatal("the second restore did not load the state saved at the first eviction")
 	}
 }

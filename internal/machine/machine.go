@@ -80,6 +80,7 @@ func New(cfg Config) *Machine {
 		}
 	}
 	m.CPU.IRQLine = m.Timer.IRQ
+	m.CPU.CyclesToIRQ = m.Timer.CyclesToIRQ
 	return m
 }
 
