@@ -12,11 +12,15 @@ import (
 	"protean"
 )
 
-// runFleet runs sc through RunScenario, failing the test on a run error.
+// runFleet runs sc through RunScenario, failing the test on a run error
+// or a result that breaks a checkFleet invariant.
 func runFleet(t *testing.T, sc protean.Scenario, opts ...protean.StartOption) *protean.FleetResult {
 	t.Helper()
 	fr, err := protean.RunScenario(context.Background(), sc, opts...)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkFleet(fr); err != nil {
 		t.Fatal(err)
 	}
 	return fr

@@ -28,7 +28,10 @@ type CDPOutcome struct {
 	Cycles uint32
 }
 
-// CopExec is a multi-cycle coprocessor execution in progress.
+// CopExec is a multi-cycle coprocessor execution in progress. A
+// coprocessor may reuse one CopExec for every CDP it answers, so the
+// core drops an execution, finished or aborted, before it issues the
+// next CDP.
 type CopExec interface {
 	// Run clocks the execution for at most max cycles (max ≥ 1),
 	// stopping at the cycle that completes it. It reports the cycles

@@ -155,10 +155,23 @@ func TestRAMUntouchedReadsZero(t *testing.T) {
 		}
 	}
 	r.Write8(0x5000, 1)
+	if len(r.pages) != 6 {
+		t.Fatalf("page table has %d entries after one write to page 5", len(r.pages))
+	}
 	for i, p := range r.pages {
 		if (p != nil) != (i == 5) {
 			t.Fatalf("page %d allocated = %v after one write to page 5", i, p != nil)
 		}
+	}
+	// Pages past the table's end still read as zero without growing it.
+	if v, ok := r.Read32(0x6000); !ok || v != 0 {
+		t.Fatalf("Read32(0x6000) = %#x, %v", v, ok)
+	}
+	if v, ok := r.Read8(0x5001); !ok || v != 0 {
+		t.Fatalf("Read8(0x5001) = %#x, %v", v, ok)
+	}
+	if len(r.pages) != 6 {
+		t.Fatalf("reads grew the page table to %d entries", len(r.pages))
 	}
 }
 
@@ -213,11 +226,11 @@ func TestRAMLoad(t *testing.T) {
 
 func TestRAMOddSizeFaultsAtSize(t *testing.T) {
 	r := NewRAM(0x100)
-	if len(r.pages) != 1 {
-		t.Fatalf("%d pages for a 0x100-byte region", len(r.pages))
-	}
 	if _, ok := r.Read8(0xFF); !ok {
 		t.Error("Read8 at the last byte rejected")
+	}
+	if !r.Write8(0xFF, 1) || len(r.pages) != 1 {
+		t.Fatalf("%d pages after writing the last byte of a 0x100-byte region", len(r.pages))
 	}
 	if _, ok := r.Read8(0x100); ok {
 		t.Error("Read8 at size accepted")

@@ -1,6 +1,9 @@
 package bus
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // RAM pages are allocated on first write; an untouched page reads as zero.
 const (
@@ -11,7 +14,9 @@ const (
 
 // RAM is a byte-addressable memory region backed by a table of lazily
 // allocated pages, so a large region costs only the pages a program
-// writes. The zero value is unusable; use NewRAM.
+// writes. The table itself grows to the highest page written; a page
+// past its end reads as zero, like a nil one. The zero value is
+// unusable; use NewRAM.
 type RAM struct {
 	pages []*[pageSize]byte
 	size  uint32
@@ -21,8 +26,7 @@ type RAM struct {
 // NewRAM returns a zero-filled RAM region of size bytes with zero wait
 // states.
 func NewRAM(size uint32) *RAM {
-	n := (uint64(size) + pageMask) >> pageShift
-	return &RAM{pages: make([]*[pageSize]byte, n), size: size}
+	return &RAM{size: size}
 }
 
 // Size reports the region size in bytes.
@@ -31,14 +35,27 @@ func (r *RAM) Size() uint32 { return r.size }
 // WaitStates reports the configured wait states per access.
 func (r *RAM) WaitStates() uint32 { return r.waits }
 
-// page returns the page holding off, allocating it on first use.
+// page returns the page holding off, allocating it, and growing the
+// table to reach it, on first use.
 func (r *RAM) page(off uint32) *[pageSize]byte {
-	p := r.pages[off>>pageShift]
+	i := int(off >> pageShift)
+	if i >= len(r.pages) {
+		r.pages = slices.Grow(r.pages, i+1-len(r.pages))[:i+1]
+	}
+	p := r.pages[i]
 	if p == nil {
 		p = new([pageSize]byte)
-		r.pages[off>>pageShift] = p
+		r.pages[i] = p
 	}
 	return p
+}
+
+// read returns the page holding off, or nil when it was never written.
+func (r *RAM) read(off uint32) *[pageSize]byte {
+	if i := int(off >> pageShift); i < len(r.pages) {
+		return r.pages[i]
+	}
+	return nil
 }
 
 // Read8 implements Region.
@@ -46,7 +63,7 @@ func (r *RAM) Read8(off uint32) (byte, bool) {
 	if off >= r.size {
 		return 0, false
 	}
-	if p := r.pages[off>>pageShift]; p != nil {
+	if p := r.read(off); p != nil {
 		return p[off&pageMask], true
 	}
 	return 0, true
@@ -76,7 +93,7 @@ func (r *RAM) Read32(off uint32) (uint32, bool) {
 		}
 		return v, true
 	}
-	if p := r.pages[off>>pageShift]; p != nil {
+	if p := r.read(off); p != nil {
 		return binary.LittleEndian.Uint32(p[i:]), true
 	}
 	return 0, true

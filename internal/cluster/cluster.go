@@ -242,41 +242,6 @@ type Config struct {
 	OnExec func(i, class int, e Exec)
 }
 
-// nodeConfigs expands the configuration into one NodeConfig per node with
-// every default resolved.
-func (cfg Config) nodeConfigs() []NodeConfig {
-	slots := cfg.StoreSlots
-	if slots <= 0 {
-		slots = DefaultStoreSlots
-	}
-	bw := cfg.FetchBytesPerCycle
-	if bw <= 0 {
-		bw = 1
-	}
-	ncs := cfg.NodeConfigs
-	if ncs == nil {
-		n := cfg.Nodes
-		if n <= 0 {
-			n = 1
-		}
-		ncs = make([]NodeConfig, n)
-	}
-	out := make([]NodeConfig, len(ncs))
-	for i, nc := range ncs {
-		if nc.StoreSlots <= 0 {
-			nc.StoreSlots = slots
-		}
-		if nc.ClockScale <= 0 {
-			nc.ClockScale = 1
-		}
-		if nc.FetchBytesPerCycle <= 0 {
-			nc.FetchBytesPerCycle = bw
-		}
-		out[i] = nc
-	}
-	return out
-}
-
 // classes resolves the execution-class count.
 func (cfg Config) classes() int {
 	if cfg.Classes <= 0 {
@@ -381,11 +346,12 @@ func (st *store) holds(k Key) bool {
 // nodeState is one node's mutable dispatcher state during replay; the
 // cycle it next goes idle lives in the Fleet's backlog tree.
 type nodeState struct {
-	cfg   NodeConfig
+	cfg   NodeConfig // every default resolved
 	store store
 	// completions lists the completion cycle of every job placed here, in
 	// placement order (nondecreasing: the node serves FIFO); admission
-	// control derives queue depths from it.
+	// control derives queue depths from it, so it is kept only under a
+	// queue bound.
 	completions []uint64
 }
 
@@ -425,29 +391,60 @@ type Fleet struct {
 	free []uint64
 }
 
-// newFleet builds the replay state of an idle, empty fleet.
-func newFleet(ncs []NodeConfig, seed int64) *Fleet {
+// newFleet builds the replay state of an idle, empty fleet: one node per
+// cfg.NodeConfigs entry (cfg.Nodes zero-value nodes without them), each
+// with its defaults resolved from the fleet-level fields. It rejects a
+// node whose class is not below classes.
+func newFleet(cfg Config, classes int) (*Fleet, error) {
+	slots := cfg.StoreSlots
+	if slots <= 0 {
+		slots = DefaultStoreSlots
+	}
+	bw := cfg.FetchBytesPerCycle
+	if bw <= 0 {
+		bw = 1
+	}
+	n := len(cfg.NodeConfigs)
+	if cfg.NodeConfigs == nil {
+		n = max(cfg.Nodes, 1)
+	}
 	size := 1
-	for size < len(ncs) {
+	for size < n {
 		size *= 2
 	}
 	f := &Fleet{
-		nodes:   make([]nodeState, len(ncs)),
-		rand:    rng.New(rng.Derive(seed, streamPlacement)),
+		nodes:   make([]nodeState, n),
+		rand:    rng.New(rng.Derive(cfg.Seed, streamPlacement)),
 		holders: make(map[Key][]int),
 		free:    make([]uint64, 2*size),
 	}
-	for i, nc := range ncs {
+	for i := range f.nodes {
+		var nc NodeConfig
+		if cfg.NodeConfigs != nil {
+			nc = cfg.NodeConfigs[i]
+		}
+		if nc.Class < 0 || nc.Class >= classes {
+			return nil, fmt.Errorf("cluster: node %d has class %d of %d", i, nc.Class, classes)
+		}
+		if nc.StoreSlots <= 0 {
+			nc.StoreSlots = slots
+		}
+		if nc.ClockScale <= 0 {
+			nc.ClockScale = 1
+		}
+		if nc.FetchBytesPerCycle <= 0 {
+			nc.FetchBytesPerCycle = bw
+		}
 		f.nodes[i].cfg = nc
 		f.nodes[i].store.slots = nc.StoreSlots
 	}
-	for i := size + len(ncs); i < 2*size; i++ {
+	for i := size + n; i < 2*size; i++ {
 		f.free[i] = ^uint64(0)
 	}
 	for i := size - 1; i >= 1; i-- {
 		f.free[i] = min(f.free[2*i], f.free[2*i+1])
 	}
-	return f
+	return f, nil
 }
 
 // freeAt returns the cycle at which node n drains its queue.
@@ -604,22 +601,40 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	classes := cfg.classes()
 	// One execution unit per unshared job and per share group (members
 	// in index order), ordered by first appearance, so the partition is
-	// deterministic and independent of Workers.
-	var units [][]int
-	unitOf := map[int]int{}
+	// deterministic and independent of Workers. unitOf numbers each job's
+	// unit; a counting sort then lays every unit's members out in one
+	// table, byUnit[start[u]:start[u+1]].
+	unitOf := make([]int, len(jobs))
+	groupUnit := map[int]int{}
+	units := 0
 	for i, j := range jobs {
-		if u, ok := unitOf[j.Batch]; ok {
-			units[u] = append(units[u], i)
+		if u, ok := groupUnit[j.Batch]; ok {
+			unitOf[i] = u
 			continue
 		}
 		if j.Batch != 0 {
-			unitOf[j.Batch] = len(units)
+			groupUnit[j.Batch] = units
 		}
-		units = append(units, []int{i})
+		unitOf[i] = units
+		units++
 	}
-	cells := make([]func() (Exec, error), 0, classes*len(units))
+	start := make([]int, units+1)
+	for _, u := range unitOf {
+		start[u+1]++
+	}
+	for u := range units {
+		start[u+1] += start[u]
+	}
+	byUnit := make([]int, len(jobs))
+	next := slices.Clone(start[:units])
+	for i, u := range unitOf {
+		byUnit[next[u]] = i
+		next[u]++
+	}
+	cells := make([]func() (Exec, error), 0, classes*units)
 	for class := range classes {
-		for _, members := range units {
+		for u := range units {
+			members := byUnit[start[u]:start[u+1]]
 			i := members[0]
 			seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
 			cells = append(cells, func() (Exec, error) {
@@ -648,13 +663,12 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	if err != nil {
 		return nil, err
 	}
+	all := make([]Exec, classes*len(jobs))
 	out := make([][]Exec, classes)
 	for class := range out {
-		out[class] = make([]Exec, len(jobs))
-		for u, members := range units {
-			for _, m := range members {
-				out[class][m] = outs[class*len(units)+u]
-			}
+		out[class] = all[class*len(jobs) : (class+1)*len(jobs)]
+		for i, u := range unitOf {
+			out[class][i] = outs[class*units+u]
 		}
 	}
 	return out, nil
@@ -676,11 +690,9 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 			return nil, fmt.Errorf("cluster: class %d has %d execution profiles for %d jobs", class, len(ce), len(jobs))
 		}
 	}
-	ncs := cfg.nodeConfigs()
-	for n, nc := range ncs {
-		if nc.Class < 0 || nc.Class >= classes {
-			return nil, fmt.Errorf("cluster: node %d has class %d of %d", n, nc.Class, classes)
-		}
+	f, err := newFleet(cfg, classes)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Admission.Bound < 0 {
 		return nil, fmt.Errorf("cluster: negative admission bound %d", cfg.Admission.Bound)
@@ -694,15 +706,14 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := newFleet(ncs, cfg.Seed)
 	tr := &Trace{
 		Policy: pol.Name(),
 		Jobs:   make([]JobTrace, len(jobs)),
-		Nodes:  make([]NodeTrace, len(ncs)),
+		Nodes:  make([]NodeTrace, len(f.nodes)),
 	}
-	for n, nc := range ncs {
-		tr.Nodes[n].Class = nc.Class
-		tr.Nodes[n].ClockScale = nc.ClockScale
+	for n := range f.nodes {
+		tr.Nodes[n].Class = f.nodes[n].cfg.Class
+		tr.Nodes[n].ClockScale = f.nodes[n].cfg.ClockScale
 	}
 	bound := cfg.Admission.Bound
 	for i := range jobs {
@@ -710,9 +721,9 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 		now := arrive[i]
 		f.now = now
 		n := pol.Place(f, job)
-		if n < 0 || n >= len(ncs) {
+		if n < 0 || n >= len(f.nodes) {
 			return nil, fmt.Errorf("cluster: policy %s placed job %d on node %d of a %d-node fleet",
-				pol.Name(), i, n, len(ncs))
+				pol.Name(), i, n, len(f.nodes))
 		}
 		jt := JobTrace{ID: i, Label: job.Label, Node: n, Arrival: arrive[i]}
 		if bound > 0 && f.nodes[n].depth(now) >= bound {
@@ -745,7 +756,7 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 				f.now = now
 			}
 			n = pol.Place(f, job)
-			if n < 0 || n >= len(ncs) || f.nodes[n].depth(now) >= bound {
+			if n < 0 || n >= len(f.nodes) || f.nodes[n].depth(now) >= bound {
 				n = freed
 			}
 			jt.Node = n
@@ -768,7 +779,9 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 		jt.Start = max(now, f.freeAt(n))
 		jt.Completion = jt.Start + jt.FetchCycles + jt.Cycles
 		f.setFreeAt(n, jt.Completion)
-		ns.completions = append(ns.completions, jt.Completion)
+		if bound > 0 {
+			ns.completions = append(ns.completions, jt.Completion)
+		}
 		f.placed++
 
 		tr.Jobs[i] = jt

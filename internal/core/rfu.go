@@ -89,6 +89,12 @@ type RFU struct {
 
 	// FaultHook, if set, observes dispatch faults (for tracing).
 	FaultHook func(t IDTuple)
+
+	// exec is the one hardware execution in flight: every TLB1-hit CDP
+	// overwrites it and hands out its address, so an arm.CopExec from
+	// this RFU is valid only until the next CDP (the core drops each
+	// exec before it issues another).
+	exec pfuExec
 }
 
 // Config sets the RFU shape.
@@ -290,17 +296,14 @@ func (r *RFU) CDP(opc1, crd, crn, crm, opc2 uint32, user bool) arm.CDPOutcome {
 		p := &r.pfus[pfuIdx]
 		if p.model != nil {
 			r.Stats.HWDispatches++
-			return arm.CDPOutcome{
-				Action: arm.CDPExec,
-				Cycles: r.DispatchCycles,
-				Exec: &pfuExec{
-					r:   r,
-					pfu: int(pfuIdx),
-					a:   r.Regs[crn&0xF],
-					b:   r.Regs[crm&0xF],
-					dst: crd & 0xF,
-				},
+			r.exec = pfuExec{
+				r:   r,
+				pfu: int(pfuIdx),
+				a:   r.Regs[crn&0xF],
+				b:   r.Regs[crm&0xF],
+				dst: crd & 0xF,
 			}
+			return arm.CDPOutcome{Action: arm.CDPExec, Cycles: r.DispatchCycles, Exec: &r.exec}
 		}
 		// Stale mapping onto an empty PFU: treat as a fault so the OS can
 		// repair its tables.

@@ -259,3 +259,51 @@ func TestBurstMatchesSteppingAndPFU(t *testing.T) {
 		t.Fatal("no case compiled to a burst")
 	}
 }
+
+// TestLUTFedFlipFlopOnLUTOutputCLB pins the register of a CLB that
+// outputs its LUT and also latches it (FlagFFUsed set, FlagOutFF and
+// FlagFFFromPin clear): placement never emits one, but a decoded
+// configuration can. After one step, and after a burst, its state-frame
+// slot holds the LUT's value under every engine.
+func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
+	cfg := NewArrayConfig(ArraySpec{W: 2, H: 2})
+	// CLB 0, the subject: a0 XOR b0 on its output wire and into its
+	// flip-flop.
+	cfg.CLBs[0] = CLBConfig{Table: 0x6666, InSel: [4]uint16{1 + WireA0, 1 + WireB0}, Flags: FlagLUTUsed | FlagFFUsed}
+	// CLBs 1 and 2 make done fire on cycle 2, so the program has a burst.
+	cfg.CLBs[1] = CLBConfig{InSel: [4]uint16{1 + WireInit}, Flags: FlagFFUsed | FlagOutFF | FlagFFFromPin}
+	cfg.CLBs[2] = CLBConfig{Table: 0x2222, InSel: [4]uint16{1 + WireCLB0 + 1, 1 + WireInit}, Flags: FlagLUTUsed}
+	cfg.OutSel[0] = 1 + WireCLB0
+	cfg.OutSel[32] = 1 + WireCLB0 + 2
+	prog := compileT(t, cfg)
+	if rep, err := prog.Verify(cfg); err != nil || !rep.Equivalent {
+		t.Fatalf("Verify: %v %v", rep, err)
+	}
+	if k := prog.BurstCycles(); k != 2 {
+		t.Fatalf("burst of %d cycles, want 2", k)
+	}
+	for a := uint32(0); a < 2; a++ {
+		for b := uint32(0); b < 2; b++ {
+			want := uint8(a ^ b)
+			start := []uint8{1 - want, 0, 0, 0}
+			pfu, err := NewPFU(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped, burst := prog.NewInstance(), prog.NewInstance()
+			for _, err := range []error{pfu.LoadFrame(start), stepped.LoadFrame(start), burst.LoadFrame(start)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			pfu.Step(a, b, true)
+			stepped.Step(a, b, true)
+			burst.Burst(a, b)
+			for i, f := range [][]uint8{pfu.SaveFrame(), stepped.SaveFrame(), burst.SaveFrame()} {
+				if f[0] != want {
+					t.Errorf("a=%d b=%d: %s latched %d, want the LUT's %d", a, b, []string{"pfu", "compiled", "burst"}[i], f[0], want)
+				}
+			}
+		}
+	}
+}

@@ -222,11 +222,10 @@ func netlistSym(n *Netlist) (*symCircuit, error) {
 // flip-flops that latch without driving their wire, which only the state
 // frame shows; the state-frame slot is the CLB index. Next-state per
 // register follows the clock-edge dispatch of PFU.Step: pin-fed
-// registers latch their routed wire, LUT-fed registers latch the staged
-// LUT value, registers with no update path (including FlagFFUsed clear)
-// hold. A LUT-fed flip-flop whose CLB outputs the LUT stages nothing, so
-// it latches the PFU's zeroed staging byte: constant 0. Compile builds
-// on this lowering, so it covers every register a frame carries.
+// registers latch their routed wire, LUT-fed registers latch their LUT's
+// value whether or not the CLB outputs it, registers with no update path
+// (including FlagFFUsed clear) hold. Compile builds on this lowering, so
+// it covers every register a frame carries.
 func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -303,10 +302,8 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 			c.next[r] = self
 		case cc.Flags&FlagFFFromPin != 0:
 			c.next[r] = wireRef(cc.InSel[0])
-		case cc.Flags&FlagLUTUsed != 0 && cc.Flags&FlagOutFF != 0:
-			c.next[r] = gateOf[i]
 		case cc.Flags&FlagLUTUsed != 0:
-			c.next[r] = symConst0
+			c.next[r] = gateOf[i]
 		default:
 			c.next[r] = self
 		}

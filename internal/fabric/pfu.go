@@ -87,7 +87,8 @@ func (p *PFU) Step(a, b uint32, init bool) (out uint32, done bool) {
 		v := c.Table>>idx&1 != 0
 		if c.Flags&FlagOutFF == 0 {
 			p.wires[WireCLB0+i] = v
-		} else if c.Flags&FlagFFFromPin == 0 {
+		}
+		if c.Flags&FlagFFFromPin == 0 {
 			// LUT feeds the register internally; stage for the edge.
 			p.ffNxt[i] = v
 		}

@@ -54,7 +54,7 @@ func newCIS(k *Kernel) *CIS {
 		k:      k,
 		owners: make([][]*Registration, k.M.RFU.NumPFUs()),
 	}
-	c.pol = newPolicy(k.cfg.Policy, k.M.RFU.NumPFUs(), k.rng)
+	c.pol = newPolicy(k.cfg.Policy, k.M.RFU.NumPFUs(), k.cfg.Seed)
 	return c
 }
 

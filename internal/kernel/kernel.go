@@ -12,7 +12,6 @@ package kernel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"protean/internal/arm"
 	"protean/internal/asm"
@@ -188,7 +187,6 @@ type Kernel struct {
 	procs   []*Process
 	current int // index into procs, -1 when nothing dispatched
 	ready   int // processes in ProcReady, maintained by Spawn and exit
-	rng     *rand.Rand
 	tlog    *trace.Log
 }
 
@@ -204,7 +202,6 @@ func New(m *machine.Machine, cfg Config) *Kernel {
 		M:       m,
 		cfg:     cfg,
 		current: -1,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tlog:    cfg.Trace,
 	}
 	k.CIS = newCIS(k)

@@ -58,10 +58,12 @@ type policy interface {
 	pick(c *CIS) int
 }
 
-func newPolicy(kind PolicyKind, n int, rng *rand.Rand) policy {
+// newPolicy builds a victim picker for n PFUs; only the random policy
+// draws from seed.
+func newPolicy(kind PolicyKind, n int, seed int64) policy {
 	switch kind {
 	case PolicyRandom:
-		return &randomPolicy{rng: rng}
+		return &randomPolicy{rng: rand.New(rand.NewSource(seed))}
 	case PolicyLRU:
 		return &lruPolicy{lastUse: make([]uint64, n)}
 	case PolicySecondChance:

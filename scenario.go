@@ -319,26 +319,30 @@ func (ps PlacementSpec) resolve() (PlacementPolicy, error) {
 	return pol, nil
 }
 
-// fleetJob is one resolved job: a workload to run somewhere in the
-// fleet, plus its dispatcher-visible circuit identity.
-type fleetJob struct {
-	workload  string
-	instances int
-	items     int
-	job       cluster.Job
+// jobKind is the identity of a resolved job: the session it runs. Jobs
+// of one kind are identical simulations (the derived seed is the only
+// per-job input, and sharing is vetoed for seed-sensitive sessions).
+type jobKind struct {
+	workload         string
+	instances, items int
 }
 
 // resolvedScenario is a Scenario after every default, name and template
 // has been resolved — the executable form.
 type resolvedScenario struct {
 	ccfg      cluster.Config
-	nodeCfgs  []cluster.NodeConfig
 	classes   int
 	classOpts [][]Option
-	jobs      []fleetJob
-	policies  []PlacementPolicy
-	sink      Sink
-	extras    []Option
+	// jobs is the expanded job list, the one job table Execute, Replay
+	// and the Chrome trace read. Each job's Batch tags its kind: kinds
+	// lists the distinct kinds in first-appearance order, job.Batch is 1
+	// + the kind's index, and first[k] is the index of kind k's first job.
+	jobs     []cluster.Job
+	kinds    []jobKind
+	first    []int
+	policies []PlacementPolicy
+	sink     Sink
+	extras   []Option
 	// share lets identical jobs share one session: Scenario.Lanes is 0,
 	// there are no session extras (a shared trace or disassembly would
 	// observe one session where one-per-job observes many), and no class
@@ -435,6 +439,7 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	if rs.traceW == nil {
 		rs.tracePath = sc.TraceOut
 	}
+	nodeCfgs := make([]cluster.NodeConfig, 0, expandedLen(sc.Nodes, func(ns NodeSpec) int { return ns.Count }, MaxScenarioNodes))
 	classIdx := map[SessionSpec]int{}
 	for ni, ns := range sc.Nodes {
 		if ns.Count < 0 {
@@ -466,12 +471,12 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 		if count == 0 {
 			count = 1
 		}
-		if len(rs.nodeCfgs)+count > MaxScenarioNodes {
+		if len(nodeCfgs)+count > MaxScenarioNodes {
 			return nil, fmt.Errorf("protean: scenario expands to more than %d nodes", MaxScenarioNodes)
 		}
 		fetch := int(Scale{Factor: ns.Session.Scale}.ConfigBytesPerCycle())
 		for i := 0; i < count; i++ {
-			rs.nodeCfgs = append(rs.nodeCfgs, cluster.NodeConfig{
+			nodeCfgs = append(nodeCfgs, cluster.NodeConfig{
 				StoreSlots:         ns.StoreSlots,
 				ClockScale:         ns.ClockScale,
 				FetchBytesPerCycle: fetch,
@@ -500,14 +505,21 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 
 	// Jobs resolve their identity — items, built template, circuit keys —
 	// against the reference (first) node spec, so a job is one job no
-	// matter which node class it lands on.
+	// matter which node class it lands on. Each kind is tagged with a
+	// batch id in first-appearance order, so the dispatcher may fold a
+	// kind's jobs into one shared session and the tagging — like
+	// everything in resolve — is deterministic.
 	refSpec := sc.Nodes[0].Session
 	refScale := Scale{Factor: refSpec.Scale}
+	rs.jobs = make([]cluster.Job, 0, expandedLen(sc.Jobs, func(js JobSpec) int { return js.Count }, MaxScenarioJobs))
+	rs.kinds = make([]jobKind, 0, len(sc.Jobs))
+	rs.first = make([]int, 0, len(sc.Jobs))
+	kindIdx := make(map[jobKind]int, len(sc.Jobs))
 	for ji, js := range sc.Jobs {
 		if js.Count < 0 {
 			return nil, fmt.Errorf("protean: job spec %d has negative count %d", ji, js.Count)
 		}
-		fj, err := resolveJob(js, refScale, refSpec.SoftDispatch)
+		kind, job, err := resolveJob(js, refScale, refSpec.SoftDispatch)
 		if err != nil {
 			return nil, fmt.Errorf("protean: job spec %d: %w", ji, err)
 		}
@@ -518,39 +530,27 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 		if len(rs.jobs)+count > MaxScenarioJobs {
 			return nil, fmt.Errorf("protean: scenario expands to more than %d jobs", MaxScenarioJobs)
 		}
+		k, ok := kindIdx[kind]
+		if !ok {
+			k = len(rs.kinds)
+			kindIdx[kind] = k
+			rs.kinds = append(rs.kinds, kind)
+			rs.first = append(rs.first, len(rs.jobs))
+		}
+		job.Batch = k + 1
 		for i := 0; i < count; i++ {
-			rs.jobs = append(rs.jobs, fj)
+			rs.jobs = append(rs.jobs, job)
 		}
 	}
 	if len(rs.jobs) == 0 {
 		return nil, fmt.Errorf("protean: scenario has no jobs")
-	}
-	// Jobs with the same resolved identity are identical simulations (the
-	// derived seed is the only per-job input, and sharing is vetoed for
-	// seed-sensitive sessions): tag each identity with a batch id so the
-	// dispatcher may fold same-identity jobs into one shared session.
-	// Ids are assigned in first-appearance order, so the tagging — like
-	// everything in resolve — is deterministic.
-	type jobIdentity struct {
-		workload         string
-		instances, items int
-	}
-	batchIDs := map[jobIdentity]int{}
-	for i := range rs.jobs {
-		id := jobIdentity{rs.jobs[i].workload, rs.jobs[i].instances, rs.jobs[i].items}
-		b, ok := batchIDs[id]
-		if !ok {
-			b = len(batchIDs) + 1
-			batchIDs[id] = b
-		}
-		rs.jobs[i].job.Batch = b
 	}
 	if arrivals.Kind == cluster.ArriveTrace && len(arrivals.Times) < len(rs.jobs) {
 		return nil, fmt.Errorf("protean: arrival trace has %d times for %d jobs", len(arrivals.Times), len(rs.jobs))
 	}
 
 	rs.ccfg = cluster.Config{
-		NodeConfigs: rs.nodeCfgs,
+		NodeConfigs: nodeCfgs,
 		Classes:     rs.classes,
 		Seed:        sc.Seed,
 		Workers:     sc.Workers,
@@ -560,45 +560,59 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	return rs, nil
 }
 
-// resolveJob expands one JobSpec into its executable form against the
-// reference scale and soft-dispatch mode.
-func resolveJob(js JobSpec, refScale Scale, soft bool) (fleetJob, error) {
+// expandedLen is the length of the Count-expanded table of specs, a
+// Count of 0 meaning 1. It only sizes the table: past limit it returns
+// 0, so a spec that fails validation allocates nothing up front, and
+// the loop that fills the table reports the bad count.
+func expandedLen[S any](specs []S, count func(S) int, limit int) int {
+	n := 0
+	for _, s := range specs {
+		if n += min(max(count(s), 1), limit+1); n > limit {
+			return 0
+		}
+	}
+	return n
+}
+
+// resolveJob expands one JobSpec into its kind and its untagged cluster
+// job against the reference scale and soft-dispatch mode.
+func resolveJob(js JobSpec, refScale Scale, soft bool) (jobKind, cluster.Job, error) {
 	w, ok := lookupWorkload(js.Workload)
 	if !ok {
-		return fleetJob{}, fmt.Errorf("unknown workload %q (registered: %v)", js.Workload, Workloads())
+		return jobKind{}, cluster.Job{}, fmt.Errorf("unknown workload %q (registered: %v)", js.Workload, Workloads())
 	}
 	if js.Instances < 0 {
-		return fleetJob{}, fmt.Errorf("negative instance count %d", js.Instances)
+		return jobKind{}, cluster.Job{}, fmt.Errorf("negative instance count %d", js.Instances)
 	}
 	instances := js.Instances
 	if instances == 0 {
 		instances = 1
 	}
 	if js.Items < 0 {
-		return fleetJob{}, fmt.Errorf("negative items %d", js.Items)
+		return jobKind{}, cluster.Job{}, fmt.Errorf("negative items %d", js.Items)
 	}
 	items := js.Items
 	if items > MaxScenarioItems {
-		return fleetJob{}, fmt.Errorf("items %d exceeds the %d cap", items, MaxScenarioItems)
+		return jobKind{}, cluster.Job{}, fmt.Errorf("items %d exceeds the %d cap", items, MaxScenarioItems)
 	}
 	if items == 0 {
 		items = refScale.Items(js.Workload)
 		if items <= 0 {
-			return fleetJob{}, fmt.Errorf("workload %q declares no default work-unit count; set items", js.Workload)
+			return jobKind{}, cluster.Job{}, fmt.Errorf("workload %q declares no default work-unit count; set items", js.Workload)
 		}
 	}
 	prog, err := buildTemplate(w, items, soft)
 	if err != nil {
-		return fleetJob{}, fmt.Errorf("build %q: %w", js.Workload, err)
+		return jobKind{}, cluster.Job{}, fmt.Errorf("build %q: %w", js.Workload, err)
 	}
-	job := cluster.Job{Label: fmt.Sprintf("%s x%d", prog.Name, instances)}
-	for _, img := range prog.Images {
-		job.Circuits = append(job.Circuits, cluster.Circuit{
-			Key:   cluster.Key(img.Key()),
-			Bytes: img.StaticBytes,
-		})
+	job := cluster.Job{
+		Label:    fmt.Sprintf("%s x%d", prog.Name, instances),
+		Circuits: make([]cluster.Circuit, len(prog.Images)),
 	}
-	return fleetJob{workload: js.Workload, instances: instances, items: items, job: job}, nil
+	for i, img := range prog.Images {
+		job.Circuits[i] = cluster.Circuit{Key: cluster.Key(img.Key()), Bytes: img.StaticBytes}
+	}
+	return jobKind{workload: js.Workload, instances: instances, items: items}, job, nil
 }
 
 // Runner is a started scenario run: Start hands one back immediately,
@@ -681,12 +695,14 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(rs.jobs)
+	all := make([]*Result, rs.classes*n)
 	results := make([][]*Result, rs.classes)
 	for class := range results {
-		results[class] = make([]*Result, len(rs.jobs))
+		results[class] = all[class*n : (class+1)*n]
 	}
 	runner := func(i, class int, seed int64) (cluster.Exec, error) {
-		j := rs.jobs[i]
+		k := rs.kinds[rs.jobs[i].Batch-1]
 		opts := make([]Option, 0, len(rs.classOpts[class])+len(rs.extras)+1)
 		opts = append(opts, rs.classOpts[class]...)
 		opts = append(opts, rs.extras...)
@@ -695,7 +711,7 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 		if err != nil {
 			return cluster.Exec{}, err
 		}
-		if _, err := s.Spawn(j.workload, j.instances, j.items); err != nil {
+		if _, err := s.Spawn(k.workload, k.instances, k.items); err != nil {
 			return cluster.Exec{}, err
 		}
 		res, err := s.Run(ctx)
@@ -707,22 +723,22 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	}
 
 	// Execute sees the jobs with Batch cleared unless sharing is on;
-	// stand[i] is the job whose session stands for job i — the first
-	// member of its share group, or i itself. Replay and the Chrome trace
-	// always get the tagged jobs.
-	jobs := make([]cluster.Job, len(rs.jobs))
-	execJobs := make([]cluster.Job, len(rs.jobs))
-	stand := make([]int, len(rs.jobs))
-	first := map[int]int{}
-	for i := range rs.jobs {
-		jobs[i], execJobs[i], stand[i] = rs.jobs[i].job, rs.jobs[i].job, i
-		if !rs.share {
-			execJobs[i].Batch = 0
-		} else if f, ok := first[jobs[i].Batch]; ok {
-			stand[i] = f
-		} else {
-			first[jobs[i].Batch] = i
+	// stand(i) is the job whose session stands for job i — the first job
+	// of its kind, or i itself. Replay and the Chrome trace always get
+	// the tagged jobs.
+	execJobs := rs.jobs
+	if !rs.share {
+		execJobs = make([]cluster.Job, n)
+		for i, j := range rs.jobs {
+			j.Batch = 0
+			execJobs[i] = j
 		}
+	}
+	stand := func(i int) int {
+		if rs.share {
+			return rs.first[rs.jobs[i].Batch-1]
+		}
+		return i
 	}
 	ccfg := rs.ccfg
 	if rs.sink != nil {
@@ -731,7 +747,7 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 			// The runner stored the standing session's result before
 			// OnExec fires (same goroutine), so the event carries the
 			// verification verdict.
-			res := results[class][stand[i]]
+			res := results[class][stand(i)]
 			ok := res != nil && res.Err() == nil
 			tag := ""
 			if rs.classes > 1 {
@@ -739,11 +755,11 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 			}
 			sink.Event(Event{
 				Kind:  EventJobDone,
-				Label: rs.jobs[i].job.Label,
+				Label: rs.jobs[i].Label,
 				Cycle: e.Cycles,
 				OK:    ok,
 				Message: fmt.Sprintf("job %-24s%s executed in %12d cycles (verified=%v)",
-					rs.jobs[i].job.Label, tag, e.Cycles, ok),
+					rs.jobs[i].Label, tag, e.Cycles, ok),
 			})
 		}
 	}
@@ -751,15 +767,17 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rc := range results {
-		for i, s := range stand {
-			rc[i] = rc[s]
+	if rs.share {
+		for _, rc := range results {
+			for i := range rc {
+				rc[i] = rc[stand(i)]
+			}
 		}
 	}
 	frs := make([]*FleetResult, len(rs.policies))
 	for pi, pol := range rs.policies {
 		ccfg.Policy = pol
-		tr, err := cluster.Replay(ccfg, jobs, execs)
+		tr, err := cluster.Replay(ccfg, rs.jobs, execs)
 		if err != nil {
 			return nil, err
 		}
@@ -768,7 +786,7 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 			fr.Metrics = fleetMetrics(tr, fr)
 		}
 		if pi == 0 {
-			if err := rs.emitChromeTrace(tr, jobs); err != nil {
+			if err := rs.emitChromeTrace(tr, rs.jobs); err != nil {
 				return nil, err
 			}
 		}
@@ -779,7 +797,7 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 				Cycle: fr.Makespan,
 				OK:    fr.Err() == nil,
 				Message: fmt.Sprintf("fleet done: %d jobs on %d nodes (%s), makespan %d, config loads %d (%d cold, %d warm), shed %d, deferred %d",
-					len(rs.jobs), len(rs.nodeCfgs), fr.Policy, fr.Makespan, fr.ConfigLoads(), fr.ColdLoads, fr.WarmHits, fr.Shed, fr.Deferred),
+					len(rs.jobs), len(rs.ccfg.NodeConfigs), fr.Policy, fr.Makespan, fr.ConfigLoads(), fr.ColdLoads, fr.WarmHits, fr.Shed, fr.Deferred),
 			})
 		}
 		frs[pi] = fr
@@ -831,8 +849,9 @@ func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *Fl
 		Deferred:    tr.Deferred,
 		DeferCycles: tr.DeferCycles,
 	}
+	fr.Nodes = make([]NodeResult, len(tr.Nodes))
 	for n, nt := range tr.Nodes {
-		fr.Nodes = append(fr.Nodes, NodeResult{
+		fr.Nodes[n] = NodeResult{
 			Node:        n,
 			Class:       nt.Class,
 			ClockScale:  nt.ClockScale,
@@ -842,14 +861,16 @@ func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *Fl
 			WarmHits:    nt.WarmHits,
 			FetchCycles: nt.FetchCycles,
 			Completion:  nt.Completion,
-		})
+		}
 	}
-	var lats []uint64
+	fr.Jobs = make([]JobResult, len(tr.Jobs))
+	lats := make([]uint64, 0, len(tr.Jobs)-tr.Shed)
 	for i, jt := range tr.Jobs {
-		jr := JobResult{
+		jr := &fr.Jobs[i]
+		*jr = JobResult{
 			ID:          jt.ID,
 			Label:       jt.Label,
-			Workload:    rs.jobs[i].workload,
+			Workload:    rs.kinds[rs.jobs[i].Batch-1].workload,
 			Node:        jt.Node,
 			Arrival:     jt.Arrival,
 			Start:       jt.Start,
@@ -864,7 +885,7 @@ func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *Fl
 		if !jt.Shed {
 			jr.Latency = jt.Completion - jt.Arrival
 			lats = append(lats, jr.Latency)
-			res := results[rs.nodeCfgs[jt.Node].Class][i]
+			res := results[tr.Nodes[jt.Node].Class][i]
 			jr.Run = res
 			if res != nil {
 				addCIS(&fr.CIS, res.CIS)
@@ -872,7 +893,6 @@ func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *Fl
 				addRFU(&fr.RFU, res.RFU)
 			}
 		}
-		fr.Jobs = append(fr.Jobs, jr)
 	}
 	fr.Latency = latencyStats(lats)
 	return fr
@@ -880,12 +900,12 @@ func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *Fl
 
 // latencyStats summarizes a latency sample: integer mean and
 // nearest-rank percentiles over the sorted sample, so the statistics are
-// exactly reproducible.
-func latencyStats(lats []uint64) LatencyStats {
-	if len(lats) == 0 {
+// exactly reproducible. It sorts the sample, which the caller hands
+// over.
+func latencyStats(sorted []uint64) LatencyStats {
+	if len(sorted) == 0 {
 		return LatencyStats{}
 	}
-	sorted := slices.Clone(lats)
 	slices.Sort(sorted)
 	var sum uint64
 	for _, v := range sorted {
