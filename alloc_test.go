@@ -9,11 +9,11 @@ import (
 )
 
 // TestResolveAssembleAllocs pins the fleet bookkeeping at tables sized
-// once: resolving a scenario and assembling its FleetResult allocate the
-// same number of objects whether the fleet has 1 node or 1024 and the
-// job spec expands to 1 job or 768.
+// once: resolving a scenario, and replaying it into a FleetResult that
+// assemble completes, each allocate the same number of objects whether
+// the fleet has 1 node or 1024 and the job spec expands to 1 job or 768.
 func TestResolveAssembleAllocs(t *testing.T) {
-	type counts struct{ resolve, assemble float64 }
+	type counts struct{ resolve, replay float64 }
 	measure := func(nodes, jobs int) counts {
 		sc := Scenario{
 			Seed:      1,
@@ -38,12 +38,11 @@ func TestResolveAssembleAllocs(t *testing.T) {
 			execs[0][i].Cycles = 5000
 			results[0][i] = &Result{Cycles: 5000}
 		}
-		rs.ccfg.Policy = rs.policies[0]
-		tr, err := cluster.Replay(rs.ccfg, rs.jobs, execs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.assemble = testing.AllocsPerRun(20, func() { rs.assemble(tr, results) })
+		c.replay = testing.AllocsPerRun(20, func() {
+			if _, err := rs.replay(rs.policies[0], execs, results); err != nil {
+				t.Fatal(err)
+			}
+		})
 		return c
 	}
 	want := measure(1, 1)

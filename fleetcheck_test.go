@@ -27,8 +27,9 @@ import (
 //   - Fleet: Busy = Σ node Busy, the cold, warm, fetch, shed, deferred
 //     and defer-cycle totals, admitted + Shed = jobs with Σ node Jobs =
 //     admitted, Makespan = max Completion, the CIS, kernel and RFU
-//     counters summed over admitted sessions, and LatencyStats
-//     recomputed from the jobs.
+//     counters summed over admitted sessions, ConfigLoads = the summed
+//     CIS loads + the summed cold loads, and LatencyStats recomputed
+//     from the jobs.
 func checkFleet(fr *protean.FleetResult) error {
 	nodes := make([]protean.NodeResult, len(fr.Nodes))
 	for n, nr := range fr.Nodes {
@@ -120,6 +121,9 @@ func checkFleet(fr *protean.FleetResult) error {
 	}
 	if got, want := sum(fr), sum(&fleet); got != want {
 		return fmt.Errorf("fleet totals %+v, jobs sum to %+v", got, want)
+	}
+	if got, want := fr.ConfigLoads(), fleet.CIS.Loads+fleet.ColdLoads; got != want {
+		return fmt.Errorf("config loads %d, jobs sum to %d CIS + %d cold", got, fleet.CIS.Loads, fleet.ColdLoads)
 	}
 	var stats protean.LatencyStats
 	if len(lats) > 0 {

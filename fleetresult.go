@@ -4,69 +4,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"protean/internal/cluster"
 )
 
 // NodeResult aggregates one node's fleet activity.
-type NodeResult struct {
-	Node int
-	// Class is the node's execution-profile class (nodes with identical
-	// session specs share one class); ClockScale is its clock multiplier
-	// relative to the reference workstation.
-	Class      int
-	ClockScale int
-	// Jobs is how many jobs the dispatcher placed here.
-	Jobs int
-	// Busy is the node's total occupied time: job service plus bitstream
-	// fetches.
-	Busy uint64
-	// ColdLoads counts configurations fetched into this node's bitstream
-	// store; WarmHits counts placements that found them already resident.
-	ColdLoads, WarmHits uint64
-	// FetchCycles is the modeled cost of the cold fetches.
-	FetchCycles uint64
-	// Completion is the cycle the node finally went idle, 0 if unused.
-	Completion uint64
-}
+type NodeResult = cluster.NodeResult
 
-// JobResult is one job's fleet outcome: where it ran, its fleet timeline,
-// and the full session result of its execution.
+// LatencyStats summarizes the fleet's sojourn-time distribution over
+// admitted jobs: integer mean and nearest-rank percentiles, exactly
+// reproducible run to run.
+type LatencyStats = cluster.LatencyStats
+
+// JobResult is one job's fleet outcome: where it ran, its fleet timeline
+// and store traffic (the embedded cluster.Placement: Node, Arrival,
+// Start, Completion, ColdLoads, WarmHits, FetchCycles, Latency, Shed,
+// Deferred, DeferCycles), and the full session result of its execution.
 type JobResult struct {
 	// ID is the submission index.
 	ID    int
 	Label string
 	// Workload is the registry name the job was submitted from.
 	Workload string
-	// Node is where the dispatcher placed it, -1 when admission control
-	// shed it.
-	Node int
-	// Arrival, Start and Completion are fleet-clock cycles.
-	Arrival, Start, Completion uint64
-	// ColdLoads, WarmHits and FetchCycles are the job's node bitstream
-	// store traffic (see NodeResult).
-	ColdLoads, WarmHits uint64
-	FetchCycles         uint64
-	// Latency is the job's sojourn time, Completion − Arrival: queueing
-	// (including any admission deferral) plus fetches plus service. 0
-	// for shed jobs.
-	Latency uint64
-	// Shed reports that admission control rejected the job; Deferred
-	// that it waited DeferCycles before placement re-ran.
-	Shed        bool
-	Deferred    bool
-	DeferCycles uint64
+	cluster.Placement
 	// Run is the job's session result (per-process outcomes, CIS / kernel
 	// / RFU statistics); nil for shed jobs.
 	Run *Result
-}
-
-// LatencyStats summarizes the fleet's sojourn-time distribution over
-// admitted jobs: integer mean and nearest-rank percentiles, exactly
-// reproducible run to run.
-type LatencyStats struct {
-	// Jobs is the sample size (admitted jobs).
-	Jobs int
-	// Mean, P50, P95, P99 and Max are cycles of sojourn time.
-	Mean, P50, P95, P99, Max uint64
 }
 
 // FleetResult is the structured outcome of a fleet run (Start,
@@ -77,24 +40,12 @@ type FleetResult struct {
 	// Nodes and Jobs break the run down per node and per job.
 	Nodes []NodeResult
 	Jobs  []JobResult
-	// Makespan is the cycle at which the last job completed — the fleet
-	// analogue of Result.Completion.
-	Makespan uint64
-	// Busy is total node-busy time; Makespan × nodes − Busy is idle time.
-	Busy uint64
-	// ColdLoads and WarmHits count fleet-level configuration placements:
-	// cold ones fetched a bitstream into a node store (costing
-	// FetchCycles), warm ones found it resident — the traffic placement
-	// locality saves.
-	ColdLoads, WarmHits uint64
-	FetchCycles         uint64
-	// Shed and Deferred count admission-control outcomes; DeferCycles
-	// sums the deferral waits.
-	Shed, Deferred int
-	DeferCycles    uint64
-	// Latency is the sojourn-time distribution over admitted jobs — the
-	// tail the admission bound trades against shed work.
-	Latency LatencyStats
+	// Totals are the dispatcher's aggregates: Makespan (the cycle the
+	// last job completed — the fleet analogue of Result.Completion),
+	// Busy, the ColdLoads / WarmHits / FetchCycles store traffic, the
+	// Shed / Deferred / DeferCycles admission outcomes and the Latency
+	// distribution over admitted jobs.
+	cluster.Totals
 	// CIS, Kernel and RFU aggregate every admitted job session's
 	// statistics (sums; Kernel.MaxIRQLatency is the fleet maximum).
 	CIS    CISStats

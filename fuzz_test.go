@@ -2,8 +2,10 @@ package protean_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"protean"
 )
@@ -12,7 +14,10 @@ import (
 // must never panic or hang LoadScenario (validation builds workload
 // templates, so the items cap is load-bearing here), and any spec it
 // accepts must round-trip — marshal, reload, re-marshal to identical
-// bytes. The committed corpus under testdata/fuzz/FuzzLoadScenario
+// bytes. An accepted spec small enough to simulate quickly (smallSpec)
+// also runs, and a fleet that completes must pass checkFleet; a run
+// may still fail for reasons the spec states, such as an exhausted
+// cycle budget. The committed corpus under testdata/fuzz/FuzzLoadScenario
 // replays as plain subtests on every ordinary `go test` run.
 func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{}`))
@@ -47,5 +52,41 @@ func FuzzLoadScenario(f *testing.F) {
 		if !bytes.Equal(saved, resaved) {
 			t.Fatalf("round trip unstable:\n first: %s\nsecond: %s", saved, resaved)
 		}
+		if !smallSpec(sc) {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		fr, err := protean.RunScenario(ctx, sc)
+		if err != nil {
+			return
+		}
+		if err := checkFleet(fr); err != nil {
+			t.Fatalf("%v\nspec: %s", err, saved)
+		}
 	})
+}
+
+// smallSpec reports whether sc is cheap to simulate: every job sets
+// 1–64 items and at most 4 instances, the spec expands to at most 16
+// jobs on at most 16 nodes, it asks for at most 4 workers, and no node
+// has more than 16 PFUs or 256 TLB1 entries.
+func smallSpec(sc protean.Scenario) bool {
+	if sc.Workers > 4 {
+		return false
+	}
+	nodes, jobs := 0, 0
+	for _, ns := range sc.Nodes {
+		if ns.Session.PFUs > 16 || ns.Session.TLB1Entries > 256 {
+			return false
+		}
+		nodes += max(ns.Count, 1)
+	}
+	for _, js := range sc.Jobs {
+		if js.Items < 1 || js.Items > 64 || js.Instances > 4 {
+			return false
+		}
+		jobs += max(js.Count, 1)
+	}
+	return nodes <= 16 && jobs <= 16
 }

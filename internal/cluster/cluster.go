@@ -176,19 +176,20 @@ func (a Arrivals) times(n int, seed int64) ([]uint64, error) {
 // of a node's bitstream store.
 const DefaultStoreSlots = 8
 
-// NodeConfig describes one node of a heterogeneous fleet. The zero value
-// inherits every fleet-level default.
+// NodeConfig describes one node of a fleet. The zero value is a
+// reference workstation with the default store and fetch bandwidth.
 type NodeConfig struct {
-	// StoreSlots caps this node's bitstream store; <= 0 inherits
-	// Config.StoreSlots (then DefaultStoreSlots).
+	// StoreSlots caps this node's bitstream store (LRU, in distinct
+	// configurations); <= 0 means DefaultStoreSlots.
 	StoreSlots int
 	// ClockScale is the node's clock multiplier relative to the reference
 	// clock its class's executions were profiled at: a node with
 	// ClockScale k completes ceil(cycles/k) fleet-clock cycles of service
 	// per profiled cycle. <= 0 means 1.
 	ClockScale int
-	// FetchBytesPerCycle overrides the node's bitstream fetch bandwidth;
-	// <= 0 inherits Config.FetchBytesPerCycle.
+	// FetchBytesPerCycle is the bandwidth at which a cold bitstream is
+	// fetched into the node's store; <= 0 means 1 byte/cycle (the
+	// configuration-port bandwidth at scale 1).
 	FetchBytesPerCycle int
 	// Class indexes this node's execution-profile class (see Runner); it
 	// must be < Config.Classes.
@@ -210,20 +211,11 @@ type Admission struct {
 
 // Config parameterises a fleet run.
 type Config struct {
-	// Nodes is the fleet size for a homogeneous fleet; <= 0 means 1.
-	// NodeConfigs, when non-nil, overrides it with one entry per node.
-	Nodes       int
+	// NodeConfigs describes the fleet, one entry per node.
 	NodeConfigs []NodeConfig
 	// Classes counts the execution-profile classes the Runner understands;
 	// <= 0 means 1. Every NodeConfig.Class must be below it.
 	Classes int
-	// StoreSlots caps how many distinct configurations each node's
-	// bitstream store holds (LRU); <= 0 means DefaultStoreSlots.
-	StoreSlots int
-	// FetchBytesPerCycle is the bandwidth at which a cold bitstream is
-	// fetched into a node's store; <= 0 means 1 byte/cycle (the
-	// configuration-port bandwidth at scale 1).
-	FetchBytesPerCycle int
 	// Seed derives every per-job session seed, the arrival jitter and the
 	// placement randomness (splitmix, internal/rng).
 	Seed int64
@@ -250,62 +242,116 @@ func (cfg Config) classes() int {
 	return cfg.Classes
 }
 
-// JobTrace records where one job ran and what it cost at the fleet level.
-type JobTrace struct {
-	ID    int // submission index
-	Label string
-	// Node is the placement; -1 when the job was shed by admission
-	// control.
+// Placement is one job's fleet record: where the dispatcher placed it,
+// its fleet timeline and its node bitstream store traffic. Replay writes
+// it straight into the caller's job row.
+type Placement struct {
+	// Node is where the dispatcher placed the job, -1 when admission
+	// control shed it.
 	Node int
 	// Arrival, Start and Completion are fleet-clock cycles: Start waits
 	// for the node to drain its queue, Completion adds the cold fetches
-	// and the job's service time at the node's clock. Both are 0 for shed
-	// jobs.
+	// and the job's service time at the node's clock. Start and
+	// Completion are 0 for shed jobs.
 	Arrival, Start, Completion uint64
-	// Cycles is the job's service time as charged on its node (the class
-	// execution profile divided by the node clock).
-	Cycles uint64
 	// ColdLoads counts configurations fetched into the node's store for
-	// this job; WarmHits counts configurations already resident —
-	// the affinity dispatcher's currency.
+	// this job; WarmHits counts configurations already resident — the
+	// affinity dispatcher's currency.
 	ColdLoads, WarmHits uint64
 	// FetchCycles is the modeled cost of the cold fetches.
 	FetchCycles uint64
-	// Shed reports that admission control rejected the job outright.
-	Shed bool
-	// Deferred reports that admission control held the job back;
-	// DeferCycles is how long it waited before placement re-ran.
+	// Latency is the job's sojourn time, Completion − Arrival: queueing
+	// (including any admission deferral) plus fetches plus service. 0
+	// for shed jobs.
+	Latency uint64
+	// Shed reports that admission control rejected the job; Deferred
+	// that it waited DeferCycles before placement re-ran.
+	Shed        bool
 	Deferred    bool
 	DeferCycles uint64
 }
 
-// NodeTrace aggregates one node's fleet activity.
-type NodeTrace struct {
-	Jobs                int
-	Class               int    // execution-profile class
-	ClockScale          int    // node clock multiplier
-	Busy                uint64 // service + fetch cycles charged to the node
+// NodeResult aggregates one node's fleet activity.
+type NodeResult struct {
+	Node int
+	// Class is the node's execution-profile class (nodes with identical
+	// session specs share one class); ClockScale is its clock multiplier
+	// relative to the reference workstation.
+	Class      int
+	ClockScale int
+	// Jobs is how many jobs the dispatcher placed here.
+	Jobs int
+	// Busy is the node's total occupied time: job service plus bitstream
+	// fetches.
+	Busy uint64
+	// ColdLoads counts configurations fetched into this node's bitstream
+	// store; WarmHits counts placements that found them already resident.
 	ColdLoads, WarmHits uint64
-	FetchCycles         uint64
-	Completion          uint64 // cycle the node finally went idle, 0 if never used
+	// FetchCycles is the modeled cost of the cold fetches.
+	FetchCycles uint64
+	// Completion is the cycle the node finally went idle, 0 if unused.
+	Completion uint64
 }
 
-// Trace is the outcome of a fleet run.
-type Trace struct {
-	Policy string
-	Jobs   []JobTrace // in submission order
-	Nodes  []NodeTrace
+// LatencyStats summarizes the fleet's sojourn-time distribution over
+// admitted jobs: integer mean and nearest-rank percentiles, exactly
+// reproducible run to run.
+type LatencyStats struct {
+	// Jobs is the sample size (admitted jobs).
+	Jobs int
+	// Mean, P50, P95, P99 and Max are cycles of sojourn time.
+	Mean, P50, P95, P99, Max uint64
+}
+
+// Totals are a fleet run's aggregates over its job records.
+type Totals struct {
 	// Makespan is the cycle at which the last admitted job completed.
 	Makespan uint64
-	// Busy is total node-busy time; ColdLoads/WarmHits/FetchCycles sum
-	// the per-job fleet-level configuration traffic.
-	Busy                uint64
+	// Busy is total node-busy time; Makespan × nodes − Busy is idle time.
+	Busy uint64
+	// ColdLoads and WarmHits count fleet-level configuration placements:
+	// cold ones fetched a bitstream into a node store (costing
+	// FetchCycles), warm ones found it resident — the traffic placement
+	// locality saves.
 	ColdLoads, WarmHits uint64
 	FetchCycles         uint64
 	// Shed and Deferred count admission-control outcomes; DeferCycles
-	// sums the per-job deferral waits.
+	// sums the deferral waits.
 	Shed, Deferred int
 	DeferCycles    uint64
+	// Latency is the sojourn-time distribution over admitted jobs — the
+	// tail the admission bound trades against shed work.
+	Latency LatencyStats
+}
+
+// latencyStats summarizes a latency sample: integer mean and
+// nearest-rank percentiles over the sorted sample, so the statistics are
+// exactly reproducible. It sorts the sample, which the caller hands
+// over.
+func latencyStats(sorted []uint64) LatencyStats {
+	if len(sorted) == 0 {
+		return LatencyStats{}
+	}
+	slices.Sort(sorted)
+	var sum uint64
+	for _, v := range sorted {
+		sum += v
+	}
+	rank := func(pct int) uint64 {
+		idx := (pct*len(sorted) + 99) / 100
+		if idx < 1 {
+			idx = 1
+		}
+		return sorted[idx-1]
+	}
+	return LatencyStats{
+		Jobs: len(sorted),
+		Mean: sum / uint64(len(sorted)),
+		P50:  rank(50),
+		P95:  rank(95),
+		P99:  rank(99),
+		Max:  sorted[len(sorted)-1],
+	}
 }
 
 // store is a node's bitstream store: an LRU set of configuration keys.
@@ -392,21 +438,12 @@ type Fleet struct {
 }
 
 // newFleet builds the replay state of an idle, empty fleet: one node per
-// cfg.NodeConfigs entry (cfg.Nodes zero-value nodes without them), each
-// with its defaults resolved from the fleet-level fields. It rejects a
-// node whose class is not below classes.
+// cfg.NodeConfigs entry, with its defaults resolved. It rejects an empty
+// fleet and a node whose class is not below classes.
 func newFleet(cfg Config, classes int) (*Fleet, error) {
-	slots := cfg.StoreSlots
-	if slots <= 0 {
-		slots = DefaultStoreSlots
-	}
-	bw := cfg.FetchBytesPerCycle
-	if bw <= 0 {
-		bw = 1
-	}
 	n := len(cfg.NodeConfigs)
-	if cfg.NodeConfigs == nil {
-		n = max(cfg.Nodes, 1)
+	if n == 0 {
+		return nil, fmt.Errorf("cluster: no nodes")
 	}
 	size := 1
 	for size < n {
@@ -418,22 +455,18 @@ func newFleet(cfg Config, classes int) (*Fleet, error) {
 		holders: make(map[Key][]int),
 		free:    make([]uint64, 2*size),
 	}
-	for i := range f.nodes {
-		var nc NodeConfig
-		if cfg.NodeConfigs != nil {
-			nc = cfg.NodeConfigs[i]
-		}
+	for i, nc := range cfg.NodeConfigs {
 		if nc.Class < 0 || nc.Class >= classes {
 			return nil, fmt.Errorf("cluster: node %d has class %d of %d", i, nc.Class, classes)
 		}
 		if nc.StoreSlots <= 0 {
-			nc.StoreSlots = slots
+			nc.StoreSlots = DefaultStoreSlots
 		}
 		if nc.ClockScale <= 0 {
 			nc.ClockScale = 1
 		}
 		if nc.FetchBytesPerCycle <= 0 {
-			nc.FetchBytesPerCycle = bw
+			nc.FetchBytesPerCycle = 1
 		}
 		f.nodes[i].cfg = nc
 		f.nodes[i].store.slots = nc.StoreSlots
@@ -569,18 +602,6 @@ func distinctAt(job *Job, i int) bool {
 	return true
 }
 
-// Run simulates the fleet: every job executes once per node class on the
-// worker pool (Execute), then the dispatcher replays the arrival sequence
-// serially through admission control and the placement policy (Replay).
-// The first job error cancels the run and is returned.
-func Run(cfg Config, jobs []Job, run Runner) (*Trace, error) {
-	execs, err := Execute(cfg, jobs, run)
-	if err != nil {
-		return nil, err
-	}
-	return Replay(cfg, jobs, execs)
-}
-
 // Execute is phase 1 alone: run every job once per node class,
 // concurrently, and return the execution profiles indexed
 // [class][job]. Executions are placement-independent, so one Execute can
@@ -677,25 +698,27 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 // Replay is phase 2 alone: expand the arrival process and replay
 // admission and placement serially over precomputed execution profiles.
 // It is deterministic and cheap — all simulation cost lives in Execute.
-func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
+// Job i's record is written through at(i), so the caller owns the one
+// job table; Replay returns the node rows and the fleet totals.
+func Replay(cfg Config, jobs []Job, execs [][]Exec, at func(i int) *Placement) ([]NodeResult, Totals, error) {
 	if len(jobs) == 0 {
-		return nil, fmt.Errorf("cluster: no jobs submitted")
+		return nil, Totals{}, fmt.Errorf("cluster: no jobs submitted")
 	}
 	classes := cfg.classes()
 	if len(execs) != classes {
-		return nil, fmt.Errorf("cluster: %d execution classes for %d node classes", len(execs), classes)
+		return nil, Totals{}, fmt.Errorf("cluster: %d execution classes for %d node classes", len(execs), classes)
 	}
 	for class, ce := range execs {
 		if len(ce) != len(jobs) {
-			return nil, fmt.Errorf("cluster: class %d has %d execution profiles for %d jobs", class, len(ce), len(jobs))
+			return nil, Totals{}, fmt.Errorf("cluster: class %d has %d execution profiles for %d jobs", class, len(ce), len(jobs))
 		}
 	}
 	f, err := newFleet(cfg, classes)
 	if err != nil {
-		return nil, err
+		return nil, Totals{}, err
 	}
 	if cfg.Admission.Bound < 0 {
-		return nil, fmt.Errorf("cluster: negative admission bound %d", cfg.Admission.Bound)
+		return nil, Totals{}, fmt.Errorf("cluster: negative admission bound %d", cfg.Admission.Bound)
 	}
 	pol := cfg.Policy
 	if pol == nil {
@@ -704,17 +727,14 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 
 	arrive, err := cfg.Arrivals.times(len(jobs), cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, Totals{}, err
 	}
-	tr := &Trace{
-		Policy: pol.Name(),
-		Jobs:   make([]JobTrace, len(jobs)),
-		Nodes:  make([]NodeTrace, len(f.nodes)),
-	}
+	nodes := make([]NodeResult, len(f.nodes))
 	for n := range f.nodes {
-		tr.Nodes[n].Class = f.nodes[n].cfg.Class
-		tr.Nodes[n].ClockScale = f.nodes[n].cfg.ClockScale
+		nodes[n] = NodeResult{Node: n, Class: f.nodes[n].cfg.Class, ClockScale: f.nodes[n].cfg.ClockScale}
 	}
+	var tot Totals
+	lats := make([]uint64, 0, len(jobs))
 	bound := cfg.Admission.Bound
 	for i := range jobs {
 		job := &jobs[i]
@@ -722,16 +742,16 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 		f.now = now
 		n := pol.Place(f, job)
 		if n < 0 || n >= len(f.nodes) {
-			return nil, fmt.Errorf("cluster: policy %s placed job %d on node %d of a %d-node fleet",
+			return nil, Totals{}, fmt.Errorf("cluster: policy %s placed job %d on node %d of a %d-node fleet",
 				pol.Name(), i, n, len(f.nodes))
 		}
-		jt := JobTrace{ID: i, Label: job.Label, Node: n, Arrival: arrive[i]}
+		p := at(i)
+		*p = Placement{Node: n, Arrival: now}
 		if bound > 0 && f.nodes[n].depth(now) >= bound {
 			if !cfg.Admission.Defer {
-				jt.Node = -1
-				jt.Shed = true
-				tr.Shed++
-				tr.Jobs[i] = jt
+				p.Node = -1
+				p.Shed = true
+				tot.Shed++
 				f.placed++
 				continue
 			}
@@ -741,64 +761,64 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 			// A slot already free elsewhere (at == now) is a diversion,
 			// not a deferral — the job never waited, so it does not
 			// count toward the Deferred statistics.
-			freed, at := 0, f.nodes[0].slotFreeAt(now, bound)
+			freed, slot := 0, f.nodes[0].slotFreeAt(now, bound)
 			for cand := 1; cand < len(f.nodes); cand++ {
-				if t := f.nodes[cand].slotFreeAt(now, bound); t < at {
-					freed, at = cand, t
+				if t := f.nodes[cand].slotFreeAt(now, bound); t < slot {
+					freed, slot = cand, t
 				}
 			}
-			if at > now {
-				jt.Deferred = true
-				jt.DeferCycles = at - now
-				tr.Deferred++
-				tr.DeferCycles += jt.DeferCycles
-				now = at
+			if slot > now {
+				p.Deferred = true
+				p.DeferCycles = slot - now
+				tot.Deferred++
+				tot.DeferCycles += p.DeferCycles
+				now = slot
 				f.now = now
 			}
 			n = pol.Place(f, job)
 			if n < 0 || n >= len(f.nodes) || f.nodes[n].depth(now) >= bound {
 				n = freed
 			}
-			jt.Node = n
+			p.Node = n
 		}
 		ns := &f.nodes[n]
 		clock := uint64(ns.cfg.ClockScale)
-		jt.Cycles = (execs[ns.cfg.Class][i].Cycles + clock - 1) / clock
+		service := (execs[ns.cfg.Class][i].Cycles + clock - 1) / clock
 		bw := uint64(ns.cfg.FetchBytesPerCycle)
 		for ci, c := range job.Circuits {
 			if !distinctAt(job, ci) {
 				continue
 			}
 			if f.touch(n, c.Key) {
-				jt.WarmHits++
+				p.WarmHits++
 			} else {
-				jt.ColdLoads++
-				jt.FetchCycles += (uint64(c.Bytes) + bw - 1) / bw
+				p.ColdLoads++
+				p.FetchCycles += (uint64(c.Bytes) + bw - 1) / bw
 			}
 		}
-		jt.Start = max(now, f.freeAt(n))
-		jt.Completion = jt.Start + jt.FetchCycles + jt.Cycles
-		f.setFreeAt(n, jt.Completion)
+		p.Start = max(now, f.freeAt(n))
+		p.Completion = p.Start + p.FetchCycles + service
+		p.Latency = p.Completion - p.Arrival
+		lats = append(lats, p.Latency)
+		f.setFreeAt(n, p.Completion)
 		if bound > 0 {
-			ns.completions = append(ns.completions, jt.Completion)
+			ns.completions = append(ns.completions, p.Completion)
 		}
 		f.placed++
 
-		tr.Jobs[i] = jt
-		nt := &tr.Nodes[n]
-		nt.Jobs++
-		nt.Busy += jt.FetchCycles + jt.Cycles
-		nt.ColdLoads += jt.ColdLoads
-		nt.WarmHits += jt.WarmHits
-		nt.FetchCycles += jt.FetchCycles
-		nt.Completion = jt.Completion
-		tr.Busy += jt.FetchCycles + jt.Cycles
-		tr.ColdLoads += jt.ColdLoads
-		tr.WarmHits += jt.WarmHits
-		tr.FetchCycles += jt.FetchCycles
-		if jt.Completion > tr.Makespan {
-			tr.Makespan = jt.Completion
-		}
+		nr := &nodes[n]
+		nr.Jobs++
+		nr.Busy += p.FetchCycles + service
+		nr.ColdLoads += p.ColdLoads
+		nr.WarmHits += p.WarmHits
+		nr.FetchCycles += p.FetchCycles
+		nr.Completion = p.Completion
+		tot.Busy += p.FetchCycles + service
+		tot.ColdLoads += p.ColdLoads
+		tot.WarmHits += p.WarmHits
+		tot.FetchCycles += p.FetchCycles
+		tot.Makespan = max(tot.Makespan, p.Completion)
 	}
-	return tr, nil
+	tot.Latency = latencyStats(lats)
+	return nodes, tot, nil
 }

@@ -27,6 +27,11 @@ func fixedRunner(cycles ...uint64) Runner {
 	}
 }
 
+// fleetOf builds the NodeConfigs of an n-node fleet of identical nodes.
+func fleetOf(n int, nc NodeConfig) []NodeConfig {
+	return slices.Repeat([]NodeConfig{nc}, n)
+}
+
 // altJobs builds n jobs alternating between two single-circuit kinds.
 func altJobs(n int) []Job {
 	jobs := make([]Job, n)
@@ -125,7 +130,7 @@ func TestArrivalTrace(t *testing.T) {
 }
 
 func TestRoundRobinCycles(t *testing.T) {
-	tr := runChecked(t, Config{Nodes: 3, Seed: 1}, altJobs(6), fixedRunner(100))
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(3, NodeConfig{}), Seed: 1}, altJobs(6), fixedRunner(100))
 	for i, jt := range tr.Jobs {
 		if jt.Node != i%3 {
 			t.Errorf("job %d on node %d, want %d", i, jt.Node, i%3)
@@ -137,14 +142,14 @@ func TestLeastLoadedPrefersIdle(t *testing.T) {
 	// Job 0 is huge; with batch arrivals, least-loaded must route all
 	// later jobs around node 0.
 	jobs := altJobs(4)
-	tr := runChecked(t, Config{Nodes: 2, Seed: 1, Policy: LeastLoaded()},
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(2, NodeConfig{}), Seed: 1, Policy: LeastLoaded()},
 		jobs, fixedRunner(1_000_000, 10, 10, 10))
 	if tr.Jobs[0].Node != 0 {
 		t.Fatalf("first job on node %d", tr.Jobs[0].Node)
 	}
-	for _, jt := range tr.Jobs[1:] {
+	for i, jt := range tr.Jobs[1:] {
 		if jt.Node != 1 {
-			t.Errorf("job %d placed on the busy node", jt.ID)
+			t.Errorf("job %d placed on the busy node", i+1)
 		}
 	}
 }
@@ -156,7 +161,7 @@ func TestAffinityPinsKindsToNodes(t *testing.T) {
 	// phase with the 2-cycle of kinds, so every node alternates kinds and
 	// every placement is cold.
 	jobs := altJobs(12)
-	aff := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: Affinity()},
+	aff := runChecked(t, Config{NodeConfigs: fleetOf(3, NodeConfig{StoreSlots: 1}), Seed: 1, Policy: Affinity()},
 		jobs, fixedRunner(100))
 	if aff.ColdLoads != 2 {
 		t.Errorf("affinity cold loads = %d, want 2", aff.ColdLoads)
@@ -164,7 +169,7 @@ func TestAffinityPinsKindsToNodes(t *testing.T) {
 	if aff.WarmHits != 10 {
 		t.Errorf("affinity warm hits = %d, want 10", aff.WarmHits)
 	}
-	rr := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: RoundRobin()},
+	rr := runChecked(t, Config{NodeConfigs: fleetOf(3, NodeConfig{StoreSlots: 1}), Seed: 1, Policy: RoundRobin()},
 		jobs, fixedRunner(100))
 	if rr.ColdLoads != 12 {
 		t.Errorf("round-robin cold loads = %d, want 12 (kinds out of phase with nodes)", rr.ColdLoads)
@@ -178,8 +183,8 @@ func TestAffinityFallsBackToLeastLoaded(t *testing.T) {
 	// No node ever holds job circuits (jobs carry none), so affinity must
 	// behave exactly like least-loaded.
 	jobs := make([]Job, 8)
-	aff := runChecked(t, Config{Nodes: 4, Seed: 1, Policy: Affinity()}, jobs, fixedRunner(100))
-	ll := runChecked(t, Config{Nodes: 4, Seed: 1, Policy: LeastLoaded()}, jobs, fixedRunner(100))
+	aff := runChecked(t, Config{NodeConfigs: fleetOf(4, NodeConfig{}), Seed: 1, Policy: Affinity()}, jobs, fixedRunner(100))
+	ll := runChecked(t, Config{NodeConfigs: fleetOf(4, NodeConfig{}), Seed: 1, Policy: LeastLoaded()}, jobs, fixedRunner(100))
 	for i := range aff.Jobs {
 		if aff.Jobs[i].Node != ll.Jobs[i].Node {
 			t.Errorf("job %d: affinity node %d, least-loaded node %d",
@@ -190,8 +195,8 @@ func TestAffinityFallsBackToLeastLoaded(t *testing.T) {
 
 func TestRandomPlacementDeterministicPerSeed(t *testing.T) {
 	jobs := altJobs(32)
-	run := func(seed int64) *Trace {
-		tr := runChecked(t, Config{Nodes: 4, Seed: seed, Policy: Random()}, jobs, fixedRunner(100))
+	run := func(seed int64) *fleetRun {
+		tr := runChecked(t, Config{NodeConfigs: fleetOf(4, NodeConfig{}), Seed: seed, Policy: Random()}, jobs, fixedRunner(100))
 		return tr
 	}
 	if !reflect.DeepEqual(run(3), run(3)) {
@@ -204,10 +209,10 @@ func TestRandomPlacementDeterministicPerSeed(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	jobs := altJobs(24)
-	var ref *Trace
+	var ref *fleetRun
 	for _, workers := range []int{1, 4, 16} {
 		tr := runChecked(t, Config{
-			Nodes: 3, StoreSlots: 1, Seed: 9, Workers: workers,
+			NodeConfigs: fleetOf(3, NodeConfig{StoreSlots: 1}), Seed: 9, Workers: workers,
 			Policy: Affinity(), Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 500},
 		}, jobs, func(i, _ int, seed int64) (Exec, error) {
 			// Service time depends on the derived seed, so this also
@@ -225,7 +230,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunTimeline(t *testing.T) {
 	// One node: jobs serialize; completion = start + fetch + cycles.
 	jobs := altJobs(2)
-	tr := runChecked(t, Config{Nodes: 1, FetchBytesPerCycle: 100, Seed: 1}, jobs, fixedRunner(500))
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(1, NodeConfig{FetchBytesPerCycle: 100}), Seed: 1}, jobs, fixedRunner(500))
 	j0, j1 := tr.Jobs[0], tr.Jobs[1]
 	if j0.FetchCycles != 10 { // 1000 bytes at 100 B/cycle
 		t.Errorf("fetch cycles = %d, want 10", j0.FetchCycles)
@@ -243,7 +248,7 @@ func TestRunTimeline(t *testing.T) {
 
 func TestRunnerErrorPropagates(t *testing.T) {
 	sentinel := errors.New("session exploded")
-	_, err := Run(Config{Nodes: 2, Seed: 1}, altJobs(8),
+	_, err := Execute(Config{NodeConfigs: fleetOf(2, NodeConfig{}), Seed: 1}, altJobs(8),
 		func(i, _ int, _ int64) (Exec, error) {
 			if i == 3 {
 				return Exec{}, sentinel
@@ -259,10 +264,10 @@ func TestRunnerErrorPropagates(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(Config{}, nil, fixedRunner(1)); err == nil {
+	if _, err := Execute(Config{}, nil, fixedRunner(1)); err == nil {
 		t.Error("empty job list accepted")
 	}
-	if _, err := Run(Config{}, altJobs(1), nil); err == nil {
+	if _, err := Execute(Config{}, altJobs(1), nil); err == nil {
 		t.Error("nil runner accepted")
 	}
 }
@@ -326,18 +331,18 @@ func TestHeterogeneousClassesAndClock(t *testing.T) {
 	tr := runChecked(t, heteroConfig(), jobs, classRunner(1000))
 	// Round-robin: job 0 on node 0 (class 0, clock 1 → 1000 cycles),
 	// job 1 on node 1 (class 1 profile 2000 cycles, clock 2 → 1000).
-	if got := tr.Jobs[0].Cycles; got != 1000 {
+	if got := service(tr.Jobs[0]); got != 1000 {
 		t.Errorf("node 0 service = %d, want 1000", got)
 	}
-	if got := tr.Jobs[1].Cycles; got != 1000 {
+	if got := service(tr.Jobs[1]); got != 1000 {
 		t.Errorf("node 1 service = %d, want 2000/2 = 1000", got)
 	}
 	if tr.Nodes[1].Class != 1 || tr.Nodes[1].ClockScale != 2 {
-		t.Errorf("node trace lost its configuration: %+v", tr.Nodes[1])
+		t.Errorf("node row lost its configuration: %+v", tr.Nodes[1])
 	}
 	// Odd service must round up, never truncate to free cycles.
 	tr = runChecked(t, heteroConfig(), jobs, classRunner(1001))
-	if got := tr.Jobs[1].Cycles; got != 1001 {
+	if got := service(tr.Jobs[1]); got != 1001 {
 		t.Errorf("ceil division lost cycles: %d, want 1001", got)
 	}
 }
@@ -347,7 +352,7 @@ func TestExecuteClassSeedsMatchHomogeneous(t *testing.T) {
 	// heterogeneous run stays comparable with the homogeneous one.
 	jobs := altJobs(4)
 	var homoSeeds, heteroSeeds [4]int64
-	if _, err := Execute(Config{Nodes: 2, Seed: 7}, jobs, func(i, _ int, seed int64) (Exec, error) {
+	if _, err := Execute(Config{NodeConfigs: fleetOf(2, NodeConfig{}), Seed: 7}, jobs, func(i, _ int, seed int64) (Exec, error) {
 		homoSeeds[i] = seed
 		return Exec{Cycles: 1}, nil
 	}); err != nil {
@@ -375,14 +380,14 @@ func TestAdmissionShed(t *testing.T) {
 	// One node, bound 2, batch arrivals: the first two jobs are admitted,
 	// the rest shed.
 	jobs := altJobs(5)
-	tr := runChecked(t, Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 2}},
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(1, NodeConfig{}), Seed: 1, Admission: Admission{Bound: 2}},
 		jobs, fixedRunner(100))
 	if tr.Shed != 3 {
 		t.Fatalf("shed = %d, want 3: %+v", tr.Shed, tr.Jobs)
 	}
-	for _, jt := range tr.Jobs[2:] {
+	for i, jt := range tr.Jobs[2:] {
 		if !jt.Shed || jt.Node != -1 || jt.Completion != 0 {
-			t.Errorf("job %d not recorded as shed: %+v", jt.ID, jt)
+			t.Errorf("job %d not recorded as shed: %+v", i+2, jt)
 		}
 	}
 	if tr.Nodes[0].Jobs != 2 {
@@ -398,7 +403,7 @@ func TestAdmissionDefer(t *testing.T) {
 	// One node, bound 1, defer: jobs serialize, each waiting for the
 	// previous completion, and nothing is shed.
 	jobs := altJobs(3)
-	tr := runChecked(t, Config{Nodes: 1, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(1, NodeConfig{}), Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
 		jobs, fixedRunner(100))
 	if tr.Shed != 0 || tr.Deferred != 2 {
 		t.Fatalf("shed=%d deferred=%d, want 0/2", tr.Shed, tr.Deferred)
@@ -422,22 +427,22 @@ func TestAdmissionDeferRebalances(t *testing.T) {
 	// chosen node is full the deferral must re-place onto whichever node
 	// frees first rather than shed.
 	jobs := altJobs(6)
-	tr := runChecked(t, Config{Nodes: 2, Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(2, NodeConfig{}), Seed: 1, Admission: Admission{Bound: 1, Defer: true}},
 		jobs, fixedRunner(100, 1000))
 	if tr.Shed != 0 {
 		t.Fatalf("defer mode shed %d jobs", tr.Shed)
 	}
-	for _, jt := range tr.Jobs {
+	for i, jt := range tr.Jobs {
 		if jt.Node < 0 {
-			t.Fatalf("job %d unplaced: %+v", jt.ID, jt)
+			t.Fatalf("job %d unplaced: %+v", i, jt)
 		}
 	}
 	// With unequal service times, strict round-robin would idle behind the
 	// slow node; the fall-back to whichever node freed first must move at
 	// least one job off its round-robin slot.
 	diverged := false
-	for _, jt := range tr.Jobs {
-		if jt.Node != jt.ID%2 {
+	for i, jt := range tr.Jobs {
+		if jt.Node != i%2 {
 			diverged = true
 			break
 		}
@@ -459,11 +464,11 @@ func TestWeightedAffinityHugeWeightSaturates(t *testing.T) {
 			{Key: key(2), Bytes: 100},
 		}}
 	}
-	tr := runChecked(t, Config{Nodes: 2, StoreSlots: 2, Seed: 1, Policy: WeightedAffinity(1 << 63)},
+	tr := runChecked(t, Config{NodeConfigs: fleetOf(2, NodeConfig{StoreSlots: 2}), Seed: 1, Policy: WeightedAffinity(1 << 63)},
 		jobs, fixedRunner(100))
-	for _, jt := range tr.Jobs {
+	for i, jt := range tr.Jobs {
 		if jt.Node != 0 {
-			t.Errorf("job %d diverted to node %d: saturating score lost to a cold node", jt.ID, jt.Node)
+			t.Errorf("job %d diverted to node %d: saturating score lost to a cold node", i, jt.Node)
 		}
 	}
 	if tr.ColdLoads != 2 {
@@ -478,8 +483,8 @@ func TestWeightedAffinityBalancesKindsAcrossSpareNodes(t *testing.T) {
 	// round-robin's cold-load churn.
 	jobs := altJobs(12)
 	service := uint64(10_000)
-	run := func(pol PlacementPolicy) *Trace {
-		tr := runChecked(t, Config{Nodes: 3, StoreSlots: 1, Seed: 1, Policy: pol},
+	run := func(pol PlacementPolicy) *fleetRun {
+		tr := runChecked(t, Config{NodeConfigs: fleetOf(3, NodeConfig{StoreSlots: 1}), Seed: 1, Policy: pol},
 			jobs, fixedRunner(service))
 		return tr
 	}
@@ -618,7 +623,7 @@ func TestExecuteBatchingMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wtr, err := Replay(cfg, st.cleared, want)
+		wtr, err := replay(cfg, st.cleared, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +637,7 @@ func TestExecuteBatchingMatchesScalar(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d workers=%d: shared profiles differ from one run per job", trial, workers)
 			}
-			gtr, err := Replay(cfg, st.jobs, got)
+			gtr, err := replay(cfg, st.jobs, got)
 			if err != nil {
 				t.Fatal(err)
 			}

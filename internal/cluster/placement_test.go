@@ -64,25 +64,48 @@ func (r refWeightedAffinity) Place(f *Fleet, job *Job) int {
 	return best
 }
 
+// fleetRun is one replay's output: the job records Replay wrote, the
+// node rows and the totals it returned.
+type fleetRun struct {
+	Jobs  []Placement
+	Nodes []NodeResult
+	Totals
+}
+
+// replay is Replay into a fresh job table.
+func replay(cfg Config, jobs []Job, execs [][]Exec) (*fleetRun, error) {
+	fr := &fleetRun{Jobs: make([]Placement, len(jobs))}
+	var err error
+	fr.Nodes, fr.Totals, err = Replay(cfg, jobs, execs, func(i int) *Placement { return &fr.Jobs[i] })
+	if err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// service is the service time charged to an admitted job: what its
+// timeline holds beyond the fetches.
+func service(p Placement) uint64 { return p.Completion - p.Start - p.FetchCycles }
+
 // checkTrace asserts the replay's accounting laws on tr: per-node FIFO
 // service without overlap, completion = start + fetch + service at the
-// node's clock, no start before arrival plus deferral, node and fleet
-// totals equal to the sums over their jobs, and admitted + shed = jobs.
-func checkTrace(t *testing.T, jobs []Job, execs [][]Exec, tr *Trace) {
+// node's clock, no start before arrival plus deferral, latency =
+// completion − arrival, node and fleet totals equal to the sums over
+// their jobs, the latency statistics of the admitted jobs, and admitted
+// + shed = jobs.
+func checkTrace(t *testing.T, jobs []Job, execs [][]Exec, tr *fleetRun) {
 	t.Helper()
 	if len(tr.Jobs) != len(jobs) {
 		t.Fatalf("trace has %d jobs for %d submitted", len(tr.Jobs), len(jobs))
 	}
-	nodes := make([]NodeTrace, len(tr.Nodes))
-	for n, nt := range tr.Nodes {
-		nodes[n].Class, nodes[n].ClockScale = nt.Class, nt.ClockScale
+	nodes := make([]NodeResult, len(tr.Nodes))
+	for n, nr := range tr.Nodes {
+		nodes[n].Node, nodes[n].Class, nodes[n].ClockScale = n, nr.Class, nr.ClockScale
 	}
-	var fleet Trace
+	var fleet Totals
+	var lats []uint64
 	admitted := 0
 	for i, jt := range tr.Jobs {
-		if jt.ID != i || jt.Label != jobs[i].Label {
-			t.Fatalf("job %d recorded as %d %q", i, jt.ID, jt.Label)
-		}
 		if jt.Deferred != (jt.DeferCycles > 0) {
 			t.Errorf("job %d: deferred %v with %d defer cycles", i, jt.Deferred, jt.DeferCycles)
 		}
@@ -92,7 +115,7 @@ func checkTrace(t *testing.T, jobs []Job, execs [][]Exec, tr *Trace) {
 		}
 		if jt.Shed {
 			fleet.Shed++
-			if jt.Node != -1 || jt.Start != 0 || jt.Completion != 0 || jt.Cycles != 0 ||
+			if jt.Node != -1 || jt.Start != 0 || jt.Completion != 0 || jt.Latency != 0 ||
 				jt.ColdLoads != 0 || jt.WarmHits != 0 || jt.FetchCycles != 0 {
 				t.Errorf("shed job %d carries placement state: %+v", i, jt)
 			}
@@ -104,8 +127,9 @@ func checkTrace(t *testing.T, jobs []Job, execs [][]Exec, tr *Trace) {
 		}
 		nt := &nodes[jt.Node]
 		clock := uint64(nt.ClockScale)
-		if want := (execs[nt.Class][i].Cycles + clock - 1) / clock; jt.Cycles != want {
-			t.Errorf("job %d: service %d cycles, want %d", i, jt.Cycles, want)
+		want := (execs[nt.Class][i].Cycles + clock - 1) / clock
+		if jt.Completion < jt.Start+jt.FetchCycles || service(jt) != want {
+			t.Errorf("job %d: completion %d != start %d + fetch %d + service %d", i, jt.Completion, jt.Start, jt.FetchCycles, want)
 		}
 		distinct := uint64(0)
 		for ci := range jobs[i].Circuits {
@@ -122,43 +146,42 @@ func checkTrace(t *testing.T, jobs []Job, execs [][]Exec, tr *Trace) {
 		if nt.Jobs > 0 && jt.Start < nt.Completion {
 			t.Errorf("job %d starts at %d on node %d before its previous job completes at %d", i, jt.Start, jt.Node, nt.Completion)
 		}
-		if jt.Completion != jt.Start+jt.FetchCycles+jt.Cycles {
-			t.Errorf("job %d: completion %d != start %d + fetch %d + service %d", i, jt.Completion, jt.Start, jt.FetchCycles, jt.Cycles)
+		if jt.Latency != jt.Completion-jt.Arrival {
+			t.Errorf("job %d: latency %d != completion %d − arrival %d", i, jt.Latency, jt.Completion, jt.Arrival)
 		}
+		lats = append(lats, jt.Latency)
 		nt.Jobs++
-		nt.Busy += jt.FetchCycles + jt.Cycles
+		nt.Busy += jt.FetchCycles + want
 		nt.ColdLoads += jt.ColdLoads
 		nt.WarmHits += jt.WarmHits
 		nt.FetchCycles += jt.FetchCycles
 		nt.Completion = jt.Completion
-		fleet.Busy += jt.FetchCycles + jt.Cycles
+		fleet.Busy += jt.FetchCycles + want
 		fleet.ColdLoads += jt.ColdLoads
 		fleet.WarmHits += jt.WarmHits
 		fleet.FetchCycles += jt.FetchCycles
 		fleet.Makespan = max(fleet.Makespan, jt.Completion)
 	}
 	if !reflect.DeepEqual(nodes, tr.Nodes) {
-		t.Errorf("node traces are not the sums over their jobs:\n got %+v\nwant %+v", tr.Nodes, nodes)
+		t.Errorf("node rows are not the sums over their jobs:\n got %+v\nwant %+v", tr.Nodes, nodes)
 	}
 	if admitted+tr.Shed != len(jobs) {
 		t.Errorf("admitted %d + shed %d != %d jobs", admitted, tr.Shed, len(jobs))
 	}
-	fleet.Policy, fleet.Jobs, fleet.Nodes = tr.Policy, tr.Jobs, tr.Nodes
-	if !reflect.DeepEqual(&fleet, tr) {
-		t.Errorf("fleet totals are not the sums over the jobs: got makespan %d busy %d cold %d warm %d fetch %d shed %d deferred %d/%d, want %d %d %d %d %d %d %d/%d",
-			tr.Makespan, tr.Busy, tr.ColdLoads, tr.WarmHits, tr.FetchCycles, tr.Shed, tr.Deferred, tr.DeferCycles,
-			fleet.Makespan, fleet.Busy, fleet.ColdLoads, fleet.WarmHits, fleet.FetchCycles, fleet.Shed, fleet.Deferred, fleet.DeferCycles)
+	fleet.Latency = latencyStats(lats)
+	if fleet != tr.Totals {
+		t.Errorf("fleet totals are not the sums over the jobs:\n got %+v\nwant %+v", tr.Totals, fleet)
 	}
 }
 
-// runChecked is Run followed by checkTrace.
-func runChecked(t *testing.T, cfg Config, jobs []Job, run Runner) *Trace {
+// runChecked is Execute and Replay followed by checkTrace.
+func runChecked(t *testing.T, cfg Config, jobs []Job, run Runner) *fleetRun {
 	t.Helper()
 	execs, err := Execute(cfg, jobs, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Replay(cfg, jobs, execs)
+	tr, err := replay(cfg, jobs, execs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +247,12 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 			{w, refWeightedAffinity{w}},
 		} {
 			cfg.Policy = p[0]
-			got, err := Replay(cfg, jobs, execs)
+			got, err := replay(cfg, jobs, execs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Policy = p[1]
-			want, err := Replay(cfg, jobs, execs)
+			want, err := replay(cfg, jobs, execs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,11 +290,13 @@ func BenchmarkReplay(b *testing.B) {
 	for _, pol := range []PlacementPolicy{Affinity(), WeightedAffinity(0), LeastLoaded()} {
 		for _, nodes := range []int{1_000, 10_000, 100_000} {
 			b.Run(fmt.Sprintf("%s/%dk", pol.Name(), nodes/1000), func(b *testing.B) {
-				cfg := Config{Nodes: nodes, StoreSlots: 2, Seed: 7, Policy: pol,
+				cfg := Config{NodeConfigs: fleetOf(nodes, NodeConfig{StoreSlots: 2}), Seed: 7, Policy: pol,
 					Arrivals: Arrivals{Kind: ArrivePoisson, MeanGap: 2000}}
+				rows := make([]Placement, jobCount)
+				at := func(i int) *Placement { return &rows[i] }
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Replay(cfg, jobs, execs); err != nil {
+					if _, _, err := Replay(cfg, jobs, execs, at); err != nil {
 						b.Fatal(err)
 					}
 				}

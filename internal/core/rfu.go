@@ -193,8 +193,8 @@ type SwappedCircuit struct {
 	Status  bool
 	Counter uint32
 
-	// model is the evicted execution model, which the first Restore
-	// reuses instead of stamping a fresh one; it is nil after that.
+	// model is the evicted execution model, which Restore reuses
+	// instead of stamping a fresh one; it is nil once restored.
 	model Model
 }
 
@@ -225,23 +225,19 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 // frames restore into an instance of the cached static image (§4.1's
 // split configuration), plus the RFU-side status bit and counter. The
 // instance is the one SwapOut evicted, whose every register LoadState
-// overwrites; it moves out of sc, so a second Restore of the same
-// circuit (sharing mode can ask for one) stamps a fresh instance rather
-// than aliasing a live one. The byte count covers both frame sections —
-// full static frames and the tiny state frame group.
+// overwrites; it moves out of sc, so a SwappedCircuit restores at most
+// once and a second Restore is an error. The byte count covers both
+// frame sections — full static frames and the tiny state frame group.
 func (r *RFU) Restore(pfuIdx int, sc *SwappedCircuit) (int, error) {
 	m := sc.model
-	sc.model = nil
 	if m == nil {
-		var err error
-		if m, err = sc.Image.NewInstance(); err != nil {
-			return 0, err
-		}
+		return 0, fmt.Errorf("core: swapped %s circuit already restored", sc.Image.Name)
 	}
 	n, err := r.LoadInstance(pfuIdx, sc.Image, m)
 	if err != nil {
 		return 0, err
 	}
+	sc.model = nil
 	if err := m.LoadState(sc.State); err != nil {
 		return 0, err
 	}

@@ -522,8 +522,8 @@ done:
 
 // TestRestoreReusesEvictedModel: Restore hands the instance SwapOut
 // evicted back to the array instead of stamping a new one, and a second
-// Restore of the same SwappedCircuit — which sharing mode can ask for —
-// gets a fresh instance, so the two restored circuits run independently.
+// Restore of the same SwappedCircuit is an error that leaves its target
+// PFU empty, so no two restored circuits alias one instance.
 func TestRestoreReusesEvictedModel(t *testing.T) {
 	rfu := New(DefaultConfig)
 	if _, err := rfu.LoadImage(0, addImage(10)); err != nil {
@@ -538,26 +538,25 @@ func TestRestoreReusesEvictedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, slot := range []int{1, 2} {
-		if _, err := rfu.Restore(slot, sc); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := rfu.Restore(1, sc); err != nil {
+		t.Fatal(err)
 	}
 	if rfu.pfus[1].model != evicted {
-		t.Fatal("the first Restore stamped a fresh instance instead of reusing the evicted one")
+		t.Fatal("Restore stamped a fresh instance instead of reusing the evicted one")
 	}
-	if rfu.pfus[2].model == evicted {
-		t.Fatal("the second Restore of one SwappedCircuit aliased the live instance")
+	if _, err := rfu.Restore(2, sc); err == nil {
+		t.Fatal("a second Restore of one SwappedCircuit succeeded")
 	}
-	// Finish on PFU 1; PFU 2 still holds the saved mid-instruction state
-	// and finishes in the same 6 cycles.
-	for slot := 1; slot <= 2; slot++ {
-		if !bytes.Equal(rfu.pfus[slot].model.SaveState(), sc.State) {
-			t.Fatalf("PFU %d does not hold the saved state", slot)
-		}
-		e := &pfuExec{r: rfu, pfu: slot, a: 5, b: 6, dst: 3}
-		if n, done := e.Run(100); !done || n != 6 || rfu.Regs[3] != 11 {
-			t.Fatalf("PFU %d: %d cycles, done %v, result %d; want 6, true, 11", slot, n, done, rfu.Regs[3])
-		}
+	if rfu.pfus[2].model != nil {
+		t.Fatal("the refused second Restore configured its PFU")
+	}
+	// PFU 1 holds the saved mid-instruction state and finishes in 6
+	// more cycles.
+	if !bytes.Equal(rfu.pfus[1].model.SaveState(), sc.State) {
+		t.Fatal("PFU 1 does not hold the saved state")
+	}
+	e := &pfuExec{r: rfu, pfu: 1, a: 5, b: 6, dst: 3}
+	if n, done := e.Run(100); !done || n != 6 || rfu.Regs[3] != 11 {
+		t.Fatalf("PFU 1: %d cycles, done %v, result %d; want 6, true, 11", n, done, rfu.Regs[3])
 	}
 }

@@ -45,8 +45,14 @@ type CISStats struct {
 type CIS struct {
 	k      *Kernel
 	owners [][]*Registration // per PFU: registrations mapped to its circuit
-	pol    policy
-	Stats  CISStats
+	// restoredFrom, in sharing mode, is per PFU the SwappedCircuit its
+	// circuit was restored from (nil for a fresh load). The circuit's
+	// other sharers may still hold that SwappedCircuit without having
+	// faulted back in; passOn moves them on when the circuit leaves the
+	// PFU, so each SwappedCircuit is restored at most once.
+	restoredFrom []*core.SwappedCircuit
+	pol          policy
+	Stats        CISStats
 }
 
 func newCIS(k *Kernel) *CIS {
@@ -55,6 +61,9 @@ func newCIS(k *Kernel) *CIS {
 		owners: make([][]*Registration, k.M.RFU.NumPFUs()),
 	}
 	c.pol = newPolicy(k.cfg.Policy, k.M.RFU.NumPFUs(), k.cfg.Seed)
+	if k.cfg.Sharing {
+		c.restoredFrom = make([]*core.SwappedCircuit, k.M.RFU.NumPFUs())
+	}
 	return c
 }
 
@@ -147,8 +156,9 @@ func (c *CIS) fault(p *Process, cid uint32) bool {
 	}
 	var bytes int
 	var err error
-	if reg.swapped != nil {
-		bytes, err = rfu.Restore(target, reg.swapped)
+	sc := reg.swapped
+	if sc != nil {
+		bytes, err = rfu.Restore(target, sc)
 		reg.swapped = nil
 		c.Stats.Restores++
 		c.k.log(trace.EvStateRestore, p.PID, reg.Image.Name)
@@ -160,6 +170,9 @@ func (c *CIS) fault(p *Process, cid uint32) bool {
 		// A malformed image (e.g. combinational loop) is a functional
 		// security violation: the process dies (§2).
 		return false
+	}
+	if c.k.cfg.Sharing {
+		c.restoredFrom[target] = sc
 	}
 	cycles := c.k.M.StallForConfig(bytes)
 	c.Stats.Loads++
@@ -199,10 +212,33 @@ func (c *CIS) evict(pfu int) {
 			reg.sharedWith = nil
 		}
 	}
+	if c.k.cfg.Sharing {
+		c.passOn(pfu, sc)
+	}
 	c.Stats.Evictions++
 	c.k.log(trace.EvEvict, owners[0].owner.PID, owners[0].Image.Name)
 	rfu.TLB1.RemoveIf(func(k core.IDTuple, v uint32) bool { return v == uint32(pfu) })
 	c.owners[pfu] = c.owners[pfu][:0]
+}
+
+// passOn runs in sharing mode when pfu's circuit leaves the array: every
+// registration still holding the SwappedCircuit the circuit was restored
+// from — a sharer that has not faulted back in since — takes sc, the
+// state saved at this eviction, or nil when the circuit is unloaded
+// unsaved, so its next fault loads the image afresh.
+func (c *CIS) passOn(pfu int, sc *core.SwappedCircuit) {
+	from := c.restoredFrom[pfu]
+	c.restoredFrom[pfu] = nil
+	if from == nil {
+		return
+	}
+	for _, p := range c.k.procs {
+		for _, reg := range p.registrations {
+			if reg.swapped == from {
+				reg.swapped = sc
+			}
+		}
+	}
 }
 
 // releaseProcess drops everything a finished process holds: resident
@@ -223,6 +259,9 @@ func (c *CIS) releaseProcess(p *Process) {
 			c.owners[pfu] = remaining
 			if len(remaining) == 0 {
 				rfu.Unload(pfu)
+				if c.k.cfg.Sharing {
+					c.passOn(pfu, nil)
+				}
 			}
 			reg.resident = -1
 		}

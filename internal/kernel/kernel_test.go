@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -632,12 +633,11 @@ w:	subs r4, r4, #1
 	}
 }
 
-// TestSharingRestoresSwappedCircuitTwice pins down why core.RFU.Restore
-// may reuse an evicted instance only once: in sharing mode every owner of
-// an evicted circuit keeps the same SwappedCircuit, so when one owner's
-// restored copy is evicted again before another owner faults, that owner
-// restores the same SwappedCircuit a second time — from the state saved
-// at the first eviction, into an instance of its own.
+// TestSharingRestoresSwappedCircuitTwice covers a shared circuit that is
+// swapped out twice: a and b share x when it is evicted, a restores it
+// and runs it on, and x is evicted again before b faults. b must restore
+// the state saved at that latest eviction, and the SwappedCircuit a
+// restored must not be restored a second time.
 func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
 	m := machine.New(machine.Config{RFU: core.Config{PFUs: 1}})
 	k := New(m, Config{Sharing: true})
@@ -686,18 +686,26 @@ func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
 	fault("a") // restores sc, evicting y
 	clock("a", 1)
 	fault("c") // restores y, evicting a's copy of x into a new SwappedCircuit
-	if regs["a"].swapped == nil || regs["a"].swapped == sc || regs["b"].swapped != sc {
-		t.Fatal("b should still hold the first SwappedCircuit")
+	latest := regs["a"].swapped
+	if latest == nil || latest == sc || regs["b"].swapped != latest {
+		t.Fatal("b does not hold the state saved at x's latest eviction")
 	}
-	fault("b") // restores sc a second time
+	want := slices.Clone(latest.State)
+	fault("b") // restores latest
 	if got := k.CIS.Stats.Restores; got != 3 {
-		t.Fatalf("restores = %d, want 3 (sc twice, y once)", got)
+		t.Fatalf("restores = %d, want 3 (sc, y, then x's latest state)", got)
 	}
 	saved, _, err := m.RFU.SwapOut(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saved.State, sc.State) {
-		t.Fatal("the second restore did not load the state saved at the first eviction")
+	if !bytes.Equal(saved.State, want) {
+		t.Fatal("b's restore did not load the state saved at x's latest eviction")
+	}
+	if bytes.Equal(want, sc.State) {
+		t.Fatal("premise broken: the two evictions saved the same state")
+	}
+	if _, err := m.RFU.Restore(0, sc); err == nil {
+		t.Fatal("a SwappedCircuit restored a second time")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Version is the protocol revision negotiated by Hello/HelloOK. A server
 // rejects clients whose major revision differs.
-const Version = 2
+const Version = 3
 
 // Message kinds — the first element of every message envelope.
 const (

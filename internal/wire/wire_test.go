@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"protean"
+	"protean/internal/cluster"
 )
 
 // TestCodecRoundTrip drives every scalar shape through encode→decode and
@@ -223,7 +224,7 @@ func envelope(kind uint64, body func(e *Encoder)) []byte {
 // field (a nil Run) to the fleet array that follows it. Every value
 // still lines up positionally, so only the arity checks reject it.
 func shiftedJob(t *testing.T) []byte {
-	fr := &protean.FleetResult{Jobs: []protean.JobResult{{Node: -1, Shed: true}}}
+	fr := &protean.FleetResult{Jobs: []protean.JobResult{{Placement: cluster.Placement{Node: -1, Shed: true}}}}
 	v, _, err := DecodeValue(EncodeMessage(1, ResultOK{Job: 1, Fleet: fr}))
 	if err != nil {
 		t.Fatal(err)
@@ -289,29 +290,29 @@ func sampleFleet(exp *uint32) *protean.FleetResult {
 			{Node: 0, Class: 1, ClockScale: 3, Jobs: 2, Busy: 100, ColdLoads: 2, WarmHits: 1, FetchCycles: 50, Completion: 1 << 33},
 		},
 		Jobs: []protean.JobResult{
-			{ID: 0, Label: "alpha x2", Workload: "alpha", Node: 0, Arrival: 1, Start: 2, Completion: 300,
-				ColdLoads: 1, WarmHits: 0, FetchCycles: 25, Latency: 299, Run: &protean.Result{
-					Cycles: 300, Completion: 300,
-					Procs: []protean.ProcResult{
-						{PID: 1, Name: "alpha.0", Workload: "alpha", State: protean.ProcExited, ExitCode: 7, Expected: exp, Start: 2, Completion: 300, Switches: 3, Faults: 1, Instrs: 1000},
-						{PID: 2, Name: "free.0", State: protean.ProcKilled, Start: 5, Completion: 200},
-					},
-					CIS:     protean.CISStats{Faults: 4, Loads: 2, ConfigBytes: 1 << 20},
-					Kernel:  protean.KernelStats{ContextSwitches: 9, KernelCycles: 1234},
-					RFU:     protean.RFUStats{HWDispatches: 55, ExecCycles: 1 << 34},
-					TLB1:    protean.TLBStats{Lookups: 10, Misses: 2},
-					TLB2:    protean.TLBStats{Lookups: 8},
-					Console: "hello\n",
-					Trace:   "",
-					Metrics: &snap,
-				}},
-			{ID: 1, Label: "twofish x1", Workload: "twofish", Node: -1, Arrival: 7, Shed: true},
-			{ID: 2, Label: "echo x1", Workload: "echo", Node: 0, Arrival: 8, Start: 400, Completion: 500,
-				Latency: 492, Deferred: true, DeferCycles: 100, Run: &protean.Result{Cycles: 100, Completion: 100}},
+			{ID: 0, Label: "alpha x2", Workload: "alpha", Placement: cluster.Placement{Node: 0, Arrival: 1, Start: 2, Completion: 300,
+				ColdLoads: 1, WarmHits: 0, FetchCycles: 25, Latency: 299}, Run: &protean.Result{
+				Cycles: 300, Completion: 300,
+				Procs: []protean.ProcResult{
+					{PID: 1, Name: "alpha.0", Workload: "alpha", State: protean.ProcExited, ExitCode: 7, Expected: exp, Start: 2, Completion: 300, Switches: 3, Faults: 1, Instrs: 1000},
+					{PID: 2, Name: "free.0", State: protean.ProcKilled, Start: 5, Completion: 200},
+				},
+				CIS:     protean.CISStats{Faults: 4, Loads: 2, ConfigBytes: 1 << 20},
+				Kernel:  protean.KernelStats{ContextSwitches: 9, KernelCycles: 1234},
+				RFU:     protean.RFUStats{HWDispatches: 55, ExecCycles: 1 << 34},
+				TLB1:    protean.TLBStats{Lookups: 10, Misses: 2},
+				TLB2:    protean.TLBStats{Lookups: 8},
+				Console: "hello\n",
+				Trace:   "",
+				Metrics: &snap,
+			}},
+			{ID: 1, Label: "twofish x1", Workload: "twofish", Placement: cluster.Placement{Node: -1, Arrival: 7, Shed: true}},
+			{ID: 2, Label: "echo x1", Workload: "echo", Placement: cluster.Placement{Node: 0, Arrival: 8, Start: 400, Completion: 500,
+				Latency: 492, Deferred: true, DeferCycles: 100}, Run: &protean.Result{Cycles: 100, Completion: 100}},
 		},
-		Makespan: 500, Busy: 450, ColdLoads: 3, WarmHits: 1, FetchCycles: 75,
-		Shed: 1, Deferred: 1, DeferCycles: 100,
-		Latency: protean.LatencyStats{Jobs: 2, Mean: 395, P50: 299, P95: 492, P99: 492, Max: 492},
+		Totals: cluster.Totals{Makespan: 500, Busy: 450, ColdLoads: 3, WarmHits: 1, FetchCycles: 75,
+			Shed: 1, Deferred: 1, DeferCycles: 100,
+			Latency: protean.LatencyStats{Jobs: 2, Mean: 395, P50: 299, P95: 492, P99: 492, Max: 492}},
 		CIS:     protean.CISStats{Faults: 4, Loads: 2},
 		Kernel:  protean.KernelStats{ContextSwitches: 9},
 		RFU:     protean.RFUStats{HWDispatches: 55},

@@ -51,9 +51,10 @@ func observeTLB(r *obs.Registry, prefix string, s TLBStats) {
 	r.Counter(prefix+"_misses_total", "dispatch CAM misses").Add(s.Misses)
 }
 
-// sessionBuckets spans session-scale cycle counts: 1k up to ~10^9, ×4
-// per bucket.
-func sessionBuckets() []uint64 { return obs.ExpBuckets(1024, 4, 10) }
+// cycleBuckets are the cycle-count histogram buckets of the session and
+// fleet metrics: 1k up to ~10^9, ×4 per bucket — wide enough for any
+// realistic scenario, few enough for a readable exposition.
+func cycleBuckets() []uint64 { return obs.ExpBuckets(1024, 4, 10) }
 
 // metricsSnapshot registers the finished session's statistics into a
 // fresh registry — kernel, CIS, RFU, both dispatch TLBs, and per-process
@@ -68,7 +69,7 @@ func (s *Session) metricsSnapshot(res *Result) *Metrics {
 	observeTLB(r, "protean_tlb2", res.TLB2)
 	r.Gauge("protean_session_cycles", "total simulated machine time").Set(int64(res.Cycles))
 	r.Counter("protean_session_procs_total", "processes spawned").Add(uint64(len(res.Procs)))
-	soj := r.Histogram("protean_session_sojourn_cycles", "first-dispatch-to-exit per process", sessionBuckets())
+	soj := r.Histogram("protean_session_sojourn_cycles", "first-dispatch-to-exit per process", cycleBuckets())
 	for _, pr := range res.Procs {
 		soj.Observe(pr.Completion - pr.Start)
 	}
@@ -121,20 +122,37 @@ func (s *Session) writeChromeTrace(w io.Writer, res *Result) error {
 }
 
 // fleetMetrics registers the replayed fleet's statistics into a fresh
-// registry — the dispatcher trace aggregates (placements, store traffic,
-// admission outcomes, sojourn/defer-wait histograms) plus the summed
-// per-job session statistics — and snapshots it. Runs on the serial
-// replay goroutine, so the bytes are byte-identical at any Execute
-// worker count.
-func fleetMetrics(tr *cluster.Trace, fr *FleetResult) *Metrics {
+// registry — the dispatcher aggregates (placements, store traffic,
+// admission outcomes, sojourn/defer-wait histograms over the job rows in
+// submission order) plus the summed per-job session statistics — and
+// snapshots it. Runs on the serial replay goroutine, so the bytes are
+// byte-identical at any Execute worker count.
+func fleetMetrics(fr *FleetResult) *Metrics {
 	r := obs.NewRegistry()
-	tr.Observe(r)
-	fr.Kernel.Observe(r)
-	fr.CIS.Observe(r)
-	fr.RFU.Observe(r)
+	placed := uint64(len(fr.Jobs)) - uint64(fr.Shed)
+	r.Counter("protean_fleet_jobs_total", "jobs submitted").Add(uint64(len(fr.Jobs)))
+	r.Counter("protean_fleet_placements_total", "jobs placed on a node").Add(placed)
+	r.Counter("protean_fleet_shed_total", "jobs rejected by admission control").Add(uint64(fr.Shed))
+	r.Counter("protean_fleet_deferred_total", "jobs held back by admission control").Add(uint64(fr.Deferred))
+	r.Counter("protean_fleet_defer_cycles_total", "summed deferral waits").Add(fr.DeferCycles)
+	r.Counter("protean_fleet_cold_loads_total", "configurations fetched into node stores").Add(fr.ColdLoads)
+	r.Counter("protean_fleet_warm_hits_total", "configurations already resident on placement").Add(fr.WarmHits)
+	r.Counter("protean_fleet_fetch_cycles_total", "modeled cost of cold fetches").Add(fr.FetchCycles)
+	r.Counter("protean_fleet_busy_cycles_total", "node service + fetch cycles").Add(fr.Busy)
+	r.Gauge("protean_fleet_makespan_cycles", "cycle the last admitted job completed").Set(int64(fr.Makespan))
+	r.Gauge("protean_fleet_nodes", "fleet size").Set(int64(len(fr.Nodes)))
+	sojourn := r.Histogram("protean_fleet_sojourn_cycles", "arrival-to-completion per admitted job", cycleBuckets())
+	wait := r.Histogram("protean_fleet_defer_wait_cycles", "admission deferral wait per deferred job", cycleBuckets())
 	var t1, t2 TLBStats
 	for _, j := range fr.Jobs {
-		if j.Shed || j.Run == nil {
+		if j.Shed {
+			continue
+		}
+		sojourn.Observe(j.Latency)
+		if j.Deferred {
+			wait.Observe(j.DeferCycles)
+		}
+		if j.Run == nil {
 			continue
 		}
 		t1.Lookups += j.Run.TLB1.Lookups
@@ -142,8 +160,48 @@ func fleetMetrics(tr *cluster.Trace, fr *FleetResult) *Metrics {
 		t2.Lookups += j.Run.TLB2.Lookups
 		t2.Misses += j.Run.TLB2.Misses
 	}
+	fr.Kernel.Observe(r)
+	fr.CIS.Observe(r)
+	fr.RFU.Observe(r)
 	observeTLB(r, "protean_tlb1", t1)
 	observeTLB(r, "protean_tlb2", t2)
 	snap := r.Snapshot()
 	return &snap
+}
+
+// emitFleetChrome renders the fleet timeline into t: one track per node
+// with a fetch span (cold configuration traffic) and an exec span per
+// placed job, plus a dispatcher track after the node tracks carrying
+// defer-wait spans and shed instants. jobs is the submission table the
+// fleet was replayed from; its Batch ids (the "batch" arg) make share
+// groups visible in Perfetto. Jobs are walked in submission order —
+// replay-side emission only, so the rendered trace is byte-identical at
+// any Execute worker count.
+func emitFleetChrome(t *obs.Tracer, fr *FleetResult, jobs []cluster.Job) {
+	for _, nr := range fr.Nodes {
+		t.SetTrackName(nr.Node, fmt.Sprintf("node %d (class %d ×%d)", nr.Node, nr.Class, nr.ClockScale))
+	}
+	dispatcher := len(fr.Nodes)
+	t.SetTrackName(dispatcher, "dispatcher")
+	for _, j := range fr.Jobs {
+		if j.Shed {
+			t.Instant(dispatcher, "admission", "shed "+j.Label, j.Arrival,
+				obs.Arg{Key: "job", Val: j.ID})
+			continue
+		}
+		if j.Deferred {
+			t.Span(dispatcher, "admission", "defer "+j.Label, j.Arrival, j.Arrival+j.DeferCycles,
+				obs.Arg{Key: "job", Val: j.ID}, obs.Arg{Key: "node", Val: j.Node})
+		}
+		execStart := j.Start + j.FetchCycles
+		if j.FetchCycles > 0 {
+			t.Span(j.Node, "fetch", "fetch "+j.Label, j.Start, execStart,
+				obs.Arg{Key: "job", Val: j.ID}, obs.Arg{Key: "cold_loads", Val: j.ColdLoads})
+		}
+		t.Span(j.Node, "exec", j.Label, execStart, j.Completion,
+			obs.Arg{Key: "job", Val: j.ID},
+			obs.Arg{Key: "cycles", Val: j.Completion - execStart},
+			obs.Arg{Key: "warm_hits", Val: j.WarmHits},
+			obs.Arg{Key: "batch", Val: jobs[j.ID].Batch})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"protean/internal/cluster"
 	"protean/internal/obs"
@@ -776,17 +775,15 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	}
 	frs := make([]*FleetResult, len(rs.policies))
 	for pi, pol := range rs.policies {
-		ccfg.Policy = pol
-		tr, err := cluster.Replay(ccfg, rs.jobs, execs)
+		fr, err := rs.replay(pol, execs, results)
 		if err != nil {
 			return nil, err
 		}
-		fr := rs.assemble(tr, results)
 		if rs.metrics {
-			fr.Metrics = fleetMetrics(tr, fr)
+			fr.Metrics = fleetMetrics(fr)
 		}
 		if pi == 0 {
-			if err := rs.emitChromeTrace(tr, rs.jobs); err != nil {
+			if err := rs.emitChromeTrace(fr); err != nil {
 				return nil, err
 			}
 		}
@@ -805,15 +802,33 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	return frs, nil
 }
 
+// replay is phase 2 under one policy: Replay writes every job's
+// placement straight into the FleetResult's job rows and returns its
+// node rows and totals, then assemble attaches what the dispatcher does
+// not know.
+func (rs *resolvedScenario) replay(pol PlacementPolicy, execs [][]cluster.Exec, results [][]*Result) (*FleetResult, error) {
+	ccfg := rs.ccfg
+	ccfg.Policy = pol
+	fr := &FleetResult{Policy: pol.Name(), Jobs: make([]JobResult, len(rs.jobs))}
+	var err error
+	fr.Nodes, fr.Totals, err = cluster.Replay(ccfg, rs.jobs, execs,
+		func(i int) *cluster.Placement { return &fr.Jobs[i].Placement })
+	if err != nil {
+		return nil, err
+	}
+	rs.assemble(fr, results)
+	return fr, nil
+}
+
 // emitChromeTrace writes the fleet timeline to the configured trace
 // destination (WithRunTrace writer or Scenario.TraceOut path); a no-op
 // when neither is set. Runs on the serial replay goroutine.
-func (rs *resolvedScenario) emitChromeTrace(tr *cluster.Trace, jobs []cluster.Job) error {
+func (rs *resolvedScenario) emitChromeTrace(fr *FleetResult) error {
 	if rs.traceW == nil && rs.tracePath == "" {
 		return nil
 	}
 	t := obs.NewTracer()
-	tr.EmitChrome(t, jobs)
+	emitFleetChrome(t, fr, rs.jobs)
 	if rs.traceW != nil {
 		if err := t.WriteChromeTrace(rs.traceW); err != nil {
 			return fmt.Errorf("protean: write trace: %w", err)
@@ -834,96 +849,23 @@ func (rs *resolvedScenario) emitChromeTrace(tr *cluster.Trace, jobs []cluster.Jo
 	return nil
 }
 
-// assemble aggregates the dispatcher trace and the per-class session
-// results into a FleetResult. Shed jobs carry no session result and are
-// excluded from the aggregate statistics and latency distribution.
-func (rs *resolvedScenario) assemble(tr *cluster.Trace, results [][]*Result) *FleetResult {
-	fr := &FleetResult{
-		Policy:      tr.Policy,
-		Makespan:    tr.Makespan,
-		Busy:        tr.Busy,
-		ColdLoads:   tr.ColdLoads,
-		WarmHits:    tr.WarmHits,
-		FetchCycles: tr.FetchCycles,
-		Shed:        tr.Shed,
-		Deferred:    tr.Deferred,
-		DeferCycles: tr.DeferCycles,
-	}
-	fr.Nodes = make([]NodeResult, len(tr.Nodes))
-	for n, nt := range tr.Nodes {
-		fr.Nodes[n] = NodeResult{
-			Node:        n,
-			Class:       nt.Class,
-			ClockScale:  nt.ClockScale,
-			Jobs:        nt.Jobs,
-			Busy:        nt.Busy,
-			ColdLoads:   nt.ColdLoads,
-			WarmHits:    nt.WarmHits,
-			FetchCycles: nt.FetchCycles,
-			Completion:  nt.Completion,
+// assemble completes the job rows Replay wrote — submission index,
+// label, workload and, for admitted jobs, the session result of the
+// node's class — and folds the admitted sessions' statistics into the
+// fleet aggregates. Shed jobs carry no session result.
+func (rs *resolvedScenario) assemble(fr *FleetResult, results [][]*Result) {
+	for i := range fr.Jobs {
+		jr, job := &fr.Jobs[i], &rs.jobs[i]
+		jr.ID, jr.Label, jr.Workload = i, job.Label, rs.kinds[job.Batch-1].workload
+		if jr.Shed {
+			continue
 		}
-	}
-	fr.Jobs = make([]JobResult, len(tr.Jobs))
-	lats := make([]uint64, 0, len(tr.Jobs)-tr.Shed)
-	for i, jt := range tr.Jobs {
-		jr := &fr.Jobs[i]
-		*jr = JobResult{
-			ID:          jt.ID,
-			Label:       jt.Label,
-			Workload:    rs.kinds[rs.jobs[i].Batch-1].workload,
-			Node:        jt.Node,
-			Arrival:     jt.Arrival,
-			Start:       jt.Start,
-			Completion:  jt.Completion,
-			ColdLoads:   jt.ColdLoads,
-			WarmHits:    jt.WarmHits,
-			FetchCycles: jt.FetchCycles,
-			Shed:        jt.Shed,
-			Deferred:    jt.Deferred,
-			DeferCycles: jt.DeferCycles,
+		res := results[fr.Nodes[jr.Node].Class][i]
+		jr.Run = res
+		if res != nil {
+			addCIS(&fr.CIS, res.CIS)
+			addKernel(&fr.Kernel, res.Kernel)
+			addRFU(&fr.RFU, res.RFU)
 		}
-		if !jt.Shed {
-			jr.Latency = jt.Completion - jt.Arrival
-			lats = append(lats, jr.Latency)
-			res := results[tr.Nodes[jt.Node].Class][i]
-			jr.Run = res
-			if res != nil {
-				addCIS(&fr.CIS, res.CIS)
-				addKernel(&fr.Kernel, res.Kernel)
-				addRFU(&fr.RFU, res.RFU)
-			}
-		}
-	}
-	fr.Latency = latencyStats(lats)
-	return fr
-}
-
-// latencyStats summarizes a latency sample: integer mean and
-// nearest-rank percentiles over the sorted sample, so the statistics are
-// exactly reproducible. It sorts the sample, which the caller hands
-// over.
-func latencyStats(sorted []uint64) LatencyStats {
-	if len(sorted) == 0 {
-		return LatencyStats{}
-	}
-	slices.Sort(sorted)
-	var sum uint64
-	for _, v := range sorted {
-		sum += v
-	}
-	rank := func(pct int) uint64 {
-		idx := (pct*len(sorted) + 99) / 100
-		if idx < 1 {
-			idx = 1
-		}
-		return sorted[idx-1]
-	}
-	return LatencyStats{
-		Jobs: len(sorted),
-		Mean: sum / uint64(len(sorted)),
-		P50:  rank(50),
-		P95:  rank(95),
-		P99:  rank(99),
-		Max:  sorted[len(sorted)-1],
 	}
 }
