@@ -633,48 +633,64 @@ w:	subs r4, r4, #1
 	}
 }
 
+// sharingRig is a one-PFU sharing-mode kernel whose processes a and b
+// register image x under CID 5 and whose process c registers image y.
+type sharingRig struct {
+	t    *testing.T
+	m    *machine.Machine
+	k    *Kernel
+	regs map[string]*Registration
+}
+
+func newSharingRig(t *testing.T) *sharingRig {
+	m := machine.New(machine.Config{RFU: core.Config{PFUs: 1}})
+	r := &sharingRig{t: t, m: m, k: New(m, Config{Sharing: true}), regs: map[string]*Registration{}}
+	x, y := addImage("x", 4), addImage("y", 4)
+	for _, name := range []string{"a", "b", "c"} {
+		img := x
+		if name == "c" {
+			img = y
+		}
+		p, err := r.k.Spawn(name, &asm.Program{Origin: r.k.NextBase(), Code: make([]byte, 4)}, []*core.Image{img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.regs[name] = &Registration{CID: 5, Image: img, owner: p, resident: -1}
+		p.registrations[5] = r.regs[name]
+	}
+	return r
+}
+
+func (r *sharingRig) fault(name string) {
+	r.t.Helper()
+	if !r.k.CIS.fault(r.regs[name].owner, 5) {
+		r.t.Fatalf("fault for %s failed", name)
+	}
+}
+
+// clock runs the circuit mapped for name's CID 5 for n cycles, short of
+// completion, so each eviction saves a different state.
+func (r *sharingRig) clock(name string, n uint32) {
+	r.t.Helper()
+	r.m.RFU.PID = r.regs[name].owner.PID
+	out := r.m.RFU.CDP(5, 2, 0, 1, 0, true)
+	if out.Exec == nil {
+		r.t.Fatalf("%s: CID 5 is not mapped to hardware", name)
+	}
+	if _, done := out.Exec.Run(n); done {
+		r.t.Fatalf("%s: instruction completed", name)
+	}
+	out.Exec.Abort()
+}
+
 // TestSharingRestoresSwappedCircuitTwice covers a shared circuit that is
 // swapped out twice: a and b share x when it is evicted, a restores it
 // and runs it on, and x is evicted again before b faults. b must restore
 // the state saved at that latest eviction, and the SwappedCircuit a
 // restored must not be restored a second time.
 func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
-	m := machine.New(machine.Config{RFU: core.Config{PFUs: 1}})
-	k := New(m, Config{Sharing: true})
-	x, y := addImage("x", 4), addImage("y", 4)
-	regs := map[string]*Registration{}
-	for _, name := range []string{"a", "b", "c"} {
-		img := x
-		if name == "c" {
-			img = y
-		}
-		p, err := k.Spawn(name, &asm.Program{Origin: k.NextBase(), Code: make([]byte, 4)}, []*core.Image{img})
-		if err != nil {
-			t.Fatal(err)
-		}
-		regs[name] = &Registration{CID: 5, Image: img, owner: p, resident: -1}
-		p.registrations[5] = regs[name]
-	}
-	fault := func(name string) {
-		t.Helper()
-		if !k.CIS.fault(regs[name].owner, 5) {
-			t.Fatalf("fault for %s failed", name)
-		}
-	}
-	// clock runs the circuit mapped for name's CID 5 for n cycles, short
-	// of completion, so each eviction saves a different state.
-	clock := func(name string, n uint32) {
-		t.Helper()
-		m.RFU.PID = regs[name].owner.PID
-		out := m.RFU.CDP(5, 2, 0, 1, 0, true)
-		if out.Exec == nil {
-			t.Fatalf("%s: CID 5 is not mapped to hardware", name)
-		}
-		if _, done := out.Exec.Run(n); done {
-			t.Fatalf("%s: instruction completed", name)
-		}
-		out.Exec.Abort()
-	}
+	r := newSharingRig(t)
+	k, m, regs, fault, clock := r.k, r.m, r.regs, r.fault, r.clock
 	fault("a") // loads x
 	clock("a", 2)
 	fault("b") // shares a's instance
@@ -707,5 +723,28 @@ func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
 	}
 	if _, err := m.RFU.Restore(0, sc); err == nil {
 		t.Fatal("a SwappedCircuit restored a second time")
+	}
+}
+
+// TestSharingExitDropsRestoredState: when the only resident sharer of a
+// restored circuit exits, the circuit is unloaded unsaved, and a sharer
+// that had not faulted back in loads the image afresh instead of
+// restoring the SwappedCircuit already consumed.
+func TestSharingExitDropsRestoredState(t *testing.T) {
+	r := newSharingRig(t)
+	r.fault("a") // loads x
+	r.fault("b") // shares a's instance
+	r.fault("c") // evicts x: a and b hold one SwappedCircuit
+	r.fault("a") // restores it, evicting y
+	r.k.CIS.releaseProcess(r.regs["a"].owner)
+	if r.regs["b"].swapped != nil {
+		t.Fatal("b still holds the SwappedCircuit a restored")
+	}
+	r.fault("b") // loads x afresh
+	if got := r.k.CIS.Stats.Restores; got != 1 {
+		t.Fatalf("restores = %d, want 1 (a's only)", got)
+	}
+	if r.regs["b"].resident != 0 {
+		t.Fatalf("b is not resident: %+v", r.regs["b"])
 	}
 }
