@@ -1,10 +1,12 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover, the ARM
-// interpreter) and BENCH_cluster.json (the fleet layer — placement,
+// interpreter), BENCH_cluster.json (the fleet layer — placement,
 // identical jobs sharing one session, job throughput at 1k-node scale,
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
-// session, and a traced fleet run). Each file runs its benchmark suite five times (-count 5), every
+// session, and a traced fleet run) and BENCH_daemon.json (the service
+// layer — daemon submit throughput, and the wire codec's encode and
+// decode of a ResultOK frame). Each file runs its benchmark suite five times (-count 5), every
 // sample for at least 200ms of benchmark time, and records the median of
 // every reported metric (ns/op, allocs, and the custom metrics the
 // benchmarks emit — speedup-vs-gate-x, jobs/sec, ...) as a
@@ -25,7 +27,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson            # rewrite both trajectory files
+//	go run ./cmd/benchjson            # rewrite every trajectory file
 //	go run ./cmd/benchjson -check     # fail on schema drift, ignore values
 //	go run ./cmd/benchjson -only BENCH_cluster.json
 //	go run ./cmd/benchjson -compare old/BENCH_fabric.json BENCH_fabric.json
@@ -86,7 +88,7 @@ var suites = []struct {
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
 			{"./internal/server", "^BenchmarkDaemonSubmitThroughput$"},
-			{"./internal/wire", "^BenchmarkWireEncode$"},
+			{"./internal/wire", "^(BenchmarkWireEncode|BenchmarkWireEncodeMessage|BenchmarkWireDecode)$"},
 		},
 	},
 }

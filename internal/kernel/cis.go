@@ -113,7 +113,11 @@ func (c *CIS) fault(p *Process, cid uint32) bool {
 				rfu.TLB1.Insert(key, uint32(pfu))
 				c.k.charge(c.k.cfg.Costs.MapInstall)
 				c.Stats.ShareHits++
-				c.k.log(trace.EvMapInstall, p.PID, "shared "+reg.Image.Name)
+				note := ""
+				if c.k.tlog.Keeps() {
+					note = "shared " + reg.Image.Name
+				}
+				c.k.log(trace.EvMapInstall, p.PID, note)
 				return true
 			}
 		}

@@ -462,7 +462,11 @@ func (k *Kernel) undefined(faultPC, retCPSR uint32) error {
 	}
 	cid := instr>>5&7<<4 | instr>>20&0xF
 	p.Stats.Faults++
-	k.log(trace.EvFault, p.PID, fmt.Sprintf("cid=%d", cid))
+	note := ""
+	if k.tlog.Keeps() {
+		note = fmt.Sprintf("cid=%d", cid)
+	}
+	k.log(trace.EvFault, p.PID, note)
 	if k.cfg.MaxFaultsPerProc > 0 && p.Stats.Faults > k.cfg.MaxFaultsPerProc {
 		k.kill(p, "fault storm")
 		return nil
@@ -565,7 +569,11 @@ func (k *Kernel) exit(p *Process, state ProcState) {
 	p.State = state
 	p.Stats.CompletionCycle = k.M.Cycles()
 	k.CIS.releaseProcess(p)
-	k.log(trace.EvExit, p.PID, fmt.Sprintf("code=%d", p.ExitCode))
+	note := ""
+	if k.tlog.Keeps() {
+		note = fmt.Sprintf("code=%d", p.ExitCode)
+	}
+	k.log(trace.EvExit, p.PID, note)
 	if k.cfg.OnProcExit != nil {
 		k.cfg.OnProcExit(p)
 	}

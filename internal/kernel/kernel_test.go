@@ -331,7 +331,8 @@ d3:	.word 3, 0, 0
 }
 
 func TestSharingMode(t *testing.T) {
-	r := newRig(t, Config{Quantum: 2_000, Sharing: true})
+	tl := trace.New(256)
+	r := newRig(t, Config{Quantum: 2_000, Sharing: true, Trace: tl})
 	img := addImage("add", 1) // stateless per invocation: shareable
 	items := 1500
 	var procs []*Process
@@ -350,6 +351,15 @@ func TestSharingMode(t *testing.T) {
 	}
 	if r.k.CIS.Stats.ShareHits != 2 {
 		t.Errorf("share hits = %d, want 2", r.k.CIS.Stats.ShareHits)
+	}
+	shared := 0
+	for _, ev := range tl.Events() {
+		if ev.Kind == trace.EvMapInstall && ev.Note == "shared add" {
+			shared++
+		}
+	}
+	if shared != 2 {
+		t.Errorf("%d \"shared add\" map events traced, want 2", shared)
 	}
 }
 
@@ -472,6 +482,31 @@ func TestTraceLogRecordsLifecycle(t *testing.T) {
 	}
 	if len(tl.Events()) == 0 {
 		t.Error("no events retained")
+	}
+	for _, ev := range tl.Events() {
+		want := ev.Note
+		switch ev.Kind {
+		case trace.EvFault:
+			var cid uint32
+			fmt.Sscanf(ev.Note, "cid=%d", &cid)
+			want = fmt.Sprintf("cid=%d", cid)
+		case trace.EvExit:
+			want = fmt.Sprintf("code=%d", ciAppSum(30))
+		}
+		if ev.Note != want {
+			t.Errorf("event %v: note %q, want %q", ev.Kind, ev.Note, want)
+		}
+	}
+
+	// A counters-only log, which formats no notes, counts the same.
+	counts := trace.New(0)
+	r = newRig(t, Config{Quantum: 10_000, Trace: counts})
+	r.spawnSrc(t, "ci", ciAppSrc(30, false), []*core.Image{addImage("add", 2)})
+	r.run(t, 10_000_000)
+	for k := trace.EvSpawn; k <= trace.EvTimer; k++ {
+		if counts.Count(k) != tl.Count(k) {
+			t.Errorf("%v: counters-only log counted %d, ring log %d", k, counts.Count(k), tl.Count(k))
+		}
 	}
 }
 

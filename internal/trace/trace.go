@@ -95,6 +95,10 @@ func (l *Log) Add(cycle uint64, kind Kind, pid uint32, note string) {
 	l.dropped++ // the overwritten event is gone; never lose that silently
 }
 
+// Keeps reports whether the log retains events, not only counters. A
+// caller that builds an event's note can skip the work when it does not.
+func (l *Log) Keeps() bool { return l != nil && cap(l.ring) > 0 }
+
 // Dropped reports how many events were overwritten after the ring
 // filled. A non-zero value means Events() is a truncated window, not
 // the full timeline.

@@ -14,6 +14,9 @@ func TestNilLogIsSafe(t *testing.T) {
 	if l.Events() != nil {
 		t.Fatal("nil log has events")
 	}
+	if l.Keeps() {
+		t.Fatal("nil log keeps events")
+	}
 }
 
 func TestCountersOnlyLog(t *testing.T) {
@@ -25,6 +28,9 @@ func TestCountersOnlyLog(t *testing.T) {
 	}
 	if len(l.Events()) != 0 {
 		t.Fatal("capacity-0 log retained events")
+	}
+	if l.Keeps() || !New(1).Keeps() {
+		t.Fatal("Keeps must report a log with ring capacity, and only that")
 	}
 }
 

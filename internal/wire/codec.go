@@ -205,6 +205,71 @@ func (e *Encoder) MapHeader(n int) {
 	}
 }
 
+// uintSize, intSize, strSize, binSize and arrayHeaderSize return the
+// encoded length of what Uint, Int, Str, Bin and ArrayHeader append —
+// the size pass that lets a payload be allocated once.
+func uintSize(v uint64) int {
+	switch {
+	case v <= posFixMax:
+		return 1
+	case v <= math.MaxUint8:
+		return 2
+	case v <= math.MaxUint16:
+		return 3
+	case v <= math.MaxUint32:
+		return 5
+	}
+	return 9
+}
+
+func intSize(v int64) int {
+	switch {
+	case v >= 0:
+		return uintSize(uint64(v))
+	case v >= -32:
+		return 1
+	case v >= math.MinInt8:
+		return 2
+	case v >= math.MinInt16:
+		return 3
+	case v >= math.MinInt32:
+		return 5
+	}
+	return 9
+}
+
+func strSize(n int) int {
+	switch {
+	case n <= fixstrMax:
+		return 1 + n
+	case n <= math.MaxUint8:
+		return 2 + n
+	case n <= math.MaxUint16:
+		return 3 + n
+	}
+	return 5 + n
+}
+
+func binSize(n int) int {
+	switch {
+	case n <= math.MaxUint8:
+		return 2 + n
+	case n <= math.MaxUint16:
+		return 3 + n
+	}
+	return 5 + n
+}
+
+func arrayHeaderSize(n int) int {
+	switch {
+	case n <= fixcountMax:
+		return 1
+	case n <= math.MaxUint16:
+		return 3
+	}
+	return 5
+}
+
 // Decoder reads canonically encoded values from one frame payload. It
 // never reads past the slice, never allocates proportionally to a
 // claimed (unvalidated) length, and rejects non-minimal encodings — so
@@ -464,7 +529,11 @@ func (d *Decoder) Bin() ([]byte, error) {
 // ArrayHeader decodes an array header. The claimed length is bounded by
 // the remaining payload (one byte per element minimum), so a hostile
 // header cannot force a large allocation.
-func (d *Decoder) ArrayHeader() (int, error) {
+func (d *Decoder) ArrayHeader() (int, error) { return d.arrayHeader(1) }
+
+// arrayHeader decodes an array header whose elements each take at least
+// min bytes, rejecting a count the remaining payload cannot hold.
+func (d *Decoder) arrayHeader(min int) (int, error) {
 	t, err := d.tag()
 	if err != nil {
 		return 0, err
@@ -489,7 +558,7 @@ func (d *Decoder) ArrayHeader() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(len(d.buf)-d.pos) {
+	if n > uint64(len(d.buf)-d.pos)/uint64(min) {
 		return 0, fmt.Errorf("%w: array of %d elements in %d remaining bytes", ErrCodec, n, len(d.buf)-d.pos)
 	}
 	return int(n), nil

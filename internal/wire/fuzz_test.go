@@ -15,7 +15,10 @@ import (
 //     rejected before allocation, nesting is depth-bounded), and
 //  2. any accepted prefix round-trips decode→encode byte-identically,
 //     and the re-encoding decodes to the same value again — the
-//     canonical-form property that makes frames comparable as bytes.
+//     canonical-form property that makes frames comparable as bytes;
+//
+// and it holds the message decoder, accepted frame or not, to the
+// allocation bound decodeBound states for the frame's length.
 func FuzzWireDecode(f *testing.F) {
 	// One seed per value family, plus enveloped messages and hostile
 	// shapes; go test replays these (and the committed corpus under
@@ -90,7 +93,14 @@ func FuzzWireDecode(f *testing.F) {
 		// The envelope decoder must hold the same never-panic contract,
 		// and an accepted message must re-encode byte-identically when the
 		// payload is exactly one envelope.
-		if id, m, err := DecodeMessage(data); err == nil {
+		var (
+			id uint64
+			m  Msg
+		)
+		if got, bound := allocBytes(func() { id, m, err = DecodeMessage(data) }), decodeBound(len(data)); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err == nil {
 			re := EncodeMessage(id, m)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("message decode→encode not byte-identical:\n in  %x\n out %x", data, re)

@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"unsafe"
 
 	"protean"
 )
@@ -194,19 +196,38 @@ var msgTypes = [...]reflect.Type{
 }
 
 // AppendMessage appends one enveloped message to the encoder: the frame
-// payload for WriteFrame.
+// payload for WriteFrame. The buffer grows at most once, to the
+// message's encoded size.
 func AppendMessage(e *Encoder, id uint64, m Msg) {
+	p := planFor(reflect.TypeOf(m))
+	ptr := valuePtr(&m, p)
+	e.buf = slices.Grow(e.buf, envelopeSize(id, m, p.size(ptr)))
+	e.appendMessage(id, m, p, ptr)
+}
+
+// EncodeMessage encodes one enveloped message as a fresh payload,
+// allocated once at its encoded size.
+func EncodeMessage(id uint64, m Msg) []byte {
+	p := planFor(reflect.TypeOf(m))
+	ptr := valuePtr(&m, p)
+	e := Encoder{buf: make([]byte, 0, envelopeSize(id, m, p.size(ptr)))}
+	e.appendMessage(id, m, p, ptr)
+	return e.buf
+}
+
+// envelopeSize is the encoded size of m's envelope around a body of
+// body bytes.
+func envelopeSize(id uint64, m Msg, body int) int {
+	return arrayHeaderSize(3) + uintSize(m.Kind()) + uintSize(id) + body
+}
+
+// appendMessage appends m's envelope; p is m's plan and ptr the address
+// of its value.
+func (e *Encoder) appendMessage(id uint64, m Msg, p *plan, ptr unsafe.Pointer) {
 	e.ArrayHeader(3)
 	e.Uint(m.Kind())
 	e.Uint(id)
-	e.encodeObject(reflect.ValueOf(m))
-}
-
-// EncodeMessage encodes one enveloped message as a fresh payload.
-func EncodeMessage(id uint64, m Msg) []byte {
-	var e Encoder
-	AppendMessage(&e, id, m)
-	return e.Bytes()
+	p.encode(e, ptr)
 }
 
 // DecodeMessage decodes one enveloped message from a frame payload,
@@ -248,9 +269,10 @@ func decodeBody(d *Decoder, kind uint64) (Msg, error) {
 	if kind >= uint64(len(msgTypes)) || msgTypes[kind] == nil {
 		return nil, fmt.Errorf("%w: unknown message kind %d", ErrCodec, kind)
 	}
-	v := reflect.New(msgTypes[kind]).Elem()
-	if err := d.decodeObject(v); err != nil {
+	p := planFor(msgTypes[kind])
+	v := reflect.New(p.typ)
+	if err := p.decode(d, v.UnsafePointer()); err != nil {
 		return nil, err
 	}
-	return v.Interface().(Msg), nil
+	return v.Elem().Interface().(Msg), nil
 }

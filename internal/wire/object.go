@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"unsafe"
 )
 
 // This file frames Go values positionally, by reflection, so message and
@@ -16,128 +18,396 @@ import (
 //
 // Any other kind (maps, floats, interfaces, arrays, ...) is rejected. The
 // decoder requires exact struct arity, range-checks every integer against
-// its own field type, and grows slices one decoded element at a time, so
-// allocation follows the bytes decoded rather than a claimed count. An empty array decodes
-// to a nil slice. Every accepted value therefore re-encodes to exactly
-// the bytes it was decoded from.
+// its own field type, and decodes an empty array to a nil slice. Every
+// accepted value therefore re-encodes to exactly the bytes it was decoded
+// from.
 //
 // Platform-sized int and uint travel as 32-bit values: a frame a 64-bit
 // host accepts means the same on a 32-bit one.
+//
+// Reflection runs once per type. planFor builds a plan, caches it, and
+// the codec walks the plan over the value's memory. A plan is the
+// type's encoding as a flat list of steps: a struct contributes its
+// array header and then its fields' steps, nested value structs
+// inlined, so only slices and pointers recurse into another plan. Each
+// step holds its kind, its field offset, the integer width it loads and
+// the range it checks, or the element plan. The plan also holds min,
+// the fewest bytes any accepted encoding of the type takes, which is
+// the size of its zero value. Encoding walks twice: a size pass, then
+// the encode pass into a payload allocated once at that size. Decoding
+// walks once, into memory allocated by reflect with the plan's types,
+// so the garbage collector sees every pointer it writes.
+//
+// Allocation bound: the decoder rejects an array whose claimed count
+// could not fit in the bytes left, at the element plan's min bytes
+// apiece, and allocates each slice once at its count. So no slice
+// reserves more elements than the rest of the frame could hold, and a
+// frame can never make the decoder reserve more than a valid frame of
+// the same length, made of that slice's smallest elements, would make
+// it allocate.
 
-// encodeObject appends v's positional encoding. v's type must follow the
-// rules above; any other kind is a programming error and panics.
-func (e *Encoder) encodeObject(v reflect.Value) {
-	switch v.Kind() {
+// stepKind is what one step of a plan encodes.
+type stepKind uint8
+
+const (
+	stepInvalid stepKind = iota // a kind the rules above reject
+	stepHeader                  // a struct's array header
+	stepBool
+	stepInt
+	stepUint
+	stepString
+	stepBin // []byte
+	stepSlice
+	stepPointer
+)
+
+// step is one value of a plan's walk.
+type step struct {
+	kind stepKind
+	// off is the value's offset in the plan's type.
+	off uintptr
+	// n is a stepHeader's field count.
+	n int
+	// width is a stepInt or stepUint value's size in memory, and bits
+	// the range the decoder checks: the type's own width, 32 for
+	// platform int and uint.
+	width uintptr
+	bits  int
+	// elem is a stepSlice's element or a stepPointer's pointee.
+	elem *plan
+	// typ is the value's type, for slice allocation and errors.
+	typ reflect.Type
+}
+
+// plan is the cached walk for one type.
+type plan struct {
+	typ   reflect.Type
+	steps []step
+	// width is typ's size in memory, a slice element's stride.
+	width uintptr
+	// min is the fewest bytes any accepted encoding of typ takes.
+	min int
+	// direct reports that an interface holding a typ holds the value
+	// itself, not a pointer to it (pointer-shaped types).
+	direct bool
+}
+
+// sliceHeader is the memory layout of every Go slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
+var (
+	plans  sync.Map // reflect.Type → *plan, complete plans only
+	planMu sync.Mutex
+)
+
+// planFor returns t's plan, building and caching it on first use.
+func planFor(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	planMu.Lock()
+	defer planMu.Unlock()
+	var building []*plan
+	p := buildPlan(t, &building)
+	for _, bp := range building {
+		plans.Store(bp.typ, bp)
+	}
+	return p
+}
+
+// buildPlan builds t's plan under planMu, appending every plan it
+// builds to *building. A type that refers to itself through a slice or
+// pointer reuses the plan being built, whose min the reference does not
+// need: a slice or pointer takes at least one byte whatever its element.
+func buildPlan(t reflect.Type, building *[]*plan) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
+	}
+	for _, p := range *building {
+		if p.typ == t {
+			return p
+		}
+	}
+	p := &plan{typ: t, width: t.Size(), direct: direct(t)}
+	*building = append(*building, p)
+	p.add(t, 0, building)
+	for _, st := range p.steps {
+		p.min += st.min()
+	}
+	return p
+}
+
+// add appends the steps of a t at offset off.
+func (p *plan) add(t reflect.Type, off uintptr, building *[]*plan) {
+	st := step{off: off, typ: t}
+	switch t.Kind() {
 	case reflect.Struct:
-		n := v.NumField()
-		e.ArrayHeader(n)
-		for i := 0; i < n; i++ {
-			e.encodeObject(v.Field(i))
+		st.kind, st.n = stepHeader, t.NumField()
+		p.steps = append(p.steps, st)
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			p.add(f.Type, off+f.Offset, building)
 		}
+		return
 	case reflect.Slice:
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			e.Bin(v.Bytes())
-			return
-		}
-		n := v.Len()
-		e.ArrayHeader(n)
-		for i := 0; i < n; i++ {
-			e.encodeObject(v.Index(i))
+		if t.Elem().Kind() == reflect.Uint8 {
+			st.kind = stepBin
+		} else {
+			st.kind, st.elem = stepSlice, buildPlan(t.Elem(), building)
 		}
 	case reflect.Pointer:
-		if v.IsNil() {
-			e.Nil()
-			return
-		}
-		e.encodeObject(v.Elem())
+		st.kind, st.elem = stepPointer, buildPlan(t.Elem(), building)
 	case reflect.Bool:
-		e.Bool(v.Bool())
+		st.kind = stepBool
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.Int(v.Int())
+		st.kind, st.width, st.bits = stepInt, t.Size(), intBits(t)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		e.Uint(v.Uint())
+		st.kind, st.width, st.bits = stepUint, t.Size(), intBits(t)
 	case reflect.String:
-		e.Str(v.String())
+		st.kind = stepString
+	}
+	p.steps = append(p.steps, st)
+}
+
+// min is the fewest bytes any accepted encoding of the step takes: its
+// zero value's encoding.
+func (st *step) min() int {
+	switch st.kind {
+	case stepHeader:
+		return arrayHeaderSize(st.n)
+	case stepBin:
+		return binSize(0)
+	}
+	return 1
+}
+
+// intBits is an integer type's range-checked width.
+func intBits(t reflect.Type) int {
+	if t.Kind() == reflect.Int || t.Kind() == reflect.Uint {
+		return 32
+	}
+	return t.Bits()
+}
+
+// direct reports whether t is pointer-shaped: an interface holding a t
+// holds the value itself. Of the pointer-shaped kinds only pointers
+// matter: the codec rejects the others before reading their memory.
+func direct(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer:
+		return true
+	case reflect.Struct:
+		return t.NumField() == 1 && direct(t.Field(0).Type)
+	}
+	return false
+}
+
+// valuePtr returns the address of the value *m holds; p is that value's
+// plan.
+func valuePtr(m *Msg, p *plan) unsafe.Pointer {
+	data := &(*[2]unsafe.Pointer)(unsafe.Pointer(m))[1]
+	if p.direct {
+		return unsafe.Pointer(data)
+	}
+	return *data
+}
+
+// loadInt and loadUint read the step's integer at ptr.
+func (st *step) loadInt(ptr unsafe.Pointer) int64 {
+	switch st.width {
+	case 1:
+		return int64(*(*int8)(ptr))
+	case 2:
+		return int64(*(*int16)(ptr))
+	case 4:
+		return int64(*(*int32)(ptr))
+	}
+	return *(*int64)(ptr)
+}
+
+func (st *step) loadUint(ptr unsafe.Pointer) uint64 {
+	switch st.width {
+	case 1:
+		return uint64(*(*uint8)(ptr))
+	case 2:
+		return uint64(*(*uint16)(ptr))
+	case 4:
+		return uint64(*(*uint32)(ptr))
+	}
+	return *(*uint64)(ptr)
+}
+
+// store writes the low st.width bytes of x at ptr, for signed and
+// unsigned integers alike.
+func (st *step) store(ptr unsafe.Pointer, x uint64) {
+	switch st.width {
+	case 1:
+		*(*uint8)(ptr) = uint8(x)
+	case 2:
+		*(*uint16)(ptr) = uint16(x)
+	case 4:
+		*(*uint32)(ptr) = uint32(x)
 	default:
-		panic(fmt.Sprintf("wire: cannot encode %s", v.Type()))
+		*(*uint64)(ptr) = x
 	}
 }
 
-// decodeObject decodes one value into the settable v, which must hold
-// its type's zero value.
-func (d *Decoder) decodeObject(v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Struct:
-		n := v.NumField()
-		if err := d.ArrayHeaderExact(n); err != nil {
+// size returns the length of the encoding of the value at ptr.
+func (p *plan) size(ptr unsafe.Pointer) int {
+	n := 0
+	for i := range p.steps {
+		st := &p.steps[i]
+		at := unsafe.Add(ptr, st.off)
+		switch st.kind {
+		case stepHeader:
+			n += arrayHeaderSize(st.n)
+		case stepBool:
+			n++
+		case stepInt:
+			n += intSize(st.loadInt(at))
+		case stepUint:
+			n += uintSize(st.loadUint(at))
+		case stepString:
+			n += strSize(len(*(*string)(at)))
+		case stepBin:
+			n += binSize(len(*(*[]byte)(at)))
+		case stepSlice:
+			s := (*sliceHeader)(at)
+			n += arrayHeaderSize(s.len)
+			for j := 0; j < s.len; j++ {
+				n += st.elem.size(unsafe.Add(s.data, uintptr(j)*st.elem.width))
+			}
+		case stepPointer:
+			if pp := *(*unsafe.Pointer)(at); pp != nil {
+				n += st.elem.size(pp)
+			} else {
+				n++
+			}
+		default:
+			panic(fmt.Sprintf("wire: cannot encode %s", st.typ))
+		}
+	}
+	return n
+}
+
+// encode appends the positional encoding of the value at ptr. The
+// value's type must follow the rules above; any other kind is a
+// programming error and panics.
+func (p *plan) encode(e *Encoder, ptr unsafe.Pointer) {
+	for i := range p.steps {
+		st := &p.steps[i]
+		at := unsafe.Add(ptr, st.off)
+		switch st.kind {
+		case stepHeader:
+			e.ArrayHeader(st.n)
+		case stepBool:
+			e.Bool(*(*bool)(at))
+		case stepInt:
+			e.Int(st.loadInt(at))
+		case stepUint:
+			e.Uint(st.loadUint(at))
+		case stepString:
+			e.Str(*(*string)(at))
+		case stepBin:
+			e.Bin(*(*[]byte)(at))
+		case stepSlice:
+			s := (*sliceHeader)(at)
+			e.ArrayHeader(s.len)
+			for j := 0; j < s.len; j++ {
+				st.elem.encode(e, unsafe.Add(s.data, uintptr(j)*st.elem.width))
+			}
+		case stepPointer:
+			if pp := *(*unsafe.Pointer)(at); pp != nil {
+				st.elem.encode(e, pp)
+			} else {
+				e.Nil()
+			}
+		default:
+			panic(fmt.Sprintf("wire: cannot encode %s", st.typ))
+		}
+	}
+}
+
+// decode decodes one value into the zeroed memory at ptr, which the
+// caller allocated as a value of the plan's type.
+func (p *plan) decode(d *Decoder, ptr unsafe.Pointer) error {
+	for i := range p.steps {
+		st := &p.steps[i]
+		if err := st.decode(d, unsafe.Add(ptr, st.off)); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			if err := d.decodeObject(v.Field(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Slice:
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			b, err := d.Bin()
-			if err != nil {
-				return err
-			}
-			v.SetBytes(b)
-			return nil
-		}
-		n, err := d.ArrayHeader()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			v.Grow(1) // new capacity is zeroed
-			v.SetLen(i + 1)
-			if err := d.decodeObject(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Pointer:
-		if d.Nil() {
-			return nil
-		}
-		p := reflect.New(v.Type().Elem())
-		if err := d.decodeObject(p.Elem()); err != nil {
-			return err
-		}
-		v.Set(p)
-	case reflect.Bool:
+	}
+	return nil
+}
+
+func (st *step) decode(d *Decoder, at unsafe.Pointer) error {
+	switch st.kind {
+	case stepHeader:
+		return d.ArrayHeaderExact(st.n)
+	case stepBool:
 		b, err := d.Bool()
 		if err != nil {
 			return err
 		}
-		v.SetBool(b)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*(*bool)(at) = b
+	case stepInt:
 		x, err := d.Int()
 		if err != nil {
 			return err
 		}
-		if v.OverflowInt(x) || v.Kind() == reflect.Int && x != int64(int32(x)) {
-			return fmt.Errorf("%w: value %d overflows %s", ErrCodec, x, v.Type())
+		if st.bits < 64 && x != x<<(64-st.bits)>>(64-st.bits) {
+			return fmt.Errorf("%w: value %d overflows %s", ErrCodec, x, st.typ)
 		}
-		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		st.store(at, uint64(x))
+	case stepUint:
 		x, err := d.Uint()
 		if err != nil {
 			return err
 		}
-		if v.OverflowUint(x) || v.Kind() == reflect.Uint && x != uint64(uint32(x)) {
-			return fmt.Errorf("%w: value %d overflows %s", ErrCodec, x, v.Type())
+		if st.bits < 64 && x>>st.bits != 0 {
+			return fmt.Errorf("%w: value %d overflows %s", ErrCodec, x, st.typ)
 		}
-		v.SetUint(x)
-	case reflect.String:
+		st.store(at, x)
+	case stepString:
 		s, err := d.Str()
 		if err != nil {
 			return err
 		}
-		v.SetString(s)
+		*(*string)(at) = s
+	case stepBin:
+		b, err := d.Bin()
+		if err != nil {
+			return err
+		}
+		*(*[]byte)(at) = b
+	case stepSlice:
+		n, err := d.arrayHeader(st.elem.min)
+		if err != nil || n == 0 {
+			return err
+		}
+		s := reflect.NewAt(st.typ, at).Elem()
+		s.Grow(n) // the slice's one allocation, zeroed
+		s.SetLen(n)
+		data := s.UnsafePointer()
+		for j := 0; j < n; j++ {
+			if err := st.elem.decode(d, unsafe.Add(data, uintptr(j)*st.elem.width)); err != nil {
+				return err
+			}
+		}
+	case stepPointer:
+		if d.Nil() {
+			return nil
+		}
+		pp := reflect.New(st.elem.typ).UnsafePointer()
+		if err := st.elem.decode(d, pp); err != nil {
+			return err
+		}
+		*(*unsafe.Pointer)(at) = pp
 	default:
-		return fmt.Errorf("%w: cannot decode into %s", ErrCodec, v.Type())
+		return fmt.Errorf("%w: cannot decode into %s", ErrCodec, st.typ)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -54,6 +55,35 @@ func TestCodecRoundTrip(t *testing.T) {
 		got, err := d.Bin()
 		if err != nil || !bytes.Equal(got, v) || !d.Done() {
 			t.Fatalf("bin len %d: err %v", len(v), err)
+		}
+	}
+}
+
+// TestSizeHelpers checks the size pass's helpers against what the
+// encoder appends, at every width boundary.
+func TestSizeHelpers(t *testing.T) {
+	for _, v := range []uint64{0, 0x7f, 0x80, 0xff, 0x100, 0xffff, 0x10000, 0xffffffff, 0x100000000, math.MaxUint64} {
+		var e Encoder
+		e.Uint(v)
+		if uintSize(v) != e.Len() {
+			t.Errorf("uintSize(%d) = %d, encoder wrote %d", v, uintSize(v), e.Len())
+		}
+	}
+	for _, v := range []int64{-1, -32, -33, -128, -129, -32768, -32769, math.MinInt32, math.MinInt32 - 1, math.MinInt64, 5, math.MaxInt64} {
+		var e Encoder
+		e.Int(v)
+		if intSize(v) != e.Len() {
+			t.Errorf("intSize(%d) = %d, encoder wrote %d", v, intSize(v), e.Len())
+		}
+	}
+	for _, n := range []int{0, 15, 16, 31, 32, 255, 256, 65535, 65536} {
+		var s, b, a Encoder
+		s.Str(string(make([]byte, n)))
+		b.Bin(make([]byte, n))
+		a.ArrayHeader(n)
+		if strSize(n) != s.Len() || binSize(n) != b.Len() || arrayHeaderSize(n) != a.Len() {
+			t.Errorf("n=%d: sizes str %d bin %d array %d, encoder wrote %d, %d, %d",
+				n, strSize(n), binSize(n), arrayHeaderSize(n), s.Len(), b.Len(), a.Len())
 		}
 	}
 }
@@ -202,6 +232,214 @@ func TestDecodeMessageRejects(t *testing.T) {
 			t.Errorf("%s: DecodeMessage accepted %x", name, payload)
 		}
 	}
+}
+
+// TestPlanMin checks each message plan's min, the bound the decoder
+// holds every array count to, against what it claims to be: the
+// encoded size of the type's zero value, the smallest accepted value.
+func TestPlanMin(t *testing.T) {
+	for kind, typ := range msgTypes {
+		if typ == nil {
+			continue
+		}
+		walkPlans(planFor(typ), func(p *plan) {
+			zero := reflect.New(p.typ).UnsafePointer()
+			var e Encoder
+			p.encode(&e, zero)
+			if p.min != len(e.Bytes()) || p.size(zero) != p.min {
+				t.Errorf("kind %d: %s: min %d, size pass %d, zero value encodes to %d bytes",
+					kind, p.typ, p.min, p.size(zero), len(e.Bytes()))
+			}
+		})
+	}
+}
+
+// walkPlans calls f on p and every plan its slices and pointers reach.
+func walkPlans(p *plan, f func(*plan)) {
+	f(p)
+	for _, st := range p.steps {
+		if st.elem != nil {
+			walkPlans(st.elem, f)
+		}
+	}
+}
+
+// treeMsg is a message type no other test encodes, so its plan is built
+// under TestPlanCacheConcurrent, and it refers to itself.
+type treeMsg struct {
+	Name string
+	Kids []treeMsg
+	Up   *treeMsg
+}
+
+func (treeMsg) Kind() uint64 { return 99 }
+
+// TestPlanCacheConcurrent builds one plan from many goroutines at once
+// (run it under -race): every encoding must agree, and the recursive
+// type must frame as its nested arrays.
+func TestPlanCacheConcurrent(t *testing.T) {
+	m := treeMsg{Name: "a", Kids: []treeMsg{{Name: "b"}, {Name: "c", Up: &treeMsg{Name: "d"}}}}
+	const workers = 8
+	out := make([][]byte, workers)
+	done := make(chan int)
+	for w := 0; w < workers; w++ {
+		go func() {
+			out[w] = EncodeMessage(1, m)
+			done <- w
+		}()
+	}
+	for range workers {
+		<-done
+	}
+	var e Encoder
+	e.ArrayHeader(3)
+	e.Uint(99)
+	e.Uint(1)
+	err := e.EncodeValue(Array{"a", Array{
+		Array{"b", Array{}, nil},
+		Array{"c", Array{}, Array{"d", Array{}, nil}},
+	}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, b := range out {
+		if !bytes.Equal(b, e.Bytes()) {
+			t.Errorf("goroutine %d: %x, want %x", w, b, e.Bytes())
+		}
+	}
+}
+
+// boxMsg is pointer-shaped: an interface holds its one pointer field
+// directly.
+type boxMsg struct{ P *uint64 }
+
+func (boxMsg) Kind() uint64 { return 98 }
+
+// TestPointerMessageEncodes checks messages an interface holds directly:
+// one passed by pointer frames as its pointee does, and a struct whose
+// one field is a pointer frames as that field.
+func TestPointerMessageEncodes(t *testing.T) {
+	x := uint64(300)
+	var e Encoder
+	e.ArrayHeader(3)
+	e.Uint(98)
+	e.Uint(3)
+	e.ArrayHeader(1)
+	e.Uint(x)
+	if b := EncodeMessage(3, boxMsg{P: &x}); !bytes.Equal(b, e.Bytes()) {
+		t.Errorf("boxMsg: %x, want %x", b, e.Bytes())
+	}
+	for _, pair := range [][2]Msg{
+		{Hello{Version: Version}, &Hello{Version: Version}},
+		{Error{Msg: "x"}, &Error{Msg: "x"}},
+		{Metrics{}, &Metrics{}},
+	} {
+		if a, b := EncodeMessage(3, pair[0]), EncodeMessage(3, pair[1]); !bytes.Equal(a, b) {
+			t.Errorf("%T: by value %x, by pointer %x", pair[0], a, b)
+		}
+	}
+}
+
+// TestHostileArrayBound sends frames whose Jobs array claims as many
+// elements as the rest of the frame could hold at JobResult's minimum
+// size, the widest element any message carries, over a garbage body.
+// The decoder must reject them, reserving no more than the claimed
+// elements; one element more must fail at the header, before any
+// reservation.
+func TestHostileArrayBound(t *testing.T) {
+	jobs := planFor(reflect.TypeFor[protean.JobResult]())
+	for _, typ := range msgTypes {
+		if typ == nil {
+			continue
+		}
+		walkPlans(planFor(typ), func(p *plan) {
+			for _, st := range p.steps {
+				if st.kind == stepSlice && st.elem.width > jobs.width {
+					t.Fatalf("%s is wider than JobResult; aim this test at it", st.elem.typ)
+				}
+			}
+		})
+	}
+
+	const frameLen = 64 << 10
+	hostile := func(extra int) ([]byte, int) {
+		prefix := envelope(KResultOK, func(e *Encoder) {
+			e.ArrayHeader(2)
+			e.Uint(1)
+			e.ArrayHeader(reflect.TypeFor[protean.FleetResult]().NumField())
+			e.Str("")
+			e.ArrayHeader(0)
+		})
+		n := (frameLen-len(prefix)-arrayHeaderSize(1<<16))/jobs.min + extra
+		e := Encoder{buf: prefix}
+		e.ArrayHeader(n)
+		return append(e.Bytes(), bytes.Repeat([]byte{0xc1}, frameLen-len(e.Bytes()))...), n
+	}
+	const slack = 2 << 10 // the message struct and the error
+	frame, n := hostile(0)
+	var err error
+	got := allocBytes(func() { _, _, err = DecodeMessage(frame) })
+	if err == nil {
+		t.Fatal("DecodeMessage accepted a garbage body")
+	}
+	// Above 32 KiB the allocator rounds up to whole 8 KiB pages.
+	if bound := uint64(n)*uint64(jobs.width) + 8<<10 + slack; got > bound {
+		t.Errorf("%d claimed jobs over %d bytes: allocated %d bytes, bound %d", n, frameLen, got, bound)
+	}
+	frame, _ = hostile(1)
+	got = allocBytes(func() { _, _, err = DecodeMessage(frame) })
+	if err == nil || got > slack {
+		t.Errorf("one job more than fits: err %v, allocated %d bytes, want an error within %d", err, got, slack)
+	}
+}
+
+// allocBytes reports the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeBound bounds the heap bytes DecodeMessage may allocate for a
+// frame of n bytes, from the plans of every message kind. The allocator
+// rounds a request of s bytes up to at most max(16, 2s). A slice of k
+// elements of width w and min m then allocates at most 2kw+16 bytes for
+// its 1+km bytes of frame, a pointer 2w+16 for m bytes, and a string 16
+// bytes for its 3 or 2s for its s+1; a nested slice or pointer adds its
+// own share of the same bytes. The message struct, its interface copy
+// and an error fit in a constant.
+func decodeBound(n int) uint64 {
+	perByte := 0.0
+	for _, typ := range msgTypes {
+		if typ != nil {
+			perByte = max(perByte, allocPerByte(planFor(typ)))
+		}
+	}
+	return uint64(perByte*float64(n)) + 2<<10
+}
+
+// allocPerByte is the most heap bytes decoding p's type allocates per
+// frame byte, by the rules decodeBound states.
+func allocPerByte(p *plan) float64 {
+	worst := 0.0
+	for _, st := range p.steps {
+		w, m := 0.0, 0.0
+		if st.elem != nil {
+			w, m = float64(st.elem.width), float64(st.elem.min)
+		}
+		switch st.kind {
+		case stepString:
+			worst = max(worst, 16.0/3)
+		case stepSlice:
+			worst = max(worst, max((2*w+16)/(1+m), 2*w/m)+allocPerByte(st.elem))
+		case stepPointer:
+			worst = max(worst, (2*w+16)/m+allocPerByte(st.elem))
+		}
+	}
+	return worst
 }
 
 // fakeKind encodes an envelope with an unassigned kind tag.

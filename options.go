@@ -197,11 +197,12 @@ func WithMaxFaults(n uint64) Option {
 	}
 }
 
-// WithTLB1Entries overrides the dispatch-TLB size (0 = hardware default).
+// WithTLB1Entries overrides the dispatch-TLB size (0 = hardware default;
+// at most MaxTLB1Entries).
 func WithTLB1Entries(n int) Option {
 	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("protean: TLB1 entries must be >= 0, got %d", n)
+		if n < 0 || n > MaxTLB1Entries {
+			return fmt.Errorf("protean: TLB1 entries must be in [0, %d], got %d", MaxTLB1Entries, n)
 		}
 		c.tlb1 = n
 		return nil
@@ -211,11 +212,12 @@ func WithTLB1Entries(n int) Option {
 // WithPFUs overrides the number of programmable function units on the
 // reconfigurable array (0 = the ProteanARM's 4). Fewer PFUs force more
 // circuit swapping for the same mix — the knob heterogeneous fleet
-// scenarios use to model big and small workstations side by side.
+// scenarios use to model big and small workstations side by side. The
+// count is at most MaxPFUs.
 func WithPFUs(n int) Option {
 	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("protean: PFU count must be >= 0, got %d", n)
+		if n < 0 || n > MaxPFUs {
+			return fmt.Errorf("protean: PFU count must be in [0, %d], got %d", MaxPFUs, n)
 		}
 		c.pfus = n
 		return nil

@@ -164,6 +164,17 @@ const (
 	MaxScenarioJobs  = 1 << 16
 )
 
+// MaxPFUs and MaxTLB1Entries cap a session's PFU count (WithPFUs,
+// SessionSpec.PFUs) and dispatch-TLB size (WithTLB1Entries,
+// SessionSpec.TLB1Entries). A session allocates its PFUs and TLB
+// entries up front, so without a cap one spec field could ask every job
+// session for gigabytes. Both caps are far above the paper's machine
+// (4 PFUs, 16 TLB1 entries) and every value the experiments sweep.
+const (
+	MaxPFUs        = 1 << 8
+	MaxTLB1Entries = 1 << 10
+)
+
 // MaxScenarioItems caps a job's work-unit count. Resolving a job builds
 // its workload template, and the built-in builders compute their
 // expected checksum in O(items) — so without a cap a hostile spec could

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,6 +113,39 @@ func TestScenarioGolden(t *testing.T) {
 	}
 }
 
+// TestSessionSpecCaps checks that MaxPFUs and MaxTLB1Entries bound both
+// entry points: the options New takes and the spec LoadScenario reads.
+// Each cap is accepted and one past it is rejected. LoadScenario, which
+// validates without building a session, also rejects the int32 maximum
+// a hostile spec might send.
+func TestSessionSpecCaps(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cap   int
+		opt   func(int) protean.Option
+	}{
+		{"pfus", protean.MaxPFUs, protean.WithPFUs},
+		{"tlb1_entries", protean.MaxTLB1Entries, protean.WithTLB1Entries},
+	} {
+		for _, n := range []int{c.cap, c.cap + 1, math.MaxInt32} {
+			ok := n <= c.cap
+			if n <= c.cap+1 {
+				s, err := protean.New(c.opt(n))
+				if (err == nil) != ok {
+					t.Errorf("New with %s %d: err %v, want accepted %v", c.field, n, err, ok)
+				}
+				if err == nil && c.field == "pfus" && s.NumPFUs() != n {
+					t.Errorf("New with %d PFUs has %d", n, s.NumPFUs())
+				}
+			}
+			spec := fmt.Sprintf(`{"nodes":[{"session":{%q:%d}}],"jobs":[{"workload":"echo","items":4}]}`, c.field, n)
+			if _, err := protean.LoadScenario([]byte(spec)); (err == nil) != ok {
+				t.Errorf("LoadScenario %s: err %v, want accepted %v", spec, err, ok)
+			}
+		}
+	}
+}
+
 // TestScenarioValidation exercises the rejection surface: structurally
 // broken specs must fail at load/validate time, before any simulation.
 func TestScenarioValidation(t *testing.T) {
@@ -162,6 +197,10 @@ func TestScenarioValidation(t *testing.T) {
 			sc.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalTrace, MeanGap: 5, Times: []uint64{0, 1, 2}}
 		}),
 		"negative TLB1 size": mutate(func(sc *protean.Scenario) { sc.Nodes[0].Session.TLB1Entries = -1 }),
+		"PFUs over cap":      mutate(func(sc *protean.Scenario) { sc.Nodes[0].Session.PFUs = protean.MaxPFUs + 1 }),
+		"TLB1 over cap": mutate(func(sc *protean.Scenario) {
+			sc.Nodes[0].Session.TLB1Entries = protean.MaxTLB1Entries + 1
+		}),
 	}
 	for name, sc := range cases {
 		if err := sc.Validate(); err == nil {
