@@ -72,14 +72,14 @@ func BenchmarkClusterAffinityVsRoundRobin(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterLaneBatching measures fleet job throughput on a
+// BenchmarkClusterShareGroups measures fleet job throughput on a
 // same-configuration thrash mix — many identical jobs per workload, the
 // shape that folds into one shared session each — with sharing on
 // (Lanes 0, the default) versus one session per job (Lanes 1),
 // reporting jobs/sec for both and the speedup. Every iteration also
 // asserts the sharing contract: the CSV render of the shared
 // FleetResult is byte-identical to the one-session-per-job one.
-func BenchmarkClusterLaneBatching(b *testing.B) {
+func BenchmarkClusterShareGroups(b *testing.B) {
 	const jobs = 24
 	run := func(lanes int) *protean.FleetResult {
 		sc := testScenario(jobs)
@@ -92,22 +92,22 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 		return fr
 	}
 	b.ReportAllocs()
-	var batched *protean.FleetResult
+	var shared *protean.FleetResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batched = run(0)
+		shared = run(0)
 	}
 	b.StopTimer()
-	batchedPerRun := b.Elapsed().Seconds() / float64(b.N)
+	sharedPerRun := b.Elapsed().Seconds() / float64(b.N)
 	start := time.Now()
 	scalar := run(1)
 	scalarPerRun := time.Since(start).Seconds()
-	if scalar.Table().CSV() != batched.Table().CSV() {
-		b.Fatal("batched fleet CSV differs from unbatched")
+	if scalar.Table().CSV() != shared.Table().CSV() {
+		b.Fatal("shared fleet CSV differs from one session per job")
 	}
-	if batchedPerRun > 0 {
-		b.ReportMetric(jobs/batchedPerRun, "jobs/sec")
-		b.ReportMetric(scalarPerRun/batchedPerRun, "batching-speedup-x")
+	if sharedPerRun > 0 {
+		b.ReportMetric(jobs/sharedPerRun, "jobs/sec")
+		b.ReportMetric(scalarPerRun/sharedPerRun, "sharing-speedup-x")
 	}
 	if scalarPerRun > 0 {
 		b.ReportMetric(jobs/scalarPerRun, "scalar-jobs/sec")
@@ -333,7 +333,7 @@ func BenchmarkBehaviouralPFU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Step(uint32(i), ^uint32(i), i%8 == 0)
+		m.Run(uint32(i), ^uint32(i), i%8 == 0, 1)
 	}
 }
 
@@ -399,8 +399,10 @@ func BenchmarkCompiledPFU(b *testing.B) {
 // BenchmarkCompiledInstruction measures one whole custom instruction of
 // the placed alpha-blend circuit on the compiled engine: fresh, an issue
 // with init high that runs as one 8-cycle burst; reissue, the same
-// instruction clocked one Step per cycle, as an instruction resuming
-// after an interrupt runs. BenchmarkCompiledPFU measures one such cycle.
+// instruction clocked one Step per cycle, as a cut instruction settles;
+// cut, an issue cut after K/2 cycles by a timer edge and resumed through
+// Run, which costs about one fresh. BenchmarkCompiledPFU measures one
+// cycle.
 func BenchmarkCompiledInstruction(b *testing.B) {
 	n := fabric.AlphaBlend()
 	fabric.Optimize(n)
@@ -412,8 +414,9 @@ func BenchmarkCompiledInstruction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if prog.BurstCycles() != fabric.AlphaBlendCycles {
-		b.Fatalf("alphablend burst is %d cycles, want %d", prog.BurstCycles(), fabric.AlphaBlendCycles)
+	k := prog.BurstCycles()
+	if k != fabric.AlphaBlendCycles {
+		b.Fatalf("alphablend burst is %d cycles, want %d", k, fabric.AlphaBlendCycles)
 	}
 	inst := prog.NewInstance()
 	b.Run("fresh", func(b *testing.B) {
@@ -428,6 +431,15 @@ func BenchmarkCompiledInstruction(b *testing.B) {
 			init := true
 			for done := false; !done; init = false {
 				_, done = inst.Step(uint32(i), ^uint32(i), init)
+			}
+		}
+	})
+	b.Run("cut", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			inst.Run(uint32(i), ^uint32(i), true, k/2)
+			if _, _, done := inst.Run(uint32(i), ^uint32(i), false, k); !done {
+				b.Fatal("the resumed instruction did not finish")
 			}
 		}
 	})
@@ -544,6 +556,7 @@ func BenchmarkAssembleTwofish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := asm.Assemble(app.Source, kernel.RegionSize); err != nil {

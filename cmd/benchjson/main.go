@@ -1,7 +1,7 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
-// configuration loads, bitstream decode, the equivalence prover, the ARM
-// interpreter), BENCH_cluster.json (the fleet layer — placement,
+// configuration loads, the swap path, bitstream decode, the equivalence
+// prover, the ARM interpreter and assembler), BENCH_cluster.json (the fleet layer — placement,
 // identical jobs sharing one session, job throughput at 1k-node scale,
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
@@ -68,7 +68,8 @@ var suites = []struct {
 		runs: []benchRun{
 			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkCompiledInstruction|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
-				"BenchmarkTLBLookup|BenchmarkInterpreter)$"},
+				"BenchmarkTLBLookup|BenchmarkInterpreter|BenchmarkAssembleTwofish)$"},
+			{"./internal/core", "^BenchmarkSwapRestore$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
 		},
 	},
@@ -77,7 +78,7 @@ var suites = []struct {
 		comment: "fleet performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterLaneBatching|" +
+			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterShareGroups|" +
 				"BenchmarkFleet1kNodes|BenchmarkObsOverhead|BenchmarkScenario)$"},
 			{"./internal/cluster", "^BenchmarkReplay$"},
 		},

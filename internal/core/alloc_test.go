@@ -48,3 +48,39 @@ func TestCDPRunAllocs(t *testing.T) {
 		t.Errorf("product = %d", rfu.Regs[2])
 	}
 }
+
+// TestSwapRestoreAllocs pins the swap path at one allocation, the
+// SwappedCircuit: the evicted instance is the saved state, so neither
+// SwapOut nor Restore materialises frame bytes.
+func TestSwapRestoreAllocs(t *testing.T) {
+	img, err := NewFabricImage("seqmul16", fabric.SeqMul16(), fabric.DefaultPFUSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfu := New(DefaultConfig)
+	if _, err := rfu.LoadImage(0, img); err != nil {
+		t.Fatal(err)
+	}
+	exec := &pfuExec{r: rfu, pfu: 0, a: 123, b: 456, dst: 2}
+	if _, done := exec.Run(3); done {
+		t.Fatal("the instruction was not cut")
+	}
+	from := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sc, _, err := rfu.SwapOut(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from = 1 - from
+		if _, err := rfu.Restore(from, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("SwapOut + Restore allocated %v times, want 1 (the SwappedCircuit)", allocs)
+	}
+	exec.pfu = from
+	if _, done := exec.Run(100); !done || rfu.Regs[2] != 123*456 {
+		t.Errorf("the restored instruction finished %v with %d, want %d", done, rfu.Regs[2], 123*456)
+	}
+}

@@ -42,23 +42,16 @@ func contentKey(kind, name string, content []byte, params ...int) ConfigKey {
 }
 
 // Model is the execution model of a custom-instruction circuit loaded into
-// a PFU: one Step per clock with the paper's init/done protocol, plus state
-// capture for the split-configuration swap path (§4.1).
+// a PFU, clocked through the paper's init/done protocol. An evicted
+// circuit keeps its model: the model is its saved state (§4.1).
 type Model interface {
 	// Reset restores the power-on state of a freshly configured circuit.
 	Reset()
-	// Step advances one clock with the operand buses held at a and b.
-	Step(a, b uint32, init bool) (out uint32, done bool)
-	// Burst runs a whole instruction issued fresh (init high on its
-	// first cycle, low after) in one call when the model has a compiled
-	// burst of at most max cycles, leaving the state and returning the
-	// result as that many Steps would; cycles is 0, and nothing ran,
-	// otherwise.
-	Burst(a, b uint32, max uint32) (out uint32, cycles uint32)
-	// SaveState reads back the CLB register contents (state frames).
-	SaveState() []byte
-	// LoadState restores saved state frames.
-	LoadState(state []byte) error
+	// Run clocks the circuit with the operand buses held at a and b, init
+	// high on the first cycle and low after, for at most max cycles (at
+	// least one), stopping at the cycle that raises done. It returns the
+	// cycles run and done, and the result when done.
+	Run(a, b uint32, init bool, max uint32) (out uint32, cycles uint32, done bool)
 }
 
 // Image is a custom-instruction circuit as shipped inside an application:
@@ -76,8 +69,9 @@ type Image struct {
 	// §4.1 for a 500-CLB PFU) that must cross the configuration port on
 	// every load.
 	StaticBytes int
-	// StateBytes is the size of the state frame group that must be saved
-	// and restored when a live circuit is swapped.
+	// StateBytes is the size of the state frame group that crosses the
+	// configuration port each way when a live circuit is swapped; the
+	// swap charges it without materialising the bytes.
 	StateBytes int
 	// Stateful marks circuits whose CLB registers carry meaning BETWEEN
 	// invocations (like the twofish block FSM), not just within one. A
@@ -161,32 +155,16 @@ func NewBitstreamImage(name string, bits []byte) (*Image, error) {
 	}, nil
 }
 
-// fabricModel adapts a compiled fabric.Instance to the Model interface,
-// packing FF state into state-frame bytes.
+// fabricModel adapts a compiled fabric.Instance to the Model interface.
 type fabricModel struct {
 	inst *fabric.Instance
 }
 
 func (m *fabricModel) Reset() { m.inst.Reset() }
 
-func (m *fabricModel) Step(a, b uint32, init bool) (uint32, bool) {
-	return m.inst.Step(a, b, init)
-}
-
-func (m *fabricModel) Burst(a, b uint32, max uint32) (uint32, uint32) {
-	if k := uint32(m.inst.Program().BurstCycles()); k > 0 && k <= max {
-		return m.inst.Burst(a, b), k
-	}
-	return 0, 0
-}
-
-func (m *fabricModel) SaveState() []byte { return m.inst.PackFrame() }
-
-func (m *fabricModel) LoadState(state []byte) error {
-	if err := m.inst.UnpackFrame(state); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
+func (m *fabricModel) Run(a, b uint32, init bool, max uint32) (uint32, uint32, bool) {
+	out, n, done := m.inst.Run(a, b, init, int(max))
+	return out, uint32(n), done
 }
 
 // BehaviouralSpec describes a behavioural circuit model: a cycle-accurate
@@ -202,7 +180,7 @@ type BehaviouralSpec struct {
 	// sizes derive from it.
 	Spec fabric.ArraySpec
 	// StateWords is how many 32-bit words of internal state the model
-	// exposes to SaveState/LoadState.
+	// keeps; a swap charges 4 bytes of state frames per word.
 	StateWords int
 	// Content is any extra configuration baked into the model — the
 	// behavioural analogue of bitstream bytes. A Step closure that closes
@@ -225,7 +203,7 @@ func NewBehaviouralImage(spec BehaviouralSpec) *Image {
 	return &Image{
 		Name:        spec.Name,
 		StaticBytes: fabric.StaticBytes(spec.Spec),
-		StateBytes:  fabric.StateBytes(spec.Spec),
+		StateBytes:  4 * spec.StateWords,
 		Stateful:    spec.Stateful,
 		key:         contentKey("behavioural", spec.Name, spec.Content, spec.Spec.W, spec.Spec.H, spec.StateWords, boolParam(spec.Stateful)),
 		newInstance: func() (Model, error) {
@@ -267,31 +245,14 @@ func (m *behaviouralModel) Reset() {
 	}
 }
 
-func (m *behaviouralModel) Step(a, b uint32, init bool) (uint32, bool) {
-	return m.spec.Step(m.state, a, b, init)
-}
-
-// Burst never runs: a behavioural model steps through every cycle.
-func (m *behaviouralModel) Burst(a, b uint32, max uint32) (uint32, uint32) { return 0, 0 }
-
-func (m *behaviouralModel) SaveState() []byte {
-	out := make([]byte, 4*len(m.state))
-	for i, w := range m.state {
-		out[i*4] = byte(w)
-		out[i*4+1] = byte(w >> 8)
-		out[i*4+2] = byte(w >> 16)
-		out[i*4+3] = byte(w >> 24)
+func (m *behaviouralModel) Run(a, b uint32, init bool, max uint32) (uint32, uint32, bool) {
+	for n := uint32(1); ; n++ {
+		if out, done := m.spec.Step(m.state, a, b, init); done {
+			return out, n, true
+		}
+		if n >= max {
+			return 0, n, false
+		}
+		init = false
 	}
-	return out
-}
-
-func (m *behaviouralModel) LoadState(state []byte) error {
-	if len(state) != 4*len(m.state) {
-		return fmt.Errorf("core: state %d bytes, want %d", len(state), 4*len(m.state))
-	}
-	for i := range m.state {
-		m.state[i] = uint32(state[i*4]) | uint32(state[i*4+1])<<8 |
-			uint32(state[i*4+2])<<16 | uint32(state[i*4+3])<<24
-	}
-	return nil
 }

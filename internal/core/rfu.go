@@ -185,22 +185,24 @@ func (r *RFU) LoadImage(pfuIdx int, img *Image) (int, error) {
 	return r.LoadInstance(pfuIdx, img, m)
 }
 
-// SwappedCircuit is the state the OS holds for a circuit it has swapped off
-// the array: the state frames plus the RFU-side status bit and counter.
+// SwappedCircuit is what the OS holds for a circuit it has swapped off
+// the array: the evicted execution model, whose registers are the saved
+// state frames, plus the RFU-side status bit and counter.
 type SwappedCircuit struct {
 	Image   *Image
-	State   []byte
 	Status  bool
 	Counter uint32
 
-	// model is the evicted execution model, which Restore reuses
-	// instead of stamping a fresh one; it is nil once restored.
+	// model is the evicted execution model, which Restore installs as it
+	// was; it is nil once restored.
 	model Model
 }
 
 // SwapOut reads back a PFU's state frames and invalidates the slot,
 // returning what the OS needs to later re-instantiate the circuit
-// mid-instruction. The byte count is the readback traffic.
+// mid-instruction. The byte count is the readback traffic, the image's
+// StateBytes: the evicted model keeps its registers, so no frame is
+// packed on the host.
 func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
 		return nil, 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
@@ -211,40 +213,35 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 	}
 	sc := &SwappedCircuit{
 		Image:   p.image,
-		State:   p.model.SaveState(),
 		Status:  p.status,
 		Counter: p.counter,
 		model:   p.model,
 	}
 	r.pfus[pfuIdx] = pfu{status: true}
 	r.Stats.StateSaves++
-	return sc, len(sc.State), nil
+	return sc, sc.Image.StateBytes, nil
 }
 
-// Restore configures a PFU with a previously swapped circuit: the state
-// frames restore into an instance of the cached static image (§4.1's
-// split configuration), plus the RFU-side status bit and counter. The
-// instance is the one SwapOut evicted, whose every register LoadState
-// overwrites; it moves out of sc, so a SwappedCircuit restores at most
-// once and a second Restore is an error. The byte count covers both
-// frame sections — full static frames and the tiny state frame group.
+// Restore configures a PFU with a previously swapped circuit: the cached
+// static image plus its state frames (§4.1's split configuration), and
+// the RFU-side status bit and counter. The model installed is the one
+// SwapOut evicted, as it was, so its registers are the saved state; it
+// moves out of sc, so a SwappedCircuit restores at most once and a
+// second Restore is an error. The byte count covers both frame sections
+// — full static frames and the tiny state frame group.
 func (r *RFU) Restore(pfuIdx int, sc *SwappedCircuit) (int, error) {
 	m := sc.model
 	if m == nil {
 		return 0, fmt.Errorf("core: swapped %s circuit already restored", sc.Image.Name)
 	}
-	n, err := r.LoadInstance(pfuIdx, sc.Image, m)
-	if err != nil {
-		return 0, err
+	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
+		return 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
 	}
 	sc.model = nil
-	if err := m.LoadState(sc.State); err != nil {
-		return 0, err
-	}
-	r.pfus[pfuIdx].status = sc.Status
-	r.pfus[pfuIdx].counter = sc.Counter
+	r.pfus[pfuIdx] = pfu{model: m, image: sc.Image, status: sc.Status, counter: sc.Counter}
+	r.Stats.ConfigLoads++
 	r.Stats.StateRestores++
-	return n + len(sc.State), nil
+	return sc.Image.StaticBytes + sc.Image.StateBytes, nil
 }
 
 // Unload drops a PFU's circuit without state readback.
@@ -436,32 +433,19 @@ type pfuExec struct {
 	dst  uint32
 }
 
-// Run implements arm.CopExec. A fresh issue (status set) whose model has
-// a burst of at most max cycles runs whole in one call; otherwise the
-// model steps with init = status until done or max cycles. Either way
-// the status bit, ExecCycles, the usage counter and Completions end as
-// that many single cycles would leave them.
+// Run implements arm.CopExec: the model runs with init = status for at
+// most max cycles, and the status bit latches the last done, so the
+// status bit, ExecCycles, the usage counter and Completions end as that
+// many single cycles would leave them.
 func (e *pfuExec) Run(max uint32) (uint32, bool) {
 	p := &e.r.pfus[e.pfu]
-	if p.status {
-		if out, k := p.model.Burst(e.a, e.b, max); k > 0 {
-			e.r.Stats.ExecCycles += uint64(k)
-			e.complete(p, out)
-			return k, true
-		}
+	out, n, done := p.model.Run(e.a, e.b, p.status, max)
+	p.status = done
+	e.r.Stats.ExecCycles += uint64(n)
+	if done {
+		e.complete(p, out)
 	}
-	for n := uint32(1); ; n++ {
-		out, done := p.model.Step(e.a, e.b, p.status)
-		p.status = done
-		e.r.Stats.ExecCycles++
-		if done {
-			e.complete(p, out)
-			return n, true
-		}
-		if n >= max {
-			return n, false
-		}
-	}
+	return n, done
 }
 
 // complete retires a finished instruction. Completions are counted here,

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"protean/internal/arm"
@@ -452,38 +452,67 @@ func TestFabricImageThroughRFU(t *testing.T) {
 	}
 }
 
+// TestBehaviouralStateRoundTrip swaps a behavioural circuit out two
+// cycles into an instruction and back in on another PFU: the state words
+// the model resumes from are the ones it was evicted with, and the
+// instruction finishes in the cycles left, as an unswapped twin does.
 func TestBehaviouralStateRoundTrip(t *testing.T) {
 	img := addImage(8)
-	m, err := img.NewInstance()
+	rfu := New(DefaultConfig)
+	for _, i := range []int{0, 3} {
+		if _, err := rfu.LoadImage(i, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := &pfuExec{r: rfu, pfu: 0, a: 1, b: 2, dst: 4}
+	twin := &pfuExec{r: rfu, pfu: 3, a: 1, b: 2, dst: 5}
+	for _, e := range []*pfuExec{exec, twin} {
+		if _, done := e.Run(2); done {
+			t.Fatal("finished early")
+		}
+	}
+	words := func(i int) []uint32 { return rfu.pfus[i].model.(*behaviouralModel).state }
+	evicted := slices.Clone(words(0))
+	sc, _, err := rfu.SwapOut(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Step(1, 2, true)
-	m.Step(1, 2, false)
-	st := m.SaveState()
-	m2, _ := img.NewInstance()
-	if err := m2.LoadState(st); err != nil {
+	if _, err := rfu.Restore(1, sc); err != nil {
 		t.Fatal(err)
 	}
-	// Both models must now agree on remaining latency.
-	for i := 0; i < 8; i++ {
-		_, d1 := m.Step(1, 2, false)
-		_, d2 := m2.Step(1, 2, false)
-		if d1 != d2 {
-			t.Fatalf("divergence at step %d", i)
-		}
-		if d1 {
-			return
-		}
+	if !slices.Equal(words(1), evicted) || !slices.Equal(words(1), words(3)) {
+		t.Fatalf("restored state words %v, evicted %v, twin %v", words(1), evicted, words(3))
 	}
-	t.Fatal("never completed")
+	exec.pfu = 1
+	n, done := exec.Run(100)
+	tn, tdone := twin.Run(100)
+	if !done || !tdone || n != tn || n != 6 || rfu.Regs[4] != rfu.Regs[5] {
+		t.Fatalf("restored run %d cycles (done %v), twin %d (done %v); want 6 each", n, done, tn, tdone)
+	}
 }
 
+// TestBehaviouralStateLengthCheck: a behavioural circuit's state frame
+// group is 4 bytes per state word, and that is what a swap charges each
+// way.
 func TestBehaviouralStateLengthCheck(t *testing.T) {
-	img := addImage(2)
-	m, _ := img.NewInstance()
-	if err := m.LoadState([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short state accepted")
+	img := NewBehaviouralImage(BehaviouralSpec{
+		Name: "threewords", Spec: fabric.DefaultPFUSpec, StateWords: 3,
+		Step: func(st []uint32, a, b uint32, init bool) (uint32, bool) { return a, true },
+	})
+	if img.StateBytes != 12 {
+		t.Fatalf("StateBytes = %d, want 12", img.StateBytes)
+	}
+	rfu := New(DefaultConfig)
+	static, err := rfu.LoadImage(0, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, saved, err := rfu.SwapOut(0)
+	if err != nil || saved != 12 {
+		t.Fatalf("SwapOut read back %d bytes (%v), want 12", saved, err)
+	}
+	if loaded, err := rfu.Restore(0, sc); err != nil || loaded != static+12 {
+		t.Fatalf("Restore loaded %d bytes (%v), want %d", loaded, err, static+12)
 	}
 }
 
@@ -550,10 +579,10 @@ func TestRestoreReusesEvictedModel(t *testing.T) {
 	if rfu.pfus[2].model != nil {
 		t.Fatal("the refused second Restore configured its PFU")
 	}
-	// PFU 1 holds the saved mid-instruction state and finishes in 6
-	// more cycles.
-	if !bytes.Equal(rfu.pfus[1].model.SaveState(), sc.State) {
-		t.Fatal("PFU 1 does not hold the saved state")
+	// PFU 1 holds the saved mid-instruction state — four cycles in — and
+	// finishes in 6 more cycles.
+	if st := rfu.pfus[1].model.(*behaviouralModel).state; st[0] != 4 {
+		t.Fatalf("PFU 1 holds state word %d, want the saved 4", st[0])
 	}
 	e := &pfuExec{r: rfu, pfu: 1, a: 5, b: 6, dst: 3}
 	if n, done := e.Run(100); !done || n != 6 || rfu.Regs[3] != 11 {

@@ -10,8 +10,9 @@ import (
 // issuer drives one engine through the §4.4 issue protocol the way the
 // RFU does: a status bit feeds init and latches done, a run stops after
 // max cycles (an interrupt) or at done, and an aborted instruction is
-// reissued with the status left as it was. With burst set, a fresh issue
-// whose program has a burst of at most max cycles runs it in one call.
+// reissued with the status left as it was. With burst set, every issue
+// goes through Instance.Run, which runs a fresh issue whose program has
+// a burst of at most max cycles in one call.
 type issuer struct {
 	cfg    *ArrayConfig
 	prog   *Compiled
@@ -31,11 +32,13 @@ func (e *issuer) step(a, b uint32) (uint32, bool) {
 
 // run issues (or reissues) an instruction for at most max cycles.
 func (e *issuer) run(a, b uint32, max int) (out uint32, n int, done bool) {
-	if e.burst && e.status {
-		if k := e.prog.BurstCycles(); k > 0 && k <= max {
+	if e.burst {
+		if k := e.prog.BurstCycles(); e.status && k > 0 && k <= max {
 			e.bursts++
-			return e.inst.Burst(a, b), k, true
 		}
+		out, n, done = e.inst.Run(a, b, e.status, max)
+		e.status = done
+		return out, n, done
 	}
 	for n < max && !done {
 		out, done = e.step(a, b)

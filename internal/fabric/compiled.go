@@ -450,6 +450,13 @@ type Instance struct {
 	prog  *Compiled
 	wires []uint8 // one byte per wire, 0/1
 	ffQ   []uint8 // register values, one byte per CLB (the state frame contents)
+
+	// cut is how many cycles of a fresh issue Run has charged without
+	// clocking them (0 when none): the instruction was cut short of its
+	// burst, and ffQ still holds the registers it was issued on, with
+	// operands cutA and cutB. See Run.
+	cut        int
+	cutA, cutB uint32
 }
 
 // NewInstance stamps a fresh instance in its power-on state. Instances
@@ -468,15 +475,23 @@ func (c *Compiled) NewInstance() *Instance {
 // Program returns the shared compiled program.
 func (in *Instance) Program() *Compiled { return in.prog }
 
-// Reset restores every register to its configured initial value.
+// Reset restores every register to its configured initial value,
+// dropping any cut instruction.
 func (in *Instance) Reset() {
+	in.cut = 0
 	copy(in.ffQ, in.prog.ffInit)
 }
 
 // Step advances the circuit by one clock cycle, exactly like PFU.Step:
 // combinational logic settles, outputs are sampled, then every used
-// flip-flop latches. It runs the schedule specialised for init.
+// flip-flop latches. It runs the schedule specialised for init, after
+// settling a cut instruction.
 func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
+	in.settleCut()
+	return in.step(a, b, init)
+}
+
+func (in *Instance) step(a, b uint32, init bool) (out uint32, done bool) {
 	s := &in.prog.sched[0]
 	if init {
 		s = &in.prog.sched[1]
@@ -487,11 +502,71 @@ func (in *Instance) Step(a, b uint32, init bool) (out uint32, done bool) {
 // Burst runs one whole instruction issued fresh — init high on its first
 // cycle and low after, operands held — in a single pass, leaving the
 // registers and returning the result exactly as BurstCycles() Steps
-// would (the last of which raises done). It is valid only when
-// BurstCycles() > 0.
+// would (the last of which raises done), after settling a cut
+// instruction. It is valid only when BurstCycles() > 0.
 func (in *Instance) Burst(a, b uint32) (out uint32) {
+	in.settleCut()
 	out, _ = in.run(&in.prog.burst, a, b)
 	return out
+}
+
+// Run issues an instruction (init high) or reissues one (init low) with
+// the operands held for at most max cycles — at least one — stopping at
+// the cycle that raises done. It returns the cycles run and done, and
+// the result when done (0 otherwise), and leaves the registers as
+// stepping with init on the first cycle and low after would.
+//
+// A circuit with a K-cycle burst runs a fresh issue with max ≥ K as that
+// burst. One with max < K — an instruction a timer edge cuts short — is
+// only charged: Run records the cut and leaves the registers as issued.
+// A reissue with init low and the same operands then either finishes the
+// instruction as the burst, returning the K − cut cycles left, or is cut
+// again. This is exact because done is constant on every cycle of the
+// burst: the cycles after the cut, run with the operands held and init
+// low, are the burst's own, so cut cycles followed by the rest are the
+// burst. Any other use of the instance — Step, Burst, SaveFrame, or a
+// Run with init high or different operands — first settles the cut,
+// stepping its cycles from the registers it was issued on; Reset and
+// LoadFrame drop it. Everything else steps per cycle.
+func (in *Instance) Run(a, b uint32, init bool, max int) (out uint32, cycles int, done bool) {
+	if max < 1 {
+		max = 1
+	}
+	if in.cut > 0 && (init || a != in.cutA || b != in.cutB) {
+		in.settleCut()
+	}
+	if k := in.prog.burstK; k > 0 && (init || in.cut > 0) {
+		if left := k - in.cut; max >= left {
+			in.cut = 0
+			out, _ = in.run(&in.prog.burst, a, b)
+			return out, left, true
+		}
+		in.cut, in.cutA, in.cutB = in.cut+max, a, b
+		return 0, max, false
+	}
+	for n := 1; ; n++ {
+		if out, done = in.step(a, b, init); done {
+			return out, n, true
+		}
+		if n >= max {
+			return 0, n, false
+		}
+		init = false
+	}
+}
+
+// settleCut clocks a cut instruction's cycles one by one from the registers
+// it was issued on, so the registers hold what those cycles left.
+func (in *Instance) settleCut() {
+	if in.cut == 0 {
+		return
+	}
+	n := in.cut
+	in.cut = 0
+	in.step(in.cutA, in.cutB, true)
+	for i := 1; i < n; i++ {
+		in.step(in.cutA, in.cutB, false)
+	}
 }
 
 // run executes one schedule: spread the operands, refresh the registers
@@ -579,5 +654,4 @@ func spreadBits(v uint8) uint64 {
 }
 
 // State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame (the ffQ layout itself), and
-// PackFrame/UnpackFrame the modeled frame-group bytes.
+// canonical one-byte-per-CLB frame (the ffQ layout itself).

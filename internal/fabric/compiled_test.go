@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -296,10 +297,21 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestCompiledLoadStateLengthCheck: a short state frame is rejected and
+// leaves the instance as it was, a cut instruction included.
 func TestCompiledLoadStateLengthCheck(t *testing.T) {
-	inst := compileT(t, placeT(t, Xor32())).NewInstance()
+	prog := compileT(t, placeT(t, AlphaBlend()))
+	inst, ref := prog.NewInstance(), prog.NewInstance()
+	const a, b = 0x01020304, 0xa0b0c0d0
+	inst.Run(a, b, true, 3)
 	if err := inst.LoadFrame(make([]uint8, 3)); err == nil {
 		t.Fatal("short state frame must be rejected")
+	}
+	for c := 0; c < 3; c++ {
+		ref.Step(a, b, c == 0)
+	}
+	if !slices.Equal(inst.SaveFrame(), ref.SaveFrame()) {
+		t.Fatal("a rejected state frame changed the instance")
 	}
 }
 
@@ -329,9 +341,9 @@ func TestCompiledInstancesIndependent(t *testing.T) {
 	}
 }
 
-// TestPackUnpackFrame round-trips an instance's registers through the
-// modeled frame-group packing.
-func TestPackUnpackFrame(t *testing.T) {
+// TestSaveLoadFrame round-trips an instance's registers through its
+// state frame.
+func TestSaveLoadFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, spec := range []ArraySpec{{W: 1, H: 1}, {W: 7, H: 1}, {W: 4, H: 2}, {W: 3, H: 3}, {W: 15, H: 10}} {
 		prog := compileT(t, NewArrayConfig(spec))
@@ -344,18 +356,16 @@ func TestPackUnpackFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		back := prog.NewInstance()
-		if err := back.UnpackFrame(in.PackFrame()); err != nil {
+		if err := back.LoadFrame(in.SaveFrame()); err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range back.SaveFrame() {
-			if v != frame[i] {
-				t.Fatalf("%d CLBs: byte %d changed across pack/unpack", spec.CLBs(), i)
-			}
+		if !slices.Equal(back.SaveFrame(), frame) {
+			t.Fatalf("%d CLBs: registers changed across SaveFrame/LoadFrame", spec.CLBs())
 		}
 	}
 	in := compileT(t, NewArrayConfig(ArraySpec{W: 3, H: 3})).NewInstance()
-	err := in.UnpackFrame([]byte{0})
-	if want := "fabric: frame group is 1 bytes, want 2 for 9 CLBs"; err == nil || err.Error() != want {
-		t.Fatalf("short frame group: %v, want %q", err, want)
+	err := in.LoadFrame([]uint8{0})
+	if want := "fabric: frame has 1 bytes, instance has 9 CLBs"; err == nil || err.Error() != want {
+		t.Fatalf("short frame: %v, want %q", err, want)
 	}
 }

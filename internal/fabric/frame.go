@@ -11,24 +11,27 @@ import "fmt"
 // The compiled engine stores its registers in this very layout, so its
 // SaveFrame is a copy and its LoadFrame needs no conversion.
 //
-// The compiled Instance's PackFrame/UnpackFrame exchange its registers
-// directly with the modeled frame-group bytes (8 CLBs per byte) that
-// cross the simulated configuration port — the form core.Model.SaveState
-// ships and StateBytes prices.
+// The swap path itself moves no frame on the host: an evicted circuit
+// keeps its Instance, and the modeled frame-group bytes that cross the
+// simulated configuration port (StateBytes, 8 CLBs per byte) are
+// charged, not materialised.
 
 // SaveFrame reads back the state frame group: one byte per CLB register,
-// 0 or 1, in CLB order.
+// 0 or 1, in CLB order. A cut instruction settles first (see Run).
 func (in *Instance) SaveFrame() []uint8 {
+	in.settleCut()
 	out := make([]uint8, len(in.ffQ))
 	copy(out, in.ffQ)
 	return out
 }
 
-// LoadFrame restores a state frame group. Nonzero bytes load as 1.
+// LoadFrame restores a state frame group, dropping any cut instruction.
+// Nonzero bytes load as 1.
 func (in *Instance) LoadFrame(frame []uint8) error {
 	if len(frame) != len(in.ffQ) {
 		return fmt.Errorf("fabric: frame has %d bytes, instance has %d CLBs", len(frame), len(in.ffQ))
 	}
+	in.cut = 0
 	for i, v := range frame {
 		if v != 0 {
 			in.ffQ[i] = 1
@@ -59,29 +62,6 @@ func (p *PFU) LoadFrame(frame []uint8) error {
 	}
 	for i, v := range frame {
 		p.ffQ[i] = v != 0
-	}
-	return nil
-}
-
-// PackFrame reads back the instance's state frame group as modeled
-// frame-group bytes, 8 CLB registers per byte, CLB i in byte i/8 bit
-// i%8 — the form that crosses the simulated configuration port.
-func (in *Instance) PackFrame() []byte {
-	out := make([]byte, (len(in.ffQ)+7)/8)
-	for i, v := range in.ffQ {
-		out[i/8] |= v << (i % 8)
-	}
-	return out
-}
-
-// UnpackFrame restores every register from modeled frame-group bytes.
-func (in *Instance) UnpackFrame(data []byte) error {
-	n := len(in.ffQ)
-	if len(data) != (n+7)/8 {
-		return fmt.Errorf("fabric: frame group is %d bytes, want %d for %d CLBs", len(data), (n+7)/8, n)
-	}
-	for i := range in.ffQ {
-		in.ffQ[i] = data[i/8] >> (i % 8) & 1
 	}
 	return nil
 }

@@ -153,7 +153,8 @@ func (c *CIS) fault(p *Process, cid uint32) bool {
 	// through the instance API: the CIS stamps an instance of the image's
 	// shared compiled program (host-side cheap), while the static-frame
 	// traffic keeps its full modeled cost below. A swapped live circuit
-	// restores its state frames into a fresh instance (§4.1).
+	// restores the instance it was evicted with, whose registers are its
+	// state frames (§4.1).
 	if c.k.cfg.PageInCycles > 0 {
 		c.k.charge(c.k.cfg.PageInCycles)
 		c.Stats.PageIns++

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -20,7 +19,12 @@ var tinySpec = fabric.ArraySpec{W: 5, H: 4}
 
 // addImage is a behavioural adder with the given latency.
 func addImage(name string, latency uint32) *core.Image {
-	return core.NewBehaviouralImage(core.BehaviouralSpec{
+	return core.NewBehaviouralImage(addSpec(name, latency))
+}
+
+// addSpec is addImage's behavioural model.
+func addSpec(name string, latency uint32) core.BehaviouralSpec {
+	return core.BehaviouralSpec{
 		Name:       name,
 		Spec:       tinySpec,
 		StateWords: 1,
@@ -32,7 +36,7 @@ func addImage(name string, latency uint32) *core.Image {
 			}
 			return a + b, st[0] >= latency
 		},
-	})
+	}
 }
 
 // ciAppSrc builds the standard test application: register CID 5 (image 0),
@@ -675,12 +679,23 @@ type sharingRig struct {
 	m    *machine.Machine
 	k    *Kernel
 	regs map[string]*Registration
+	// xWords is the state words of the instance of x that last clocked.
+	xWords []uint32
 }
+
+// sharingLatency is the cycles an instruction of x or y takes.
+const sharingLatency = 4
 
 func newSharingRig(t *testing.T) *sharingRig {
 	m := machine.New(machine.Config{RFU: core.Config{PFUs: 1}})
 	r := &sharingRig{t: t, m: m, k: New(m, Config{Sharing: true}), regs: map[string]*Registration{}}
-	x, y := addImage("x", 4), addImage("y", 4)
+	spec := addSpec("x", sharingLatency)
+	step := spec.Step
+	spec.Step = func(st []uint32, a, b uint32, init bool) (uint32, bool) {
+		r.xWords = st
+		return step(st, a, b, init)
+	}
+	x, y := core.NewBehaviouralImage(spec), addImage("y", sharingLatency)
 	for _, name := range []string{"a", "b", "c"} {
 		img := x
 		if name == "c" {
@@ -730,6 +745,7 @@ func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
 	clock("a", 2)
 	fault("b") // shares a's instance
 	fault("c") // evicts x: a and b now hold one SwappedCircuit
+	first := slices.Clone(r.xWords)
 	sc := regs["a"].swapped
 	if sc == nil || regs["b"].swapped != sc {
 		t.Fatal("the sharers of an evicted circuit do not hold one SwappedCircuit")
@@ -737,24 +753,28 @@ func TestSharingRestoresSwappedCircuitTwice(t *testing.T) {
 	fault("a") // restores sc, evicting y
 	clock("a", 1)
 	fault("c") // restores y, evicting a's copy of x into a new SwappedCircuit
+	want := slices.Clone(r.xWords)
 	latest := regs["a"].swapped
 	if latest == nil || latest == sc || regs["b"].swapped != latest {
 		t.Fatal("b does not hold the state saved at x's latest eviction")
 	}
-	want := slices.Clone(latest.State)
+	if slices.Equal(want, first) {
+		t.Fatal("premise broken: the two evictions saved the same state")
+	}
 	fault("b") // restores latest
 	if got := k.CIS.Stats.Restores; got != 3 {
 		t.Fatalf("restores = %d, want 3 (sc, y, then x's latest state)", got)
 	}
-	saved, _, err := m.RFU.SwapOut(0)
-	if err != nil {
-		t.Fatal(err)
+	// b's instruction resumes from the state saved at the latest
+	// eviction, so it finishes in the cycles that state has left.
+	m.RFU.PID = regs["b"].owner.PID
+	out := m.RFU.CDP(5, 2, 0, 1, 0, true)
+	if out.Exec == nil {
+		t.Fatal("b's CID 5 is not mapped to hardware")
 	}
-	if !bytes.Equal(saved.State, want) {
-		t.Fatal("b's restore did not load the state saved at x's latest eviction")
-	}
-	if bytes.Equal(want, sc.State) {
-		t.Fatal("premise broken: the two evictions saved the same state")
+	if n, done := out.Exec.Run(100); !done || n != sharingLatency-want[0] {
+		t.Fatalf("b's restored instruction ran %d cycles (done %v), want the %d left at the latest eviction",
+			n, done, sharingLatency-want[0])
 	}
 	if _, err := m.RFU.Restore(0, sc); err == nil {
 		t.Fatal("a SwappedCircuit restored a second time")

@@ -149,11 +149,22 @@ func (w *watcher) sendEvent(job uint64, ev protean.Event) {
 		w.c.srv.mDropped.Inc()
 		return
 	}
-	if !w.c.trySend(wire.EncodeMessage(w.reqID, wire.Event{Job: job, Ev: ev})) {
+	m := eventPool.Get().(*wire.Event)
+	*m = wire.Event{Job: job, Ev: ev}
+	frame := wire.EncodeMessage(w.reqID, m)
+	*m = wire.Event{}
+	eventPool.Put(m)
+	if !w.c.trySend(frame) {
 		w.dropped.Add(1)
 		w.c.srv.mDropped.Inc()
 	}
 }
+
+// eventPool recycles the messages event frames are encoded from. A
+// message passed by pointer encodes the same bytes as by value, and the
+// pointer needs no boxing into the wire.Msg interface, so an event frame
+// allocates only its payload. Jobs publish concurrently, hence a pool.
+var eventPool = sync.Pool{New: func() any { return new(wire.Event) }}
 
 // flushGap delivers any pending EventGap marker; it reports whether
 // the stream is caught up (no shed frames left unannounced).
