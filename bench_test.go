@@ -422,7 +422,7 @@ func BenchmarkCompiledInstruction(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			inst.Burst(uint32(i), ^uint32(i))
+			inst.Run(uint32(i), ^uint32(i), true, k)
 		}
 	})
 	b.Run("reissue", func(b *testing.B) {
@@ -516,7 +516,7 @@ func BenchmarkInstanceStampOut(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fabric.NewPFU(decoded.Config); err != nil {
+		if _, err := fabric.NewPFU(decoded); err != nil {
 			b.Fatal(err)
 		}
 	}

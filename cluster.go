@@ -6,7 +6,7 @@ import (
 )
 
 // ConfigKey is the content identity of one circuit configuration — the
-// SharedProgram bitstream hash for gate-level images (see core.ConfigKey).
+// static bitstream hash for gate-level images (see core.ConfigKey).
 // The cluster dispatcher uses it as the placement-affinity key.
 type ConfigKey = core.ConfigKey
 

@@ -164,12 +164,12 @@ func lintCircuit(name string, n *fabric.Netlist, cfg *fabric.ArrayConfig) int {
 // netlist -> optimised netlist -> bitstream -> compiled program. Exits
 // nonzero on any unproven step.
 func proveCircuit(name string, n *fabric.Netlist, bits []byte) {
-	img, err := fabric.Decode(bits)
+	cfg, err := fabric.Decode(bits)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fplstat: %s: decode: %v\n", name, err)
 		os.Exit(1)
 	}
-	rep, err := fabric.EquivConfig(img.Config, n)
+	rep, err := fabric.EquivConfig(cfg, n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fplstat: %s: config proof: %v\n", name, err)
 		os.Exit(1)
@@ -178,12 +178,12 @@ func proveCircuit(name string, n *fabric.Netlist, bits []byte) {
 		fmt.Fprintf(os.Stderr, "fplstat: %s: decoded configuration differs from netlist: %s\n", name, rep)
 		os.Exit(1)
 	}
-	prog, err := fabric.Compile(img.Config)
+	prog, err := fabric.Compile(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fplstat: %s: compile: %v\n", name, err)
 		os.Exit(1)
 	}
-	vrep, err := prog.Verify(img.Config)
+	vrep, err := prog.Verify(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fplstat: %s: compiled proof: %v\n", name, err)
 		os.Exit(1)

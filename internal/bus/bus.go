@@ -1,12 +1,10 @@
 // Package bus models the ProteanARM on-chip memory system: a 32-bit
-// little-endian bus with attachable regions (RAM and memory-mapped devices)
-// and a simple wait-state model.
+// little-endian bus with attachable regions (RAM and memory-mapped devices).
 //
 // The bus is deliberately minimal: the ProteanARM of the paper is an
-// ARM7TDMI-class system-on-chip with single-cycle SRAM, so the default
-// configuration has zero wait states and the cycle cost of memory access is
-// carried by the CPU cycle model (internal/arm). Wait states can be enabled
-// per region to model slower memories.
+// ARM7TDMI-class system-on-chip with single-cycle SRAM, so memory adds no
+// wait states and the cycle cost of memory access is carried by the CPU
+// cycle model (internal/arm).
 package bus
 
 import (
@@ -69,20 +67,13 @@ type Word32Region interface {
 	Write32(off uint32, v uint32) bool
 }
 
-// WaitStater is an optional interface for regions that insert wait states.
-type WaitStater interface {
-	// WaitStates reports extra cycles consumed per access.
-	WaitStates() uint32
-}
-
 type mapping struct {
 	base   uint32
 	limit  uint32 // inclusive upper bound
 	region Region
-	// w32 and ws are the region's optional fast-path interfaces, resolved
-	// once at Map time so the per-access path never type-asserts.
+	// w32 is the region's optional fast-path interface, resolved once at
+	// Map time so the per-access path never type-asserts.
 	w32 Word32Region
-	ws  WaitStater
 }
 
 // Bus is the system interconnect. It is not safe for concurrent use; the
@@ -94,10 +85,6 @@ type Bus struct {
 	// running machine lands in RAM, so the common case is two compares
 	// instead of a binary search.
 	hot mapping
-
-	// WaitCycles accumulates wait-state cycles since the last TakeWaits
-	// call. The CPU adds these to its cycle count.
-	waitCycles uint64
 }
 
 // New returns an empty bus.
@@ -121,7 +108,6 @@ func (b *Bus) Map(base uint32, r Region) error {
 	}
 	m := mapping{base: base, limit: limit, region: r}
 	m.w32, _ = r.(Word32Region)
-	m.ws, _ = r.(WaitStater)
 	b.maps = append(b.maps, m)
 	sort.Slice(b.maps, func(i, j int) bool { return b.maps[i].base < b.maps[j].base })
 	return nil
@@ -138,7 +124,7 @@ func (b *Bus) MustMap(base uint32, r Region) {
 func (b *Bus) find(addr uint32) (*mapping, bool) {
 	// Fast path: the last mapping hit (regions never overlap, so a stale
 	// hot entry can only miss, never mis-route). Returned by pointer —
-	// the mapping struct is seven words, too big to copy per access.
+	// the mapping struct is five words, too big to copy per access.
 	h := &b.hot
 	if h.region != nil && addr >= h.base && addr <= h.limit {
 		return h, true
@@ -161,26 +147,12 @@ func (b *Bus) find(addr uint32) (*mapping, bool) {
 	return nil, false
 }
 
-func (b *Bus) charge(m *mapping) {
-	if m.ws != nil {
-		b.waitCycles += uint64(m.ws.WaitStates())
-	}
-}
-
-// TakeWaits returns and clears the accumulated wait-state cycle count.
-func (b *Bus) TakeWaits() uint64 {
-	w := b.waitCycles
-	b.waitCycles = 0
-	return w
-}
-
 // Read8 reads one byte.
 func (b *Bus) Read8(addr uint32, kind Access) (byte, *Fault) {
 	m, ok := b.find(addr)
 	if !ok {
 		return 0, &Fault{addr, kind, "unmapped"}
 	}
-	b.charge(m)
 	v, ok := m.region.Read8(addr - m.base)
 	if !ok {
 		return 0, &Fault{addr, kind, "region rejected read"}
@@ -194,7 +166,6 @@ func (b *Bus) Write8(addr uint32, v byte) *Fault {
 	if !ok {
 		return &Fault{addr, Store, "unmapped"}
 	}
-	b.charge(m)
 	if !m.region.Write8(addr-m.base, v) {
 		return &Fault{addr, Store, "region rejected write"}
 	}
@@ -227,7 +198,6 @@ func (b *Bus) Write16(addr uint32, v uint16) *Fault {
 func (b *Bus) Read32(addr uint32, kind Access) (uint32, *Fault) {
 	if m, ok := b.find(addr); ok {
 		if m.w32 != nil && addr+3 <= m.limit {
-			b.charge(m)
 			v, good := m.w32.Read32(addr - m.base)
 			if !good {
 				return 0, &Fault{addr, kind, "region rejected read"}
@@ -250,7 +220,6 @@ func (b *Bus) Read32(addr uint32, kind Access) (uint32, *Fault) {
 func (b *Bus) Write32(addr uint32, v uint32) *Fault {
 	if m, ok := b.find(addr); ok {
 		if m.w32 != nil && addr+3 <= m.limit {
-			b.charge(m)
 			if !m.w32.Write32(addr-m.base, v) {
 				return &Fault{addr, Store, "region rejected write"}
 			}

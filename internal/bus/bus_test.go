@@ -85,21 +85,6 @@ func TestZeroSizeAndWrapRejected(t *testing.T) {
 	}
 }
 
-func TestWaitStates(t *testing.T) {
-	r := NewRAM(0x100)
-	r.waits = 2
-	b := New()
-	b.MustMap(0, r)
-	b.Read32(0, Load)
-	b.Write32(4, 9)
-	if w := b.TakeWaits(); w != 4 {
-		t.Errorf("wait cycles = %d, want 4", w)
-	}
-	if w := b.TakeWaits(); w != 0 {
-		t.Errorf("waits not cleared: %d", w)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	b := New()
 	b.MustMap(0, NewRAM(0x10000))

@@ -20,20 +20,15 @@ const (
 type RAM struct {
 	pages []*[pageSize]byte
 	size  uint32
-	waits uint32
 }
 
-// NewRAM returns a zero-filled RAM region of size bytes with zero wait
-// states.
+// NewRAM returns a zero-filled RAM region of size bytes.
 func NewRAM(size uint32) *RAM {
 	return &RAM{size: size}
 }
 
 // Size reports the region size in bytes.
 func (r *RAM) Size() uint32 { return r.size }
-
-// WaitStates reports the configured wait states per access.
-func (r *RAM) WaitStates() uint32 { return r.waits }
 
 // page returns the page holding off, allocating it, and growing the
 // table to reach it, on first use.

@@ -41,7 +41,7 @@ import (
 )
 
 // Key identifies one circuit configuration fleet-wide: core.ConfigKey,
-// the SharedProgram bitstream hash. The dispatcher treats it opaquely —
+// the static bitstream hash. The dispatcher treats it opaquely —
 // two jobs carrying equal keys load byte-identical configurations, which
 // is what a node's bitstream store can reuse.
 type Key [32]byte

@@ -49,7 +49,7 @@ func (leastLoaded) Place(f *Fleet, _ *Job) int { return f.leastLoaded() }
 
 // Affinity prefers the node whose bitstream store already holds the most
 // of the job's configurations — the paper's configuration-locality cost
-// turned into a placement signal, keyed on the SharedProgram bitstream
+// turned into a placement signal, keyed on the static bitstream
 // hash. Ties break toward the smaller backlog, then the lowest index;
 // when no node holds anything the policy degenerates to least-loaded, so
 // a cold fleet still spreads.

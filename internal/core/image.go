@@ -9,7 +9,7 @@ import (
 )
 
 // ConfigKey identifies a circuit configuration by content: for bitstream
-// images it is exactly the SharedProgram cache key (the SHA-256 of the
+// images it is exactly the compiled-program cache key (the SHA-256 of the
 // static bitstream), so two images carry equal keys iff they load
 // byte-identical configurations. Behavioural and model images, which have
 // no bitstream, hash their defining parameters instead. The cluster
@@ -133,7 +133,7 @@ func NewFabricImage(name string, n *fabric.Netlist, spec fabric.ArraySpec) (*Ima
 // NewBitstreamImage builds an Image directly from an encoded static
 // bitstream — the form a real application would ship. Decode, validation
 // and compilation happen once per distinct bitstream process-wide (see
-// SharedProgram); the image's NewInstance stamps instances of the shared
+// sharedProgram); the image's NewInstance stamps instances of the shared
 // compiled program.
 func NewBitstreamImage(name string, bits []byte) (*Image, error) {
 	key := ConfigKey(sha256.Sum256(bits))

@@ -34,11 +34,11 @@ func (img *Image) Lint() []string {
 // single finding rather than an error path.
 func lintBitstream(key ConfigKey, bits []byte) []string {
 	msgs, _ := lintCache.Do(key, func() ([]string, error) {
-		img, err := fabric.Decode(bits)
-		if err != nil || img.Config == nil {
+		cfg, err := fabric.Decode(bits)
+		if err != nil {
 			return []string{fmt.Sprintf("bitstream undecodable: %v", err)}, nil
 		}
-		r, err := fabric.LintConfig(img.Config)
+		r, err := fabric.LintConfig(cfg)
 		if err != nil {
 			return []string{fmt.Sprintf("configuration invalid: %v", err)}, nil
 		}

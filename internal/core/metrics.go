@@ -15,11 +15,3 @@ func (s Stats) Observe(r *obs.Registry) {
 	r.Counter("protean_rfu_state_saves_total", "state frame groups read back").Add(s.StateSaves)
 	r.Counter("protean_rfu_state_restores_total", "state frame groups loaded").Add(s.StateRestores)
 }
-
-// Observe registers the TLB's probe counters into r under the given
-// metric prefix (e.g. "protean_tlb1"): <prefix>_lookups_total and
-// <prefix>_misses_total, the pair a hit rate is computed from.
-func (t *TLB) Observe(r *obs.Registry, prefix string) {
-	r.Counter(prefix+"_lookups_total", "dispatch CAM probes").Add(t.Lookups)
-	r.Counter(prefix+"_misses_total", "dispatch CAM misses").Add(t.Misses)
-}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"fmt"
-
 	"protean/internal/fabric"
 	"protean/internal/memo"
 )
@@ -18,28 +15,20 @@ import (
 // stamp-out.
 var programCache memo.Cache[ConfigKey, *fabric.Compiled]
 
-// SharedProgram decodes, validates and compiles a static bitstream,
-// memoizing the result process-wide by bitstream hash. Identical
-// bitstreams — the same circuit registered by many processes, sessions or
-// experiment sweep cells — share a single compiled program. The returned
-// program is read-only; stamp instances from it with NewInstance.
-func SharedProgram(bits []byte) (*fabric.Compiled, error) {
-	return sharedProgram(ConfigKey(sha256.Sum256(bits)), bits)
-}
-
-// sharedProgram is SharedProgram for callers that already hold the
-// bitstream hash (NewBitstreamImage reuses it as the image's ConfigKey,
-// so the 54 KB bitstream is hashed once, not twice).
+// sharedProgram decodes, validates and compiles a static bitstream whose
+// hash is key, memoizing the result process-wide. Identical bitstreams —
+// the same circuit registered by many processes, sessions or experiment
+// sweep cells — share a single compiled program. The returned program is
+// read-only; stamp instances from it with NewInstance. NewBitstreamImage
+// reuses key as the image's ConfigKey, so the 54 KB bitstream is hashed
+// once.
 func sharedProgram(key ConfigKey, bits []byte) (*fabric.Compiled, error) {
 	return programCache.Do(key, func() (*fabric.Compiled, error) {
-		img, err := fabric.Decode(bits)
+		cfg, err := fabric.Decode(bits)
 		if err != nil {
 			return nil, err
 		}
-		if img.Config == nil {
-			return nil, fmt.Errorf("core: bitstream has no static section")
-		}
-		return fabric.Compile(img.Config)
+		return fabric.Compile(cfg)
 	})
 }
 

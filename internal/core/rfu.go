@@ -153,27 +153,10 @@ func (r *RFU) PFU(i int) PFUInfo {
 
 // --- configuration port (used by the OS; §4.1) ---
 
-// LoadInstance configures a PFU slot with a stamped-out instance of an
-// image and resets it — the instance-based configuration port. The caller
-// (normally the CIS) stamps the instance from the image's shared compiled
-// program; the returned byte count is the *modeled* configuration-port
-// traffic (the full static frame group) the OS must charge for, unchanged
-// by the host-side compile-once rework.
-func (r *RFU) LoadInstance(pfuIdx int, img *Image, m Model) (int, error) {
-	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
-		return 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
-	}
-	if m == nil {
-		return 0, fmt.Errorf("core: configuring %s: nil instance", img.Name)
-	}
-	m.Reset()
-	r.pfus[pfuIdx] = pfu{model: m, image: img, status: true}
-	r.Stats.ConfigLoads++
-	return img.StaticBytes, nil
-}
-
-// LoadImage stamps a fresh instance of an image and configures a PFU with
-// it — the convenience wrapper over LoadInstance.
+// LoadImage configures a PFU slot with a fresh instance of an image, in
+// its power-on state (Image.NewInstance). The returned byte count is the
+// *modeled* configuration-port traffic (the full static frame group) the
+// OS must charge for.
 func (r *RFU) LoadImage(pfuIdx int, img *Image) (int, error) {
 	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
 		return 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
@@ -182,7 +165,9 @@ func (r *RFU) LoadImage(pfuIdx int, img *Image) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.LoadInstance(pfuIdx, img, m)
+	r.pfus[pfuIdx] = pfu{model: m, image: img, status: true}
+	r.Stats.ConfigLoads++
+	return img.StaticBytes, nil
 }
 
 // SwappedCircuit is what the OS holds for a circuit it has swapped off

@@ -31,11 +31,11 @@ func (img *Image) Timing() *fabric.TimingReport {
 // report rather than an error path.
 func timingBitstream(key ConfigKey, bits []byte) *fabric.TimingReport {
 	rep, _ := timingCache.Do(key, func() (*fabric.TimingReport, error) {
-		img, err := fabric.Decode(bits)
-		if err != nil || img.Config == nil {
+		cfg, err := fabric.Decode(bits)
+		if err != nil {
 			return nil, nil
 		}
-		r, err := fabric.Timing(img.Config)
+		r, err := fabric.Timing(cfg)
 		if err != nil {
 			return nil, nil
 		}

@@ -16,6 +16,14 @@ import (
 // reads back only the state frames (63 bytes for a 500-CLB PFU) rather than
 // the full 54 KB image, and restores the circuit later with the cached
 // static image plus the tiny state frame group.
+//
+// A bitstream carries the static frames only. The state frame group is a
+// modeled cost: a swap charges StateBytes, while the registers stay in the
+// evicted circuit's engine. The 20-byte header is magic, version 1, the
+// section flags (always SectionStatic), W and H, the static and state
+// section lengths (the latter always 0) and two bytes of zero padding.
+// Decode accepts exactly what EncodeStatic produces, so a configuration
+// has one bitstream and one ConfigKey.
 const (
 	bitstreamMagic = "PFB1"
 	headerBytes    = 20
@@ -25,11 +33,9 @@ const (
 	outSelBytes    = 33 * 2
 )
 
-// Bitstream section flags.
-const (
-	SectionStatic = 1 << 0
-	SectionState  = 1 << 1
-)
+// SectionStatic is the header flag of the static section, the only
+// section a bitstream carries.
+const SectionStatic = 1 << 0
 
 // StaticBytes reports the size of a full static image for a spec,
 // including the header. For the default 500-CLB PFU this is 54,086 bytes —
@@ -44,100 +50,44 @@ func StateBytes(spec ArraySpec) int {
 	return (spec.CLBs() + 7) / 8
 }
 
-// StateImageBytes reports the size of a state-only image including header.
-func StateImageBytes(spec ArraySpec) int {
-	return headerBytes + StateBytes(spec)
-}
-
-// EncodeStatic serialises a static-only configuration image.
+// EncodeStatic serialises a configuration's static frames.
 func EncodeStatic(cfg *ArrayConfig) ([]byte, error) {
-	return encode(cfg, nil)
-}
-
-// EncodeFull serialises static frames plus a state frame group.
-func EncodeFull(cfg *ArrayConfig, state []bool) ([]byte, error) {
-	if state == nil {
-		state = make([]bool, cfg.Spec.CLBs())
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return encode(cfg, state)
-}
-
-// EncodeState serialises a state-only image for the given geometry.
-func EncodeState(spec ArraySpec, state []bool) ([]byte, error) {
-	if len(state) != spec.CLBs() {
-		return nil, fmt.Errorf("fabric: state has %d bits, spec wants %d", len(state), spec.CLBs())
-	}
-	cfg := ArrayConfig{Spec: spec}
-	return encode(&cfg, state)
-}
-
-func encode(cfg *ArrayConfig, state []bool) ([]byte, error) {
-	static := cfg.CLBs != nil
-	if static {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	var flags byte
-	staticLen, stateLen := 0, 0
-	if static {
-		flags |= SectionStatic
-		staticLen = outSelBytes + cfg.Spec.CLBs()*CLBConfigBytes
-	}
-	if state != nil {
-		if len(state) != cfg.Spec.CLBs() {
-			return nil, fmt.Errorf("fabric: state has %d bits, spec wants %d", len(state), cfg.Spec.CLBs())
-		}
-		flags |= SectionState
-		stateLen = StateBytes(cfg.Spec)
-	}
-	out := make([]byte, headerBytes+staticLen+stateLen)
+	staticLen := outSelBytes + cfg.Spec.CLBs()*CLBConfigBytes
+	out := make([]byte, headerBytes+staticLen)
 	copy(out, bitstreamMagic)
 	out[4] = 1 // version
-	out[5] = flags
+	out[5] = SectionStatic
 	binary.LittleEndian.PutUint16(out[6:], uint16(cfg.Spec.W))
 	binary.LittleEndian.PutUint16(out[8:], uint16(cfg.Spec.H))
 	binary.LittleEndian.PutUint32(out[10:], uint32(staticLen))
-	binary.LittleEndian.PutUint32(out[14:], uint32(stateLen))
+	// Bytes 14..19, the state length and the padding, stay zero.
 	p := out[headerBytes:]
-	if static {
-		for i, sel := range cfg.OutSel {
-			binary.LittleEndian.PutUint16(p[i*2:], sel)
-		}
-		p = p[outSelBytes:]
-		for i := range cfg.CLBs {
-			c := &cfg.CLBs[i]
-			binary.LittleEndian.PutUint16(p[0:], c.Table)
-			for j, sel := range c.InSel {
-				binary.LittleEndian.PutUint16(p[2+j*2:], sel)
-			}
-			binary.LittleEndian.PutUint16(p[10:], c.Flags)
-			for j, w := range c.Switch {
-				binary.LittleEndian.PutUint32(p[12+j*4:], w)
-			}
-			p = p[CLBConfigBytes:]
-		}
+	for i, sel := range cfg.OutSel {
+		binary.LittleEndian.PutUint16(p[i*2:], sel)
 	}
-	if state != nil {
-		for i, v := range state {
-			if v {
-				p[i/8] |= 1 << (i % 8)
-			}
+	p = p[outSelBytes:]
+	for i := range cfg.CLBs {
+		c := &cfg.CLBs[i]
+		binary.LittleEndian.PutUint16(p[0:], c.Table)
+		for j, sel := range c.InSel {
+			binary.LittleEndian.PutUint16(p[2+j*2:], sel)
 		}
+		binary.LittleEndian.PutUint16(p[10:], c.Flags)
+		for j, w := range c.Switch {
+			binary.LittleEndian.PutUint32(p[12+j*4:], w)
+		}
+		p = p[CLBConfigBytes:]
 	}
 	return out, nil
 }
 
-// Image is a decoded bitstream: a static configuration, a state frame
-// group, or both.
-type Image struct {
-	Spec   ArraySpec
-	Config *ArrayConfig // nil if no static section
-	State  []bool       // nil if no state section
-}
-
-// Decode parses a bitstream produced by the Encode functions.
-func Decode(data []byte) (*Image, error) {
+// Decode parses a bitstream and validates its configuration. It accepts
+// only the bytes EncodeStatic would produce for that configuration: any
+// other flags, a state section or nonzero padding is an error.
+func Decode(data []byte) (*ArrayConfig, error) {
 	if len(data) < headerBytes {
 		return nil, fmt.Errorf("fabric: bitstream too short (%d bytes)", len(data))
 	}
@@ -147,7 +97,9 @@ func Decode(data []byte) (*Image, error) {
 	if data[4] != 1 {
 		return nil, fmt.Errorf("fabric: unsupported bitstream version %d", data[4])
 	}
-	flags := data[5]
+	if data[5] != SectionStatic {
+		return nil, fmt.Errorf("fabric: bitstream flags %#x, want the static section only", data[5])
+	}
 	spec := ArraySpec{
 		W: int(binary.LittleEndian.Uint16(data[6:])),
 		H: int(binary.LittleEndian.Uint16(data[8:])),
@@ -155,55 +107,39 @@ func Decode(data []byte) (*Image, error) {
 	if spec.W <= 0 || spec.H <= 0 || spec.CLBs() > 1<<20 {
 		return nil, fmt.Errorf("fabric: implausible geometry %dx%d", spec.W, spec.H)
 	}
+	if stateLen := binary.LittleEndian.Uint32(data[14:]); stateLen != 0 {
+		return nil, fmt.Errorf("fabric: bitstream has a %d-byte state section", stateLen)
+	}
+	if data[18] != 0 || data[19] != 0 {
+		return nil, fmt.Errorf("fabric: nonzero bitstream header padding")
+	}
 	staticLen := int(binary.LittleEndian.Uint32(data[10:]))
-	stateLen := int(binary.LittleEndian.Uint32(data[14:]))
-	if headerBytes+staticLen+stateLen != len(data) {
-		return nil, fmt.Errorf("fabric: bitstream length %d does not match sections %d+%d",
-			len(data), staticLen, stateLen)
+	if want := outSelBytes + spec.CLBs()*CLBConfigBytes; staticLen != want {
+		return nil, fmt.Errorf("fabric: static section %d bytes, want %d", staticLen, want)
 	}
-	img := &Image{Spec: spec}
+	if headerBytes+staticLen != len(data) {
+		return nil, fmt.Errorf("fabric: bitstream length %d does not match section %d", len(data), staticLen)
+	}
+	cfg := NewArrayConfig(spec)
 	p := data[headerBytes:]
-	if flags&SectionStatic != 0 {
-		want := outSelBytes + spec.CLBs()*CLBConfigBytes
-		if staticLen != want {
-			return nil, fmt.Errorf("fabric: static section %d bytes, want %d", staticLen, want)
-		}
-		cfg := NewArrayConfig(spec)
-		for i := range cfg.OutSel {
-			cfg.OutSel[i] = binary.LittleEndian.Uint16(p[i*2:])
-		}
-		q := p[outSelBytes:]
-		for i := range cfg.CLBs {
-			c := &cfg.CLBs[i]
-			c.Table = binary.LittleEndian.Uint16(q[0:])
-			for j := range c.InSel {
-				c.InSel[j] = binary.LittleEndian.Uint16(q[2+j*2:])
-			}
-			c.Flags = binary.LittleEndian.Uint16(q[10:])
-			for j := range c.Switch {
-				c.Switch[j] = binary.LittleEndian.Uint32(q[12+j*4:])
-			}
-			q = q[CLBConfigBytes:]
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		img.Config = cfg
-		p = p[staticLen:]
-	} else if staticLen != 0 {
-		return nil, fmt.Errorf("fabric: static length %d without static flag", staticLen)
+	for i := range cfg.OutSel {
+		cfg.OutSel[i] = binary.LittleEndian.Uint16(p[i*2:])
 	}
-	if flags&SectionState != 0 {
-		if stateLen != StateBytes(spec) {
-			return nil, fmt.Errorf("fabric: state section %d bytes, want %d", stateLen, StateBytes(spec))
+	p = p[outSelBytes:]
+	for i := range cfg.CLBs {
+		c := &cfg.CLBs[i]
+		c.Table = binary.LittleEndian.Uint16(p[0:])
+		for j := range c.InSel {
+			c.InSel[j] = binary.LittleEndian.Uint16(p[2+j*2:])
 		}
-		st := make([]bool, spec.CLBs())
-		for i := range st {
-			st[i] = p[i/8]>>(i%8)&1 != 0
+		c.Flags = binary.LittleEndian.Uint16(p[10:])
+		for j := range c.Switch {
+			c.Switch[j] = binary.LittleEndian.Uint32(p[12+j*4:])
 		}
-		img.State = st
-	} else if stateLen != 0 {
-		return nil, fmt.Errorf("fabric: state length %d without state flag", stateLen)
+		p = p[CLBConfigBytes:]
 	}
-	return img, nil
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return cfg, nil
 }

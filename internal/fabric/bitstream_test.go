@@ -2,23 +2,20 @@ package fabric
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
 	"testing"
 )
 
 func TestBitstreamSizes(t *testing.T) {
 	// The paper (§4.1): "each custom instruction requires 54 Kbytes of data
 	// to be transferred for a configuration". Our 500-CLB static image is
-	// 54,086 bytes; the state-only image is 83 bytes — the two-orders-of-
+	// 54,086 bytes; its state frame group is 63 bytes — the two-orders-of-
 	// magnitude split that motivates the design.
 	if got := StaticBytes(DefaultPFUSpec); got != 54086 {
 		t.Errorf("StaticBytes = %d, want 54086", got)
 	}
 	if got := StateBytes(DefaultPFUSpec); got != 63 {
 		t.Errorf("StateBytes = %d, want 63", got)
-	}
-	if got := StateImageBytes(DefaultPFUSpec); got != 83 {
-		t.Errorf("StateImageBytes = %d, want 83", got)
 	}
 }
 
@@ -36,14 +33,11 @@ func TestBitstreamStaticRoundTrip(t *testing.T) {
 	if len(data) != StaticBytes(DefaultPFUSpec) {
 		t.Errorf("encoded %d bytes, want %d", len(data), StaticBytes(DefaultPFUSpec))
 	}
-	img, err := Decode(data)
+	decoded, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Config == nil || img.State != nil {
-		t.Fatal("static image must decode to config only")
-	}
-	data2, err := EncodeStatic(img.Config)
+	data2, err := EncodeStatic(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +49,7 @@ func TestBitstreamStaticRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPFU(img.Config)
+	p2, err := NewPFU(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,60 +57,6 @@ func TestBitstreamStaticRoundTrip(t *testing.T) {
 	out2, c2 := pfuRun(t, p2, 123, 456, 32)
 	if out1 != out2 || c1 != c2 {
 		t.Fatalf("decoded config behaves differently: (%d,%d) vs (%d,%d)", out1, c1, out2, c2)
-	}
-}
-
-func TestBitstreamStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	spec := DefaultPFUSpec
-	state := make([]bool, spec.CLBs())
-	for i := range state {
-		state[i] = rng.Intn(2) == 1
-	}
-	data, err := EncodeState(spec, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != StateImageBytes(spec) {
-		t.Errorf("state image %d bytes, want %d", len(data), StateImageBytes(spec))
-	}
-	img, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Config != nil {
-		t.Fatal("state-only image must have no config")
-	}
-	for i := range state {
-		if img.State[i] != state[i] {
-			t.Fatalf("state bit %d corrupted", i)
-		}
-	}
-}
-
-func TestBitstreamFullRoundTrip(t *testing.T) {
-	n := Xor32()
-	Optimize(n)
-	cfg, _, err := Place(n, ArraySpec{W: 8, H: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := make([]bool, 64)
-	state[5] = true
-	state[63] = true
-	data, err := EncodeFull(cfg, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Config == nil || img.State == nil {
-		t.Fatal("full image must decode both sections")
-	}
-	if !img.State[5] || !img.State[63] || img.State[0] {
-		t.Fatal("state bits corrupted in full image")
 	}
 }
 
@@ -146,6 +86,54 @@ func TestBitstreamRejectsCorruption(t *testing.T) {
 		if _, err := Decode(d); err == nil {
 			t.Errorf("%s corruption not detected", name)
 		}
+	}
+}
+
+// TestDecodeRejectsNonCanonical: Decode accepts only the bytes
+// EncodeStatic writes, so one configuration has one bitstream and one
+// ConfigKey. Each case alters a valid static image in one header field:
+// the section flags, the state length (alone, or with the state section
+// an image once carried), or the padding.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	cfg := placeT(t, Xor32())
+	good, err := EncodeStatic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(good); err != nil {
+		t.Fatalf("the unaltered image: %v", err)
+	}
+	state := StateBytes(cfg.Spec)
+	cases := []struct {
+		name  string
+		alter func(d []byte) []byte
+	}{
+		{"no_flags", func(d []byte) []byte { d[5] = 0; return d }},
+		{"unknown_flag", func(d []byte) []byte { d[5] |= 1 << 7; return d }},
+		{"state_length", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[14:], 1)
+			return d
+		}},
+		{"state_section", func(d []byte) []byte {
+			d[5] |= 1 << 1
+			binary.LittleEndian.PutUint32(d[14:], uint32(state))
+			return append(d, make([]byte, state)...)
+		}},
+		{"state_only", func(d []byte) []byte {
+			d[5] = 1 << 1
+			binary.LittleEndian.PutUint32(d[10:], 0)
+			binary.LittleEndian.PutUint32(d[14:], uint32(state))
+			return append(d[:headerBytes], make([]byte, state)...)
+		}},
+		{"padding_18", func(d []byte) []byte { d[18] = 1; return d }},
+		{"padding_19", func(d []byte) []byte { d[19] = 0x80; return d }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Decode(tc.alter(bytes.Clone(good))); err == nil {
+				t.Fatal("non-canonical bitstream accepted")
+			}
+		})
 	}
 }
 

@@ -48,33 +48,37 @@ func (e *issuer) run(a, b uint32, max int) (out uint32, n int, done bool) {
 	return out, n, done
 }
 
-func (e *issuer) frame() []uint8 {
+func (e *issuer) regs() []uint8 {
 	if e.pfu != nil {
-		return e.pfu.SaveFrame()
+		return pfuRegs(e.pfu)
 	}
-	return e.inst.SaveFrame()
+	return instRegs(e.inst)
 }
 
-// evict moves the engine's state frame into a fresh instance of its
-// engine, as a swap off the array and back does.
+func (e *issuer) setRegs(regs []uint8) {
+	if e.pfu != nil {
+		setPFURegs(e.pfu, regs)
+	} else {
+		setInstRegs(e.inst, regs)
+	}
+}
+
+// evict moves the engine's registers into a fresh instance of its
+// engine: the registers, the state frame group a §4.1 swap charges for,
+// must be all the state an instruction carries.
 func (e *issuer) evict(t *testing.T) {
 	t.Helper()
-	f := e.frame()
+	regs := e.regs()
 	if e.pfu != nil {
 		p, err := NewPFU(e.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.pfu = p
-		if err := p.LoadFrame(f); err != nil {
-			t.Fatal(err)
-		}
-		return
+	} else {
+		e.inst = e.prog.NewInstance()
 	}
-	e.inst = e.prog.NewInstance()
-	if err := e.inst.LoadFrame(f); err != nil {
-		t.Fatal(err)
-	}
+	e.setRegs(regs)
 }
 
 // withDoneChain rewires n's done output to a one-hot chain that init
@@ -121,7 +125,7 @@ func withDoneChain(n *Netlist, k int) {
 // withHiddenFFs gives some CLBs a flip-flop whose Q drives no wire —
 // placement never makes one, but a decoded configuration can: LUT-fed
 // ones on combinational CLBs, pin-fed ones on combinational and unused
-// CLBs. Only the state frame shows them.
+// CLBs. Only the registers show them.
 func withHiddenFFs(rng *rand.Rand, cfg *ArrayConfig) {
 	nw := uint16(cfg.Spec.NumWires())
 	for i := range cfg.CLBs {
@@ -148,10 +152,10 @@ func withHiddenFFs(rng *rand.Rand, cfg *ArrayConfig) {
 // burst engine, per-cycle compiled stepping and the interpretive PFU —
 // over the stock library, random netlists and init-heavy netlists, the
 // latter two also with a done chain (so they compile to bursts) and
-// hidden flip-flops. Each circuit starts from a random state frame and
+// hidden flip-flops. Each circuit starts from random registers and
 // sees fresh issues, an interrupt at every cycle 1..K+1, eviction into a
 // fresh instance mid-instruction, and reissues; out, done, the cycles run
-// and every engine's state frame must agree after every run.
+// and every engine's registers must agree after every run.
 func TestBurstMatchesSteppingAndPFU(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	type tcase struct {
@@ -202,15 +206,7 @@ func TestBurstMatchesSteppingAndPFU(t *testing.T) {
 			start[i] = uint8(rng.Intn(2))
 		}
 		for _, e := range engines {
-			var err error
-			if e.pfu != nil {
-				err = e.pfu.LoadFrame(start)
-			} else {
-				err = e.inst.LoadFrame(start)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			e.setRegs(start)
 		}
 		check := func(what string, a, b uint32, max int) bool {
 			t.Helper()
@@ -220,18 +216,18 @@ func TestBurstMatchesSteppingAndPFU(t *testing.T) {
 				done bool
 			}
 			var got [3]result
-			var frames [3][]uint8
+			var regs [3][]uint8
 			for i, e := range engines {
 				got[i].out, got[i].n, got[i].done = e.run(a, b, max)
-				frames[i] = e.frame()
+				regs[i] = e.regs()
 			}
 			for i := 1; i < 3; i++ {
 				if got[i].done != got[0].done || got[i].n != got[0].n || got[0].done && got[i].out != got[0].out {
 					t.Fatalf("%s: %s (a=%#x b=%#x max=%d): burst engine %+v, stepping %+v, PFU %+v",
 						tc.name, what, a, b, max, got[0], got[1], got[2])
 				}
-				if !slices.Equal(frames[i], frames[0]) {
-					t.Fatalf("%s: %s (a=%#x b=%#x max=%d): state frames differ after the run", tc.name, what, a, b, max)
+				if !slices.Equal(regs[i], regs[0]) {
+					t.Fatalf("%s: %s (a=%#x b=%#x max=%d): registers differ after the run", tc.name, what, a, b, max)
 				}
 			}
 			return got[0].done
@@ -294,15 +290,13 @@ func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
 				t.Fatal(err)
 			}
 			stepped, burst := prog.NewInstance(), prog.NewInstance()
-			for _, err := range []error{pfu.LoadFrame(start), stepped.LoadFrame(start), burst.LoadFrame(start)} {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+			setPFURegs(pfu, start)
+			setInstRegs(stepped, start)
+			setInstRegs(burst, start)
 			pfu.Step(a, b, true)
 			stepped.Step(a, b, true)
-			burst.Burst(a, b)
-			for i, f := range [][]uint8{pfu.SaveFrame(), stepped.SaveFrame(), burst.SaveFrame()} {
+			burst.Run(a, b, true, 2)
+			for i, f := range [][]uint8{pfuRegs(pfu), instRegs(stepped), instRegs(burst)} {
 				if f[0] != want {
 					t.Errorf("a=%d b=%d: %s latched %d, want the LUT's %d", a, b, []string{"pfu", "compiled", "burst"}[i], f[0], want)
 				}

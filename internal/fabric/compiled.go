@@ -437,9 +437,10 @@ func (c *Compiled) Ops() (luts int, byInit [2]int, burst int) {
 	return c.luts, byInit, len(c.burst.combOps)
 }
 
-// BurstCycles reports K, the length of the instruction Burst runs in one
-// pass, or 0 when the program has no burst (done depends on the data or
-// the state, or the instruction is one cycle or longer than the cap).
+// BurstCycles reports K, the length of the instruction Run issues fresh
+// as one burst, or 0 when the program has no burst (done depends on the
+// data or the state, or the instruction is one cycle or longer than the
+// cap).
 func (c *Compiled) BurstCycles() int { return c.burstK }
 
 // Instance is one executable copy of a Compiled program: the shared
@@ -472,9 +473,6 @@ func (c *Compiled) NewInstance() *Instance {
 	return in
 }
 
-// Program returns the shared compiled program.
-func (in *Instance) Program() *Compiled { return in.prog }
-
 // Reset restores every register to its configured initial value,
 // dropping any cut instruction.
 func (in *Instance) Reset() {
@@ -499,17 +497,6 @@ func (in *Instance) step(a, b uint32, init bool) (out uint32, done bool) {
 	return in.run(s, a, b)
 }
 
-// Burst runs one whole instruction issued fresh — init high on its first
-// cycle and low after, operands held — in a single pass, leaving the
-// registers and returning the result exactly as BurstCycles() Steps
-// would (the last of which raises done), after settling a cut
-// instruction. It is valid only when BurstCycles() > 0.
-func (in *Instance) Burst(a, b uint32) (out uint32) {
-	in.settleCut()
-	out, _ = in.run(&in.prog.burst, a, b)
-	return out
-}
-
 // Run issues an instruction (init high) or reissues one (init low) with
 // the operands held for at most max cycles — at least one — stopping at
 // the cycle that raises done. It returns the cycles run and done, and
@@ -524,10 +511,9 @@ func (in *Instance) Burst(a, b uint32) (out uint32) {
 // again. This is exact because done is constant on every cycle of the
 // burst: the cycles after the cut, run with the operands held and init
 // low, are the burst's own, so cut cycles followed by the rest are the
-// burst. Any other use of the instance — Step, Burst, SaveFrame, or a
-// Run with init high or different operands — first settles the cut,
-// stepping its cycles from the registers it was issued on; Reset and
-// LoadFrame drop it. Everything else steps per cycle.
+// burst. Step, or a Run with init high or different operands, first
+// settles the cut, stepping its cycles from the registers it was issued
+// on; Reset drops it. Everything else steps per cycle.
 func (in *Instance) Run(a, b uint32, init bool, max int) (out uint32, cycles int, done bool) {
 	if max < 1 {
 		max = 1
@@ -652,6 +638,3 @@ func spreadBits(v uint8) uint64 {
 	x := uint64(v) * 0x0101010101010101 & 0x8040201008040201
 	return ^(0x8080808080808080 - x) & 0x8080808080808080 >> 7
 }
-
-// State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame (the ffQ layout itself).

@@ -31,6 +31,45 @@ func instRun(t *testing.T, in *Instance, a, b uint32, max int) (uint32, int) {
 	return 0, 0
 }
 
+// The registers, one flip-flop per CLB, are a circuit's whole state: the
+// contents of its §4.1 state frame group. Tests read and write them as
+// one 0/1 byte per CLB in CLB order, the layout of Instance.ffQ, to
+// compare engines and to move an instruction into a fresh instance.
+
+// instRegs returns in's registers as stepping would have left them: a
+// cut instruction settles on a copy, so in keeps it pending.
+func instRegs(in *Instance) []uint8 {
+	c := *in
+	c.wires = slices.Clone(in.wires)
+	c.ffQ = slices.Clone(in.ffQ)
+	c.settleCut()
+	return c.ffQ
+}
+
+// setInstRegs loads regs into in, dropping any cut instruction.
+func setInstRegs(in *Instance, regs []uint8) {
+	in.cut = 0
+	copy(in.ffQ, regs)
+}
+
+// pfuRegs returns p's registers.
+func pfuRegs(p *PFU) []uint8 {
+	out := make([]uint8, len(p.ffQ))
+	for i, v := range p.ffQ {
+		if v {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// setPFURegs loads regs into p.
+func setPFURegs(p *PFU, regs []uint8) {
+	for i, v := range regs {
+		p.ffQ[i] = v != 0
+	}
+}
+
 // TestCompiledMatchesPFUStockCircuits locks the compiled engine to the
 // interpretive reference over every stock circuit: same outputs, same
 // latency, cycle for cycle.
@@ -65,12 +104,12 @@ func TestCompiledMatchesPFUStockCircuits(t *testing.T) {
 // TestCompiledInitSchedulesMatchPFU drives the two init schedules in
 // ways the §4.4 protocol never does: init high at random cycles, not
 // only the first; operands changing mid-instruction; and a fresh
-// instance swapped in by LoadFrame between an init-high and an init-low
-// step. A schedule that reads a wire only the other schedule writes sees
-// a stale value (or a fresh scratch's zero) and diverges from the PFU
-// and the netlist simulator here, and Verify rejects it. Stock circuits
-// run optimised, as the
-// stock flow places them; random netlists run unoptimised, so constant
+// instance, loaded with the registers, swapped in between an init-high
+// and an init-low step. A schedule that reads a wire only the other
+// schedule writes sees a stale value (or a fresh scratch's zero) and
+// diverges from the PFU and the netlist simulator here, and Verify
+// rejects it. Stock circuits run optimised, as the stock flow places
+// them; random netlists run unoptimised, so constant
 // and identity LUTs reach the compiler. Half of those read init on a
 // third of their pins, so most LUTs differ between the two schedules.
 func TestCompiledInitSchedulesMatchPFU(t *testing.T) {
@@ -118,9 +157,7 @@ func TestCompiledInitSchedulesMatchPFU(t *testing.T) {
 			init := rng.Intn(3) == 0
 			if prevInit && !init && rng.Intn(2) == 0 {
 				fresh := prog.NewInstance()
-				if err := fresh.LoadFrame(inst.SaveFrame()); err != nil {
-					t.Fatal(err)
-				}
+				setInstRegs(fresh, instRegs(inst))
 				inst = fresh
 				swaps++
 			}
@@ -210,9 +247,9 @@ func TestCompiledAllowsRegisteredCycle(t *testing.T) {
 	}
 }
 
-// TestCompiledStateMigration: state frames saved from a mid-flight
-// compiled instance restore into a *fresh* instance, which finishes with
-// the right answer — the §4.1 split-configuration path.
+// TestCompiledStateMigration: the registers of a mid-flight compiled
+// instance, loaded into a *fresh* instance, finish the instruction with
+// the right answer: they are all the state a §4.1 swap must carry.
 func TestCompiledStateMigration(t *testing.T) {
 	prog := compileT(t, placeT(t, SeqMul16()))
 	const a, b = 40000, 999
@@ -223,12 +260,8 @@ func TestCompiledStateMigration(t *testing.T) {
 		i1.Step(a, b, init)
 		init = false
 	}
-	state := i1.SaveFrame()
-
 	i2 := prog.NewInstance()
-	if err := i2.LoadFrame(state); err != nil {
-		t.Fatal(err)
-	}
+	setInstRegs(i2, instRegs(i1))
 	var out uint32
 	var done bool
 	for c := 0; c < 64; c++ {
@@ -242,9 +275,9 @@ func TestCompiledStateMigration(t *testing.T) {
 	}
 }
 
-// TestCompiledStateMigratesAcrossEngines: state frames are engine-agnostic
-// — a frame group saved by the interpretive PFU restores into a compiled
-// instance and vice versa.
+// TestCompiledStateMigratesAcrossEngines: both engines keep the same
+// registers in the same CLB order — a PFU's registers finish an
+// instruction in a compiled instance and vice versa.
 func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 	cfg := placeT(t, SeqMul16())
 	prog := compileT(t, cfg)
@@ -262,9 +295,7 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 		init = false
 	}
 	inst := prog.NewInstance()
-	if err := inst.LoadFrame(pfu.SaveFrame()); err != nil {
-		t.Fatal(err)
-	}
+	setInstRegs(inst, pfuRegs(pfu))
 	var out uint32
 	var done bool
 	for c := 0; c < 64 && !done; c++ {
@@ -285,33 +316,13 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pfu2.LoadFrame(inst2.SaveFrame()); err != nil {
-		t.Fatal(err)
-	}
+	setPFURegs(pfu2, instRegs(inst2))
 	done = false
 	for c := 0; c < 64 && !done; c++ {
 		out, done = pfu2.Step(a, b, false)
 	}
 	if !done || out != want {
 		t.Fatalf("compiled->PFU migration: out=%d done=%v, want %d", out, done, want)
-	}
-}
-
-// TestCompiledLoadStateLengthCheck: a short state frame is rejected and
-// leaves the instance as it was, a cut instruction included.
-func TestCompiledLoadStateLengthCheck(t *testing.T) {
-	prog := compileT(t, placeT(t, AlphaBlend()))
-	inst, ref := prog.NewInstance(), prog.NewInstance()
-	const a, b = 0x01020304, 0xa0b0c0d0
-	inst.Run(a, b, true, 3)
-	if err := inst.LoadFrame(make([]uint8, 3)); err == nil {
-		t.Fatal("short state frame must be rejected")
-	}
-	for c := 0; c < 3; c++ {
-		ref.Step(a, b, c == 0)
-	}
-	if !slices.Equal(inst.SaveFrame(), ref.SaveFrame()) {
-		t.Fatal("a rejected state frame changed the instance")
 	}
 }
 
@@ -338,34 +349,5 @@ func TestCompiledInstancesIndependent(t *testing.T) {
 	}
 	if out1 != RefSeqMul16(a1, b1) || out2 != RefSeqMul16(a2, b2) {
 		t.Fatalf("interleaved instances diverged: %d, %d", out1, out2)
-	}
-}
-
-// TestSaveLoadFrame round-trips an instance's registers through its
-// state frame.
-func TestSaveLoadFrame(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for _, spec := range []ArraySpec{{W: 1, H: 1}, {W: 7, H: 1}, {W: 4, H: 2}, {W: 3, H: 3}, {W: 15, H: 10}} {
-		prog := compileT(t, NewArrayConfig(spec))
-		frame := make([]uint8, spec.CLBs())
-		for i := range frame {
-			frame[i] = uint8(rng.Intn(2))
-		}
-		in := prog.NewInstance()
-		if err := in.LoadFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-		back := prog.NewInstance()
-		if err := back.LoadFrame(in.SaveFrame()); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(back.SaveFrame(), frame) {
-			t.Fatalf("%d CLBs: registers changed across SaveFrame/LoadFrame", spec.CLBs())
-		}
-	}
-	in := compileT(t, NewArrayConfig(ArraySpec{W: 3, H: 3})).NewInstance()
-	err := in.LoadFrame([]uint8{0})
-	if want := "fabric: frame has 1 bytes, instance has 9 CLBs"; err == nil || err.Error() != want {
-		t.Fatalf("short frame: %v, want %q", err, want)
 	}
 }

@@ -465,10 +465,9 @@ func (r *EquivReport) String() string {
 
 // Counterexample is one concrete input vector and state pair under
 // which the two circuits disagree on the named output bit. States are
-// full state frames in each side's native layout (netlist FF order, or
-// one bit per CLB): a netlist state is indexed by flip-flop, a CLB state
-// loads via LoadFrame with each bit as a 0/1 byte. The disagreement shows in
-// the same cycle's sampled outputs. For
+// full register states in each side's native layout: a netlist state is
+// indexed by flip-flop, a CLB state has one bit per CLB in CLB order.
+// The disagreement shows in the same cycle's sampled outputs. For
 // sequential circuits the state respects the proven register
 // correspondence but may be unreachable from reset (see package
 // comment).

@@ -38,22 +38,22 @@ func TestEquivStockLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", n.Name, err)
 		}
-		img, err := Decode(bits)
+		decoded, err := Decode(bits)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", n.Name, err)
 		}
-		crep, err := EquivConfig(img.Config, n)
+		crep, err := EquivConfig(decoded, n)
 		if err != nil {
 			t.Fatalf("%s: EquivConfig: %v", n.Name, err)
 		}
 		if !crep.Equivalent {
 			t.Fatalf("%s: decoded config not equivalent to netlist: %s", n.Name, crep)
 		}
-		prog, err := Compile(img.Config)
+		prog, err := Compile(decoded)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", n.Name, err)
 		}
-		vrep, err := prog.Verify(img.Config)
+		vrep, err := prog.Verify(decoded)
 		if err != nil {
 			t.Fatalf("%s: Verify: %v", n.Name, err)
 		}

@@ -17,10 +17,11 @@
 //     helpers (adders, muxes, comparators),
 //   - a functional netlist simulator,
 //   - placement of netlists onto a CLB array,
-//   - the split bitstream format of §4.1: static frames (LUT truth tables,
-//     routing selects, switchbox words) and state frames (flip-flop
-//     contents only), so the OS can save and restore just the 63-byte state
-//     of a 500-CLB PFU instead of the full 54 KB configuration,
+//   - the static bitstream of §4.1's split configuration (LUT truth
+//     tables, routing selects, switchbox words), and the size of its
+//     state frames (flip-flop contents only), so the OS is charged just
+//     the 63-byte state of a 500-CLB PFU on a swap instead of the full
+//     54 KB configuration,
 //   - a configured-array simulator implementing the PFU execution protocol
 //     (init in, done out) of §4.4.
 package fabric

@@ -115,9 +115,3 @@ func (p *PFU) Step(a, b uint32, init bool) (out uint32, done bool) {
 	}
 	return out, done
 }
-
-// State capture lives in frame.go: SaveFrame/LoadFrame exchange the
-// canonical one-byte-per-CLB frame.
-
-// Spec reports the array geometry.
-func (p *PFU) Spec() ArraySpec { return p.cfg.Spec }

@@ -184,11 +184,11 @@ func TestRandomNetlistsPlaceAndSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := Decode(bits)
+		decoded, err := Decode(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pfu, err := NewPFU(img.Config)
+		pfu, err := NewPFU(decoded)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -224,9 +224,8 @@ func TestRandomNetlistsPlaceAndSimulate(t *testing.T) {
 // property test of the execution substrates: for random netlists, the
 // compiled scalar engine, the interpretive PFU and the functional netlist
 // simulator must agree on every output of every cycle. Mid-execution the
-// state frame group is saved from the compiled engine and the PFU, and
-// each restores into a fresh instance of the other engine (the §4.1
-// split-configuration swap).
+// registers of the compiled engine and the PFU, the contents of the §4.1
+// state frame group, move into a fresh instance of the other engine.
 func TestRandomNetlistsCompiledVsPFUVsSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
@@ -244,15 +243,15 @@ func TestRandomNetlistsCompiledVsPFUVsSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := Decode(bits)
+		decoded, err := Decode(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pfu, err := NewPFU(img.Config)
+		pfu, err := NewPFU(decoded)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		prog, err := Compile(img.Config)
+		prog, err := Compile(decoded)
 		if err != nil {
 			t.Fatalf("trial %d compile: %v", trial, err)
 		}
@@ -287,28 +286,24 @@ func TestRandomNetlistsCompiledVsPFUVsSim(t *testing.T) {
 						trial, rep, s, cDone, pfuDone)
 				}
 				if s+1 == swapAt {
-					// Save state frames from both engines: they must agree
-					// byte for byte, and each must restore into a fresh
+					// Both engines' registers must agree CLB for CLB, and
+					// each engine's must finish the instruction in a fresh
 					// instance of the other engine.
-					cFrame := inst.SaveFrame()
-					pFrame := pfu.SaveFrame()
-					for i := range cFrame {
-						if cFrame[i] != pFrame[i] {
-							t.Fatalf("trial %d rep %d: state frame byte %d differs", trial, rep, i)
+					cRegs := instRegs(inst)
+					pRegs := pfuRegs(pfu)
+					for i := range cRegs {
+						if cRegs[i] != pRegs[i] {
+							t.Fatalf("trial %d rep %d: register %d differs", trial, rep, i)
 						}
 					}
 					fresh := prog.NewInstance()
-					if err := fresh.LoadFrame(pFrame); err != nil {
-						t.Fatal(err)
-					}
+					setInstRegs(fresh, pRegs)
 					inst = fresh
-					freshPFU, err := NewPFU(img.Config)
+					freshPFU, err := NewPFU(decoded)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := freshPFU.LoadFrame(cFrame); err != nil {
-						t.Fatal(err)
-					}
+					setPFURegs(freshPFU, cRegs)
 					pfu = freshPFU
 				}
 			}

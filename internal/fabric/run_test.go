@@ -21,10 +21,10 @@ func stepRun(in *Instance, a, b uint32, init bool, max int) (out uint32, cycles 
 	}
 }
 
-// burstConfig builds a random configuration from seed that compiles to
+// burstConfig compiles a random configuration built from seed that has
 // a burst: a random netlist (init-heavy half the time) with a done
 // chain and hidden flip-flops, as TestBurstMatchesSteppingAndPFU uses.
-func burstConfig(t *testing.T, seed int64) (*ArrayConfig, *Compiled) {
+func burstConfig(t *testing.T, seed int64) *Compiled {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var n *Netlist
@@ -39,36 +39,34 @@ func burstConfig(t *testing.T, seed int64) (*ArrayConfig, *Compiled) {
 		t.Fatalf("place: %v", err)
 	}
 	withHiddenFFs(rng, cfg)
-	return cfg, compileT(t, cfg)
+	return compileT(t, cfg)
 }
 
 // FuzzInstanceRun drives an instance through a random sequence of Runs
 // — fresh issues and reissues, cut at every max in 0..2K, with init
-// flipped and one or both operands changed — interleaved with Step, Burst, SaveFrame, LoadFrame and
-// Reset, and requires every result, cycle count, done and state frame
-// to match a twin instance that only ever steps per cycle. This pins the
-// lazy cut: a cut instruction resumes, settles or is dropped exactly as
-// the cycles it was charged would have left it.
+// flipped and one or both operands changed — interleaved with Step and
+// Reset, and requires every result, cycle count and done, and the
+// registers after every op, to match a twin instance that only ever
+// steps per cycle. This pins the lazy cut: a cut instruction resumes,
+// settles or is dropped exactly as the cycles it was charged would have
+// left it. The registers are read without settling a cut, so a pending
+// cut survives the comparison.
 func FuzzInstanceRun(f *testing.F) {
-	// Each rule of the cut, once: Reset (8,1) so the next issue is
+	// Each rule of the cut, once: Reset (5,·) so the next issue is
 	// fresh, cut it after one cycle (0,1), then reissue with a new a
-	// (1,·) or b (2,·), or with init high (3,·); or Step (5), Burst (6),
-	// SaveFrame (7), LoadFrame (8,0) or Reset (8,1) before a reissue; or
-	// cut again; comparing frames (7) and finishing (4,0xff) after.
+	// (1,·) or b (2,·), or with init high (3,·); or Step (4) or Reset
+	// before a reissue; or cut again; finishing (0,0xff) after.
 	rules := [][]byte{
-		{1, 0xff, 4, 0xff, 4, 0xff},
-		{2, 0xff, 4, 0xff, 4, 0xff},
-		{3, 0xff, 4, 0xff, 4, 0xff},
-		{5, 0, 4, 0xff, 4, 0xff},
-		{6, 0, 4, 0xff},
-		{7, 0, 4, 0xff, 4, 0xff},
-		{8, 0, 0, 1, 4, 0xff, 4, 0xff},
-		{8, 1, 0, 1, 4, 0xff, 4, 0xff},
-		{0, 1, 0, 1, 4, 0xff, 4, 0xff},
+		{1, 0xff, 0, 0xff, 0, 0xff},
+		{2, 0xff, 0, 0xff, 0, 0xff},
+		{3, 0xff, 0, 0xff, 0, 0xff},
+		{4, 0, 0, 0xff, 0, 0xff},
+		{5, 0, 0, 1, 0, 0xff, 0, 0xff},
+		{0, 1, 0, 1, 0, 0xff, 0, 0xff},
 	}
 	var seq []byte
 	for _, r := range rules {
-		seq = append(append(seq, 8, 1, 0, 1), r...)
+		seq = append(append(seq, 5, 0, 0, 1), r...)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed, seq)
@@ -77,41 +75,28 @@ func FuzzInstanceRun(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256] // longer sequences only slow the fuzzer down
 		}
-		cfg, prog := burstConfig(t, seed)
+		prog := burstConfig(t, seed)
 		k := prog.BurstCycles()
 		if k == 0 {
 			t.Skip("no burst")
 		}
 		rng := rand.New(rand.NewSource(seed))
 		got, want := prog.NewInstance(), prog.NewInstance()
-		randomFrame := func() []uint8 {
-			frame := make([]uint8, cfg.Spec.CLBs())
-			for i := range frame {
-				frame[i] = uint8(rng.Intn(2))
-			}
-			return frame
-		}
-		sameFrame := func(what string) {
-			t.Helper()
-			if !slices.Equal(got.SaveFrame(), want.SaveFrame()) {
-				t.Fatalf("%s: state frames differ", what)
-			}
-		}
 		a, b := rng.Uint32(), rng.Uint32()
 		status := true // the §4.4 status bit: init of the next issue
 		for len(ops) >= 2 {
-			op, arg := ops[0], int(ops[1])
+			op, arg := ops[0]%6, int(ops[1])
 			ops = ops[2:]
-			switch op % 9 {
-			case 0, 1, 2, 3, 4: // an issue as the RFU makes one
-				switch op % 9 {
+			switch op {
+			case 0, 1, 2, 3: // an issue as the RFU makes one
+				switch op {
 				case 1:
 					a = rng.Uint32()
 				case 2:
 					b = rng.Uint32()
 				}
 				init := status
-				if op%9 == 3 {
+				if op == 3 {
 					init = !init
 				}
 				max := arg % (2*k + 1)
@@ -122,48 +107,28 @@ func FuzzInstanceRun(f *testing.F) {
 						init, max, gOut, gN, gDone, wOut, wN, wDone)
 				}
 				status = gDone
-				if op%9 == 4 {
-					sameFrame("after Run")
-				}
-			case 5:
+			case 4:
 				gOut, gDone := got.Step(a, b, arg&1 != 0)
 				wOut, wDone := want.Step(a, b, arg&1 != 0)
 				if gOut != wOut || gDone != wDone {
 					t.Fatalf("Step: got (%#x, %v), want (%#x, %v)", gOut, gDone, wOut, wDone)
 				}
 				status = gDone
-			case 6:
-				gOut := got.Burst(a, b)
-				wOut, wN, wDone := stepRun(want, a, b, true, k)
-				if gOut != wOut || wN != k || !wDone {
-					t.Fatalf("Burst: got %#x, %d steps gave (%#x, %d, %v)", gOut, k, wOut, wN, wDone)
-				}
-				status = true
-			case 7:
-				sameFrame("SaveFrame")
-			case 8:
-				if arg&1 != 0 {
-					got.Reset()
-					want.Reset()
-				} else {
-					frame := randomFrame()
-					if err := got.LoadFrame(frame); err != nil {
-						t.Fatal(err)
-					}
-					if err := want.LoadFrame(frame); err != nil {
-						t.Fatal(err)
-					}
-				}
+			case 5:
+				got.Reset()
+				want.Reset()
 				status = true
 			}
+			if !slices.Equal(instRegs(got), instRegs(want)) {
+				t.Fatalf("registers differ after op %d", op)
+			}
 		}
-		sameFrame("at the end")
 	})
 }
 
 // TestRunResumesCutBurst cuts a fresh alphablend issue at every cycle
 // 1..K−1 and resumes it, and requires the resume to finish in the cycles
-// left with the burst's result and state frame, without clocking the
+// left with the burst's result and registers, without clocking the
 // cut cycles one by one: the cut leaves the registers as issued.
 func TestRunResumesCutBurst(t *testing.T) {
 	prog := compileT(t, placeT(t, AlphaBlend()))
@@ -173,7 +138,7 @@ func TestRunResumesCutBurst(t *testing.T) {
 	}
 	const a, b = 0x80ff4020, 0x10203040
 	ref := prog.NewInstance()
-	want := ref.Burst(a, b)
+	want, _, _ := ref.Run(a, b, true, k)
 	for cut := 1; cut < k; cut++ {
 		in := prog.NewInstance()
 		issued := slices.Clone(in.ffQ)
@@ -187,8 +152,8 @@ func TestRunResumesCutBurst(t *testing.T) {
 		if out != want || n != k-cut || !done {
 			t.Fatalf("resume after a cut at %d: (%#x, %d, %v), want (%#x, %d, true)", cut, out, n, done, want, k-cut)
 		}
-		if !slices.Equal(in.SaveFrame(), ref.SaveFrame()) {
-			t.Fatalf("resume after a cut at %d: state frame differs from the burst's", cut)
+		if !slices.Equal(in.ffQ, ref.ffQ) {
+			t.Fatalf("resume after a cut at %d: registers differ from the burst's", cut)
 		}
 	}
 }

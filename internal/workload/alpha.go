@@ -41,7 +41,7 @@ func AlphaImage() *core.Image {
 // fresh Image — deliberately, so CIS instance sharing (which matches on
 // image pointer identity) behaves exactly as it did before the
 // compile-once rework — but every image for this circuit shares one
-// compiled program through the bitstream-hash cache (core.SharedProgram),
+// compiled program through core's bitstream-hash program cache,
 // so only the cheap place/encode step repeats.
 func AlphaGateImage() (*core.Image, error) {
 	return core.NewFabricImage("alphablend-gate", fabric.AlphaBlend(), fabric.DefaultPFUSpec)
