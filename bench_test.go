@@ -396,6 +396,27 @@ func BenchmarkCompiledPFU(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile measures compiling the placed alpha-blend
+// configuration into a program: the symbolic lowering, the unrolled
+// burst, and the emitter's LUT mapping of all three schedules. Every
+// workload that builds a gate-level image pays it once on its set-up
+// path.
+func BenchmarkCompile(b *testing.B) {
+	n := fabric.AlphaBlend()
+	fabric.Optimize(n)
+	cfg, _, err := fabric.Place(n, fabric.DefaultPFUSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fabric.Compile(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompiledInstruction measures one whole custom instruction of
 // the placed alpha-blend circuit on the compiled engine: fresh, an issue
 // with init high that runs as one 8-cycle burst; reissue, the same

@@ -1,7 +1,7 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
-// configuration loads, the swap path, bitstream decode, the equivalence
-// prover, the ARM interpreter and assembler), BENCH_cluster.json (the fleet layer — placement,
+// circuit compilation, configuration loads, the swap path, bitstream
+// decode, the equivalence prover, the ARM interpreter and assembler), BENCH_cluster.json (the fleet layer — placement,
 // identical jobs sharing one session, job throughput at 1k-node scale,
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
@@ -66,7 +66,7 @@ var suites = []struct {
 		comment: "substrate performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkCompiledInstruction|" +
+			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkCompiledInstruction|BenchmarkCompile|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
 				"BenchmarkTLBLookup|BenchmarkInterpreter|BenchmarkAssembleTwofish)$"},
 			{"./internal/core", "^BenchmarkSwapRestore$"},

@@ -31,36 +31,48 @@ type IDTuple struct {
 // Because entries are PID-tagged, nothing needs flushing on a context
 // switch — the core advantage over PRISC's per-PFU ID registers.
 type TLB struct {
-	entries []tlbEntry
-	next    int // round-robin insertion cursor
+	// Entry i maps keys[i] to vals[i] while valid[i] is set. A key is
+	// packed PID<<32 | CID, so a probe scans one contiguous word array and
+	// tests validity only on a match.
+	keys  []uint64
+	vals  []uint32
+	valid []bool
+	next  int // round-robin insertion cursor
 
 	// Lookups and Misses count CAM probes for statistics.
 	Lookups uint64
 	Misses  uint64
 }
 
-type tlbEntry struct {
-	valid bool
-	key   IDTuple
-	val   uint32
-}
+func packKey(key IDTuple) uint64 { return uint64(key.PID)<<32 | uint64(key.CID) }
+
+func unpackKey(k uint64) IDTuple { return IDTuple{PID: uint32(k >> 32), CID: uint32(k)} }
 
 // NewTLB returns a TLB with the given number of CAM entries.
 func NewTLB(entries int) *TLB {
-	return &TLB{entries: make([]tlbEntry, entries)}
+	return &TLB{keys: make([]uint64, entries), vals: make([]uint32, entries), valid: make([]bool, entries)}
 }
 
 // Size reports the CAM capacity.
-func (t *TLB) Size() int { return len(t.entries) }
+func (t *TLB) Size() int { return len(t.keys) }
+
+// find returns the entry holding a valid mapping for key k, or -1. An
+// invalidated entry keeps its key, so a match is checked for validity
+// and the scan goes on past a stale one.
+func (t *TLB) find(k uint64) int {
+	for i, x := range t.keys {
+		if x == k && t.valid[i] {
+			return i
+		}
+	}
+	return -1
+}
 
 // Lookup probes the CAM.
 func (t *TLB) Lookup(key IDTuple) (uint32, bool) {
 	t.Lookups++
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.key == key {
-			return e.val, true
-		}
+	if i := t.find(packKey(key)); i >= 0 {
+		return t.vals[i], true
 	}
 	t.Misses++
 	return 0, false
@@ -70,37 +82,33 @@ func (t *TLB) Lookup(key IDTuple) (uint32, bool) {
 // tuple or evicting round-robin when full. It reports the evicted tuple, if
 // any, so the OS can account for mapping pressure.
 func (t *TLB) Insert(key IDTuple, val uint32) (evicted IDTuple, didEvict bool) {
+	k := packKey(key)
 	// Same-key update.
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].key == key {
-			t.entries[i].val = val
-			return IDTuple{}, false
-		}
+	if i := t.find(k); i >= 0 {
+		t.vals[i] = val
+		return IDTuple{}, false
 	}
-	// Free slot.
-	for i := range t.entries {
-		j := (t.next + i) % len(t.entries)
-		if !t.entries[j].valid {
-			t.entries[j] = tlbEntry{valid: true, key: key, val: val}
-			t.next = (j + 1) % len(t.entries)
-			return IDTuple{}, false
-		}
-	}
-	// Evict at cursor.
+	// Free slot, else evict at the cursor.
 	j := t.next
-	old := t.entries[j].key
-	t.entries[j] = tlbEntry{valid: true, key: key, val: val}
-	t.next = (j + 1) % len(t.entries)
-	return old, true
+	for i := range t.keys {
+		if c := (t.next + i) % len(t.keys); !t.valid[c] {
+			j = c
+			break
+		}
+	}
+	if t.valid[j] {
+		evicted, didEvict = unpackKey(t.keys[j]), true
+	}
+	t.keys[j], t.vals[j], t.valid[j] = k, val, true
+	t.next = (j + 1) % len(t.keys)
+	return evicted, didEvict
 }
 
 // Remove invalidates the mapping for a tuple, reporting whether it existed.
 func (t *TLB) Remove(key IDTuple) bool {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].key == key {
-			t.entries[i].valid = false
-			return true
-		}
+	if i := t.find(packKey(key)); i >= 0 {
+		t.valid[i] = false
+		return true
 	}
 	return false
 }
@@ -110,10 +118,9 @@ func (t *TLB) Remove(key IDTuple) bool {
 // or a process's tuples on exit.
 func (t *TLB) RemoveIf(pred func(key IDTuple, val uint32) bool) int {
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && pred(e.key, e.val) {
-			e.valid = false
+	for i, ok := range t.valid {
+		if ok && pred(unpackKey(t.keys[i]), t.vals[i]) {
+			t.valid[i] = false
 			n++
 		}
 	}
@@ -123,9 +130,9 @@ func (t *TLB) RemoveIf(pred func(key IDTuple, val uint32) bool) int {
 // Entries returns a snapshot of the valid mappings, for debugging tools.
 func (t *TLB) Entries() map[IDTuple]uint32 {
 	out := make(map[IDTuple]uint32)
-	for i := range t.entries {
-		if t.entries[i].valid {
-			out[t.entries[i].key] = t.entries[i].val
+	for i, ok := range t.valid {
+		if ok {
+			out[unpackKey(t.keys[i])] = t.vals[i]
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +154,109 @@ func TestTLBCapacityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refTLB is the CAM as an array of tagged entries, scanned validity
+// first: the reference TestTLBMatchesReference holds TLB to.
+type refTLB struct {
+	valid []bool
+	key   []IDTuple
+	val   []uint32
+	next  int
+}
+
+func (r *refTLB) find(k IDTuple) int {
+	for i := range r.key {
+		if r.valid[i] && r.key[i] == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refTLB) insert(k IDTuple, v uint32) (IDTuple, bool) {
+	if i := r.find(k); i >= 0 {
+		r.val[i] = v
+		return IDTuple{}, false
+	}
+	for i := range r.key {
+		if j := (r.next + i) % len(r.key); !r.valid[j] {
+			r.valid[j], r.key[j], r.val[j] = true, k, v
+			r.next = (j + 1) % len(r.key)
+			return IDTuple{}, false
+		}
+	}
+	j := r.next
+	old := r.key[j]
+	r.key[j], r.val[j] = k, v
+	r.next = (j + 1) % len(r.key)
+	return old, true
+}
+
+// TestTLBMatchesReference drives TLB and refTLB through the same random
+// inserts, lookups, removes and predicate purges over a small key space,
+// so keys recur, go stale and come back, and requires every result, the
+// round-robin evictions, the lookup and miss counts and the valid
+// mappings to agree after every operation.
+func TestTLBMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(6)
+		tlb := NewTLB(n)
+		ref := &refTLB{valid: make([]bool, n), key: make([]IDTuple, n), val: make([]uint32, n)}
+		var lookups, misses uint64
+		for op := 0; op < 200; op++ {
+			k := IDTuple{PID: uint32(rng.Intn(3)), CID: uint32(rng.Intn(4))}
+			switch rng.Intn(4) {
+			case 0:
+				v := uint32(rng.Intn(4))
+				gotK, gotE := tlb.Insert(k, v)
+				wantK, wantE := ref.insert(k, v)
+				if gotK != wantK || gotE != wantE {
+					t.Fatalf("trial %d op %d: Insert(%v) evicted %v,%v, want %v,%v", trial, op, k, gotK, gotE, wantK, wantE)
+				}
+			case 1:
+				got, ok := tlb.Lookup(k)
+				lookups++
+				i := ref.find(k)
+				if i < 0 {
+					misses++
+				}
+				if ok != (i >= 0) || ok && got != ref.val[i] {
+					t.Fatalf("trial %d op %d: Lookup(%v) = %d,%v", trial, op, k, got, ok)
+				}
+			case 2:
+				i := ref.find(k)
+				if i >= 0 {
+					ref.valid[i] = false
+				}
+				if tlb.Remove(k) != (i >= 0) {
+					t.Fatalf("trial %d op %d: Remove(%v) disagrees", trial, op, k)
+				}
+			case 3:
+				v := uint32(rng.Intn(4))
+				want := 0
+				for i := range ref.key {
+					if ref.valid[i] && ref.val[i] == v {
+						ref.valid[i] = false
+						want++
+					}
+				}
+				if got := tlb.RemoveIf(func(_ IDTuple, x uint32) bool { return x == v }); got != want {
+					t.Fatalf("trial %d op %d: RemoveIf dropped %d, want %d", trial, op, got, want)
+				}
+			}
+			wantEntries := map[IDTuple]uint32{}
+			for i := range ref.key {
+				if ref.valid[i] {
+					wantEntries[ref.key[i]] = ref.val[i]
+				}
+			}
+			if !maps.Equal(tlb.Entries(), wantEntries) || tlb.Lookups != lookups || tlb.Misses != misses {
+				t.Fatalf("trial %d op %d: entries %v (lookups %d, misses %d), want %v (%d, %d)",
+					trial, op, tlb.Entries(), tlb.Lookups, tlb.Misses, wantEntries, lookups, misses)
+			}
+		}
 	}
 }

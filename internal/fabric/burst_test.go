@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -302,5 +303,61 @@ func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVerifyRejectsCorruptBurst corrupts alphablend's compiled burst one
+// way at a time and requires Verify to reject each program: a flipped
+// table bit, an op whose witness is another op's ref, an op that reads
+// a wire no earlier op writes, and an op missing an operand pin its
+// witness's cone reads, so the cone escapes the op's inputs.
+func TestVerifyRejectsCorruptBurst(t *testing.T) {
+	cfg := placeT(t, AlphaBlend())
+	prog := compileT(t, cfg)
+	s := &prog.burst
+	n := len(s.tab)
+	// An op reading an operand wire on its first pin.
+	operand := -1
+	for k := range s.in {
+		if s.in[k][0] < WireInit {
+			operand = k
+			break
+		}
+	}
+	if operand < 0 {
+		t.Fatal("no burst op reads an operand on its first pin")
+	}
+	cases := []struct {
+		name, want string
+		corrupt    func(s *schedule)
+	}{
+		{"flipped table bit", "differs from its witness", func(s *schedule) { s.tab[n/2] ^= 1 }},
+		{"wrong witness", "", func(s *schedule) { s.wit[n/2] = s.wit[n/2+1] }},
+		{"read of a later op's wire", "before writing it", func(s *schedule) { s.in[0][0] = s.out0 + uint32(n-1) }},
+		{"cone escapes its inputs", "not one of its inputs", func(s *schedule) { s.in[operand][0] = wireConst0 }},
+	}
+	for _, tc := range cases {
+		bad := *prog
+		bad.burst.in = slices.Clone(s.in)
+		bad.burst.tab = slices.Clone(s.tab)
+		bad.burst.wit = slices.Clone(s.wit)
+		tc.corrupt(&bad.burst)
+		_, err := bad.Verify(cfg)
+		if err == nil {
+			t.Errorf("%s: Verify accepted the corrupt burst", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify error %q, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestAlphaBlendWireScratch pins alphablend's per-instance wire scratch,
+// one byte per wire rounded up to a power of two, at 1 KiB: the burst's
+// ops, which write consecutive wires past the operands, constants and
+// the registers they read, fit in it.
+func TestAlphaBlendWireScratch(t *testing.T) {
+	prog := compileT(t, placeT(t, AlphaBlend()))
+	if n := len(prog.NewInstance().wires); n != 1024 {
+		t.Fatalf("alphablend wire scratch is %d bytes, want 1024", n)
 	}
 }

@@ -14,9 +14,10 @@ import "encoding/binary"
 // LUT gates, with constants folded by foldLUT, buffers aliased and equal
 // gates shared) and composes copies of it in one symBuilder with init
 // pinned to a constant. Registers are input wires of the pass, and each
-// register's next-state ref becomes a latch tap. emit turns the gates a
-// set of roots needs into ref-ordered LUT ops, regrouped by scheduleComb,
-// plus the output taps and latches. Three schedules come out of it:
+// register's next-state ref becomes a latch tap. emit re-covers the
+// gates a set of roots needs with 4-input LUTs (the priority-cut mapper
+// in lutmap.go), one op per LUT ordered by level and arity, plus the
+// output taps and latches. Three schedules come out of it:
 //
 //   - sched[1]: one cycle with init high (the first of an instruction);
 //   - sched[0]: one cycle with init low (every later cycle);
@@ -28,7 +29,7 @@ import "encoding/binary"
 // Each schedule writes every gate wire it reads before reading it, so no
 // pass depends on what another left in the scratch; Compiled.Verify
 // checks that while proving the two per-cycle schedules and validating
-// the burst.
+// the burst op by op against the witness each op carries.
 //
 // Compilation happens once per distinct configuration; Instances stamped
 // from the program carry only register state plus the wire scratch, so
@@ -47,7 +48,7 @@ type Compiled struct {
 	burstK int
 
 	luts   int     // LUTs the configuration evaluates per cycle, for Ops
-	nRegs  int     // registers, wires wireReg0.. when a pass reads them
+	nRegs  int     // registers of the configuration's symbolic circuit
 	ffInit []uint8 // power-on register values, one byte per CLB
 }
 
@@ -58,9 +59,9 @@ const maxBurstCycles = 64
 // Wire scratch layout. The 64 operand wires keep their array numbering.
 // No pass writes the init wire (every schedule has init pinned), so it
 // is the constant-0 wire; the constant-1 wire follows it, set once when
-// an instance is stamped. Register r's wire is wireReg0+r in a pass that
-// reads the register; each pass numbers its gate wires in ref order from
-// the register wires it does not read upwards.
+// an instance is stamped. Each pass gives the registers it reads wires
+// wireReg0.. in register order, and its op k writes the k-th wire after
+// them.
 const (
 	wireConst0 = WireInit
 	wireConst1 = WireInit + 1
@@ -71,11 +72,17 @@ const (
 type schedule struct {
 	// Combinational ops grouped by dependency level and, within a level,
 	// by input arity: every input is computed before its consumer, and
-	// combSegs lets the settle loop run an arity-specialised inner loop
-	// per run of same-arity ops (a 2-input LUT costs two wire loads, not
-	// four).
-	combOps  []lutOp
-	combSegs []opSeg
+	// segs lets the settle loop run an arity-specialised inner loop per
+	// run of same-arity ops (a 2-input LUT costs two wire loads, not
+	// four). Op k reads wires in[k] through table tab[k] and writes wire
+	// out0+k, so its store address is known before its loads. wit[k] is
+	// the ref of the unrolled builder that op k stands for; run never
+	// reads it, Verify checks the burst against it.
+	in   [][4]uint32
+	tab  []uint16
+	wit  []int32
+	segs []opSeg
+	out0 uint32
 
 	// refresh copies the registers the pass reads into their wires
 	// before it; latch copies each changed register's next value from its
@@ -86,22 +93,12 @@ type schedule struct {
 	outTap [33]int32 // resolved output wire per out bit (32 = done)
 }
 
-// lutOp is one lowered LUT evaluation: four precomputed input wire
-// indices, the packed truth table, and the destination wire. A fixed
-// 24-byte op keeps the settle loop sequential in memory and free of
-// per-field bounds checks.
-type lutOp struct {
-	in  [4]int32
-	out int32
-	tab uint16
-}
-
 // regMove pairs a register's frame slot (its CLB index) with a wire.
 type regMove struct {
 	slot, wire int32
 }
 
-// opSeg is a run of n consecutive combOps sharing one input arity.
+// opSeg is a run of n consecutive ops sharing one input arity.
 type opSeg struct {
 	n     int32
 	arity int8
@@ -131,11 +128,14 @@ func Compile(cfg *ArrayConfig) (*Compiled, error) {
 		}
 	}
 	u := unroll(cyc)
-	c.sched[1] = c.emit(u.b.c, u.high)
-	c.sched[0] = c.emit(u.b.c, u.low)
+	// The burst, the pass instructions run, maps first: the gates it
+	// shares with the cycle schedules keep the cuts it ranked.
+	m := newMapper(u.b.c)
 	if u.k > 0 {
-		c.burst, c.burstK = c.emit(u.b.c, u.burst), u.k
+		c.burst, c.burstK = c.emit(m, u.burst), u.k
 	}
+	c.sched[1] = c.emit(m, u.high)
+	c.sched[0] = c.emit(m, u.low)
 	// Round the scratch up to a power of two so the settle loop can mask
 	// indices instead of bounds-checking them.
 	c.nWires = ceilPow2(c.nWires)
@@ -283,28 +283,28 @@ func liveGates(c *symCircuit, roots ...[]int32) []bool {
 	return live
 }
 
-// emit lowers the gates of sc that r's refs need into a schedule:
-// one op per gate in ref order (already topological), grouped by
-// scheduleComb; a tap per output; a latch per register whose next ref is
-// not itself; a refresh per register some op, tap or latch reads. Gate
-// wires take the register wires the pass does not read first, then the
-// wires past the registers; c.nWires grows to cover them.
-func (c *Compiled) emit(sc *symCircuit, r cycleRefs) schedule {
-	base, nIn := sc.gateBase(), int32(len(sc.inputs))
-	live := liveGates(sc, r.outs[:], r.next)
-	reads := make([]bool, c.nRegs)
+// emit lowers the gates r's refs need into a schedule: the mapper's
+// 4-input LUT cover of them, one op per LUT, grouped by level and arity;
+// a tap per output; a latch per register whose next ref is not itself;
+// a refresh per register some op, tap or latch reads. The registers a
+// pass reads take wires wireReg0.. in register order, and op k writes
+// the k-th wire past them; c.nWires grows to cover them. An op reads
+// every leaf of its cut, even one its table turns out to ignore: Verify
+// requires an op's cone to stay inside its inputs.
+func (c *Compiled) emit(m *mapper, r cycleRefs) schedule {
+	sc, base := m.sc, m.base
+	nIn := int32(len(sc.inputs))
+	gates := m.cover(r)
+	regWire := make([]int32, c.nRegs) // 0 when the pass does not read the register
 	read := func(ref int32) {
 		if ref >= nIn && ref < base {
-			reads[ref-nIn] = true
+			regWire[ref-nIn] = 1
 		}
 	}
-	nLive := 0
-	for g := range sc.gates {
-		if live[g] {
-			nLive++
-			for _, x := range sc.gates[g].in {
-				read(x)
-			}
+	for _, g := range gates {
+		best := m.best(int(g))
+		for _, x := range best.leaf[:best.n] {
+			read(x)
 		}
 	}
 	for _, x := range r.outs {
@@ -313,7 +313,41 @@ func (c *Compiled) emit(sc *symCircuit, r cycleRefs) schedule {
 	for _, x := range r.next {
 		read(x)
 	}
-	gateWire := make([]int32, len(sc.gates))
+	var s schedule
+	w := int32(wireReg0)
+	for reg, rd := range regWire {
+		if rd != 0 {
+			regWire[reg] = w
+			s.refresh = append(s.refresh, regMove{slot: int32(sc.regSlot[reg]), wire: w})
+			w++
+		}
+	}
+	s.out0 = uint32(w)
+	// Order the ops by group with a counting sort, stable within a group,
+	// and give each its position; every input of an op comes from an
+	// earlier level, so any order within a level is legal.
+	nGroups := int32(0)
+	for _, g := range gates {
+		nGroups = max(nGroups, m.group(g)+1)
+	}
+	next := make([]int32, nGroups+1) // next[g+1] counts, then places, group g
+	for _, g := range gates {
+		next[m.group(g)+1]++
+	}
+	for g := int32(0); g < nGroups; g++ {
+		if n := next[g+1]; n > 0 {
+			if arity := groupArity(g); len(s.segs) > 0 && s.segs[len(s.segs)-1].arity == arity {
+				s.segs[len(s.segs)-1].n += n
+			} else {
+				s.segs = append(s.segs, opSeg{n: n, arity: arity})
+			}
+		}
+		next[g+1] += next[g]
+	}
+	for _, g := range gates {
+		m.pos[g] = next[m.group(g)] + 1
+		next[m.group(g)]++
+	}
 	wire := func(ref int32) int32 {
 		switch {
 		case ref == symConst0:
@@ -321,32 +355,22 @@ func (c *Compiled) emit(sc *symCircuit, r cycleRefs) schedule {
 		case ref == symConst1:
 			return wireConst1
 		case ref >= base:
-			return gateWire[ref-base]
+			return int32(s.out0) + m.pos[ref-base] - 1
 		case ref >= nIn:
-			return wireReg0 + ref - nIn
+			return regWire[ref-nIn]
 		}
 		return ref // input ref i is input wire i
 	}
-	ops := make([]lutOp, 0, nLive)
-	w, regEnd := int32(wireReg0), int32(wireReg0+c.nRegs)
-	for g, gt := range sc.gates {
-		if !live[g] {
-			continue
+	s.in = make([][4]uint32, len(gates))
+	s.tab = make([]uint16, len(gates))
+	s.wit = make([]int32, len(gates))
+	for _, g := range gates {
+		k := m.pos[g] - 1
+		for p, x := range m.best(int(g)).pins() {
+			s.in[k][p] = uint32(wire(x))
 		}
-		for w < regEnd && reads[w-wireReg0] {
-			w++
-		}
-		gateWire[g] = w
-		op := lutOp{out: w, tab: gt.tab}
-		for p, x := range gt.in {
-			op.in[p] = wire(x)
-		}
-		ops = append(ops, op)
-		w++
+		s.tab[k], s.wit[k] = m.tab[g], base+g
 	}
-	nWires := int(max(w, regEnd))
-	var s schedule
-	s.combOps, s.combSegs = scheduleComb(ops, wireConst0, nWires)
 	for i, o := range r.outs {
 		s.outTap[i] = wire(o)
 	}
@@ -355,62 +379,8 @@ func (c *Compiled) emit(sc *symCircuit, r cycleRefs) schedule {
 			s.latch = append(s.latch, regMove{slot: int32(sc.regSlot[reg]), wire: wire(x)})
 		}
 	}
-	for reg, read := range reads {
-		if read {
-			s.refresh = append(s.refresh, regMove{slot: int32(sc.regSlot[reg]), wire: int32(wireReg0 + reg)})
-		}
-	}
-	c.nWires = max(c.nWires, nWires)
+	c.nWires = max(c.nWires, int(s.out0)+len(gates))
 	return s
-}
-
-// scheduleComb regroups topologically ordered combinational ops by
-// dependency level and, within each level, by input arity (a counting
-// sort, stable within each group), returning them with the segment list
-// the settle loop's specialised inner loops run over. Any within-level
-// permutation is legal: an op's inputs all come from strictly earlier
-// levels (or input, register and constant wires, which are ready before
-// the settle). nWires bounds every wire index.
-func scheduleComb(combOps []lutOp, const0 int32, nWires int) ([]lutOp, []opSeg) {
-	if len(combOps) == 0 {
-		return nil, nil
-	}
-	wireLevel := make([]int32, nWires)   // 1 + level of the op writing a wire
-	group := make([]int32, len(combOps)) // level*4 + arity-1
-	nGroups := int32(0)
-	for i, op := range combOps {
-		lv, arity := int32(0), int32(1) // a zero-input (constant) LUT still costs one load
-		for j, in := range op.in {
-			lv = max(lv, wireLevel[in])
-			if in != const0 {
-				arity = int32(j) + 1
-			}
-		}
-		wireLevel[op.out] = lv + 1
-		group[i] = lv*4 + arity - 1
-		nGroups = max(nGroups, group[i]+1)
-	}
-	next := make([]int32, nGroups+1) // next[g+1] counts, then places, group g
-	for _, g := range group {
-		next[g+1]++
-	}
-	var segs []opSeg
-	for g := int32(0); g < nGroups; g++ {
-		if n := next[g+1]; n > 0 {
-			if arity := int8(g%4 + 1); len(segs) > 0 && segs[len(segs)-1].arity == arity {
-				segs[len(segs)-1].n += n
-			} else {
-				segs = append(segs, opSeg{n: n, arity: arity})
-			}
-		}
-		next[g+1] += next[g]
-	}
-	ops := make([]lutOp, len(combOps))
-	for i, op := range combOps {
-		ops[next[group[i]]] = op
-		next[group[i]]++
-	}
-	return ops, segs
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -432,9 +402,9 @@ func (c *Compiled) Spec() ArraySpec { return c.spec }
 // instruction burst (0 when BurstCycles is 0).
 func (c *Compiled) Ops() (luts int, byInit [2]int, burst int) {
 	for v := range c.sched {
-		byInit[v] = len(c.sched[v].combOps)
+		byInit[v] = len(c.sched[v].tab)
 	}
-	return c.luts, byInit, len(c.burst.combOps)
+	return c.luts, byInit, len(c.burst.tab)
 }
 
 // BurstCycles reports K, the length of the instruction Run issues fresh
@@ -578,43 +548,44 @@ func (in *Instance) run(s *schedule, a, b uint32) (out uint32, done bool) {
 	// two and every wire index is below it, so masking with len(w)-1 is
 	// the identity — the idiom exists solely to let the compiler prove
 	// the accesses in range and drop the bounds checks.
-	ops := s.combOps
-	base := 0
-	for _, seg := range s.combSegs {
-		end := base + int(seg.n)
+	lo, dst := 0, int(s.out0)
+	for _, seg := range s.segs {
+		hi := lo + int(seg.n)
+		ins, tab := s.in[lo:hi], s.tab[lo:hi]
+		tab = tab[:len(ins)]
 		switch seg.arity {
 		case 1:
-			for k := base; k < end; k++ {
-				op := &ops[k]
-				idx := uint32(w[int(op.in[0])&(len(w)-1)])
-				w[int(op.out)&(len(w)-1)] = uint8(op.tab>>idx) & 1
+			for k := range ins {
+				x := &ins[k]
+				idx := uint32(w[int(x[0])&(len(w)-1)])
+				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
 			}
 		case 2:
-			for k := base; k < end; k++ {
-				op := &ops[k]
-				idx := uint32(w[int(op.in[0])&(len(w)-1)]) |
-					uint32(w[int(op.in[1])&(len(w)-1)])<<1
-				w[int(op.out)&(len(w)-1)] = uint8(op.tab>>idx) & 1
+			for k := range ins {
+				x := &ins[k]
+				idx := uint32(w[int(x[0])&(len(w)-1)]) |
+					uint32(w[int(x[1])&(len(w)-1)])<<1
+				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
 			}
 		case 3:
-			for k := base; k < end; k++ {
-				op := &ops[k]
-				idx := uint32(w[int(op.in[0])&(len(w)-1)]) |
-					uint32(w[int(op.in[1])&(len(w)-1)])<<1 |
-					uint32(w[int(op.in[2])&(len(w)-1)])<<2
-				w[int(op.out)&(len(w)-1)] = uint8(op.tab>>idx) & 1
+			for k := range ins {
+				x := &ins[k]
+				idx := uint32(w[int(x[0])&(len(w)-1)]) |
+					uint32(w[int(x[1])&(len(w)-1)])<<1 |
+					uint32(w[int(x[2])&(len(w)-1)])<<2
+				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
 			}
 		default:
-			for k := base; k < end; k++ {
-				op := &ops[k]
-				idx := uint32(w[int(op.in[0])&(len(w)-1)]) |
-					uint32(w[int(op.in[1])&(len(w)-1)])<<1 |
-					uint32(w[int(op.in[2])&(len(w)-1)])<<2 |
-					uint32(w[int(op.in[3])&(len(w)-1)])<<3
-				w[int(op.out)&(len(w)-1)] = uint8(op.tab>>idx) & 1
+			for k := range ins {
+				x := &ins[k]
+				idx := uint32(w[int(x[0])&(len(w)-1)]) |
+					uint32(w[int(x[1])&(len(w)-1)])<<1 |
+					uint32(w[int(x[2])&(len(w)-1)])<<2 |
+					uint32(w[int(x[3])&(len(w)-1)])<<3
+				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
 			}
 		}
-		base = end
+		lo, dst = hi, dst+int(seg.n)
 	}
 	// Sample outputs before the clock edge.
 	for i := 0; i < 32; i++ {

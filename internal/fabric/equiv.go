@@ -340,12 +340,16 @@ func compiledSym(cp *Compiled) (*symCircuit, error) {
 			c.regSlot = append(c.regSlot, slot)
 		}
 	}
-	b := newSymBuilder(c, len(cp.sched[0].combOps)+len(cp.sched[1].combOps))
+	b := newSymBuilder(c, len(cp.sched[0].tab)+len(cp.sched[1].tab))
 	var outs [2][33]int32
 	var next [2][]int32
 	for v := range cp.sched {
+		s := &cp.sched[v]
 		var err error
-		if outs[v], next[v], err = relift(b, cp, &cp.sched[v], regOf); err != nil {
+		outs[v], next[v], err = relift(c, cp, s, regOf, func(k int, in [4]int32) (int32, error) {
+			return b.addGate(in, s.tab[k]), nil
+		})
+		if err != nil {
 			return nil, fmt.Errorf("fabric: compiled init=%d schedule %w", v, err)
 		}
 	}
@@ -360,16 +364,26 @@ func compiledSym(cp *Compiled) (*symCircuit, error) {
 	return c, nil
 }
 
-// relift symbolically executes one pass of schedule s in b, whose
-// circuit has the PFU boundary as inputs and the registers regOf maps
-// frame slots to: it returns the refs the pass samples at its output taps
-// and latches into each register (the register itself when the pass
-// does not latch it). The wire scratch is modelled exactly: operand
-// wires, the constant wires and the registers the pass refreshes hold
-// their values on entry and every other wire holds whatever an earlier
-// pass left, so reading a wire before this pass writes it is an error,
-// not a proof obligation.
-func relift(b *symBuilder, cp *Compiled, s *schedule, regOf []int32) (outs [33]int32, next []int32, err error) {
+// relift symbolically executes one pass of schedule s over c, whose
+// inputs are the PFU boundary and whose registers regOf maps frame slots
+// to: op k's value is the ref lift returns for it, given the refs its
+// input wires hold. It returns the refs the pass samples at its output
+// taps and latches into each register (the register itself when the
+// pass does not latch it). The pass is modelled as run executes it: op k
+// of a segment of arity a reads its first a input wires and sees 0 on
+// the rest, and writes wire out0+k. The wire scratch is modelled
+// exactly: operand wires, the constant wires and the registers the pass
+// refreshes hold their values on entry and every other wire holds
+// whatever an earlier pass left, so reading a wire before this pass
+// writes it is an error, not a proof obligation.
+func relift(c *symCircuit, cp *Compiled, s *schedule, regOf []int32, lift func(k int, in [4]int32) (int32, error)) (outs [33]int32, next []int32, err error) {
+	nOps := 0
+	for _, seg := range s.segs {
+		nOps += int(seg.n)
+	}
+	if nOps != len(s.tab) || len(s.in) != len(s.tab) || len(s.wit) != len(s.tab) {
+		return outs, nil, fmt.Errorf("has %d ops in its segments, %d tables, %d input sets and %d witnesses", nOps, len(s.tab), len(s.in), len(s.wit))
+	}
 	val := make([]int32, cp.nWires)
 	set := make([]bool, cp.nWires)
 	for w := WireA0; w < WireInit; w++ {
@@ -388,7 +402,7 @@ func relift(b *symBuilder, cp *Compiled, s *schedule, regOf []int32) (outs [33]i
 		if err != nil {
 			return outs, nil, err
 		}
-		val[m.wire], set[m.wire] = b.c.regRef(int(r)), true
+		val[m.wire], set[m.wire] = c.regRef(int(r)), true
 	}
 	stale := int32(-1)
 	read := func(w int32) int32 {
@@ -397,16 +411,33 @@ func relift(b *symBuilder, cp *Compiled, s *schedule, regOf []int32) (outs [33]i
 		}
 		return val[w]
 	}
-	for _, op := range s.combOps {
-		val[op.out] = b.addGate([4]int32{read(op.in[0]), read(op.in[1]), read(op.in[2]), read(op.in[3])}, op.tab)
-		set[op.out] = true
+	k := 0
+	for _, seg := range s.segs {
+		arity := int(seg.arity)
+		if arity < 1 || arity > 3 {
+			arity = 4 // run's default loop
+		}
+		for end := k + int(seg.n); k < end; k++ {
+			in := [4]int32{symConst0, symConst0, symConst0, symConst0}
+			for p := range arity {
+				in[p] = read(int32(s.in[k][p]))
+			}
+			if stale >= 0 {
+				return outs, nil, fmt.Errorf("op %d reads wire %d before writing it", k, stale)
+			}
+			w := int(s.out0) + k
+			if val[w], err = lift(k, in); err != nil {
+				return outs, nil, fmt.Errorf("op %d %w", k, err)
+			}
+			set[w] = true
+		}
 	}
 	for i, tap := range s.outTap {
 		outs[i] = read(tap)
 	}
-	next = make([]int32, len(b.c.regInit))
+	next = make([]int32, len(c.regInit))
 	for r := range next {
-		next[r] = b.c.regRef(r) // hold unless latched
+		next[r] = c.regRef(r) // hold unless latched
 	}
 	for _, m := range s.latch {
 		r, err := reg(m.slot)
@@ -569,11 +600,15 @@ func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
 }
 
 // verifyBurst validates the burst against cyc, the configuration's
-// one-cycle lowering: it unrolls cyc again and re-lifts the burst's ops
-// into the builder that composed the copies. Refs are canonical within
-// one hash-consing builder, so requiring the instruction length and
-// every out, done and next-state ref to be identical shows that the ops
-// compute exactly the unrolled instruction.
+// one-cycle lowering, by translation validation: it unrolls cyc again and
+// re-lifts the burst with each op standing for its witness, a ref of the
+// unrolled builder. Op k is accepted only when its table is the function
+// of its witness's cone over the refs its input wires hold (checkWitness);
+// its wire then holds the witness's value, so by induction over the ops
+// every wire does. Refs are canonical within one hash-consing builder,
+// so requiring the instruction length and every out, done and next-state
+// ref to be identical shows that the ops compute exactly the unrolled
+// instruction, whatever cover the mapper chose.
 func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 	u := unroll(cyc)
 	if u.k != c.burstK {
@@ -590,7 +625,11 @@ func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 	for r, slot := range cyc.regSlot {
 		regOf[slot] = int32(r)
 	}
-	got, gotNext, err := relift(u.b, c, &c.burst, regOf)
+	sc, s := u.b.c, &c.burst
+	e := &coneEval{sc: sc, seen: make([]uint32, int(sc.gateBase())+len(sc.gates)), val: make([]bool, int(sc.gateBase())+len(sc.gates))}
+	got, gotNext, err := relift(sc, c, s, regOf, func(k int, in [4]int32) (int32, error) {
+		return s.wit[k], e.checkWitness(s.wit[k], in, s.tab[k])
+	})
 	if err != nil {
 		return fmt.Errorf("fabric: burst %w", err)
 	}
@@ -605,6 +644,88 @@ func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 		}
 	}
 	return nil
+}
+
+// coneEval evaluates refs of sc concretely with a set of refs as free
+// leaves; val[ref] is valid when seen[ref] == stamp.
+type coneEval struct {
+	sc    *symCircuit
+	seen  []uint32
+	val   []bool
+	stamp uint32
+}
+
+// checkWitness requires tab, over the pins whose refs are in, to be the
+// function the gate ref wit computes of those refs: for each of the 16
+// pin assignments that gives a constant pin its constant and pins
+// sharing a ref one value, it evaluates wit's cone with the pins' refs
+// as free leaves and compares the table's entry. A cone that reaches an
+// input or register that is not a pin fails.
+func (e *coneEval) checkWitness(wit int32, in [4]int32, tab uint16) error {
+	base := e.sc.gateBase()
+	if wit < base || wit >= base+int32(len(e.sc.gates)) {
+		return fmt.Errorf("stands for ref %d, which is no gate", wit)
+	}
+assign:
+	for m := range 16 {
+		e.stamp++
+		for p, ref := range in {
+			v := m>>p&1 != 0
+			switch {
+			case ref == symConst0 || ref == symConst1:
+				if v != (ref == symConst1) {
+					continue assign
+				}
+			case e.seen[ref] == e.stamp && e.val[ref] != v:
+				continue assign
+			default:
+				e.seen[ref], e.val[ref] = e.stamp, v
+			}
+		}
+		got, err := e.eval(wit)
+		if err != nil {
+			return err
+		}
+		if got != (tab>>m&1 != 0) {
+			return fmt.Errorf("table entry %d differs from its witness %d", m, wit)
+		}
+	}
+	return nil
+}
+
+func (e *coneEval) eval(ref int32) (bool, error) {
+	switch {
+	case ref == symConst0:
+		return false, nil
+	case ref == symConst1:
+		return true, nil
+	case e.seen[ref] == e.stamp:
+		return e.val[ref], nil
+	case ref < e.sc.gateBase():
+		return false, fmt.Errorf("reaches %s, which is not one of its inputs", e.refName(ref))
+	}
+	gt := &e.sc.gates[ref-e.sc.gateBase()]
+	idx := 0
+	for p, x := range gt.in {
+		v, err := e.eval(x)
+		if err != nil {
+			return false, err
+		}
+		if v {
+			idx |= 1 << p
+		}
+	}
+	v := gt.tab>>idx&1 != 0
+	e.seen[ref], e.val[ref] = e.stamp, v
+	return v, nil
+}
+
+// refName names an input or register ref for an error.
+func (e *coneEval) refName(ref int32) string {
+	if int(ref) < len(e.sc.inputs) {
+		return e.sc.inputs[ref].String()
+	}
+	return fmt.Sprintf("the register of CLB %d", e.sc.regSlot[int(ref)-len(e.sc.inputs)])
 }
 
 // OptimizeChecked optimizes n in place like Optimize and then proves

@@ -6,10 +6,16 @@ import (
 	"testing"
 )
 
+// stepper is an engine clocked one cycle at a time: an Instance or the
+// interpretive PFU.
+type stepper interface {
+	Step(a, b uint32, init bool) (uint32, bool)
+}
+
 // stepRun is the oracle for Instance.Run: the same issue clocked one
 // Step per cycle, init on the first cycle and low after, stopping at
 // done or after max cycles (at least one).
-func stepRun(in *Instance, a, b uint32, init bool, max int) (out uint32, cycles int, done bool) {
+func stepRun(in stepper, a, b uint32, init bool, max int) (out uint32, cycles int, done bool) {
 	for n := 1; ; n++ {
 		if out, done = in.Step(a, b, init); done {
 			return out, n, true
@@ -21,10 +27,11 @@ func stepRun(in *Instance, a, b uint32, init bool, max int) (out uint32, cycles 
 	}
 }
 
-// burstConfig compiles a random configuration built from seed that has
-// a burst: a random netlist (init-heavy half the time) with a done
-// chain and hidden flip-flops, as TestBurstMatchesSteppingAndPFU uses.
-func burstConfig(t *testing.T, seed int64) *Compiled {
+// burstConfig places and compiles a random configuration built from
+// seed that has a burst: a random netlist (init-heavy half the time)
+// with a done chain and hidden flip-flops, as
+// TestBurstMatchesSteppingAndPFU uses.
+func burstConfig(t *testing.T, seed int64) (*ArrayConfig, *Compiled) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var n *Netlist
@@ -39,18 +46,21 @@ func burstConfig(t *testing.T, seed int64) *Compiled {
 		t.Fatalf("place: %v", err)
 	}
 	withHiddenFFs(rng, cfg)
-	return compileT(t, cfg)
+	return cfg, compileT(t, cfg)
 }
 
 // FuzzInstanceRun drives an instance through a random sequence of Runs
 // — fresh issues and reissues, cut at every max in 0..2K, with init
 // flipped and one or both operands changed — interleaved with Step and
 // Reset, and requires every result, cycle count and done, and the
-// registers after every op, to match a twin instance that only ever
-// steps per cycle. This pins the lazy cut: a cut instruction resumes,
+// registers after every op, to match the interpretive PFU stepped one
+// cycle at a time. This pins the lazy cut: a cut instruction resumes,
 // settles or is dropped exactly as the cycles it was charged would have
 // left it. The registers are read without settling a cut, so a pending
-// cut survives the comparison.
+// cut survives the comparison. The twin is the reference engine, not a
+// second compiled instance, so a mapping fault the burst and the
+// per-cycle schedules share cannot hide; and every generated program
+// must pass Verify.
 func FuzzInstanceRun(f *testing.F) {
 	// Each rule of the cut, once: Reset (5,·) so the next issue is
 	// fresh, cut it after one cycle (0,1), then reissue with a new a
@@ -75,13 +85,20 @@ func FuzzInstanceRun(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256] // longer sequences only slow the fuzzer down
 		}
-		prog := burstConfig(t, seed)
+		cfg, prog := burstConfig(t, seed)
 		k := prog.BurstCycles()
 		if k == 0 {
 			t.Skip("no burst")
 		}
+		if rep, err := prog.Verify(cfg); err != nil || !rep.Equivalent {
+			t.Fatalf("Verify: %v %v", rep, err)
+		}
 		rng := rand.New(rand.NewSource(seed))
-		got, want := prog.NewInstance(), prog.NewInstance()
+		got := prog.NewInstance()
+		want, err := NewPFU(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		a, b := rng.Uint32(), rng.Uint32()
 		status := true // the §4.4 status bit: init of the next issue
 		for len(ops) >= 2 {
@@ -119,7 +136,7 @@ func FuzzInstanceRun(f *testing.F) {
 				want.Reset()
 				status = true
 			}
-			if !slices.Equal(instRegs(got), instRegs(want)) {
+			if !slices.Equal(instRegs(got), pfuRegs(want)) {
 				t.Fatalf("registers differ after op %d", op)
 			}
 		}
