@@ -7,7 +7,9 @@ package protean_test
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"protean/internal/exp"
 	"protean/internal/fabric"
 	"protean/internal/kernel"
+	"protean/internal/machine"
 	"protean/internal/workload"
 )
 
@@ -320,6 +323,47 @@ spin:
 		cpu.Step()
 	}
 	b.ReportMetric(float64(cpu.Cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+}
+
+// BenchmarkMachineLoop measures the interpreter as a session runs it:
+// one process under the kernel, the timer on at a 1 ms quantum and the
+// stop hook polled, looping over arithmetic with no custom instructions.
+// An op is one guest instruction, so ns/op counts the kernel loop, the
+// device tick and the interrupt poll that BenchmarkInterpreter omits.
+func BenchmarkMachineLoop(b *testing.B) {
+	m := machine.New(machine.Config{})
+	k := kernel.New(m, kernel.Config{Quantum: 100_000})
+	// Four instructions per iteration, then the exit syscall.
+	src := fmt.Sprintf(`
+	ldr r4, =%d
+spin:
+	add r0, r0, r4
+	eor r1, r0, r4, lsl #3
+	subs r4, r4, #1
+	bne spin
+	mov r0, #0
+	swi 0
+`, max(1, b.N/4))
+	prog, err := asm.Assemble(src, k.NextBase())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := k.Spawn("loop", prog, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := k.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if err := k.RunUntil(math.MaxUint64, func() error { return nil }); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if p.State != kernel.ProcExited {
+		b.Fatalf("the loop process ended %v", p.State)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(p.Stats.UserInstrs), "ns/instr")
 }
 
 // BenchmarkBehaviouralPFU measures one behavioural custom-instruction

@@ -1,7 +1,8 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // circuit compilation, configuration loads, the swap path, bitstream
-// decode, the equivalence prover, the ARM interpreter and assembler), BENCH_cluster.json (the fleet layer — placement,
+// decode, the equivalence prover, the ARM interpreter bare and under the
+// kernel, and the assembler), BENCH_cluster.json (the fleet layer — placement,
 // identical jobs sharing one session, job throughput at 1k-node scale,
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
@@ -68,7 +69,7 @@ var suites = []struct {
 		runs: []benchRun{
 			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkCompiledInstruction|BenchmarkCompile|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
-				"BenchmarkTLBLookup|BenchmarkInterpreter|BenchmarkAssembleTwofish)$"},
+				"BenchmarkTLBLookup|BenchmarkInterpreter|BenchmarkMachineLoop|BenchmarkAssembleTwofish)$"},
 			{"./internal/core", "^BenchmarkSwapRestore$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
 		},

@@ -77,7 +77,7 @@ func (c *CPU) Step() uint32 {
 		return 3
 	}
 	fetchPC := c.R[PC] &^ 3
-	instr, fault := c.Bus.Read32(fetchPC, bus.Fetch)
+	instr, fault := c.Bus.Fetch32(fetchPC)
 	if fault != nil {
 		c.Enter(ExcPrefetchAbort, fetchPC+4)
 		c.tick(3)

@@ -18,9 +18,13 @@ package asm
 import (
 	"fmt"
 	"strings"
+	"sync"
+
+	"protean/internal/bus"
 )
 
-// Program is an assembled binary image.
+// Program is an assembled binary image. Its fields must not change once
+// Image has been called.
 type Program struct {
 	// Origin is the load address of the first byte of Code.
 	Origin uint32
@@ -28,6 +32,17 @@ type Program struct {
 	Code []byte
 	// Symbols maps every label and .equ to its value.
 	Symbols map[string]uint32
+
+	imageOnce sync.Once
+	image     *bus.Image
+}
+
+// Image returns Code cut into RAM pages at Origin, built on the first
+// call, for loading into a RAM mapped at address 0. Every RAM that loads
+// it shares its pages until a store copies one (bus.RAM.LoadImage).
+func (p *Program) Image() *bus.Image {
+	p.imageOnce.Do(func() { p.image = bus.NewImage(p.Origin, p.Code) })
+	return p.image
 }
 
 // Size returns the image length in bytes.

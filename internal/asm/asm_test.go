@@ -3,6 +3,7 @@ package asm
 import (
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"protean/internal/arm"
@@ -650,5 +651,48 @@ func TestMacroErrors(t *testing.T) {
 	// Recursive macros are caught by the depth bound.
 	if _, err := Assemble(".macro r\nr\n.endm\nr", 0x8000); err == nil {
 		t.Error("recursive macro not caught")
+	}
+}
+
+// TestProgramImageShared: goroutines that load one program into their
+// own RAMs get one image, and a store each makes to the program's page
+// stays in its own RAM.
+func TestProgramImageShared(t *testing.T) {
+	prog, err := Assemble(".word 0x11111111\n.word 0x22222222", 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	var wg sync.WaitGroup
+	images := make([]*bus.Image, n)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			images[g] = prog.Image()
+			r := bus.NewRAM(1 << 20)
+			if !r.LoadImage(images[g]) {
+				t.Error("LoadImage rejected")
+				return
+			}
+			r.Write32(0x8000, uint32(g))
+			if v, _ := r.Read32(0x8000); v != uint32(g) {
+				t.Errorf("goroutine %d read back %#x", g, v)
+			}
+			if v, _ := r.Read32(0x8004); v != 0x22222222 {
+				t.Errorf("goroutine %d: program word = %#x", g, v)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, img := range images[1:] {
+		if img != images[0] {
+			t.Fatal("Image built more than once")
+		}
+	}
+	r := bus.NewRAM(1 << 20)
+	r.LoadImage(prog.Image())
+	if v, _ := r.Read32(0x8000); v != 0x11111111 {
+		t.Fatalf("the image holds %#x after stores into loaded copies", v)
 	}
 }

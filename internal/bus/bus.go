@@ -8,6 +8,7 @@
 package bus
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -85,10 +86,19 @@ type Bus struct {
 	// running machine lands in RAM, so the common case is two compares
 	// instead of a binary search.
 	hot mapping
+
+	// fetchSlot is the RAM table entry of the page at address fetchBase
+	// that Fetch32 last read from, or noPage.
+	fetchBase uint32
+	fetchSlot **page
 }
 
+// noPage is the fetch slot of a bus with no cached page; it is never
+// written, so it always reads nil.
+var noPage *page
+
 // New returns an empty bus.
-func New() *Bus { return &Bus{} }
+func New() *Bus { return &Bus{fetchSlot: &noPage} }
 
 // Map attaches region at base. Regions must not overlap.
 func (b *Bus) Map(base uint32, r Region) error {
@@ -214,6 +224,39 @@ func (b *Bus) Read32(addr uint32, kind Access) (uint32, *Fault) {
 		v |= uint32(bv) << (8 * i)
 	}
 	return v, nil
+}
+
+// Fetch32 reads an instruction word, like Read32(addr, Fetch). It keeps
+// the RAM table entry of the page it last fetched from, so a fetch from
+// that page skips the mapping lookup. Reading through the entry on every
+// fetch keeps it coherent with stores and with a copy-on-write store
+// replacing the page.
+func (b *Bus) Fetch32(addr uint32) (uint32, *Fault) {
+	if i := addr - b.fetchBase; i <= pageSize-4 {
+		if p := *b.fetchSlot; p != nil {
+			return binary.LittleEndian.Uint32(p[i:]), nil
+		}
+	}
+	v, f := b.Read32(addr, Fetch)
+	if f == nil {
+		b.fetchBase, b.fetchSlot = b.pageSlot(addr)
+	}
+	return v, f
+}
+
+// pageSlot returns the address of the page holding addr and its RAM
+// table entry, or noPage when addr is not in a RAM chunk that exists or
+// its page is not wholly inside the region.
+func (b *Bus) pageSlot(addr uint32) (uint32, **page) {
+	if m, ok := b.find(addr); ok {
+		if r, ok := m.region.(*RAM); ok {
+			off := addr - m.base
+			if e := r.entry(off); e != nil {
+				return addr - off&pageMask, e
+			}
+		}
+	}
+	return 0, &noPage
 }
 
 // Write32 writes a little-endian word.

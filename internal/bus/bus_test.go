@@ -119,8 +119,42 @@ func TestLoadReadBytes(t *testing.T) {
 	}
 }
 
+var ramSink *RAM
+
+// TestRAMAllocs pins the table's allocations: NewRAM allocates the RAM
+// and its top level, and a first write its chunk and page.
+func TestRAMAllocs(t *testing.T) {
+	fresh := testing.AllocsPerRun(20, func() { ramSink = NewRAM(16 << 20) })
+	written := testing.AllocsPerRun(20, func() {
+		ramSink = NewRAM(16 << 20)
+		ramSink.Write8(0x5000, 1)
+	})
+	if fresh != 2 || written != 4 {
+		t.Errorf("NewRAM allocated %v times and NewRAM + one write %v, want 2 and 4", fresh, written)
+	}
+}
+
+// allocated counts the chunks and pages a RAM has materialised.
+func (r *RAM) allocated() (chunks, pages int) {
+	for _, c := range r.chunks {
+		if c == nil {
+			continue
+		}
+		chunks++
+		for _, p := range c.pages {
+			if p != nil {
+				pages++
+			}
+		}
+	}
+	return chunks, pages
+}
+
 func TestRAMUntouchedReadsZero(t *testing.T) {
 	r := NewRAM(16 << 20)
+	if len(r.chunks) != 16 {
+		t.Fatalf("a 16 MiB region has %d chunks, want 16", len(r.chunks))
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for off := uint32(0); off < r.Size(); off += 0x10001 {
 			if v, ok := r.Read32(off &^ 3); !ok || v != 0 {
@@ -134,29 +168,25 @@ func TestRAMUntouchedReadsZero(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("reads of untouched pages allocated %v times", allocs)
 	}
-	for i, p := range r.pages {
-		if p != nil {
-			t.Fatalf("a read materialised page %d", i)
-		}
+	if c, p := r.allocated(); c != 0 || p != 0 {
+		t.Fatalf("reads materialised %d chunks and %d pages", c, p)
 	}
 	r.Write8(0x5000, 1)
-	if len(r.pages) != 6 {
-		t.Fatalf("page table has %d entries after one write to page 5", len(r.pages))
+	if c, p := r.allocated(); c != 1 || p != 1 || r.read(0x5000) == nil {
+		t.Fatalf("%d chunks and %d pages after one write to page 5", c, p)
 	}
-	for i, p := range r.pages {
-		if (p != nil) != (i == 5) {
-			t.Fatalf("page %d allocated = %v after one write to page 5", i, p != nil)
-		}
+	if allocs := testing.AllocsPerRun(100, func() { r.Write32(0x5ffc, 2) }); allocs != 0 {
+		t.Fatalf("a write to an owned page allocated %v times", allocs)
 	}
-	// Pages past the table's end still read as zero without growing it.
+	// Untouched pages in a materialised chunk still read as zero.
 	if v, ok := r.Read32(0x6000); !ok || v != 0 {
 		t.Fatalf("Read32(0x6000) = %#x, %v", v, ok)
 	}
 	if v, ok := r.Read8(0x5001); !ok || v != 0 {
 		t.Fatalf("Read8(0x5001) = %#x, %v", v, ok)
 	}
-	if len(r.pages) != 6 {
-		t.Fatalf("reads grew the page table to %d entries", len(r.pages))
+	if c, p := r.allocated(); c != 1 || p != 1 {
+		t.Fatalf("reads grew the table to %d chunks and %d pages", c, p)
 	}
 }
 
@@ -175,7 +205,7 @@ func TestRAMWordAcrossPageBoundary(t *testing.T) {
 		if v, ok := r.Read32(off); !ok || v != 0x1122AB44 {
 			t.Errorf("Read32(%#x) = %#x, %v", off, v, ok)
 		}
-		if r.pages[0] == nil || r.pages[1] == nil {
+		if r.read(0) == nil || r.read(pageSize) == nil {
 			t.Errorf("off %#x: straddling write did not reach both pages", off)
 		}
 	}
@@ -187,7 +217,7 @@ func TestRAMLoad(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	if !r.Load(pageSize-5, data) {
+	if !r.LoadImage(NewImage(pageSize-5, data)) {
 		t.Fatal("Load spanning three pages rejected")
 	}
 	for i, want := range data {
@@ -195,16 +225,16 @@ func TestRAMLoad(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want %#x", i, got, want)
 		}
 	}
-	if !r.Load(r.Size()-4, data[:4]) || !r.Load(r.Size(), nil) {
+	if !r.LoadImage(NewImage(r.Size()-4, data[:4])) || !r.LoadImage(NewImage(r.Size(), nil)) {
 		t.Error("Load ending exactly at the region end rejected")
 	}
-	if r.Load(r.Size()-3, data[:4]) {
+	if r.LoadImage(NewImage(r.Size()-3, data[:4])) {
 		t.Error("Load past the region end accepted")
 	}
-	if r.Load(0xFFFFFFFE, data[:4]) {
+	if r.LoadImage(NewImage(0xFFFFFFFE, data[:4])) {
 		t.Error("wrapping Load accepted")
 	}
-	if r.pages[3][pageMask-3] != data[0] || r.pages[3][pageMask-2] != data[1] {
+	if p := r.read(3 * pageSize); p[pageMask-3] != data[0] || p[pageMask-2] != data[1] {
 		t.Error("rejected Load wrote into the region")
 	}
 }
@@ -214,8 +244,11 @@ func TestRAMOddSizeFaultsAtSize(t *testing.T) {
 	if _, ok := r.Read8(0xFF); !ok {
 		t.Error("Read8 at the last byte rejected")
 	}
-	if !r.Write8(0xFF, 1) || len(r.pages) != 1 {
-		t.Fatalf("%d pages after writing the last byte of a 0x100-byte region", len(r.pages))
+	if !r.Write8(0xFF, 1) {
+		t.Fatal("Write8 at the last byte rejected")
+	}
+	if c, p := r.allocated(); c != 1 || p != 1 {
+		t.Fatalf("%d chunks and %d pages after writing the last byte of a 0x100-byte region", c, p)
 	}
 	if _, ok := r.Read8(0x100); ok {
 		t.Error("Read8 at size accepted")

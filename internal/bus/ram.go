@@ -1,54 +1,99 @@
 package bus
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
-// RAM pages are allocated on first write; an untouched page reads as zero.
+// Page and chunk geometry. A chunk spans one megabyte, one kernel process
+// region, so a process's code, data and stack pages share one chunk.
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	pageShift  = 12
+	pageSize   = 1 << pageShift
+	pageMask   = pageSize - 1
+	chunkShift = 20
+	chunkSize  = 1 << chunkShift
+	chunkPages = 1 << (chunkShift - pageShift)
 )
 
-// RAM is a byte-addressable memory region backed by a table of lazily
-// allocated pages, so a large region costs only the pages a program
-// writes. The table itself grows to the highest page written; a page
-// past its end reads as zero, like a nil one. The zero value is
-// unusable; use NewRAM.
+type page = [pageSize]byte
+
+// chunk maps chunkSize bytes of a RAM. A nil page reads as zero.
+type chunk struct {
+	pages [chunkPages]*page
+	// shared has bit i set while pages[i] belongs to an Image: reads use
+	// it in place, and the first store replaces it with a private copy.
+	shared [chunkPages / 64]uint64
+}
+
+// own gives page i of the chunk a private page, a zero page or a copy of
+// the shared image page it replaces, and returns it.
+func (c *chunk) own(i uint32) *page {
+	p := new(page)
+	if src := c.pages[i]; src != nil {
+		*p = *src
+		c.shared[i/64] &^= 1 << (i % 64)
+	}
+	c.pages[i] = p
+	return p
+}
+
+// RAM is a byte-addressable memory region backed by a two-level table of
+// lazily allocated pages, so a large region costs only the chunks and
+// pages a program writes. A loaded Image's pages are mapped, not copied,
+// and copied on their first store. The zero value is unusable; use
+// NewRAM.
 type RAM struct {
-	pages []*[pageSize]byte
-	size  uint32
+	chunks []*chunk
+	size   uint32
 }
 
 // NewRAM returns a zero-filled RAM region of size bytes.
 func NewRAM(size uint32) *RAM {
-	return &RAM{size: size}
+	return &RAM{chunks: make([]*chunk, (uint64(size)+chunkSize-1)>>chunkShift), size: size}
 }
 
 // Size reports the region size in bytes.
 func (r *RAM) Size() uint32 { return r.size }
 
-// page returns the page holding off, allocating it, and growing the
-// table to reach it, on first use.
-func (r *RAM) page(off uint32) *[pageSize]byte {
-	i := int(off >> pageShift)
-	if i >= len(r.pages) {
-		r.pages = slices.Grow(r.pages, i+1-len(r.pages))[:i+1]
-	}
-	p := r.pages[i]
-	if p == nil {
-		p = new([pageSize]byte)
-		r.pages[i] = p
+// page returns the private page holding off, allocating its chunk and the
+// page, or copying a shared image page, on the first store to it. off
+// must be below the region size.
+func (r *RAM) page(off uint32) *page {
+	c, i := r.slot(off)
+	p := c.pages[i]
+	if p == nil || c.shared[i/64]&(1<<(i%64)) != 0 {
+		p = c.own(i)
 	}
 	return p
 }
 
-// read returns the page holding off, or nil when it was never written.
-func (r *RAM) read(off uint32) *[pageSize]byte {
-	if i := int(off >> pageShift); i < len(r.pages) {
-		return r.pages[i]
+// slot returns the chunk holding off, allocating it on first use, and
+// the index of off's page in it. off must be below the region size.
+func (r *RAM) slot(off uint32) (*chunk, uint32) {
+	c := r.chunks[off>>chunkShift]
+	if c == nil {
+		c = new(chunk)
+		r.chunks[off>>chunkShift] = c
+	}
+	return c, off >> pageShift & (chunkPages - 1)
+}
+
+// read returns the page holding off, which may be a shared image page, or
+// nil when it was never written or loaded. off must be below the region
+// size.
+func (r *RAM) read(off uint32) *page {
+	if c := r.chunks[off>>chunkShift]; c != nil {
+		return c.pages[off>>pageShift&(chunkPages-1)]
+	}
+	return nil
+}
+
+// entry returns the table entry of the page holding off, or nil when its
+// chunk was never written or the page is not wholly inside the region.
+func (r *RAM) entry(off uint32) **page {
+	if off|pageMask >= r.size {
+		return nil
+	}
+	if c := r.chunks[off>>chunkShift]; c != nil {
+		return &c.pages[off>>pageShift&(chunkPages-1)]
 	}
 	return nil
 }
@@ -111,16 +156,54 @@ func (r *RAM) Write32(off uint32, v uint32) bool {
 	return true
 }
 
-// Load copies data into the region starting at off, for program loading.
-// It reports false, copying nothing, when data does not fit.
-func (r *RAM) Load(off uint32, data []byte) bool {
-	if uint64(off)+uint64(len(data)) > uint64(r.size) {
+// LoadImage copies img into the region at the image's offset, for
+// program loading. A page the region has never written maps the image's
+// page read-only instead, to be copied on its first store. It reports
+// false, loading nothing, when the image does not fit.
+func (r *RAM) LoadImage(img *Image) bool {
+	if uint64(img.off)+uint64(len(img.data)) > uint64(r.size) {
 		return false
 	}
-	for len(data) > 0 {
-		n := copy(r.page(off)[off&pageMask:], data)
-		data = data[n:]
-		off += uint32(n)
+	for k, src := range img.pages {
+		base := img.off&^pageMask + uint32(k)<<pageShift
+		if r.read(base) != nil {
+			lo := max(base, img.off)
+			copy(r.page(base)[lo&pageMask:], img.data[lo-img.off:])
+			continue
+		}
+		c, i := r.slot(base)
+		c.pages[i] = src
+		c.shared[i/64] |= 1 << (i % 64)
 	}
 	return true
 }
+
+// Image is a read-only memory image cut into RAM pages, built once and
+// loaded into any number of RAMs, which share its pages until a store
+// copies one (RAM.LoadImage). An Image is immutable and safe for
+// concurrent use.
+type Image struct {
+	off  uint32
+	data []byte
+	// pages[k] is the k-th page the image touches, counted from the page
+	// holding off; bytes outside data are zero.
+	pages []*page
+}
+
+// NewImage cuts data, to be loaded at region offset off, into pages. It
+// copies data, so the caller may reuse it.
+func NewImage(off uint32, data []byte) *Image {
+	img := &Image{off: off, data: append([]byte(nil), data...)}
+	for i := 0; i < len(img.data); {
+		p := new(page)
+		i += copy(p[(off+uint32(i))&pageMask:], img.data[i:])
+		img.pages = append(img.pages, p)
+	}
+	return img
+}
+
+// Offset reports the region offset the image loads at.
+func (img *Image) Offset() uint32 { return img.off }
+
+// Size reports the image length in bytes.
+func (img *Image) Size() uint32 { return uint32(len(img.data)) }

@@ -49,9 +49,10 @@ func TestCDPRunAllocs(t *testing.T) {
 	}
 }
 
-// TestSwapRestoreAllocs pins the swap path at one allocation, the
-// SwappedCircuit: the evicted instance is the saved state, so neither
-// SwapOut nor Restore materialises frame bytes.
+// TestSwapRestoreAllocs pins the swap path at zero allocations: SwapOut
+// writes into a slot the caller reuses once Restore has consumed it, and
+// the evicted instance is the saved state, so neither call materialises
+// frame bytes.
 func TestSwapRestoreAllocs(t *testing.T) {
 	img, err := NewFabricImage("seqmul16", fabric.SeqMul16(), fabric.DefaultPFUSpec)
 	if err != nil {
@@ -66,18 +67,18 @@ func TestSwapRestoreAllocs(t *testing.T) {
 		t.Fatal("the instruction was not cut")
 	}
 	from := 0
+	var sc SwappedCircuit
 	allocs := testing.AllocsPerRun(100, func() {
-		sc, _, err := rfu.SwapOut(from)
-		if err != nil {
+		if _, err := rfu.SwapOut(from, &sc); err != nil {
 			t.Fatal(err)
 		}
 		from = 1 - from
-		if _, err := rfu.Restore(from, sc); err != nil {
+		if _, err := rfu.Restore(from, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("SwapOut + Restore allocated %v times, want 1 (the SwappedCircuit)", allocs)
+	if allocs != 0 {
+		t.Errorf("SwapOut + Restore into a reused slot allocated %v times", allocs)
 	}
 	exec.pfu = from
 	if _, done := exec.Run(100); !done || rfu.Regs[2] != 123*456 {

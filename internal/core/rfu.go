@@ -183,20 +183,21 @@ type SwappedCircuit struct {
 	model Model
 }
 
-// SwapOut reads back a PFU's state frames and invalidates the slot,
-// returning what the OS needs to later re-instantiate the circuit
-// mid-instruction. The byte count is the readback traffic, the image's
-// StateBytes: the evicted model keeps its registers, so no frame is
-// packed on the host.
-func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
+// SwapOut reads back a PFU's state frames into sc and invalidates the
+// slot, leaving in sc what the OS needs to later re-instantiate the
+// circuit mid-instruction. The caller owns sc and may reuse it once a
+// Restore has consumed it. The byte count is the readback traffic, the
+// image's StateBytes: the evicted model keeps its registers, so no frame
+// is packed on the host.
+func (r *RFU) SwapOut(pfuIdx int, sc *SwappedCircuit) (int, error) {
 	if pfuIdx < 0 || pfuIdx >= len(r.pfus) {
-		return nil, 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
+		return 0, fmt.Errorf("core: PFU %d out of range", pfuIdx)
 	}
 	p := &r.pfus[pfuIdx]
 	if p.model == nil {
-		return nil, 0, fmt.Errorf("core: PFU %d is empty", pfuIdx)
+		return 0, fmt.Errorf("core: PFU %d is empty", pfuIdx)
 	}
-	sc := &SwappedCircuit{
+	*sc = SwappedCircuit{
 		Image:   p.image,
 		Status:  p.status,
 		Counter: p.counter,
@@ -204,7 +205,7 @@ func (r *RFU) SwapOut(pfuIdx int) (*SwappedCircuit, int, error) {
 	}
 	r.pfus[pfuIdx] = pfu{status: true}
 	r.Stats.StateSaves++
-	return sc, sc.Image.StateBytes, nil
+	return sc.Image.StateBytes, nil
 }
 
 // Restore configures a PFU with a previously swapped circuit: the cached

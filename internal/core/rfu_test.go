@@ -300,7 +300,8 @@ func TestSwapOutRestoreMidInstruction(t *testing.T) {
 			t.Fatal("finished early")
 		}
 	}
-	sc, stateBytes, err := rfu.SwapOut(0)
+	sc := new(SwappedCircuit)
+	stateBytes, err := rfu.SwapOut(0, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +474,8 @@ func TestBehaviouralStateRoundTrip(t *testing.T) {
 	}
 	words := func(i int) []uint32 { return rfu.pfus[i].model.(*behaviouralModel).state }
 	evicted := slices.Clone(words(0))
-	sc, _, err := rfu.SwapOut(0)
-	if err != nil {
+	sc := new(SwappedCircuit)
+	if _, err := rfu.SwapOut(0, sc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rfu.Restore(1, sc); err != nil {
@@ -507,7 +508,8 @@ func TestBehaviouralStateLengthCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, saved, err := rfu.SwapOut(0)
+	sc := new(SwappedCircuit)
+	saved, err := rfu.SwapOut(0, sc)
 	if err != nil || saved != 12 {
 		t.Fatalf("SwapOut read back %d bytes (%v), want 12", saved, err)
 	}
@@ -563,8 +565,8 @@ func TestRestoreReusesEvictedModel(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		runOne(exec)
 	}
-	sc, _, err := rfu.SwapOut(0)
-	if err != nil {
+	sc := new(SwappedCircuit)
+	if _, err := rfu.SwapOut(0, sc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rfu.Restore(1, sc); err != nil {
@@ -584,8 +586,15 @@ func TestRestoreReusesEvictedModel(t *testing.T) {
 	if st := rfu.pfus[1].model.(*behaviouralModel).state; st[0] != 4 {
 		t.Fatalf("PFU 1 holds state word %d, want the saved 4", st[0])
 	}
-	e := &pfuExec{r: rfu, pfu: 1, a: 5, b: 6, dst: 3}
+	// The consumed slot takes the next eviction and restores it once.
+	if _, err := rfu.SwapOut(1, sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rfu.Restore(2, sc); err != nil || rfu.pfus[2].model != evicted {
+		t.Fatalf("restore from the reused slot: %v", err)
+	}
+	e := &pfuExec{r: rfu, pfu: 2, a: 5, b: 6, dst: 3}
 	if n, done := e.Run(100); !done || n != 6 || rfu.Regs[3] != 11 {
-		t.Fatalf("PFU 1: %d cycles, done %v, result %d; want 6, true, 11", n, done, rfu.Regs[3])
+		t.Fatalf("PFU 2: %d cycles, done %v, result %d; want 6, true, 11", n, done, rfu.Regs[3])
 	}
 }

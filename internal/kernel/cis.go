@@ -19,7 +19,11 @@ type Registration struct {
 	resident int
 	// swapped holds the state of a previously evicted live circuit, so a
 	// reload restores rather than resets it (§4.1 split configuration).
+	// Outside sharing mode it points at slot, which each eviction reuses:
+	// a registration is evicted only while resident, after Restore has
+	// consumed the slot's previous state.
 	swapped *core.SwappedCircuit
+	slot    core.SwappedCircuit
 	// shared marks registrations mapped onto another registration's
 	// instance (sharing mode).
 	sharedWith *Registration
@@ -200,8 +204,16 @@ func (c *CIS) evict(pfu int) {
 		return
 	}
 	rfu := c.k.M.RFU
-	sc, stateBytes, err := rfu.SwapOut(pfu)
-	if err == nil {
+	// A shared circuit's owners may hold the state it was restored from
+	// (see passOn), so sharing mode saves into fresh state.
+	sc := &owners[0].slot
+	if c.k.cfg.Sharing {
+		sc = new(core.SwappedCircuit)
+	}
+	stateBytes, err := rfu.SwapOut(pfu, sc)
+	if err != nil {
+		sc = nil
+	} else {
 		readback := stateBytes
 		if c.k.cfg.FullReadback {
 			// Without split configuration the whole image crosses the

@@ -230,9 +230,11 @@ func (k *Kernel) NextBase() uint32 {
 }
 
 // Spawn creates a process from an assembled program. The program must be
-// assembled at the base returned by NextBase before the call. images is
-// the application's circuit table, referenced by index from the
-// registration syscall.
+// assembled at the base returned by NextBase before the call; its pages
+// are mapped into RAM copy-on-write (asm.Program.Image), so every spawn
+// of one program shares the pages it never stores to. images is the
+// application's circuit table, referenced by index from the registration
+// syscall.
 func (k *Kernel) Spawn(name string, prog *asm.Program, images []*core.Image) (*Process, error) {
 	// The region [base, base+RegionSize) must fit the 32-bit address
 	// space without wrapping; past ~4094 processes uint32(NextBase) would
@@ -245,7 +247,7 @@ func (k *Kernel) Spawn(name string, prog *asm.Program, images []*core.Image) (*P
 	if prog.Origin < base || prog.End() > base+RegionSize {
 		return nil, fmt.Errorf("kernel: program %q at %#x..%#x outside region %#x", name, prog.Origin, prog.End(), base)
 	}
-	if err := k.M.LoadProgram(prog.Origin, prog.Code); err != nil {
+	if err := k.M.LoadProgram(prog.Image()); err != nil {
 		return nil, err
 	}
 	p := &Process{

@@ -53,10 +53,10 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadProgram(prog.Origin, prog.Code); err != nil {
+	if err := m.LoadProgram(prog.Image()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadProgram(handler.Origin, handler.Code); err != nil {
+	if err := m.LoadProgram(handler.Image()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.RFU.LoadImage(0, img); err != nil {

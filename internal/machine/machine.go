@@ -71,14 +71,7 @@ func New(cfg Config) *Machine {
 	m.CPU = arm.New(m.Bus)
 	m.RFU = core.New(cfg.RFU)
 	m.CPU.Cop[1] = m.RFU
-	m.CPU.OnTick = func(n uint32) {
-		was := m.Timer.IRQ()
-		m.Timer.Tick(uint64(n))
-		if !was && m.Timer.IRQ() {
-			m.irqAssertedAt = m.CPU.Cycles
-			m.irqAssertValid = true
-		}
-	}
+	m.CPU.OnTick = m.tickDevices
 	m.CPU.IRQLine = m.Timer.IRQ
 	m.CPU.CyclesToIRQ = m.Timer.CyclesToIRQ
 	return m
@@ -105,9 +98,15 @@ func (m *Machine) Step() uint32 { return m.CPU.Step() }
 // timer can expire during a long configuration load — exactly the
 // interaction the paper's 1 ms-quantum runs suffer from.
 func (m *Machine) Stall(cycles uint32) {
-	was := m.Timer.IRQ()
 	m.CPU.Cycles += uint64(cycles)
-	m.Timer.Tick(uint64(cycles))
+	m.tickDevices(cycles)
+}
+
+// tickDevices advances the timer by n cycles that have already reached
+// CPU.Cycles, recording the cycle at which its interrupt line rises.
+func (m *Machine) tickDevices(n uint32) {
+	was := m.Timer.IRQ()
+	m.Timer.Tick(uint64(n))
 	if !was && m.Timer.IRQ() {
 		m.irqAssertedAt = m.CPU.Cycles
 		m.irqAssertValid = true
@@ -122,10 +121,11 @@ func (m *Machine) StallForConfig(nBytes int) uint32 {
 	return cycles
 }
 
-// LoadProgram copies an assembled image into RAM.
-func (m *Machine) LoadProgram(origin uint32, code []byte) error {
-	if !m.RAM.Load(origin, code) {
-		return fmt.Errorf("machine: program at %#x (%d bytes) exceeds RAM", origin, len(code))
+// LoadProgram loads a program image into RAM, sharing its pages until
+// the program stores to one (bus.RAM.LoadImage).
+func (m *Machine) LoadProgram(img *bus.Image) error {
+	if !m.RAM.LoadImage(img) {
+		return fmt.Errorf("machine: program at %#x (%d bytes) exceeds RAM", img.Offset(), img.Size())
 	}
 	return nil
 }

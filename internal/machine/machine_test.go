@@ -19,7 +19,7 @@ hang:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadProgram(prog.Origin, prog.Code); err != nil {
+	if err := m.LoadProgram(prog.Image()); err != nil {
 		t.Fatal(err)
 	}
 	m.CPU.SetCPSR(uint32(arm.ModeSys) | arm.FlagI | arm.FlagF)
@@ -35,7 +35,7 @@ hang:
 func TestTimerIRQDuringExecution(t *testing.T) {
 	m := New(Config{})
 	prog, _ := asm.Assemble("spin: b spin", 0x8000)
-	m.LoadProgram(prog.Origin, prog.Code)
+	m.LoadProgram(prog.Image())
 	m.CPU.SetCPSR(uint32(arm.ModeSys)) // IRQs enabled
 	m.CPU.R[arm.PC] = prog.Origin
 	m.Timer.SetPeriod(50)
@@ -86,17 +86,17 @@ func TestStallForConfigBandwidth(t *testing.T) {
 
 func TestLoadProgramBounds(t *testing.T) {
 	m := New(Config{RAMBytes: 0x1000})
-	err := m.LoadProgram(0xF00, make([]byte, 0x200))
+	err := m.LoadProgram(bus.NewImage(0xF00, make([]byte, 0x200)))
 	if want := "machine: program at 0xf00 (512 bytes) exceeds RAM"; err == nil || err.Error() != want {
 		t.Fatalf("out-of-RAM load: %v, want %q", err, want)
 	}
-	if err := m.LoadProgram(0xFFFFFFF0, make([]byte, 0x20)); err == nil {
+	if err := m.LoadProgram(bus.NewImage(0xFFFFFFF0, make([]byte, 0x20))); err == nil {
 		t.Fatal("wrapping load accepted")
 	}
-	if err := m.LoadProgram(0x100, make([]byte, 0x200)); err != nil {
+	if err := m.LoadProgram(bus.NewImage(0x100, make([]byte, 0x200))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadProgram(0xE00, make([]byte, 0x200)); err != nil {
+	if err := m.LoadProgram(bus.NewImage(0xE00, make([]byte, 0x200))); err != nil {
 		t.Fatalf("load ending at the last RAM byte: %v", err)
 	}
 
@@ -106,7 +106,7 @@ func TestLoadProgramBounds(t *testing.T) {
 	for i := range code {
 		code[i] = byte(i * 13)
 	}
-	if err := m.LoadProgram(0x8F80, code); err != nil {
+	if err := m.LoadProgram(bus.NewImage(0x8F80, code)); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range code {
@@ -125,7 +125,7 @@ func TestMMIOVisibleToCPU(t *testing.T) {
 done:
 	b done
 `, 0x8000)
-	m.LoadProgram(prog.Origin, prog.Code)
+	m.LoadProgram(prog.Image())
 	m.CPU.SetCPSR(uint32(arm.ModeSys) | arm.FlagI | arm.FlagF)
 	m.CPU.R[arm.PC] = prog.Origin
 	for i := 0; i < 10; i++ {
@@ -145,7 +145,7 @@ func TestRFUAttachedAsCop1(t *testing.T) {
 done:
 	b done
 `, 0x8000)
-	m.LoadProgram(prog.Origin, prog.Code)
+	m.LoadProgram(prog.Image())
 	m.CPU.SetCPSR(uint32(arm.ModeSys) | arm.FlagI | arm.FlagF)
 	m.CPU.R[arm.PC] = prog.Origin
 	for i := 0; i < 10; i++ {
@@ -195,7 +195,7 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LoadProgram(prog.Origin, prog.Code)
+	m.LoadProgram(prog.Image())
 	m.CPU.SetCPSR(uint32(arm.ModeSvc) | arm.FlagI | arm.FlagF) // privileged
 	m.CPU.R[arm.PC] = prog.Origin
 	for i := 0; i < 40; i++ {
@@ -235,7 +235,7 @@ func TestUserModePrivilegedEncodingsTrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.LoadProgram(prog.Origin, prog.Code)
+		m.LoadProgram(prog.Image())
 		m.CPU.SetCPSR(uint32(arm.ModeUsr) | arm.FlagI | arm.FlagF)
 		m.CPU.R[arm.PC] = prog.Origin
 		m.Step()

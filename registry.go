@@ -65,8 +65,9 @@ type templateKey struct {
 // asmCache memoizes assembled programs by (source, origin). Processes
 // spawn at deterministic region bases, so a sweep re-running one template
 // across many sessions assembles each (template, base) pair once instead
-// of once per spawn; assembled programs are immutable (the kernel copies
-// the code into machine RAM), so sharing them is safe.
+// of once per spawn. Assembled programs are immutable, so sharing them is
+// safe, and so is sharing their page images: the kernel maps a program's
+// pages into machine RAM copy-on-write (asm.Program.Image).
 var asmCache memo.Cache[asmKey, *asm.Program]
 
 type asmKey struct {
