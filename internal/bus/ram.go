@@ -161,14 +161,18 @@ func (r *RAM) Write32(off uint32, v uint32) bool {
 // page read-only instead, to be copied on its first store. It reports
 // false, loading nothing, when the image does not fit.
 func (r *RAM) LoadImage(img *Image) bool {
-	if uint64(img.off)+uint64(len(img.data)) > uint64(r.size) {
+	if uint64(img.off)+uint64(img.size) > uint64(r.size) {
 		return false
 	}
+	end := img.off + img.size
 	for k, src := range img.pages {
 		base := img.off&^pageMask + uint32(k)<<pageShift
 		if r.read(base) != nil {
-			lo := max(base, img.off)
-			copy(r.page(base)[lo&pageMask:], img.data[lo-img.off:])
+			lo, hi := max(base, img.off)&pageMask, uint32(pageSize)
+			if end-base < pageSize {
+				hi = end - base
+			}
+			copy(r.page(base)[lo:hi], src[lo:hi])
 			continue
 		}
 		c, i := r.slot(base)
@@ -183,20 +187,19 @@ func (r *RAM) LoadImage(img *Image) bool {
 // copies one (RAM.LoadImage). An Image is immutable and safe for
 // concurrent use.
 type Image struct {
-	off  uint32
-	data []byte
+	off, size uint32
 	// pages[k] is the k-th page the image touches, counted from the page
-	// holding off; bytes outside data are zero.
+	// holding off; bytes outside [off, off+size) are zero.
 	pages []*page
 }
 
 // NewImage cuts data, to be loaded at region offset off, into pages. It
 // copies data, so the caller may reuse it.
 func NewImage(off uint32, data []byte) *Image {
-	img := &Image{off: off, data: append([]byte(nil), data...)}
-	for i := 0; i < len(img.data); {
+	img := &Image{off: off, size: uint32(len(data))}
+	for i := 0; i < len(data); {
 		p := new(page)
-		i += copy(p[(off+uint32(i))&pageMask:], img.data[i:])
+		i += copy(p[(off+uint32(i))&pageMask:], data[i:])
 		img.pages = append(img.pages, p)
 	}
 	return img
@@ -206,4 +209,4 @@ func NewImage(off uint32, data []byte) *Image {
 func (img *Image) Offset() uint32 { return img.off }
 
 // Size reports the image length in bytes.
-func (img *Image) Size() uint32 { return uint32(len(img.data)) }
+func (img *Image) Size() uint32 { return img.size }

@@ -38,10 +38,6 @@ type TLB struct {
 	vals  []uint32
 	valid []bool
 	next  int // round-robin insertion cursor
-	// last is the entry find matched most recently; a CDP loop re-probes
-	// one tuple, so find checks it before scanning. Valid keys are
-	// unique, so the check changes no result.
-	last int
 
 	// Lookups and Misses count CAM probes for statistics.
 	Lookups uint64
@@ -64,12 +60,8 @@ func (t *TLB) Size() int { return len(t.keys) }
 // invalidated entry keeps its key, so a match is checked for validity
 // and the scan goes on past a stale one.
 func (t *TLB) find(k uint64) int {
-	if i := t.last; i < len(t.keys) && t.keys[i] == k && t.valid[i] {
-		return i
-	}
 	for i, x := range t.keys {
 		if x == k && t.valid[i] {
-			t.last = i
 			return i
 		}
 	}
