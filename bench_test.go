@@ -147,12 +147,14 @@ func BenchmarkFleet1kNodes(b *testing.B) {
 	b.ReportMetric(float64(fr.Makespan), "makespan-cycles")
 }
 
-// BenchmarkObsOverhead times untraced fleet scenario runs, then makes
-// one run with Chrome tracing and metrics enabled and checks that it
-// produced a metrics snapshot. The traced/untraced cost ratio is
-// perfbench's trace.overhead_ratio, which interleaves the two modes
-// over many runs; a single probe here measured only noise.
-func BenchmarkObsOverhead(b *testing.B) {
+// BenchmarkFleetScenarioUntraced times untraced fleet scenario runs
+// (RunScenario of a 9-job Poisson fleet under deferring admission and
+// affinity placement), then makes one run with Chrome tracing and
+// metrics enabled and checks that it produced a metrics snapshot. The
+// traced/untraced cost ratio is perfbench's trace.overhead_ratio, which
+// interleaves the two modes over many runs; a single probe here measured
+// only noise.
+func BenchmarkFleetScenarioUntraced(b *testing.B) {
 	scenario := func() protean.Scenario {
 		sc := testScenario(9)
 		sc.Arrivals = protean.ArrivalSpec{Process: protean.ArrivalPoisson, MeanGap: 30_000}

@@ -7,11 +7,11 @@
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
 // layer — daemon submit throughput, and the wire codec's encode and
-// decode of a ResultOK frame). Each file runs its benchmark suite five times (-count 5), every
-// sample for at least 200ms of benchmark time, and records the median of
-// every reported metric (ns/op, allocs, and the custom metrics the
-// benchmarks emit — speedup-vs-gate-x, jobs/sec, ...) as a
-// benchmark-name → metric map.
+// decode of a ResultOK frame). Each file runs its benchmark suite five
+// times (-count 5), every sample for at least 200ms of benchmark time,
+// and records the min, median and max of every reported metric (ns/op,
+// allocs, and the custom metrics the benchmarks emit — speedup-vs-gate-x,
+// jobs/sec, ...) as a benchmark-name → metric map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
 // it runs `benchjson -check`, which runs each suite for one iteration
@@ -21,10 +21,13 @@
 // the same commit.
 //
 // `benchjson -compare old.json new.json` reads two trajectory files and,
-// for every metric both hold, prints the old → new median and their
-// ratio, flagging a metric that moved outside its band (see band): ns/op,
-// B/op and allocs/op are lower-is-better, every other metric
-// higher-is-better. It exits nonzero when a flagged move is a regression.
+// for every metric both hold, prints the old → new median, each with its
+// [min, max] over the samples, and their ratio. It flags a metric that
+// moved (see moved): an allocation metric whose median changed at all,
+// or a timing whose two intervals separate and whose median moved past
+// its band. ns/op, B/op and allocs/op are lower-is-better, every other
+// metric higher-is-better. It exits nonzero when a flagged move is a
+// regression.
 //
 // Usage:
 //
@@ -80,7 +83,7 @@ var suites = []struct {
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
 			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterShareGroups|" +
-				"BenchmarkFleet1kNodes|BenchmarkObsOverhead|BenchmarkScenario)$"},
+				"BenchmarkFleet1kNodes|BenchmarkFleetScenarioUntraced|BenchmarkScenario)$"},
 			{"./internal/cluster", "^BenchmarkReplay$"},
 		},
 	},
@@ -101,10 +104,22 @@ type trajectory struct {
 	Comment string `json:"comment"`
 	// Benchmarks maps benchmark name (Benchmark prefix and -GOMAXPROCS
 	// suffix stripped) to its reported metrics.
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	Benchmarks map[string]map[string]spread `json:"benchmarks"`
 }
 
-// Written files hold the median of writeCount samples, each at least
+// spread is one metric over a suite's samples.
+type spread struct {
+	Min    float64 `json:"min"`
+	Median float64 `json:"median"`
+	Max    float64 `json:"max"`
+}
+
+// String renders s as its median and [min, max].
+func (s spread) String() string {
+	return fmt.Sprintf("%.4g [%.4g, %.4g]", s.Median, s.Min, s.Max)
+}
+
+// Written files hold the spread of writeCount samples, each at least
 // writeBenchtime long; -check compares names only, so one iteration of
 // one sample does.
 const (
@@ -133,7 +148,7 @@ func main() {
 			os.Exit(2)
 		}
 		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d metric(s) regressed past their band\n", regressions)
+			fmt.Fprintf(os.Stderr, "benchjson: %d metric(s) regressed\n", regressions)
 			os.Exit(1)
 		}
 		return
@@ -190,7 +205,7 @@ func main() {
 	}
 }
 
-// run executes one pinned suite and records the median of every metric
+// run executes one pinned suite and records the spread of every metric
 // it reports.
 func run(comment string, runs []benchRun, benchtime, count string) (*trajectory, error) {
 	samples := make(map[string]map[string][]float64)
@@ -209,22 +224,22 @@ func run(comment string, runs []benchRun, benchtime, count string) (*trajectory,
 	}
 	tr := &trajectory{
 		Comment:    comment,
-		Benchmarks: make(map[string]map[string]float64, len(samples)),
+		Benchmarks: make(map[string]map[string]spread, len(samples)),
 	}
 	for name, metrics := range samples {
-		tr.Benchmarks[name] = make(map[string]float64, len(metrics))
+		tr.Benchmarks[name] = make(map[string]spread, len(metrics))
 		for k, vs := range metrics {
-			tr.Benchmarks[name][k] = median(vs)
+			tr.Benchmarks[name][k] = spreadOf(vs)
 		}
 	}
 	return tr, nil
 }
 
-// median returns the middle value of vs, reordering vs. Sample counts
-// are odd (writeCount, or one under -check).
-func median(vs []float64) float64 {
+// spreadOf returns the min, middle value and max of vs, reordering vs.
+// Sample counts are odd (writeCount, or one under -check).
+func spreadOf(vs []float64) spread {
 	sort.Float64s(vs)
-	return vs[len(vs)/2]
+	return spread{Min: vs[0], Median: vs[len(vs)/2], Max: vs[len(vs)-1]}
 }
 
 // parse appends every metric sample in `go test -bench` output to dst.
@@ -267,7 +282,7 @@ func load(path string) (*trajectory, error) {
 
 // schemaDrift reports benchmarks and metric keys present in one side
 // but not the other, as human-readable lines. Values are ignored.
-func schemaDrift(want, got map[string]map[string]float64) []string {
+func schemaDrift(want, got map[string]map[string]spread) []string {
 	var drift []string
 	for _, name := range sortedKeys(want) {
 		g, ok := got[name]
@@ -275,12 +290,12 @@ func schemaDrift(want, got map[string]map[string]float64) []string {
 			drift = append(drift, fmt.Sprintf("benchmark %s: in file, not reported by suite", name))
 			continue
 		}
-		for _, k := range sortedMetricKeys(want[name]) {
+		for _, k := range sortedKeys(want[name]) {
 			if _, ok := g[k]; !ok {
 				drift = append(drift, fmt.Sprintf("benchmark %s: metric %q in file, not reported", name, k))
 			}
 		}
-		for _, k := range sortedMetricKeys(g) {
+		for _, k := range sortedKeys(g) {
 			if _, ok := want[name][k]; !ok {
 				drift = append(drift, fmt.Sprintf("benchmark %s: metric %q reported, not in file", name, k))
 			}
@@ -294,7 +309,7 @@ func schemaDrift(want, got map[string]map[string]float64) []string {
 	return drift
 }
 
-func sortedKeys(m map[string]map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -303,24 +318,22 @@ func sortedKeys(m map[string]map[string]float64) []string {
 	return keys
 }
 
-func sortedMetricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// band is how far, as a fraction of the old median, a timing's median
+// must move before -compare flags it.
+const band = 0.10
 
-// band is how far, as a fraction of the old median, a metric may move
-// before -compare flags it. Timings are noisy medians of five samples;
-// allocation counts and sizes are exact, so any growth is flagged.
-func band(metric string) float64 {
+// moved reports whether metric moved from o to n. Allocation counts and
+// sizes are exact, so any change moves them. Timings vary from run to
+// run, so one moves only when every new sample lies on one side of every
+// old one (the [min, max] intervals separate) and the median moved past
+// the band.
+func moved(metric string, o, n spread) bool {
 	switch metric {
 	case "B/op", "allocs/op":
-		return 0
+		return n.Median != o.Median
 	}
-	return 0.10
+	separate := n.Min > o.Max || n.Max < o.Min
+	return separate && math.Abs(n.Median/o.Median-1) > band
 }
 
 // lowerIsBetter reports a metric's direction: the per-op costs go down
@@ -349,18 +362,18 @@ func compare(w io.Writer, oldPath, newPath string) (regressions int, err error) 
 		if !ok {
 			continue
 		}
-		for _, metric := range sortedMetricKeys(oldTr.Benchmarks[name]) {
+		for _, metric := range sortedKeys(oldTr.Benchmarks[name]) {
 			nv, ok := nm[metric]
 			if !ok {
 				continue
 			}
 			ov := oldTr.Benchmarks[name][metric]
-			ratio := nv / ov
-			if ov == nv {
+			ratio := nv.Median / ov.Median
+			if ov.Median == nv.Median {
 				ratio = 1
 			}
-			line := fmt.Sprintf("%-36s %-18s %10.4g → %-10.4g %7.3fx", name, metric, ov, nv, ratio)
-			if math.Abs(ratio-1) > band(metric) {
+			line := fmt.Sprintf("%-36s %-18s %28s → %-28s %7.3fx", name, metric, ov, nv, ratio)
+			if moved(metric, ov, nv) {
 				if (ratio > 1) == lowerIsBetter(metric) {
 					line += "  REGRESSION"
 					regressions++

@@ -2,10 +2,12 @@
 // 500-CLB PFU fabric and reports synthesis statistics: LUT/FF counts
 // before and after optimisation, placement utilisation, wirelength, the
 // size of the two configuration sections (§4.1's full image vs state
-// frames) and the compiled program's ops: the configuration's LUTs
-// (ops), the per-cycle schedules Step runs when init is high (init=1)
-// and low (init=0), and the whole-instruction burst with its length in
-// cycles (burst (K); "-" when the circuit has none).
+// frames) and the compiled program's work: the LUTs the configuration
+// evaluates per cycle (pfu-luts), then, as ops/LUTs (an op evaluates one
+// or two mapped LUTs over one pin set), the per-cycle schedules Step runs
+// when init is high (init=1) and low (init=0), and the whole-instruction
+// burst with its length in cycles (burst (K); "-" when the circuit has
+// none).
 //
 // With -lint the tool additionally runs the fabric netlist linter
 // (fabric.Lint and fabric.LintConfig) over every optimised circuit and
@@ -67,9 +69,9 @@ func main() {
 
 	fmt.Printf("PFU fabric: %dx%d = %d CLBs; static image %d bytes, state frames %d bytes\n\n",
 		spec.W, spec.H, spec.CLBs(), fabric.StaticBytes(spec), fabric.StateBytes(spec))
-	fmt.Printf("%-12s %8s %8s %8s %6s %6s %7s %10s %6s %6s %6s %6s %10s\n",
+	fmt.Printf("%-12s %8s %8s %8s %6s %6s %7s %10s %6s %8s %8s %8s %14s\n",
 		"circuit", "luts", "luts-opt", "ffs", "depth", "cells", "util%", "wirelength", "maxw",
-		"ops", "init=1", "init=0", "burst (K)")
+		"pfu-luts", "init=1", "init=0", "burst (K)")
 	findings := 0
 	for _, c := range circuits {
 		n := c.mk()
@@ -107,15 +109,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fplstat: %s: compile: %v\n", c.name, err)
 			os.Exit(1)
 		}
-		ops, byInit, burst := prog.Ops()
+		luts, byInit, burst := prog.Ops()
+		work := func(n fabric.OpCount) string { return fmt.Sprintf("%d/%d", n.Ops, n.LUTs) }
 		burstCol := "-"
 		if k := prog.BurstCycles(); k > 0 {
-			burstCol = fmt.Sprintf("%d (%d)", burst, k)
+			burstCol = fmt.Sprintf("%s (%d)", work(burst), k)
 		}
-		fmt.Printf("%-12s %8d %8d %8d %6d %6d %6.1f%% %10d %6d %6d %6d %6d %10s\n",
+		fmt.Printf("%-12s %8d %8d %8d %6d %6d %6.1f%% %10d %6d %8d %8s %8s %14s\n",
 			c.name, before.LUTs, after.LUTs, after.FFs, after.Depth,
 			stats.Cells, stats.Utilization*100, stats.Wirelength, stats.MaxWire,
-			ops, byInit[1], byInit[0], burstCol)
+			luts, work(byInit[1]), work(byInit[0]), burstCol)
 		if *lint {
 			findings += lintCircuit(c.name, n, cfg)
 		}

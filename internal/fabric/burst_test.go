@@ -306,46 +306,74 @@ func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsCorruptBurst corrupts alphablend's compiled burst one
-// way at a time and requires Verify to reject each program: a flipped
-// table bit, an op whose witness is another op's ref, an op that reads
-// a wire no earlier op writes, and an op missing an operand pin its
-// witness's cone reads, so the cone escapes the op's inputs.
+// TestVerifyRejectsCorruptBurst corrupts alphablend's compiled program
+// one way at a time and requires Verify to reject each: in the burst, a
+// flipped table bit, an op whose witness is another op's ref, an op that
+// reads a wire no earlier op writes, and an op missing an operand pin its
+// witness's cone reads, so the cone escapes the op's inputs; on a paired
+// burst op, a flipped bit in the high table half, the two halves swapped
+// with their witnesses kept, and a high half standing for the low half's
+// witness; on an op with one LUT, a high half that is not 0; and a
+// flipped table bit in the init=0 schedule, which the BDD proof of
+// compiledSym, not the witness check, rejects.
 func TestVerifyRejectsCorruptBurst(t *testing.T) {
 	cfg := placeT(t, AlphaBlend())
 	prog := compileT(t, cfg)
 	s := &prog.burst
 	n := len(s.tab)
-	// An op reading an operand wire on its first pin.
-	operand := -1
+	// An op reading an operand wire on its first pin, a paired op whose
+	// two tables differ and an op with one LUT.
+	operand, paired, single := -1, -1, -1
 	for k := range s.in {
-		if s.in[k][0] < WireInit {
+		if operand < 0 && s.in[k][0] < WireInit {
 			operand = k
+		}
+		if paired < 0 && s.wit[2*k+1] != symConst0 && uint16(s.tab[k]) != uint16(s.tab[k]>>16) {
+			paired = k
+		}
+		if single < 0 && s.wit[2*k+1] == symConst0 {
+			single = k
+		}
+	}
+	if operand < 0 || paired < 0 || single < 0 {
+		t.Fatalf("burst has no operand-reading op (%d), paired op (%d) or one-LUT op (%d)", operand, paired, single)
+	}
+	cyclePaired := -1
+	for k := range prog.sched[0].in {
+		if prog.sched[0].wit[2*k+1] != symConst0 {
+			cyclePaired = k
 			break
 		}
 	}
-	if operand < 0 {
-		t.Fatal("no burst op reads an operand on its first pin")
+	if cyclePaired < 0 {
+		t.Fatal("the init=0 schedule has no paired op")
 	}
 	cases := []struct {
 		name, want string
-		corrupt    func(s *schedule)
+		corrupt    func(c *Compiled)
 	}{
-		{"flipped table bit", "differs from its witness", func(s *schedule) { s.tab[n/2] ^= 1 }},
-		{"wrong witness", "", func(s *schedule) { s.wit[n/2] = s.wit[n/2+1] }},
-		{"read of a later op's wire", "before writing it", func(s *schedule) { s.in[0][0] = s.out0 + uint32(n-1) }},
-		{"cone escapes its inputs", "not one of its inputs", func(s *schedule) { s.in[operand][0] = wireConst0 }},
+		{"flipped table bit", "differs from its witness", func(c *Compiled) { c.burst.tab[n/2] ^= 1 }},
+		{"wrong witness", "", func(c *Compiled) { c.burst.wit[2*(n/2)] = c.burst.wit[2*(n/2+1)] }},
+		{"read of a later op's wire", "before writing it", func(c *Compiled) { c.burst.in[0][0] = c.burst.out0 + uint32(2*n-1) }},
+		{"cone escapes its inputs", "not one of its inputs", func(c *Compiled) { c.burst.in[operand][0] = wireConst0 }},
+		{"flipped high table bit", "differs from its witness", func(c *Compiled) { c.burst.tab[paired] ^= 1 << 16 }},
+		{"swapped table halves", "differs from its witness", func(c *Compiled) {
+			c.burst.tab[paired] = c.burst.tab[paired]>>16 | c.burst.tab[paired]<<16
+		}},
+		{"wrong second witness", "differs from its witness", func(c *Compiled) { c.burst.wit[2*paired+1] = c.burst.wit[2*paired] }},
+		{"non-zero high half of one LUT", "differs from its witness", func(c *Compiled) { c.burst.tab[single] |= 1 << 16 }},
+		{"flipped init=0 table bit", "", func(c *Compiled) { c.sched[0].tab[cyclePaired] ^= 1 << 16 }},
 	}
 	for _, tc := range cases {
 		bad := *prog
-		bad.burst.in = slices.Clone(s.in)
-		bad.burst.tab = slices.Clone(s.tab)
-		bad.burst.wit = slices.Clone(s.wit)
-		tc.corrupt(&bad.burst)
-		_, err := bad.Verify(cfg)
-		if err == nil {
-			t.Errorf("%s: Verify accepted the corrupt burst", tc.name)
-		} else if !strings.Contains(err.Error(), tc.want) {
+		for _, s := range []*schedule{&bad.burst, &bad.sched[0]} {
+			s.in, s.tab, s.wit = slices.Clone(s.in), slices.Clone(s.tab), slices.Clone(s.wit)
+		}
+		tc.corrupt(&bad)
+		rep, err := bad.Verify(cfg)
+		if err == nil && rep.Equivalent {
+			t.Errorf("%s: Verify accepted the corrupt program", tc.name)
+		} else if err != nil && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Verify error %q, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}

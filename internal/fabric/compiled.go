@@ -16,8 +16,9 @@ import "encoding/binary"
 // pinned to a constant. Registers are input wires of the pass, and each
 // register's next-state ref becomes a latch tap. emit re-covers the
 // gates a set of roots needs with 4-input LUTs (the priority-cut mapper
-// in lutmap.go), one op per LUT ordered by level and arity, plus the
-// output taps and latches. Three schedules come out of it:
+// in lutmap.go) and pairs the LUTs that read one leaf set into one op,
+// ordered by level, plus the output taps and latches. Three schedules
+// come out of it:
 //
 //   - sched[1]: one cycle with init high (the first of an instruction);
 //   - sched[0]: one cycle with init low (every later cycle);
@@ -60,8 +61,8 @@ const maxBurstCycles = 64
 // No pass writes the init wire (every schedule has init pinned), so it
 // is the constant-0 wire; the constant-1 wire follows it, set once when
 // an instance is stamped. Each pass gives the registers it reads wires
-// wireReg0.. in register order, and its op k writes the k-th wire after
-// them.
+// wireReg0.. in register order, and its op k writes the wires 2k and
+// 2k+1 after them.
 const (
 	wireConst0 = WireInit
 	wireConst1 = WireInit + 1
@@ -70,18 +71,19 @@ const (
 
 // schedule is the work of one pass over the scratch.
 type schedule struct {
-	// Combinational ops grouped by dependency level and, within a level,
-	// by input arity: every input is computed before its consumer, and
-	// segs lets the settle loop run an arity-specialised inner loop per
-	// run of same-arity ops (a 2-input LUT costs two wire loads, not
-	// four). Op k reads wires in[k] through table tab[k] and writes wire
-	// out0+k, so its store address is known before its loads. wit[k] is
-	// the ref of the unrolled builder that op k stands for; run never
-	// reads it, Verify checks the burst against it.
+	// Combinational ops ordered by dependency level: every input is
+	// computed before its consumer. Each op is a pair of LUTs over one pin
+	// set, like the two outputs of a fracturable LUT: op k reads wires
+	// in[k] into one index, writes the low half of tab[k] at it to wire
+	// out0+2k and the high half to wire out0+2k+1, so both store
+	// addresses are known before its loads. An op with one LUT has a high
+	// half of 0.
+	// wit[2k] and wit[2k+1] are the refs of the unrolled builder the two
+	// halves stand for (symConst0 for an empty high half); run never reads
+	// them, Verify checks the burst against them.
 	in   [][4]uint32
-	tab  []uint16
+	tab  []uint32
 	wit  []int32
-	segs []opSeg
 	out0 uint32
 
 	// refresh copies the registers the pass reads into their wires
@@ -96,12 +98,6 @@ type schedule struct {
 // regMove pairs a register's frame slot (its CLB index) with a wire.
 type regMove struct {
 	slot, wire int32
-}
-
-// opSeg is a run of n consecutive ops sharing one input arity.
-type opSeg struct {
-	n     int32
-	arity int8
 }
 
 // Compile validates and levelizes a configuration — rejecting the same
@@ -284,12 +280,13 @@ func liveGates(c *symCircuit, roots ...[]int32) []bool {
 }
 
 // emit lowers the gates r's refs need into a schedule: the mapper's
-// 4-input LUT cover of them, one op per LUT, grouped by level and arity;
-// a tap per output; a latch per register whose next ref is not itself;
-// a refresh per register some op, tap or latch reads. The registers a
-// pass reads take wires wireReg0.. in register order, and op k writes
-// the k-th wire past them; c.nWires grows to cover them. An op reads
-// every leaf of its cut, even one its table turns out to ignore: Verify
+// 4-input LUT cover of them, with the LUTs that read one leaf set paired
+// two by two into one op, ordered by level; a tap per output;
+// a latch per register whose next ref is not itself; a refresh per
+// register some op, tap or latch reads. The registers a pass reads take
+// wires wireReg0.. in register order, and op k writes the two wires
+// 2k and 2k+1 past them; c.nWires grows to cover them. An op reads every
+// leaf of its cut, even one its tables turn out to ignore: Verify
 // requires an op's cone to stay inside its inputs.
 func (c *Compiled) emit(m *mapper, r cycleRefs) schedule {
 	sc, base := m.sc, m.base
@@ -323,30 +320,36 @@ func (c *Compiled) emit(m *mapper, r cycleRefs) schedule {
 		}
 	}
 	s.out0 = uint32(w)
-	// Order the ops by group with a counting sort, stable within a group,
-	// and give each its position; every input of an op comes from an
-	// earlier level, so any order within a level is legal.
-	nGroups := int32(0)
+	// Pair the LUTs, then order the ops by level with a counting sort, in
+	// ref order within a level, and give each LUT its wire. Every input of
+	// a LUT comes from an earlier level, so any order within a level is
+	// legal.
+	m.pair(gates)
+	lead := func(g int32) bool { return m.mate[g] == 0 || m.mate[g]-1 > g }
+	nLevels := int32(0)
 	for _, g := range gates {
-		nGroups = max(nGroups, m.group(g)+1)
+		nLevels = max(nLevels, m.level[g])
 	}
-	next := make([]int32, nGroups+1) // next[g+1] counts, then places, group g
+	next := make([]int32, nLevels+1) // next[l] counts, then places, level l+1's ops
+	n := int32(0)
 	for _, g := range gates {
-		next[m.group(g)+1]++
+		if lead(g) {
+			next[m.level[g]]++
+			n++
+		}
 	}
-	for g := int32(0); g < nGroups; g++ {
-		if n := next[g+1]; n > 0 {
-			if arity := groupArity(g); len(s.segs) > 0 && s.segs[len(s.segs)-1].arity == arity {
-				s.segs[len(s.segs)-1].n += n
-			} else {
-				s.segs = append(s.segs, opSeg{n: n, arity: arity})
+	for l := int32(1); l <= nLevels; l++ {
+		next[l] += next[l-1]
+	}
+	for _, g := range gates {
+		if lead(g) {
+			k := next[m.level[g]-1]
+			next[m.level[g]-1]++
+			m.pos[g] = 2*k + 1
+			if h := m.mate[g]; h != 0 {
+				m.pos[h-1] = 2*k + 2
 			}
 		}
-		next[g+1] += next[g]
-	}
-	for _, g := range gates {
-		m.pos[g] = next[m.group(g)] + 1
-		next[m.group(g)]++
 	}
 	wire := func(ref int32) int32 {
 		switch {
@@ -361,15 +364,23 @@ func (c *Compiled) emit(m *mapper, r cycleRefs) schedule {
 		}
 		return ref // input ref i is input wire i
 	}
-	s.in = make([][4]uint32, len(gates))
-	s.tab = make([]uint16, len(gates))
-	s.wit = make([]int32, len(gates))
+	s.in = make([][4]uint32, n)
+	s.tab = make([]uint32, n)
+	s.wit = make([]int32, 2*n)
 	for _, g := range gates {
-		k := m.pos[g] - 1
-		for p, x := range m.best(int(g)).pins() {
+		if !lead(g) {
+			continue
+		}
+		o := m.pos[g] - 1 // the wire the LUT writes, past out0
+		k, lut := o/2, m.best(int(g))
+		for p, x := range lut.pins() {
 			s.in[k][p] = uint32(wire(x))
 		}
-		s.tab[k], s.wit[k] = m.tab[g], base+g
+		s.tab[k], s.wit[o], s.wit[o+1] = uint32(m.tab[g]), base+g, symConst0
+		if h := m.mate[g] - 1; h >= 0 {
+			s.tab[k] |= uint32(permuteTable(m.tab[h], m.best(int(h)), lut)) << 16
+			s.wit[o+1] = base + h
+		}
 	}
 	for i, o := range r.outs {
 		s.outTap[i] = wire(o)
@@ -379,7 +390,7 @@ func (c *Compiled) emit(m *mapper, r cycleRefs) schedule {
 			s.latch = append(s.latch, regMove{slot: int32(sc.regSlot[reg]), wire: wire(x)})
 		}
 	}
-	c.nWires = max(c.nWires, int(s.out0)+len(gates))
+	c.nWires = max(c.nWires, int(s.out0)+2*int(n))
 	return s
 }
 
@@ -395,16 +406,32 @@ func ceilPow2(n int) int {
 // Spec reports the array geometry the program was compiled for.
 func (c *Compiled) Spec() ArraySpec { return c.spec }
 
-// Ops reports evaluation ops, a proxy for execution cost: luts, the LUTs
-// the configuration evaluates per cycle (what a direct lowering, or the
-// interpretive PFU, runs); byInit[v], the ops of the schedule Step runs
-// when init is v (0 low, 1 high); and burst, the ops of the whole-
-// instruction burst (0 when BurstCycles is 0).
-func (c *Compiled) Ops() (luts int, byInit [2]int, burst int) {
-	for v := range c.sched {
-		byInit[v] = len(c.sched[v].tab)
+// OpCount is the work of one schedule: ops, what the settle loop runs,
+// and LUTs, the mapped LUTs those ops evaluate (one or two per op).
+type OpCount struct {
+	Ops, LUTs int
+}
+
+func (s *schedule) count() OpCount {
+	n := OpCount{Ops: len(s.tab)}
+	for _, w := range s.wit {
+		if w != symConst0 {
+			n.LUTs++
+		}
 	}
-	return c.luts, byInit, len(c.burst.tab)
+	return n
+}
+
+// Ops reports evaluation work, a proxy for execution cost: luts, the
+// LUTs the configuration evaluates per cycle (what a direct lowering, or
+// the interpretive PFU, runs); byInit[v], the work of the schedule Step
+// runs when init is v (0 low, 1 high); and burst, the work of the whole-
+// instruction burst (zero when BurstCycles is 0).
+func (c *Compiled) Ops() (luts int, byInit [2]OpCount, burst OpCount) {
+	for v := range c.sched {
+		byInit[v] = c.sched[v].count()
+	}
+	return c.luts, byInit, c.burst.count()
 }
 
 // BurstCycles reports K, the length of the instruction Run issues fresh
@@ -544,48 +571,23 @@ func (in *Instance) run(s *schedule, a, b uint32) (out uint32, done bool) {
 		w[int(m.wire)&(len(w)-1)] = ffQ[m.slot]
 	}
 	// Settle combinational logic: branch-free table lookups over the
-	// precomputed input indices, in levelized order. len(w) is a power of
-	// two and every wire index is below it, so masking with len(w)-1 is
-	// the identity — the idiom exists solely to let the compiler prove
-	// the accesses in range and drop the bounds checks.
-	lo, dst := 0, int(s.out0)
-	for _, seg := range s.segs {
-		hi := lo + int(seg.n)
-		ins, tab := s.in[lo:hi], s.tab[lo:hi]
-		tab = tab[:len(ins)]
-		switch seg.arity {
-		case 1:
-			for k := range ins {
-				x := &ins[k]
-				idx := uint32(w[int(x[0])&(len(w)-1)])
-				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
-			}
-		case 2:
-			for k := range ins {
-				x := &ins[k]
-				idx := uint32(w[int(x[0])&(len(w)-1)]) |
-					uint32(w[int(x[1])&(len(w)-1)])<<1
-				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
-			}
-		case 3:
-			for k := range ins {
-				x := &ins[k]
-				idx := uint32(w[int(x[0])&(len(w)-1)]) |
-					uint32(w[int(x[1])&(len(w)-1)])<<1 |
-					uint32(w[int(x[2])&(len(w)-1)])<<2
-				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
-			}
-		default:
-			for k := range ins {
-				x := &ins[k]
-				idx := uint32(w[int(x[0])&(len(w)-1)]) |
-					uint32(w[int(x[1])&(len(w)-1)])<<1 |
-					uint32(w[int(x[2])&(len(w)-1)])<<2 |
-					uint32(w[int(x[3])&(len(w)-1)])<<3
-				w[(dst+k)&(len(w)-1)] = uint8(tab[k]>>idx) & 1
-			}
-		}
-		lo, dst = hi, dst+int(seg.n)
+	// precomputed input indices, in levelized order, each op's index
+	// computed once for both its LUTs. Unused pins read the constant-0
+	// wire. len(w) is a power of two and every wire index is below it, so
+	// masking with len(w)-1 is the identity — the idiom exists solely to
+	// let the compiler prove the accesses in range and drop the bounds
+	// checks.
+	dst := int(s.out0)
+	tab := s.tab[:len(s.in)]
+	for k := range s.in {
+		x := &s.in[k]
+		idx := uint32(w[int(x[0])&(len(w)-1)]) |
+			uint32(w[int(x[1])&(len(w)-1)])<<1 |
+			uint32(w[int(x[2])&(len(w)-1)])<<2 |
+			uint32(w[int(x[3])&(len(w)-1)])<<3
+		t := tab[k] >> idx
+		w[(dst+2*k)&(len(w)-1)] = uint8(t) & 1
+		w[(dst+2*k+1)&(len(w)-1)] = uint8(t>>16) & 1
 	}
 	// Sample outputs before the clock edge.
 	for i := 0; i < 32; i++ {

@@ -340,14 +340,14 @@ func compiledSym(cp *Compiled) (*symCircuit, error) {
 			c.regSlot = append(c.regSlot, slot)
 		}
 	}
-	b := newSymBuilder(c, len(cp.sched[0].tab)+len(cp.sched[1].tab))
+	b := newSymBuilder(c, len(cp.sched[0].wit)+len(cp.sched[1].wit))
 	var outs [2][33]int32
 	var next [2][]int32
 	for v := range cp.sched {
 		s := &cp.sched[v]
 		var err error
-		outs[v], next[v], err = relift(c, cp, s, regOf, func(k int, in [4]int32) (int32, error) {
-			return b.addGate(in, s.tab[k]), nil
+		outs[v], next[v], err = relift(c, cp, s, regOf, func(k, half int, in [4]int32) (int32, error) {
+			return b.addGate(in, uint16(s.tab[k]>>(16*half))), nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fabric: compiled init=%d schedule %w", v, err)
@@ -366,23 +366,19 @@ func compiledSym(cp *Compiled) (*symCircuit, error) {
 
 // relift symbolically executes one pass of schedule s over c, whose
 // inputs are the PFU boundary and whose registers regOf maps frame slots
-// to: op k's value is the ref lift returns for it, given the refs its
-// input wires hold. It returns the refs the pass samples at its output
-// taps and latches into each register (the register itself when the
-// pass does not latch it). The pass is modelled as run executes it: op k
-// of a segment of arity a reads its first a input wires and sees 0 on
-// the rest, and writes wire out0+k. The wire scratch is modelled
-// exactly: operand wires, the constant wires and the registers the pass
-// refreshes hold their values on entry and every other wire holds
-// whatever an earlier pass left, so reading a wire before this pass
-// writes it is an error, not a proof obligation.
-func relift(c *symCircuit, cp *Compiled, s *schedule, regOf []int32, lift func(k int, in [4]int32) (int32, error)) (outs [33]int32, next []int32, err error) {
-	nOps := 0
-	for _, seg := range s.segs {
-		nOps += int(seg.n)
-	}
-	if nOps != len(s.tab) || len(s.in) != len(s.tab) || len(s.wit) != len(s.tab) {
-		return outs, nil, fmt.Errorf("has %d ops in its segments, %d tables, %d input sets and %d witnesses", nOps, len(s.tab), len(s.in), len(s.wit))
+// to: the value of half h (0 low, 1 high) of op k is the ref lift returns
+// for it, given the refs its input wires hold. It returns the refs the
+// pass samples at its output taps and latches into each register (the
+// register itself when the pass does not latch it). The pass is modelled
+// as run executes it: op k reads its four input wires, then writes the
+// low half to wire out0+2k and the high half to out0+2k+1. The wire
+// scratch is modelled exactly: operand wires, the constant wires and the
+// registers the pass refreshes hold their values on entry and every other
+// wire holds whatever an earlier pass left, so reading a wire before this
+// pass writes it is an error, not a proof obligation.
+func relift(c *symCircuit, cp *Compiled, s *schedule, regOf []int32, lift func(k, half int, in [4]int32) (int32, error)) (outs [33]int32, next []int32, err error) {
+	if len(s.in) != len(s.tab) || len(s.wit) != 2*len(s.tab) {
+		return outs, nil, fmt.Errorf("has %d tables, %d input sets and %d witnesses", len(s.tab), len(s.in), len(s.wit))
 	}
 	val := make([]int32, cp.nWires)
 	set := make([]bool, cp.nWires)
@@ -411,23 +407,18 @@ func relift(c *symCircuit, cp *Compiled, s *schedule, regOf []int32, lift func(k
 		}
 		return val[w]
 	}
-	k := 0
-	for _, seg := range s.segs {
-		arity := int(seg.arity)
-		if arity < 1 || arity > 3 {
-			arity = 4 // run's default loop
+	for k := range s.in {
+		var in [4]int32
+		for p := range in {
+			in[p] = read(int32(s.in[k][p]))
 		}
-		for end := k + int(seg.n); k < end; k++ {
-			in := [4]int32{symConst0, symConst0, symConst0, symConst0}
-			for p := range arity {
-				in[p] = read(int32(s.in[k][p]))
-			}
-			if stale >= 0 {
-				return outs, nil, fmt.Errorf("op %d reads wire %d before writing it", k, stale)
-			}
-			w := int(s.out0) + k
-			if val[w], err = lift(k, in); err != nil {
-				return outs, nil, fmt.Errorf("op %d %w", k, err)
+		if stale >= 0 {
+			return outs, nil, fmt.Errorf("op %d reads wire %d before writing it", k, stale)
+		}
+		for half := range 2 {
+			w := int(s.out0) + 2*k + half
+			if val[w], err = lift(k, half, in); err != nil {
+				return outs, nil, fmt.Errorf("op %d half %d %w", k, half, err)
 			}
 			set[w] = true
 		}
@@ -601,14 +592,16 @@ func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
 
 // verifyBurst validates the burst against cyc, the configuration's
 // one-cycle lowering, by translation validation: it unrolls cyc again and
-// re-lifts the burst with each op standing for its witness, a ref of the
-// unrolled builder. Op k is accepted only when its table is the function
-// of its witness's cone over the refs its input wires hold (checkWitness);
-// its wire then holds the witness's value, so by induction over the ops
-// every wire does. Refs are canonical within one hash-consing builder,
-// so requiring the instruction length and every out, done and next-state
-// ref to be identical shows that the ops compute exactly the unrolled
-// instruction, whatever cover the mapper chose.
+// re-lifts the burst with each half of each op standing for its witness,
+// a ref of the unrolled builder. A half is accepted only when its table is
+// the function of its witness's cone over the refs the op's input wires
+// hold (checkWitness); its wire then holds the witness's value, so by
+// induction over the ops every wire does. The empty high half of an op
+// with one LUT has witness symConst0, so its table must be 0. Refs are
+// canonical within one hash-consing builder, so requiring the instruction
+// length and every out, done and next-state ref to be identical shows
+// that the ops compute exactly the unrolled instruction, whatever cover
+// the mapper chose and however emit paired its LUTs.
 func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 	u := unroll(cyc)
 	if u.k != c.burstK {
@@ -627,8 +620,9 @@ func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 	}
 	sc, s := u.b.c, &c.burst
 	e := &coneEval{sc: sc, seen: make([]uint32, int(sc.gateBase())+len(sc.gates)), val: make([]bool, int(sc.gateBase())+len(sc.gates))}
-	got, gotNext, err := relift(sc, c, s, regOf, func(k int, in [4]int32) (int32, error) {
-		return s.wit[k], e.checkWitness(s.wit[k], in, s.tab[k])
+	got, gotNext, err := relift(sc, c, s, regOf, func(k, half int, in [4]int32) (int32, error) {
+		wit := s.wit[2*k+half]
+		return wit, e.checkWitness(wit, in, uint16(s.tab[k]>>(16*half)))
 	})
 	if err != nil {
 		return fmt.Errorf("fabric: burst %w", err)
@@ -656,14 +650,14 @@ type coneEval struct {
 }
 
 // checkWitness requires tab, over the pins whose refs are in, to be the
-// function the gate ref wit computes of those refs: for each of the 16
-// pin assignments that gives a constant pin its constant and pins
-// sharing a ref one value, it evaluates wit's cone with the pins' refs
-// as free leaves and compares the table's entry. A cone that reaches an
-// input or register that is not a pin fails.
+// function the gate ref wit (or symConst0, the constant 0) computes of
+// those refs: for each of the 16 pin assignments that gives a constant pin
+// its constant and pins sharing a ref one value, it evaluates wit's cone
+// with the pins' refs as free leaves and compares the table's entry. A
+// cone that reaches an input or register that is not a pin fails.
 func (e *coneEval) checkWitness(wit int32, in [4]int32, tab uint16) error {
 	base := e.sc.gateBase()
-	if wit < base || wit >= base+int32(len(e.sc.gates)) {
+	if wit != symConst0 && (wit < base || wit >= base+int32(len(e.sc.gates))) {
 		return fmt.Errorf("stands for ref %d, which is no gate", wit)
 	}
 assign:

@@ -78,7 +78,6 @@ func stockGolden(t *testing.T, name string, mk func() *Netlist) string {
 	for _, sc := range scheds {
 		s := sc.s
 		fmt.Fprintf(&b, "comb-ops %s: %d %s\n", sc.name, len(s.tab), digest([]any{s.out0, s.in, s.tab, s.wit}))
-		fmt.Fprintf(&b, "comb-segs %s: %v\n", sc.name, s.segs)
 		fmt.Fprintf(&b, "latches %s: %d/%d %s\n", sc.name, len(s.refresh), len(s.latch), digest([2][]regMove{s.refresh, s.latch}))
 	}
 	lr, err := Lint(n)

@@ -13,10 +13,11 @@ package fabric
 //
 // Compile runs on every workload's set-up path, so the mapper allocates
 // its per-gate state once per Compile, keeps every gate's cuts in one
-// arena of fixed-size cuts, and uses no maps.
+// arena of fixed-size cuts, and uses no maps. emit then pairs the LUTs
+// that read one leaf set into one op (pair, permuteTable).
 
 // mapCuts is how many priority cuts a gate keeps besides its trivial
-// cut. Two map alphablend's burst to 621 ops and three to eight to 600,
+// cut. Two map alphablend's burst to 621 LUTs and three to eight to 600,
 // but each added cut makes Compile dearer, and Compile is on the set-up
 // path.
 const mapCuts = 2
@@ -61,6 +62,15 @@ func (a *cut) subsetOf(b *cut) bool {
 		}
 	}
 	return true
+}
+
+// greatest returns c's greatest leaf.
+func (c *cut) greatest() int32 {
+	x := c.leaf[0]
+	for _, y := range c.leaf[1:c.n] {
+		x = max(x, y)
+	}
+	return x
 }
 
 // pins returns c's leaves as LUT pins, the unused ones symConst0.
@@ -112,7 +122,9 @@ type mapper struct {
 	first []int32
 	nCuts []uint8
 	refs  []int32  // fanout within the schedule being mapped; 0 = dead
-	pos   []int32  // 1 + the gate's op position, 0 when not mapped
+	pos   []int32  // 1 + the wire past out0 the gate's LUT writes, 0 when not mapped
+	mate  []int32  // 1 + the gate whose LUT shares the gate's op, 0 when none
+	link  []int32  // 1 + the next gate of the cover with the same greatest leaf, 0 at the end
 	level []int32  // level of the gate's LUT, 0 until it is built
 	tab   []uint16 // truth table of the gate's LUT, once built
 
@@ -125,11 +137,13 @@ type mapper struct {
 
 	// By ref. flow is the area flow of a gate's best cut over its fanout,
 	// 0 for an input or register; in a cone coneTable evaluates, val[ref]
-	// is ref's truth vector when seen[ref] == stamp.
+	// is ref's truth vector when seen[ref] == stamp; chain[ref] is 1 + the
+	// first gate of the cover whose greatest leaf is ref, 0 when none.
 	flow  []uint32
 	seen  []uint32
 	val   []uint16
 	stamp uint32
+	chain []int32
 }
 
 func newMapper(sc *symCircuit) *mapper {
@@ -142,38 +156,19 @@ func newMapper(sc *symCircuit) *mapper {
 		nCuts: make([]uint8, n),
 		refs:  make([]int32, n),
 		pos:   make([]int32, n),
+		mate:  make([]int32, n),
+		link:  make([]int32, n),
 		level: make([]int32, n),
 		tab:   make([]uint16, n),
 		flow:  make([]uint32, nRefs),
 		seen:  make([]uint32, nRefs),
 		val:   make([]uint16, nRefs),
+		chain: make([]int32, nRefs),
 	}
 }
 
 // best returns gate g's best cut.
 func (m *mapper) best(g int) *cut { return &m.arena[m.first[g]] }
-
-// opGroup orders ops for the settle loop: by level, and within a level
-// by arity, ascending on even levels and descending on odd ones, so a
-// level's last arity is the next level's first and their runs share one
-// segment.
-func opGroup(level, arity int32) int32 {
-	if level%2 == 1 {
-		return level*4 + 4 - arity
-	}
-	return level*4 + arity - 1
-}
-
-// group is the opGroup of gate g's LUT, once built.
-func (m *mapper) group(g int32) int32 { return opGroup(m.level[g]-1, m.best(int(g)).n) }
-
-// groupArity is the arity of the ops in group g.
-func groupArity(g int32) int8 {
-	if g/4%2 == 1 {
-		return int8(4 - g%4)
-	}
-	return int8(g%4 + 1)
-}
 
 // cover maps the gates r's roots need and returns them in ref order,
 // one LUT each, its table and level built. A gate is in the cover when
@@ -340,6 +335,57 @@ func (m *mapper) insert(c *cut) {
 // more leaves.
 func worse(a, b *cut) bool {
 	return a.cost > b.cost || a.cost == b.cost && a.n > b.n
+}
+
+// pair pairs the LUTs of gates, a cover in ref order, that read one leaf
+// set, two by two in ref order, and sets mate. A LUT's level is one more
+// than its leaves' greatest, so such LUTs share a level. They also share
+// a greatest leaf, so a gate is compared only with the later gates
+// chained on its own greatest leaf.
+func (m *mapper) pair(gates []int32) {
+	clear(m.chain)
+	for i := len(gates) - 1; i >= 0; i-- {
+		g := gates[i]
+		top := m.best(int(g)).greatest()
+		m.link[g], m.chain[top], m.mate[g] = m.chain[top], g+1, 0
+	}
+	for _, g := range gates {
+		if m.mate[g] != 0 {
+			continue
+		}
+		a := m.best(int(g))
+		for h := m.link[g] - 1; h >= 0; h = m.link[h] - 1 {
+			if b := m.best(int(h)); a.sig == b.sig && a.n == b.n && m.mate[h] == 0 && a.subsetOf(b) {
+				m.mate[g], m.mate[h] = h+1, g+1
+				break
+			}
+		}
+	}
+}
+
+// permuteTable re-expresses tab, a table over from's leaves as pins, over
+// to's, which are the same refs in some order.
+func permuteTable(tab uint16, from, to *cut) uint16 {
+	if from.leaf == to.leaf {
+		return tab
+	}
+	var at [4]int // from's leaf i is to's pin at[i]
+	for i, x := range from.leaf[:from.n] {
+		for j, y := range to.leaf[:to.n] {
+			if x == y {
+				at[i] = j
+			}
+		}
+	}
+	var t uint16
+	for e := range 16 {
+		src := 0
+		for i := range from.n {
+			src |= e >> at[i] & 1 << i
+		}
+		t |= tab >> src & 1 << e
+	}
+	return t
 }
 
 // projTable[i] is the truth table of pin i alone.
