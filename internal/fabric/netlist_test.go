@@ -193,6 +193,71 @@ func TestCanonTable(t *testing.T) {
 	}
 }
 
+// TestFoldLUTExhaustive runs foldLUT on every 4-input table under every
+// pin state (free, constant 0, constant 1). The folded table must be
+// canonical over the k pins it keeps, in their original order, and read
+// each of them; the vacated positions must hold none, k == 0 must be a
+// constant table, and the table must compute the original with the
+// constants substituted at every assignment of the free pins.
+func TestFoldLUTExhaustive(t *testing.T) {
+	const c0, c1, none int8 = -1, -2, -3
+	known := func(x int8) (bool, bool) { return x == c1, x == c0 || x == c1 }
+	for states := 0; states < 81; states++ {
+		var in [4]int8
+		for p, s := 0, states; p < 4; p, s = p+1, s/3 {
+			in[p] = [3]int8{int8(p), c0, c1}[s%3]
+		}
+		for tab := 0; tab < 1<<16; tab++ {
+			got, out, k := foldLUT(uint16(tab), in, none, known)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("foldLUT(%#04x, %v) = %#04x, %v, %d: "+format, append([]any{tab, in, got, out, k}, args...)...)
+			}
+			if CanonTable(got, k) != got {
+				fail("not canonical")
+			}
+			if k == 0 && got != 0 && got != 0xFFFF {
+				fail("no pins but not a constant")
+			}
+			for i := range out {
+				switch {
+				case i >= k && out[i] != none:
+					fail("vacated pin %d does not hold none", i)
+				case i < k && (out[i] < 0 || i > 0 && out[i] <= out[i-1]):
+					fail("pin %d is not the next free pin", i)
+				}
+			}
+			for p := 0; p < k; p++ {
+				read := false
+				for m := 0; m < 1<<k && !read; m++ {
+					read = got>>m&1 != got>>(m^1<<p)&1
+				}
+				if !read {
+					fail("ignores pin %d", p)
+				}
+			}
+			for x := 0; x < 16; x++ {
+				idx := 0
+				for p, v := range in {
+					if v == c0 && x>>p&1 != 0 || v == c1 && x>>p&1 == 0 {
+						idx = -1 // x contradicts a constant pin
+						break
+					}
+				}
+				if idx < 0 {
+					continue
+				}
+				for i, pin := range out[:k] {
+					idx |= x >> pin & 1 << i
+				}
+				if got>>idx&1 != uint16(tab)>>x&1 {
+					fail("differs at pin assignment %04b", x)
+				}
+			}
+		}
+	}
+}
+
 func TestCollapseInput(t *testing.T) {
 	// AND2 table over inputs (0,1): 0x8888. Fix input 1 to true -> buffer of
 	// input 0.
