@@ -190,8 +190,8 @@ func TestBurstMatchesSteppingAndPFU(t *testing.T) {
 	bursts := 0
 	for _, tc := range cases {
 		prog := compileT(t, tc.cfg)
-		if rep, err := prog.Verify(tc.cfg); err != nil || !rep.Equivalent {
-			t.Fatalf("%s: Verify: %v %v", tc.name, rep, err)
+		if err := prog.Verify(tc.cfg); err != nil {
+			t.Fatalf("%s: Verify: %v", tc.name, err)
 		}
 		pfu, err := NewPFU(tc.cfg)
 		if err != nil {
@@ -276,8 +276,8 @@ func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
 	cfg.OutSel[0] = 1 + WireCLB0
 	cfg.OutSel[32] = 1 + WireCLB0 + 2
 	prog := compileT(t, cfg)
-	if rep, err := prog.Verify(cfg); err != nil || !rep.Equivalent {
-		t.Fatalf("Verify: %v %v", rep, err)
+	if err := prog.Verify(cfg); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	if k := prog.BurstCycles(); k != 2 {
 		t.Fatalf("burst of %d cycles, want 2", k)
@@ -306,17 +306,64 @@ func TestLUTFedFlipFlopOnLUTOutputCLB(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsCorruptBurst corrupts alphablend's compiled program
-// one way at a time and requires Verify to reject each: in the burst, a
-// flipped table bit, an op whose witness is another op's ref, an op that
-// reads a wire no earlier op writes, and an op missing an operand pin its
-// witness's cone reads, so the cone escapes the op's inputs; on a paired
-// burst op, a flipped bit in the high table half, the two halves swapped
-// with their witnesses kept, and a high half standing for the low half's
-// witness; on an op with one LUT, a high half that is not 0; and a
-// flipped table bit in the init=0 schedule, which the BDD proof of
-// compiledSym, not the witness check, rejects.
-func TestVerifyRejectsCorruptBurst(t *testing.T) {
+// accum4 is a 4-bit accumulator that adds a[3:0] on an instruction's
+// first cycle and b[3:0] on every later one, raising done on each, so both
+// cycle schedules read and latch its registers.
+func accum4() *Netlist {
+	bd := NewBuilder("accum4")
+	a, b := bd.Input("a", 32), bd.Input("b", 32)
+	init := bd.Input("init", 1)[0]
+	acc, setAcc := bd.regMaker()(4)
+	sum, _ := bd.Add(acc, bd.MuxW(init, b[:4], a[:4]), bd.Const(false))
+	setAcc(sum)
+	bd.Output("out", bd.Extend(acc, 32))
+	bd.Output("done", []Net{bd.Const(true)})
+	return bd.MustBuild()
+}
+
+// corruption is one way to corrupt a compiled program, and a substring of
+// the error Verify must reject it with.
+type corruption struct {
+	name, want string
+	corrupt    func(c *Compiled)
+}
+
+// requireRejects applies each corruption to its own copy of prog and
+// requires Verify against cfg to fail with the named error.
+func requireRejects(t *testing.T, cfg *ArrayConfig, prog *Compiled, cases []corruption) {
+	t.Helper()
+	for _, tc := range cases {
+		bad := *prog
+		for _, s := range []*schedule{&bad.burst, &bad.sched[0], &bad.sched[1]} {
+			s.in, s.tab, s.wit = slices.Clone(s.in), slices.Clone(s.tab), slices.Clone(s.wit)
+			s.refresh, s.latch = slices.Clone(s.refresh), slices.Clone(s.latch)
+		}
+		bad.ffInit = slices.Clone(bad.ffInit)
+		tc.corrupt(&bad)
+		if err := bad.Verify(cfg); err == nil {
+			t.Errorf("%s: Verify accepted the corrupt program", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify error %q, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestVerifyRejectsCorruptProgram corrupts compiled programs one way at a
+// time and requires Verify to reject each with its named error. In
+// alphablend's burst: a flipped table bit, an op whose witness is another
+// op's ref, an op that reads a wire no earlier op writes, and an op
+// missing an operand pin its witness's cone reads, so the cone escapes the
+// op's inputs; on a paired burst op, a flipped bit in the high table half,
+// the two halves swapped with their witnesses kept, and a high half
+// standing for the low half's witness; on an op with one LUT, a high half
+// that is not 0; a register whose power-on value differs from the
+// configuration's; ops that write past the wire scratch; and a refresh
+// into the constant-1 wire. In each cycle schedule of alphablend and of
+// accum4, whose init=1 cycle, unlike alphablend's, reads registers: a
+// flipped low table bit and a flipped high bit of a paired op; in each of
+// accum4's, two refresh slots swapped, so a register's wire holds another
+// register, and a latch that reads another latch's wire.
+func TestVerifyRejectsCorruptProgram(t *testing.T) {
 	cfg := placeT(t, AlphaBlend())
 	prog := compileT(t, cfg)
 	s := &prog.burst
@@ -338,22 +385,9 @@ func TestVerifyRejectsCorruptBurst(t *testing.T) {
 	if operand < 0 || paired < 0 || single < 0 {
 		t.Fatalf("burst has no operand-reading op (%d), paired op (%d) or one-LUT op (%d)", operand, paired, single)
 	}
-	cyclePaired := -1
-	for k := range prog.sched[0].in {
-		if prog.sched[0].wit[2*k+1] != symConst0 {
-			cyclePaired = k
-			break
-		}
-	}
-	if cyclePaired < 0 {
-		t.Fatal("the init=0 schedule has no paired op")
-	}
-	cases := []struct {
-		name, want string
-		corrupt    func(c *Compiled)
-	}{
+	requireRejects(t, cfg, prog, append([]corruption{
 		{"flipped table bit", "differs from its witness", func(c *Compiled) { c.burst.tab[n/2] ^= 1 }},
-		{"wrong witness", "", func(c *Compiled) { c.burst.wit[2*(n/2)] = c.burst.wit[2*(n/2+1)] }},
+		{"wrong witness", "not one of its inputs", func(c *Compiled) { c.burst.wit[2*(n/2)] = c.burst.wit[2*(n/2+1)] }},
 		{"read of a later op's wire", "before writing it", func(c *Compiled) { c.burst.in[0][0] = c.burst.out0 + uint32(2*n-1) }},
 		{"cone escapes its inputs", "not one of its inputs", func(c *Compiled) { c.burst.in[operand][0] = wireConst0 }},
 		{"flipped high table bit", "differs from its witness", func(c *Compiled) { c.burst.tab[paired] ^= 1 << 16 }},
@@ -362,21 +396,58 @@ func TestVerifyRejectsCorruptBurst(t *testing.T) {
 		}},
 		{"wrong second witness", "differs from its witness", func(c *Compiled) { c.burst.wit[2*paired+1] = c.burst.wit[2*paired] }},
 		{"non-zero high half of one LUT", "differs from its witness", func(c *Compiled) { c.burst.tab[single] |= 1 << 16 }},
-		{"flipped init=0 table bit", "", func(c *Compiled) { c.sched[0].tab[cyclePaired] ^= 1 << 16 }},
-	}
-	for _, tc := range cases {
-		bad := *prog
-		for _, s := range []*schedule{&bad.burst, &bad.sched[0]} {
-			s.in, s.tab, s.wit = slices.Clone(s.in), slices.Clone(s.tab), slices.Clone(s.wit)
+		{"wrong power-on value", "powers on", func(c *Compiled) { c.ffInit[c.sched[0].latch[0].slot] ^= 1 }},
+		{"ops past the scratch", "burst writes wires", func(c *Compiled) { c.burst.out0 = uint32(c.nWires) }},
+		{"refresh into a constant wire", "outside its register wires", func(c *Compiled) { c.sched[0].refresh[0].wire = wireConst1 }},
+	}, cycleCorruptions(t, prog, false)...))
+	acc := placeT(t, accum4())
+	accProg := compileT(t, acc)
+	requireRejects(t, acc, accProg, cycleCorruptions(t, accProg, true))
+}
+
+// cycleCorruptions returns corruptions of both of prog's cycle schedules:
+// in each, a flipped bit in the low table half of op 0 and in the high
+// half of a paired op, and with regs two refresh slots swapped and a latch
+// reading another latch's wire.
+func cycleCorruptions(t *testing.T, prog *Compiled, regs bool) []corruption {
+	t.Helper()
+	var cases []corruption
+	for v := range prog.sched {
+		s := &prog.sched[v]
+		paired := -1
+		for k := range s.tab {
+			if s.wit[2*k+1] != symConst0 {
+				paired = k
+				break
+			}
 		}
-		tc.corrupt(&bad)
-		rep, err := bad.Verify(cfg)
-		if err == nil && rep.Equivalent {
-			t.Errorf("%s: Verify accepted the corrupt program", tc.name)
-		} else if err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Verify error %q, want one mentioning %q", tc.name, err, tc.want)
+		if paired < 0 || regs && (len(s.refresh) < 2 || len(s.latch) < 2) {
+			t.Fatalf("the init=%d schedule has no paired op (%d), or fewer than two refreshes (%d) or latches (%d)",
+				v, paired, len(s.refresh), len(s.latch))
+		}
+		name := fmt.Sprintf("init=%d schedule", v)
+		cases = append(cases,
+			corruption{name + " flipped low table bit", name + " op 0 half 0 table entry 0 differs from its witness", func(c *Compiled) {
+				c.sched[v].tab[0] ^= 1
+			}},
+			corruption{name + " flipped high table bit", fmt.Sprintf("%s op %d half 1 table entry 0 differs from its witness", name, paired), func(c *Compiled) {
+				c.sched[v].tab[paired] ^= 1 << 16
+			}},
+		)
+		if regs {
+			cases = append(cases,
+				corruption{name + " swapped refresh slots", "not one of its inputs", func(c *Compiled) {
+					r := c.sched[v].refresh
+					r[0].slot, r[1].slot = r[1].slot, r[0].slot
+				}},
+				corruption{name + " latch reading another latch's wire", name + " latches CLB", func(c *Compiled) {
+					l := c.sched[v].latch
+					l[0].wire = l[1].wire
+				}},
+			)
 		}
 	}
+	return cases
 }
 
 // TestAlphaBlendWireScratch pins alphablend's per-instance wire scratch,

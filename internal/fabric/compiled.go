@@ -29,8 +29,8 @@ import "encoding/binary"
 //
 // Each schedule writes every gate wire it reads before reading it, so no
 // pass depends on what another left in the scratch; Compiled.Verify
-// checks that while proving the two per-cycle schedules and validating
-// the burst op by op against the witness each op carries.
+// checks that while validating all three schedules op by op against the
+// witnesses each op carries.
 //
 // Compilation happens once per distinct configuration; Instances stamped
 // from the program carry only register state plus the wire scratch, so
@@ -80,7 +80,7 @@ type schedule struct {
 	// half of 0.
 	// wit[2k] and wit[2k+1] are the refs of the unrolled builder the two
 	// halves stand for (symConst0 for an empty high half); run never reads
-	// them, Verify checks the burst against them.
+	// them, Verify checks every schedule against them.
 	in   [][4]uint32
 	tab  []uint32
 	wit  []int32

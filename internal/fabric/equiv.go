@@ -2,11 +2,13 @@ package fabric
 
 // Formal equivalence checking across the three execution substrates:
 // structural netlists, array configurations (the interpretive
-// PFU) and compiled programs (Instance). Each substrate lowers to one
-// normalized symbolic circuit — inputs, registers, hash-consed LUT
-// gates, output obligations and next-state functions — and the prover
-// builds canonical BDDs (bdd.go) for every output cone of both sides
-// under a shared variable order, so equivalence is reference equality.
+// PFU) and compiled programs (Instance). Netlists and configurations
+// lower to one normalized symbolic circuit — inputs, registers,
+// hash-consed LUT gates, output obligations and next-state functions —
+// and the prover builds canonical BDDs (bdd.go) for every output cone of
+// both sides under a shared variable order, so equivalence is reference
+// equality. A compiled program is validated op by op against its
+// configuration's lowering instead (Compiled.Verify).
 //
 // Sequential circuits are proved under the natural register
 // correspondence: registers are partitioned into equivalence classes by
@@ -148,15 +150,6 @@ func (b *symBuilder) slot(key symGate) int {
 			return i
 		}
 	}
-}
-
-// ite returns the gate computing s ? x1 : x0.
-func (b *symBuilder) ite(s, x1, x0 int32) int32 {
-	if x0 == x1 {
-		return x0
-	}
-	// Pins (s, x0, x1): entries 2, 5, 6 and 7 are true.
-	return b.addGate([4]int32{s, x0, x1, symConst0}, 0xE4E4)
 }
 
 // netlistSym lowers a structural netlist. Registers are the flip-flops
@@ -311,138 +304,6 @@ func configSym(cfg *ArrayConfig) (*symCircuit, error) {
 	return c, nil
 }
 
-// compiledSym lowers a compiled program's two per-cycle schedules from
-// their ops, independent of the configuration they came from — Verify
-// proves the two lowerings equal. Registers are the frame slots the
-// schedules refresh or latch. Each schedule is re-lifted with the init
-// input pinned to its value, and every output and next-state ref joins
-// the two with an if-then-else on the init input, so the proof covers
-// both schedules.
-func compiledSym(cp *Compiled) (*symCircuit, error) {
-	ncl := cp.spec.CLBs()
-	c := &symCircuit{name: "compiled", stateLen: ncl}
-	pfuBoundary(c)
-	moved := make([]bool, ncl)
-	for v := range cp.sched {
-		for _, m := range cp.sched[v].refresh {
-			moved[m.slot] = true
-		}
-		for _, m := range cp.sched[v].latch {
-			moved[m.slot] = true
-		}
-	}
-	regOf := make([]int32, ncl)
-	for slot := range regOf {
-		regOf[slot] = -1
-		if moved[slot] {
-			regOf[slot] = int32(len(c.regInit))
-			c.regInit = append(c.regInit, cp.ffInit[slot] != 0)
-			c.regSlot = append(c.regSlot, slot)
-		}
-	}
-	b := newSymBuilder(c, len(cp.sched[0].wit)+len(cp.sched[1].wit))
-	var outs [2][33]int32
-	var next [2][]int32
-	for v := range cp.sched {
-		s := &cp.sched[v]
-		var err error
-		outs[v], next[v], err = relift(c, cp, s, regOf, func(k, half int, in [4]int32) (int32, error) {
-			return b.addGate(in, uint16(s.tab[k]>>(16*half))), nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fabric: compiled init=%d schedule %w", v, err)
-		}
-	}
-	init := int32(WireInit) // input ref w is input wire w
-	for i := range outs[0] {
-		c.outs = append(c.outs, outObl{key: pfuOutKey(i), ref: b.ite(init, outs[1][i], outs[0][i])})
-	}
-	c.next = make([]int32, len(c.regInit))
-	for r := range c.next {
-		c.next[r] = b.ite(init, next[1][r], next[0][r])
-	}
-	return c, nil
-}
-
-// relift symbolically executes one pass of schedule s over c, whose
-// inputs are the PFU boundary and whose registers regOf maps frame slots
-// to: the value of half h (0 low, 1 high) of op k is the ref lift returns
-// for it, given the refs its input wires hold. It returns the refs the
-// pass samples at its output taps and latches into each register (the
-// register itself when the pass does not latch it). The pass is modelled
-// as run executes it: op k reads its four input wires, then writes the
-// low half to wire out0+2k and the high half to out0+2k+1. The wire
-// scratch is modelled exactly: operand wires, the constant wires and the
-// registers the pass refreshes hold their values on entry and every other
-// wire holds whatever an earlier pass left, so reading a wire before this
-// pass writes it is an error, not a proof obligation.
-func relift(c *symCircuit, cp *Compiled, s *schedule, regOf []int32, lift func(k, half int, in [4]int32) (int32, error)) (outs [33]int32, next []int32, err error) {
-	if len(s.in) != len(s.tab) || len(s.wit) != 2*len(s.tab) {
-		return outs, nil, fmt.Errorf("has %d tables, %d input sets and %d witnesses", len(s.tab), len(s.in), len(s.wit))
-	}
-	val := make([]int32, cp.nWires)
-	set := make([]bool, cp.nWires)
-	for w := WireA0; w < WireInit; w++ {
-		val[w], set[w] = int32(w), true
-	}
-	val[wireConst0], val[wireConst1] = symConst0, symConst1
-	set[wireConst0], set[wireConst1] = true, true
-	reg := func(slot int32) (int32, error) {
-		if r := regOf[slot]; r >= 0 {
-			return r, nil
-		}
-		return 0, fmt.Errorf("moves frame slot %d, which holds no register", slot)
-	}
-	for _, m := range s.refresh {
-		r, err := reg(m.slot)
-		if err != nil {
-			return outs, nil, err
-		}
-		val[m.wire], set[m.wire] = c.regRef(int(r)), true
-	}
-	stale := int32(-1)
-	read := func(w int32) int32 {
-		if !set[w] && stale < 0 {
-			stale = w
-		}
-		return val[w]
-	}
-	for k := range s.in {
-		var in [4]int32
-		for p := range in {
-			in[p] = read(int32(s.in[k][p]))
-		}
-		if stale >= 0 {
-			return outs, nil, fmt.Errorf("op %d reads wire %d before writing it", k, stale)
-		}
-		for half := range 2 {
-			w := int(s.out0) + 2*k + half
-			if val[w], err = lift(k, half, in); err != nil {
-				return outs, nil, fmt.Errorf("op %d half %d %w", k, half, err)
-			}
-			set[w] = true
-		}
-	}
-	for i, tap := range s.outTap {
-		outs[i] = read(tap)
-	}
-	next = make([]int32, len(c.regInit))
-	for r := range next {
-		next[r] = c.regRef(r) // hold unless latched
-	}
-	for _, m := range s.latch {
-		r, err := reg(m.slot)
-		if err != nil {
-			return outs, nil, err
-		}
-		next[r] = read(m.wire)
-	}
-	if stale >= 0 {
-		return outs, nil, fmt.Errorf("reads wire %d before writing it", stale)
-	}
-	return outs, next, nil
-}
-
 // pfuBoundary installs the PFU protocol input keys: a[0..31], b[0..31],
 // init — in exactly the wire-enumeration order, so input wire w is
 // input ref w.
@@ -559,82 +420,162 @@ func EquivConfig(cfg *ArrayConfig, n *Netlist) (*EquivReport, error) {
 	return prove(sa, sb, defaultProveOpts)
 }
 
-// Verify checks the compiled program against a configuration: the
-// lowered op lists implement exactly the interpretive PFU semantics of
-// cfg. The two per-cycle schedules are proved equivalent to configSym,
-// and Compile's own output trivially corresponds register-for-register,
-// so that is a full proof, not a sample. The burst is checked by
-// translation validation instead (verifyBurst): its unrolled cones are
-// past what BDDs or enumeration can prove. A burst that fails the check
-// is an error.
-func (c *Compiled) Verify(cfg *ArrayConfig) (*EquivReport, error) {
+// Verify checks the compiled program against the configuration it was
+// lowered from, by translation validation of all three schedules. It
+// lowers cfg and unrolls it again as Compile does, then re-lifts sched[1]
+// against the init-high cycle, sched[0] against the init-low cycle and the
+// burst against the whole instruction (relift). Each half of each op
+// stands for its witness, a ref of the unrolled builder, and is accepted
+// only when its table is the function of the witness's cone over the refs
+// its input wires hold (checkWitness); its wire then holds the witness's
+// value, so by induction over the ops every wire does. The empty high
+// half of an op with one LUT has witness symConst0, so its table must be
+// 0. Refs are canonical within one hash-consing builder, so requiring
+// every out, done and next-state ref to be identical shows that the ops
+// compute exactly the configuration's cycle or instruction, whatever cover
+// the mapper chose and however emit paired its LUTs. Each register must
+// also power on at the configuration's value. The error names the
+// schedule and the op that fail.
+func (c *Compiled) Verify(cfg *ArrayConfig) error {
 	if c.spec != cfg.Spec {
-		return nil, fmt.Errorf("fabric: Verify: program spec %dx%d does not match config spec %dx%d",
+		return fmt.Errorf("fabric: Verify: program spec %dx%d does not match config spec %dx%d",
 			c.spec.W, c.spec.H, cfg.Spec.W, cfg.Spec.H)
 	}
-	sb, err := configSym(cfg)
+	cyc, err := configSym(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sa, err := compiledSym(c)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := prove(sa, sb, defaultProveOpts)
-	if err != nil || !rep.Equivalent {
-		return rep, err
-	}
-	if err := c.verifyBurst(sb); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// verifyBurst validates the burst against cyc, the configuration's
-// one-cycle lowering, by translation validation: it unrolls cyc again and
-// re-lifts the burst with each half of each op standing for its witness,
-// a ref of the unrolled builder. A half is accepted only when its table is
-// the function of its witness's cone over the refs the op's input wires
-// hold (checkWitness); its wire then holds the witness's value, so by
-// induction over the ops every wire does. The empty high half of an op
-// with one LUT has witness symConst0, so its table must be 0. Refs are
-// canonical within one hash-consing builder, so requiring the instruction
-// length and every out, done and next-state ref to be identical shows
-// that the ops compute exactly the unrolled instruction, whatever cover
-// the mapper chose and however emit paired its LUTs.
-func (c *Compiled) verifyBurst(cyc *symCircuit) error {
 	u := unroll(cyc)
 	if u.k != c.burstK {
 		return fmt.Errorf("fabric: burst runs %d cycles, the configuration unrolls to %d", c.burstK, u.k)
 	}
-	if u.k == 0 {
-		return nil
-	}
-	outs, next := u.burst.outs, u.burst.next
 	regOf := make([]int32, cyc.stateLen)
 	for i := range regOf {
 		regOf[i] = -1
 	}
 	for r, slot := range cyc.regSlot {
+		if (c.ffInit[slot] != 0) != cyc.regInit[r] {
+			return fmt.Errorf("fabric: the register of CLB %d powers on at %d, unlike the configuration's", slot, c.ffInit[slot])
+		}
 		regOf[slot] = int32(r)
 	}
-	sc, s := u.b.c, &c.burst
-	e := &coneEval{sc: sc, seen: make([]uint32, int(sc.gateBase())+len(sc.gates)), val: make([]bool, int(sc.gateBase())+len(sc.gates))}
-	got, gotNext, err := relift(sc, c, s, regOf, func(k, half int, in [4]int32) (int32, error) {
-		wit := s.wit[2*k+half]
-		return wit, e.checkWitness(wit, in, uint16(s.tab[k]>>(16*half)))
-	})
-	if err != nil {
-		return fmt.Errorf("fabric: burst %w", err)
+	sc := u.b.c
+	n := int(sc.gateBase()) + len(sc.gates)
+	e := &coneEval{sc: sc, seen: make([]uint32, n), val: make([]bool, n)}
+	passes := []struct {
+		name string
+		s    *schedule
+		want cycleRefs
+	}{
+		{"init=1 schedule", &c.sched[1], u.high},
+		{"init=0 schedule", &c.sched[0], u.low},
+		{"burst", &c.burst, u.burst},
+	}
+	if u.k == 0 {
+		passes = passes[:2]
+	}
+	for _, p := range passes {
+		if err := e.relift(p.s, p.want, regOf, c.nWires); err != nil {
+			return fmt.Errorf("fabric: %s %w", p.name, err)
+		}
+	}
+	return nil
+}
+
+// relift symbolically executes one pass of schedule s over a wire scratch
+// of nWires wires, each half of op k standing for its witness, and
+// requires the pass to sample want's refs at its output taps and latch
+// want's next-state ref into each register (a register it does not latch
+// holds). regOf maps frame slots to the registers of e.sc. The pass is
+// modelled as run executes it: the operand wires, the constant wires and
+// the registers the pass refreshes hold their values on entry, then op k
+// reads its four input wires and writes the low half to wire out0+2k and
+// the high half to out0+2k+1. Every other wire holds whatever an earlier
+// pass left, so reading a wire before this pass writes it is an error, not
+// a proof obligation.
+func (e *coneEval) relift(s *schedule, want cycleRefs, regOf []int32, nWires int) error {
+	if len(s.in) != len(s.tab) || len(s.wit) != 2*len(s.tab) {
+		return fmt.Errorf("has %d tables, %d input sets and %d witnesses", len(s.tab), len(s.in), len(s.wit))
+	}
+	if s.out0 < wireReg0 || int(s.out0)+2*len(s.tab) > nWires {
+		return fmt.Errorf("writes wires %d to %d of a %d-wire scratch", s.out0, int(s.out0)+2*len(s.tab)-1, nWires)
+	}
+	val := make([]int32, nWires)
+	set := make([]bool, nWires)
+	for w := WireA0; w < WireInit; w++ {
+		val[w], set[w] = int32(w), true
+	}
+	val[wireConst0], val[wireConst1] = symConst0, symConst1
+	set[wireConst0], set[wireConst1] = true, true
+	reg := func(slot int32) (int, error) {
+		if slot >= 0 && int(slot) < len(regOf) && regOf[slot] >= 0 {
+			return int(regOf[slot]), nil
+		}
+		return 0, fmt.Errorf("moves frame slot %d, which holds no register", slot)
+	}
+	for _, m := range s.refresh {
+		r, err := reg(m.slot)
+		if err != nil {
+			return err
+		}
+		if m.wire < wireReg0 || m.wire >= int32(s.out0) {
+			return fmt.Errorf("refreshes CLB %d into wire %d, outside its register wires", m.slot, m.wire)
+		}
+		val[m.wire], set[m.wire] = e.sc.regRef(r), true
+	}
+	stale := int64(-1)
+	read := func(w uint32) int32 {
+		if int(w) < nWires && set[w] {
+			return val[w]
+		}
+		if stale < 0 {
+			stale = int64(w)
+		}
+		return symConst0
+	}
+	for k := range s.in {
+		var in [4]int32
+		for p := range in {
+			in[p] = read(s.in[k][p])
+		}
+		if stale >= 0 {
+			return fmt.Errorf("op %d reads wire %d before writing it", k, stale)
+		}
+		for half := range 2 {
+			wit := s.wit[2*k+half]
+			if err := e.checkWitness(wit, in, uint16(s.tab[k]>>(16*half))); err != nil {
+				return fmt.Errorf("op %d half %d %w", k, half, err)
+			}
+			w := int(s.out0) + 2*k + half
+			val[w], set[w] = wit, true
+		}
+	}
+	var outs [33]int32
+	for i, tap := range s.outTap {
+		outs[i] = read(uint32(tap))
+	}
+	next := make([]int32, len(want.next))
+	for r := range next {
+		next[r] = e.sc.regRef(r) // hold unless latched
+	}
+	for _, m := range s.latch {
+		r, err := reg(m.slot)
+		if err != nil {
+			return err
+		}
+		next[r] = read(uint32(m.wire))
+	}
+	if stale >= 0 {
+		return fmt.Errorf("reads wire %d before writing it", stale)
 	}
 	for i := range outs {
-		if got[i] != outs[i] {
-			return fmt.Errorf("fabric: burst %s differs from the unrolled configuration", pfuOutKey(i))
+		if outs[i] != want.outs[i] {
+			return fmt.Errorf("%s differs from the configuration", pfuOutKey(i))
 		}
 	}
 	for r := range next {
-		if gotNext[r] != next[r] {
-			return fmt.Errorf("fabric: burst latches CLB %d differently from the unrolled configuration", cyc.regSlot[r])
+		if next[r] != want.next[r] {
+			return fmt.Errorf("latches CLB %d differently from the configuration", e.sc.regSlot[r])
 		}
 	}
 	return nil

@@ -14,9 +14,9 @@ var equivStock = []func() *Netlist{
 }
 
 // TestEquivStockLibrary proves every stock circuit equivalent to its
-// optimized form, to its placed-and-decoded ArrayConfig, and to the
-// compiled program lowered from that configuration — the full pipeline,
-// as proofs rather than samples.
+// optimized form and to its placed-and-decoded ArrayConfig, and validates
+// the compiled program lowered from that configuration — the full
+// pipeline, as proofs rather than samples.
 func TestEquivStockLibrary(t *testing.T) {
 	for _, mk := range equivStock {
 		n := mk()
@@ -53,12 +53,8 @@ func TestEquivStockLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", n.Name, err)
 		}
-		vrep, err := prog.Verify(decoded)
-		if err != nil {
+		if err := prog.Verify(decoded); err != nil {
 			t.Fatalf("%s: Verify: %v", n.Name, err)
-		}
-		if !vrep.Equivalent {
-			t.Fatalf("%s: compiled program not equivalent to config: %s", n.Name, vrep)
 		}
 	}
 }
@@ -221,7 +217,7 @@ func TestEquivVerifySpecMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Verify(other); err == nil || !strings.Contains(err.Error(), "spec") {
+	if err := prog.Verify(other); err == nil || !strings.Contains(err.Error(), "spec") {
 		t.Fatalf("expected spec mismatch error, got %v", err)
 	}
 }

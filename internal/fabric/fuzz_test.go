@@ -29,7 +29,10 @@ func fuzzSeedBits(mk func() *Netlist) []byte {
 // only canonical bitstreams, so any input it accepts must re-encode to
 // exactly its own bytes, header included, must survive the linter, and
 // must either Compile or be rejected with an error (never a crash) —
-// §2's functional-security gate. The committed corpus under
+// §2's functional-security gate. A program Compile accepts must pass
+// Verify, which runs the validator on mutated configurations: latches
+// that drive no wire, circuits without a burst and odd register layouts.
+// The committed corpus under
 // testdata/fuzz/FuzzDecode replays as plain subtests on every ordinary
 // `go test` run.
 func FuzzDecode(f *testing.F) {
@@ -81,6 +84,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		prog, err := Compile(cfg)
 		if err == nil {
+			if verr := prog.Verify(cfg); verr != nil {
+				t.Fatalf("compiled program fails Verify: %v", verr)
+			}
 			inst := prog.NewInstance()
 			inst.Step(0xDEADBEEF, 0x12345678, true)
 			inst.Step(0, 0, false)

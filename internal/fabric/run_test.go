@@ -90,8 +90,8 @@ func FuzzInstanceRun(f *testing.F) {
 		if k == 0 {
 			t.Skip("no burst")
 		}
-		if rep, err := prog.Verify(cfg); err != nil || !rep.Equivalent {
-			t.Fatalf("Verify: %v %v", rep, err)
+		if err := prog.Verify(cfg); err != nil {
+			t.Fatalf("Verify: %v", err)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		got := prog.NewInstance()
