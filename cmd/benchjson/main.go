@@ -7,7 +7,8 @@
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
 // layer — daemon submit throughput, and the wire codec's encode and
-// decode of a ResultOK frame). Each file runs its benchmark suite five
+// decode of three ResultOK frames: a sample, a share-group fleet and
+// that fleet unshared). Each file runs its benchmark suite five
 // times (-count 5), every sample for at least 200ms of benchmark time,
 // and records the min, median and max of every reported metric (ns/op,
 // allocs, and the custom metrics the benchmarks emit — speedup-vs-gate-x,

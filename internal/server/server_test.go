@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"protean"
 	"protean/internal/wire"
@@ -154,6 +158,149 @@ func TestDaemonGoldenWireIdentity(t *testing.T) {
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("wire FleetResult JSON differs from in-process run:\n got %d bytes\nwant %d bytes", len(gotJSON), len(wantJSON))
 	}
+}
+
+// TestDaemonSharedRuns fetches a share-mode scenario over the wire: its
+// jobs must share Runs for exactly the pairs that share them in the
+// in-process result, because the codec frames a shared Run once and
+// decodes its back-references to one pointer. The same spec at Lanes 1
+// runs a session per job, so no Run is shared on either side. Both must
+// marshal to the in-process JSON byte for byte.
+func TestDaemonSharedRuns(t *testing.T) {
+	_, addr := startTestServer(t, Config{})
+	c := dialTest(t, addr)
+	for _, lanes := range []int{0, 1} {
+		sc := protean.Scenario{
+			Seed:  5,
+			Lanes: lanes,
+			Nodes: []protean.NodeSpec{{Count: 2, Session: protean.SessionSpec{Scale: 800}}},
+			Jobs: []protean.JobSpec{
+				{Workload: "echo/hw-nosoft", Count: 3},
+				{Workload: "alpha/hw-nosoft", Instances: 2, Count: 2},
+			},
+		}
+		want, err := protean.RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, err := c.Watch(job, nil, nil); err != nil || done.State != wire.StateDone {
+			t.Fatalf("lanes %d: watch: %+v, %v", lanes, done, err)
+		}
+		got, err := c.Result(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPairs, gotPairs := sharedRuns(want), sharedRuns(got)
+		if lanes == 0 && len(wantPairs) != 3+1 {
+			t.Fatalf("lanes 0: in-process jobs share %d Run pairs, want 4", len(wantPairs))
+		}
+		if lanes == 1 && len(wantPairs) != 0 {
+			t.Fatalf("lanes 1: in-process jobs share %d Run pairs, want 0", len(wantPairs))
+		}
+		if !slices.Equal(gotPairs, wantPairs) {
+			t.Errorf("lanes %d: wire Runs shared by job pairs %v, in-process by %v", lanes, gotPairs, wantPairs)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("lanes %d: wire FleetResult JSON differs from in-process run:\n got %s\nwant %s", lanes, gotJSON, wantJSON)
+		}
+	}
+}
+
+// sharedRuns lists the job pairs i < j whose Runs are one non-nil
+// pointer.
+func sharedRuns(fr *protean.FleetResult) [][2]int {
+	var pairs [][2]int
+	for i := range fr.Jobs {
+		for j := i + 1; j < len(fr.Jobs); j++ {
+			if fr.Jobs[i].Run != nil && fr.Jobs[i].Run == fr.Jobs[j].Run {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
+}
+
+// TestHandshakeVersionMismatch relays a Dial through a peer that
+// rewrites its Hello to the previous protocol version: the daemon must
+// answer with its version-mismatch error and hang up, and Dial must
+// report that error.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	_, addr := startTestServer(t, Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	relayErr := make(chan error, 1)
+	go func() { relayErr <- relayOldHello(l, addr) }()
+
+	c, err := Dial("tcp", l.Addr().String())
+	if err == nil {
+		c.Close()
+	}
+	want := fmt.Sprintf("server: protocol version mismatch: server speaks %d", wire.Version)
+	if err == nil || err.Error() != want {
+		t.Errorf("Dial: %v, want %q", err, want)
+	}
+	if err := <-relayErr; err != nil {
+		t.Error(err)
+	}
+}
+
+// relayOldHello accepts one client on l, sends the daemon at addr the
+// client's Hello with its version one less, relays the reply, and checks
+// that the daemon then closes the connection.
+func relayOldHello(l net.Listener, addr string) error {
+	in, err := l.Accept()
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	frame, err := wire.ReadFrame(in, nil)
+	if err != nil {
+		return err
+	}
+	id, m, err := wire.DecodeMessage(frame)
+	if err != nil {
+		return err
+	}
+	h, ok := m.(wire.Hello)
+	if !ok || h.Version != wire.Version {
+		return fmt.Errorf("client opened with %#v", m)
+	}
+	if err := wire.WriteFrame(out, wire.EncodeMessage(id, wire.Hello{Version: wire.Version - 1})); err != nil {
+		return err
+	}
+	reply, err := wire.ReadFrame(out, nil)
+	if err != nil {
+		return err
+	}
+	if err := wire.WriteFrame(in, reply); err != nil {
+		return err
+	}
+	// A daemon that kept the connection would block this read forever.
+	if err := out.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return err
+	}
+	if _, err := wire.ReadFrame(out, nil); err != io.EOF {
+		return fmt.Errorf("after the mismatch reply the daemon sent %v, want EOF", err)
+	}
+	return nil
 }
 
 func TestDaemonErrors(t *testing.T) {

@@ -39,6 +39,12 @@ const (
 	tagInt32 = 0xd2
 	tagInt64 = 0xd3
 
+	// tagRef is a back-reference: a canonical uint follows, the index
+	// of a pointee framed earlier in the same message (object.go). It
+	// takes msgpack's fixext1 byte, which this codec has no other use
+	// for.
+	tagRef = 0xd4
+
 	tagStr8  = 0xd9
 	tagStr16 = 0xda
 	tagStr32 = 0xdb
@@ -177,6 +183,13 @@ func (e *Encoder) Bin(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Ref appends a back-reference to the i-th pointee framed earlier in
+// the same message.
+func (e *Encoder) Ref(i uint64) {
+	e.buf = append(e.buf, tagRef)
+	e.Uint(i)
+}
+
 // ArrayHeader appends an array header for n elements.
 func (e *Encoder) ArrayHeader(n int) {
 	switch {
@@ -205,9 +218,10 @@ func (e *Encoder) MapHeader(n int) {
 	}
 }
 
-// uintSize, intSize, strSize, binSize and arrayHeaderSize return the
-// encoded length of what Uint, Int, Str, Bin and ArrayHeader append —
-// the size pass that lets a payload be allocated once.
+// uintSize, intSize, strSize, binSize, refSize and arrayHeaderSize
+// return the encoded length of what Uint, Int, Str, Bin, Ref and
+// ArrayHeader append — the size pass that lets a payload be allocated
+// once.
 func uintSize(v uint64) int {
 	switch {
 	case v <= posFixMax:
@@ -259,6 +273,8 @@ func binSize(n int) int {
 	}
 	return 5 + n
 }
+
+func refSize(i uint64) int { return 1 + uintSize(i) }
 
 func arrayHeaderSize(n int) int {
 	switch {
@@ -440,6 +456,19 @@ func (d *Decoder) Bool() (bool, error) {
 		return false, nil
 	}
 	return false, fmt.Errorf("%w: tag %#02x where bool expected", ErrCodec, t)
+}
+
+// Ref decodes a back-reference's index. Whether the index names an
+// earlier pointee is the object layer's check (object.go).
+func (d *Decoder) Ref() (uint64, error) {
+	t, err := d.tag()
+	if err != nil {
+		return 0, err
+	}
+	if t != tagRef {
+		return 0, fmt.Errorf("%w: tag %#02x where reference expected", ErrCodec, t)
+	}
+	return d.Uint()
 }
 
 // Nil consumes a nil value; the bool reports whether one was present

@@ -63,9 +63,15 @@ func FuzzWireDecode(f *testing.F) {
 			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, OK: true,
 		}})
 	})
-	f.Add([]byte{0xdd, 0xff, 0xff, 0xff, 0xff})   // hostile array32 count
-	f.Add([]byte{0xcc, 0x05})                     // non-canonical uint
-	f.Add(bytes.Repeat([]byte{0x91}, MaxDepth+8)) // deep nesting
+	seed(func(e *Encoder) { AppendMessage(e, 6, ResultOK{Job: 9, Fleet: shareFleet()}) })
+	seed(func(e *Encoder) { AppendMessage(e, 7, ResultOK{Job: 9, Fleet: pairFleet()}) })
+	for _, c := range hostileRefs(f) {
+		f.Add(c.frame)
+	}
+	f.Add([]byte{0x92, tagRef, 0x00, tagRef, 0x05}) // generic references
+	f.Add([]byte{0xdd, 0xff, 0xff, 0xff, 0xff})     // hostile array32 count
+	f.Add([]byte{0xcc, 0x05})                       // non-canonical uint
+	f.Add(bytes.Repeat([]byte{0x91}, MaxDepth+8))   // deep nesting
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := DecodeValue(data)

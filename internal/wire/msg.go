@@ -11,7 +11,7 @@ import (
 
 // Version is the protocol revision negotiated by Hello/HelloOK. A server
 // rejects clients whose major revision differs.
-const Version = 3
+const Version = 4
 
 // Message kinds — the first element of every message envelope.
 const (
@@ -201,8 +201,10 @@ var msgTypes = [...]reflect.Type{
 func AppendMessage(e *Encoder, id uint64, m Msg) {
 	p := planFor(reflect.TypeOf(m))
 	ptr := valuePtr(&m, p)
-	e.buf = slices.Grow(e.buf, envelopeSize(id, m, p.size(ptr)))
-	e.appendMessage(id, m, p, ptr)
+	var r encRefs
+	e.buf = slices.Grow(e.buf, envelopeSize(id, m, p.size(&r, ptr)))
+	e.appendMessage(id, m, p, &r, ptr)
+	r.release()
 }
 
 // EncodeMessage encodes one enveloped message as a fresh payload,
@@ -210,8 +212,10 @@ func AppendMessage(e *Encoder, id uint64, m Msg) {
 func EncodeMessage(id uint64, m Msg) []byte {
 	p := planFor(reflect.TypeOf(m))
 	ptr := valuePtr(&m, p)
-	e := Encoder{buf: make([]byte, 0, envelopeSize(id, m, p.size(ptr)))}
-	e.appendMessage(id, m, p, ptr)
+	var r encRefs
+	e := Encoder{buf: make([]byte, 0, envelopeSize(id, m, p.size(&r, ptr)))}
+	e.appendMessage(id, m, p, &r, ptr)
+	r.release()
 	return e.buf
 }
 
@@ -221,13 +225,13 @@ func envelopeSize(id uint64, m Msg, body int) int {
 	return arrayHeaderSize(3) + uintSize(m.Kind()) + uintSize(id) + body
 }
 
-// appendMessage appends m's envelope; p is m's plan and ptr the address
-// of its value.
-func (e *Encoder) appendMessage(id uint64, m Msg, p *plan, ptr unsafe.Pointer) {
+// appendMessage appends m's envelope; p is m's plan, r the reference
+// table its size pass filled and ptr the address of its value.
+func (e *Encoder) appendMessage(id uint64, m Msg, p *plan, r *encRefs, ptr unsafe.Pointer) {
 	e.ArrayHeader(3)
 	e.Uint(m.Kind())
 	e.Uint(id)
-	p.encode(e, ptr)
+	p.encode(e, r, ptr)
 }
 
 // DecodeMessage decodes one enveloped message from a frame payload,
@@ -271,7 +275,10 @@ func decodeBody(d *Decoder, kind uint64) (Msg, error) {
 	}
 	p := planFor(msgTypes[kind])
 	v := reflect.New(p.typ)
-	if err := p.decode(d, v.UnsafePointer()); err != nil {
+	r := decRefs{start: d.pos}
+	err := p.decode(d, &r, v.UnsafePointer())
+	r.release()
+	if err != nil {
 		return nil, err
 	}
 	return v.Elem().Interface().(Msg), nil

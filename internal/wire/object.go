@@ -2,7 +2,9 @@ package wire
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -12,7 +14,7 @@ import (
 //
 //   - a struct is a fixed-arity array of its fields in declaration order;
 //   - a slice is an array, except []byte, which is a bin;
-//   - a pointer is nil or its pointee;
+//   - a pointer is nil, a back-reference or its pointee;
 //   - bool, signed and unsigned integers and strings use the canonical
 //     Encoder/Decoder primitives (codec.go).
 //
@@ -25,6 +27,20 @@ import (
 // Platform-sized int and uint travel as 32-bit values: a frame a 64-bit
 // host accepts means the same on a 32-bit one.
 //
+// Pointers. A message numbers its pointees 0, 1, ... in the order the
+// codec finishes framing them. A pointer whose address and plan are
+// those of an earlier, finished pointee frames as a back-reference to
+// that pointee's number (tagRef and a canonical uint), so a result that
+// a fleet's share group stores once for every member travels once, and
+// decodes to one pointer every member shares. Two distinct pointers
+// with equal contents still frame in full, and so does a pointer to a
+// zero-size type, which the table never numbers: distinct zero-size
+// allocations share one address. The decoder numbers exactly what the
+// encoder numbers, and rejects a reference out of range, to a pointee
+// still being decoded, or to a pointee of another plan. So a reference
+// always resolves to a pointer the same message already decoded, the
+// decoded graph stays acyclic, and decode→encode stays byte-identical.
+//
 // Reflection runs once per type. planFor builds a plan, caches it, and
 // the codec walks the plan over the value's memory. A plan is the
 // type's encoding as a flat list of steps: a struct contributes its
@@ -34,9 +50,12 @@ import (
 // the range it checks, or the element plan. The plan also holds min,
 // the fewest bytes any accepted encoding of the type takes, which is
 // the size of its zero value. Encoding walks twice: a size pass, then
-// the encode pass into a payload allocated once at that size. Decoding
-// walks once, into memory allocated by reflect with the plan's types,
-// so the garbage collector sees every pointer it writes.
+// the encode pass into a payload allocated once at that size. The two
+// passes share one reference table, an open-addressed hash table the
+// encoder takes from a pool, so the payload stays a message's one
+// allocation however many pointees it holds. Decoding walks once, into
+// memory allocated by reflect with the plan's types, so the garbage
+// collector sees every pointer it writes.
 //
 // Allocation bound: the decoder rejects an array whose claimed count
 // could not fit in the bytes left, at the element plan's min bytes
@@ -44,7 +63,17 @@ import (
 // reserves more elements than the rest of the frame could hold, and a
 // frame can never make the decoder reserve more than a valid frame of
 // the same length, made of that slice's smallest elements, would make
-// it allocate.
+// it allocate. A reference allocates nothing. A pointee decoded in full
+// adds one entry to the reference table, which comes from a pool and
+// otherwise starts at 16 entries and doubles, so it allocates at most
+// 16 entries plus four per entry.
+//
+// Expansion bound: a walk that expands references (JSON, say) visits a
+// shared pointee once per reference, so a small frame could stand for
+// a far larger tree. The decoder records each pointee's length with
+// the references inside it expanded, and rejects a message that,
+// expanded, would take more than MaxFrame bytes: no accepted message
+// stands for more than a frame without references could hold.
 
 // stepKind is what one step of a plan encodes.
 type stepKind uint8
@@ -90,6 +119,178 @@ type plan struct {
 	// direct reports that an interface holding a typ holds the value
 	// itself, not a pointer to it (pointer-shaped types).
 	direct bool
+}
+
+// pointee is one pointee a message framed in full: its address and its
+// plan.
+type pointee struct {
+	ptr unsafe.Pointer
+	p   *plan
+}
+
+// encRefs is the encoder's reference table for one message: the number
+// of every pointee the size pass framed in full, in the order it
+// finished them, and how many references it wrote. The encode pass
+// reads the same table, counting in done the pointees it has finished
+// itself; it looks pointers up only if the size pass wrote a reference.
+// The table comes from encRefPool at the message's first pointee and
+// goes back to it, emptied, afterwards, so a message allocates no table
+// once the pool holds one.
+type encRefs struct {
+	t             *encTable
+	n, refs, done int
+}
+
+// encTable maps pointees to their numbers by open addressing on the
+// address. The size pass looks up every pointer, so a lookup must cost
+// little beside framing the pointee.
+type encTable struct {
+	slots []refSlot // a power of two, at most half full
+	shift uint8     // 64 minus log2(len(slots))
+}
+
+// refSlot is one slot of an encTable; a nil pt.ptr marks it empty.
+type refSlot struct {
+	pt pointee
+	i  int
+}
+
+// decRefs is the decoder's reference table for one message: every
+// pointee it decoded in full, in the order it finished them, and how
+// far the message's references expand it. Like encRefs, its table comes
+// from a pool at the first pointee.
+type decRefs struct {
+	t *decTable
+	// start is the decoder's position at the message body; extra is
+	// how many bytes more the body would take with every reference
+	// decoded so far replaced by the encoding it names.
+	start, extra int
+}
+
+// decTable holds a decRefs' entries.
+type decTable struct{ refs []decRef }
+
+// decRef is one decoded pointee and the length of its encoding with
+// every reference inside it expanded.
+type decRef struct {
+	pointee
+	size int
+}
+
+// maxPooledRefs caps the tables the pools keep, in pointees, so one
+// huge message does not pin a huge table, or make every later message
+// clear it.
+const maxPooledRefs = 4096
+
+var (
+	encRefPool = sync.Pool{New: func() any { return new(encTable) }}
+	decRefPool = sync.Pool{New: func() any { return new(decTable) }}
+)
+
+// find returns pt's number, if the size pass framed it.
+func (r *encRefs) find(pt pointee) (int, bool) {
+	if r.t == nil {
+		return 0, false
+	}
+	sl := r.t.slot(pt)
+	return sl.i, sl.pt.ptr != nil
+}
+
+// add numbers pt, which the size pass just finished framing.
+func (r *encRefs) add(pt pointee) {
+	if r.t == nil {
+		r.t = encRefPool.Get().(*encTable)
+	}
+	if 2*(r.n+1) > len(r.t.slots) {
+		r.t.grow()
+	}
+	*r.t.slot(pt) = refSlot{pt, r.n}
+	r.n++
+}
+
+// release returns the table to its pool once both passes are done.
+func (r *encRefs) release() {
+	if r.t != nil && r.n <= maxPooledRefs {
+		clear(r.t.slots)
+		encRefPool.Put(r.t)
+	}
+	r.t = nil
+}
+
+// slot returns pt's slot, or the empty slot where it belongs.
+func (t *encTable) slot(pt pointee) *refSlot {
+	mask := len(t.slots) - 1
+	for j := int(uint64(uintptr(pt.ptr)) * 0x9e3779b97f4a7c15 >> t.shift); ; j = (j + 1) & mask {
+		if sl := &t.slots[j]; sl.pt.ptr == nil || sl.pt == pt {
+			return sl
+		}
+	}
+}
+
+// grow doubles the table, from 32 slots.
+func (t *encTable) grow() {
+	old := t.slots
+	t.slots = make([]refSlot, max(2*len(old), 32))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(len(t.slots))))
+	for _, sl := range old {
+		if sl.pt.ptr != nil {
+			*t.slot(sl.pt) = sl
+		}
+	}
+}
+
+// add numbers pt, a pointee just decoded in full whose encoding,
+// references expanded, takes size bytes.
+func (r *decRefs) add(pt pointee, size int) {
+	if r.t == nil {
+		r.t = decRefPool.Get().(*decTable)
+	}
+	if refs := r.t.refs; len(refs) == cap(refs) {
+		r.t.refs = slices.Grow(refs, max(len(refs), 16)) // doubling
+	}
+	r.t.refs = append(r.t.refs, decRef{pt, size})
+}
+
+// resolve decodes a back-reference in a pointer slot whose pointee plan
+// is p, returning the pointer it names. It rejects the reference if the
+// message, references expanded, would take more than MaxFrame bytes:
+// more than any frame without references can hold.
+func (r *decRefs) resolve(d *Decoder, p *plan) (unsafe.Pointer, error) {
+	at := d.pos
+	i, err := d.Ref()
+	if err != nil {
+		return nil, err
+	}
+	var refs []decRef
+	if r.t != nil {
+		refs = r.t.refs
+	}
+	if i >= uint64(len(refs)) {
+		return nil, fmt.Errorf("%w: reference to pointee %d of %d finished", ErrCodec, i, len(refs))
+	}
+	ref := refs[i]
+	if ref.p != p {
+		return nil, fmt.Errorf("%w: reference to a %s where a %s is expected", ErrCodec, ref.p.typ, p.typ)
+	}
+	r.extra += ref.size - (d.pos - at)
+	if r.expanded(d) > MaxFrame {
+		return nil, fmt.Errorf("%w: references expand the message past %d bytes", ErrCodec, MaxFrame)
+	}
+	return ref.ptr, nil
+}
+
+// expanded is the length of the body decoded so far, references
+// expanded.
+func (r *decRefs) expanded(d *Decoder) int { return d.pos - r.start + r.extra }
+
+// release returns the table to its pool, dropping its pointers.
+func (r *decRefs) release() {
+	if r.t != nil && cap(r.t.refs) <= maxPooledRefs {
+		clear(r.t.refs)
+		r.t.refs = r.t.refs[:0]
+		decRefPool.Put(r.t)
+	}
+	r.t = nil
 }
 
 // sliceHeader is the memory layout of every Go slice.
@@ -255,8 +456,9 @@ func (st *step) store(ptr unsafe.Pointer, x uint64) {
 	}
 }
 
-// size returns the length of the encoding of the value at ptr.
-func (p *plan) size(ptr unsafe.Pointer) int {
+// size returns the length of the encoding of the value at ptr, numbering
+// in r every pointee it frames in full.
+func (p *plan) size(r *encRefs, ptr unsafe.Pointer) int {
 	n := 0
 	for i := range p.steps {
 		st := &p.steps[i]
@@ -278,13 +480,23 @@ func (p *plan) size(ptr unsafe.Pointer) int {
 			s := (*sliceHeader)(at)
 			n += arrayHeaderSize(s.len)
 			for j := 0; j < s.len; j++ {
-				n += st.elem.size(unsafe.Add(s.data, uintptr(j)*st.elem.width))
+				n += st.elem.size(r, unsafe.Add(s.data, uintptr(j)*st.elem.width))
 			}
 		case stepPointer:
-			if pp := *(*unsafe.Pointer)(at); pp != nil {
-				n += st.elem.size(pp)
-			} else {
+			pp := *(*unsafe.Pointer)(at)
+			if pp == nil {
 				n++
+				break
+			}
+			pt := pointee{pp, st.elem}
+			if i, ok := r.find(pt); ok {
+				n += refSize(uint64(i))
+				r.refs++
+				break
+			}
+			n += st.elem.size(r, pp)
+			if st.elem.width != 0 {
+				r.add(pt)
 			}
 		default:
 			panic(fmt.Sprintf("wire: cannot encode %s", st.typ))
@@ -293,10 +505,11 @@ func (p *plan) size(ptr unsafe.Pointer) int {
 	return n
 }
 
-// encode appends the positional encoding of the value at ptr. The
-// value's type must follow the rules above; any other kind is a
-// programming error and panics.
-func (p *plan) encode(e *Encoder, ptr unsafe.Pointer) {
+// encode appends the positional encoding of the value at ptr, framing
+// a pointee as a reference when r, filled by the size pass, numbered it
+// before this pass reached it. The value's type must follow the rules
+// above; any other kind is a programming error and panics.
+func (p *plan) encode(e *Encoder, r *encRefs, ptr unsafe.Pointer) {
 	for i := range p.steps {
 		st := &p.steps[i]
 		at := unsafe.Add(ptr, st.off)
@@ -317,13 +530,23 @@ func (p *plan) encode(e *Encoder, ptr unsafe.Pointer) {
 			s := (*sliceHeader)(at)
 			e.ArrayHeader(s.len)
 			for j := 0; j < s.len; j++ {
-				st.elem.encode(e, unsafe.Add(s.data, uintptr(j)*st.elem.width))
+				st.elem.encode(e, r, unsafe.Add(s.data, uintptr(j)*st.elem.width))
 			}
 		case stepPointer:
-			if pp := *(*unsafe.Pointer)(at); pp != nil {
-				st.elem.encode(e, pp)
-			} else {
+			pp := *(*unsafe.Pointer)(at)
+			if pp == nil {
 				e.Nil()
+				break
+			}
+			if r.refs > 0 {
+				if i, ok := r.find(pointee{pp, st.elem}); ok && i < r.done {
+					e.Ref(uint64(i))
+					break
+				}
+			}
+			st.elem.encode(e, r, pp)
+			if st.elem.width != 0 {
+				r.done++
 			}
 		default:
 			panic(fmt.Sprintf("wire: cannot encode %s", st.typ))
@@ -332,18 +555,19 @@ func (p *plan) encode(e *Encoder, ptr unsafe.Pointer) {
 }
 
 // decode decodes one value into the zeroed memory at ptr, which the
-// caller allocated as a value of the plan's type.
-func (p *plan) decode(d *Decoder, ptr unsafe.Pointer) error {
+// caller allocated as a value of the plan's type, numbering in r every
+// pointee it decodes in full.
+func (p *plan) decode(d *Decoder, r *decRefs, ptr unsafe.Pointer) error {
 	for i := range p.steps {
 		st := &p.steps[i]
-		if err := st.decode(d, unsafe.Add(ptr, st.off)); err != nil {
+		if err := st.decode(d, r, unsafe.Add(ptr, st.off)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (st *step) decode(d *Decoder, at unsafe.Pointer) error {
+func (st *step) decode(d *Decoder, r *decRefs, at unsafe.Pointer) error {
 	switch st.kind {
 	case stepHeader:
 		return d.ArrayHeaderExact(st.n)
@@ -393,7 +617,7 @@ func (st *step) decode(d *Decoder, at unsafe.Pointer) error {
 		s.SetLen(n)
 		data := s.UnsafePointer()
 		for j := 0; j < n; j++ {
-			if err := st.elem.decode(d, unsafe.Add(data, uintptr(j)*st.elem.width)); err != nil {
+			if err := st.elem.decode(d, r, unsafe.Add(data, uintptr(j)*st.elem.width)); err != nil {
 				return err
 			}
 		}
@@ -401,11 +625,23 @@ func (st *step) decode(d *Decoder, at unsafe.Pointer) error {
 		if d.Nil() {
 			return nil
 		}
+		if d.pos < len(d.buf) && d.buf[d.pos] == tagRef {
+			pp, err := r.resolve(d, st.elem)
+			if err != nil {
+				return err
+			}
+			*(*unsafe.Pointer)(at) = pp
+			return nil
+		}
+		start := r.expanded(d)
 		pp := reflect.New(st.elem.typ).UnsafePointer()
-		if err := st.elem.decode(d, pp); err != nil {
+		if err := st.elem.decode(d, r, pp); err != nil {
 			return err
 		}
 		*(*unsafe.Pointer)(at) = pp
+		if st.elem.width != 0 {
+			r.add(pointee{pp, st.elem}, r.expanded(d)-start)
+		}
 	default:
 		return fmt.Errorf("%w: cannot decode into %s", ErrCodec, st.typ)
 	}

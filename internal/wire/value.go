@@ -5,7 +5,7 @@ import "fmt"
 // Value is the generic decoded form of one codec value:
 //
 //	nil | bool | uint64 | int64 (negative only) | string | []byte |
-//	Array | Map
+//	Array | Map | Ref
 //
 // Non-negative integers always decode as uint64 and negative ones as
 // int64, mirroring the canonical encoding split, so
@@ -25,6 +25,11 @@ type Map []MapEntry
 type MapEntry struct {
 	Key, Val Value
 }
+
+// Ref is a generic back-reference: the number of a pointee framed
+// earlier in the same message (object.go). The generic form keeps the
+// number and does not resolve it.
+type Ref uint64
 
 // DecodeValue decodes one value from the head of buf, returning it and
 // the number of bytes consumed. Arbitrary input never panics and never
@@ -62,6 +67,12 @@ func (d *Decoder) value(depth int) (Value, error) {
 		return d.Int()
 	case t&0xe0 == fixstrMask, t == tagStr8, t == tagStr16, t == tagStr32:
 		return d.Str()
+	case t == tagRef:
+		i, err := d.Ref()
+		if err != nil {
+			return nil, err
+		}
+		return Ref(i), nil
 	case t == tagBin8, t == tagBin16, t == tagBin32:
 		b, err := d.Bin()
 		if err != nil {
@@ -117,6 +128,8 @@ func (e *Encoder) EncodeValue(v Value) error {
 		e.Str(v)
 	case []byte:
 		e.Bin(v)
+	case Ref:
+		e.Ref(uint64(v))
 	case Array:
 		e.ArrayHeader(len(v))
 		for _, el := range v {

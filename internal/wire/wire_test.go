@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"protean"
 	"protean/internal/cluster"
+	"protean/internal/obs"
 )
 
 // TestCodecRoundTrip drives every scalar shape through encode→decode and
@@ -192,7 +196,7 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // TestDecodeMessageRejects covers the malformed-envelope classes and the
-// object decoder's shape, range and allocation checks.
+// object decoder's shape, range, allocation and reference checks.
 func TestDecodeMessageRejects(t *testing.T) {
 	good := EncodeMessage(1, Status{Job: 5})
 	cases := map[string][]byte{
@@ -232,6 +236,265 @@ func TestDecodeMessageRejects(t *testing.T) {
 			t.Errorf("%s: DecodeMessage accepted %x", name, payload)
 		}
 	}
+	for name, c := range hostileRefs(t) {
+		if _, _, err := DecodeMessage(c.frame); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: DecodeMessage(%x): error %v, want %q", name, c.frame, err, c.err)
+		}
+	}
+}
+
+// pairFleet is two jobs sharing one Run whose one process has an
+// Expected: the message numbers the Expected 0 and the Run 1, and the
+// second job's Run frames as a reference to 1.
+func pairFleet() *protean.FleetResult {
+	exp := uint32(7)
+	run := &protean.Result{Cycles: 10, Procs: []protean.ProcResult{{PID: 1, Name: "a", Expected: &exp}}}
+	return &protean.FleetResult{Jobs: []protean.JobResult{{ID: 0, Run: run}, {ID: 1, Run: run}}}
+}
+
+// refCase is a frame the decoder must reject and the text its error
+// must hold.
+type refCase struct {
+	frame []byte
+	err   string
+}
+
+// hostileRefs returns ResultOK frames whose back-references the decoder
+// must reject, built by editing pairFleet's frame.
+func hostileRefs(t testing.TB) map[string]refCase {
+	t.Helper()
+	edit := func(f func(jobs Array)) []byte {
+		v, _, err := DecodeValue(EncodeMessage(1, ResultOK{Job: 1, Fleet: pairFleet()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := v.(Array)[2].(Array)[1].(Array)
+		jobs := fleet[2].(Array)
+		if last := jobs[1].(Array); last[len(last)-1] != Ref(1) {
+			t.Fatalf("second job's Run frames as %v, want Ref(1)", last[len(last)-1])
+		}
+		f(jobs)
+		var e Encoder
+		if err := e.EncodeValue(v); err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	setRun := func(jobs Array, job int, run Value) {
+		a := jobs[job].(Array)
+		a[len(a)-1] = run
+	}
+	wide := edit(func(Array) {})
+	if i := bytes.Index(wide, []byte{tagRef, 1}); i < 0 || bytes.Count(wide, []byte{tagRef}) != 1 {
+		t.Fatalf("pairFleet frame %x has no single reference", wide)
+	} else {
+		wide = slices.Insert(wide, i+1, tagUint8)
+	}
+	return map[string]refCase{
+		"reference before any pointee": {envelope(KResultOK, func(e *Encoder) {
+			e.ArrayHeader(2)
+			e.Uint(1)
+			e.Ref(0)
+		}), "reference to pointee 0 of 0 finished"},
+		"reference index equals pointees finished": {
+			edit(func(jobs Array) { setRun(jobs, 1, Ref(2)) }), "reference to pointee 2 of 2 finished"},
+		"reference to another plan": {
+			edit(func(jobs Array) { setRun(jobs, 1, Ref(0)) }), "reference to a uint32 where a protean.Result is expected"},
+		"non-canonical reference index": {wide, "non-canonical"},
+		"reference to the pointee being decoded": {edit(func(jobs Array) {
+			run := jobs[0].(Array)[len(jobs[0].(Array))-1].(Array)
+			run[len(run)-1] = Ref(1) // the Run's own Metrics; the Run will be 1
+		}), "reference to pointee 1 of 1 finished"},
+	}
+}
+
+// TestSharedPointers checks the back-reference rule on the share-group
+// fixture: the Runs a group shares frame once and decode to one pointer
+// again, and the same fleet with equal but distinct Runs frames in full.
+func TestSharedPointers(t *testing.T) {
+	fleet := shareFleet()
+	payload := EncodeMessage(1, ResultOK{Job: 1, Fleet: fleet})
+	v, _, err := DecodeValue(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refs := countRefs(v); refs != len(fleet.Jobs)-3 {
+		t.Errorf("share fixture frames %d references, want %d", refs, len(fleet.Jobs)-3)
+	}
+	full := EncodeMessage(1, ResultOK{Job: 1, Fleet: unshare(fleet)})
+	if v, _, err := DecodeValue(full); err != nil || countRefs(v) != 0 {
+		t.Errorf("distinct equal Runs: %d references (err %v), want 0", countRefs(v), err)
+	}
+	if 3*len(payload) > len(full) {
+		t.Errorf("share fixture frames to %d bytes, %d in full: want under a third", len(payload), len(full))
+	}
+	for name, b := range map[string][]byte{"shared": payload, "distinct": full} {
+		_, m, err := DecodeMessage(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := m.(ResultOK).Fleet
+		want := aliasedRuns(fleet)
+		if name == "distinct" {
+			want = nil
+		}
+		if !slices.Equal(aliasedRuns(got), want) {
+			t.Errorf("%s: decoded Runs alias %d job pairs, want %d", name, len(aliasedRuns(got)), len(want))
+		}
+		if !reflect.DeepEqual(got, fleet) {
+			t.Errorf("%s: decoded fleet differs", name)
+		}
+		if re := EncodeMessage(1, m); !bytes.Equal(re, b) {
+			t.Errorf("%s: re-encode differs", name)
+		}
+	}
+
+	// sampleFleet's fleet-level Metrics is its first Run's.
+	exp := uint32(7)
+	_, m, err := DecodeMessage(EncodeMessage(1, ResultOK{Job: 1, Fleet: sampleFleet(&exp)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr := m.(ResultOK).Fleet; fr.Metrics == nil || fr.Metrics != fr.Jobs[0].Run.Metrics {
+		t.Error("sampleFleet's shared Metrics decoded to two pointers")
+	}
+}
+
+// countRefs counts the back-references in a generic value.
+func countRefs(v Value) int {
+	switch v := v.(type) {
+	case Ref:
+		return 1
+	case Array:
+		n := 0
+		for _, el := range v {
+			n += countRefs(el)
+		}
+		return n
+	}
+	return 0
+}
+
+// zeroMsg's pointees have no size: distinct allocations of them may
+// share an address, so they always frame in full.
+type zeroMsg struct{ A, B *struct{} }
+
+func (zeroMsg) Kind() uint64 { return 97 }
+
+// TestZeroSizePointees checks that pointers to zero-size values never
+// become references, and that the decoder does not number them.
+func TestZeroSizePointees(t *testing.T) {
+	z := new(struct{})
+	want := envelope(97, func(e *Encoder) {
+		e.ArrayHeader(2)
+		e.ArrayHeader(0)
+		e.ArrayHeader(0)
+	})
+	if got := EncodeMessage(1, zeroMsg{A: z, B: z}); !bytes.Equal(got, want) {
+		t.Errorf("zeroMsg: %x, want %x", got, want)
+	}
+	ref := envelope(97, func(e *Encoder) {
+		e.ArrayHeader(2)
+		e.ArrayHeader(0)
+		e.Ref(0)
+	})
+	if _, err := decodeAs[zeroMsg](ref); err == nil {
+		t.Error("a reference to a zero-size pointee was accepted")
+	}
+}
+
+// TestReferenceCycleRejected frames a treeMsg whose Up names the
+// pointee it sits in. The plan matches; only the rule that a reference
+// names a finished pointee rejects it, which keeps decoded graphs
+// acyclic.
+func TestReferenceCycleRejected(t *testing.T) {
+	frame := func(up Value) []byte {
+		var e Encoder
+		e.ArrayHeader(3)
+		e.Uint(99)
+		e.Uint(1)
+		// Up's pointee holds one kid whose Up is pointee 0, then its
+		// own Up, which would be pointee 1.
+		err := e.EncodeValue(Array{"a", Array{}, Array{"b", Array{Array{"c", Array{}, Array{"d", Array{}, nil}}}, up}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	m, err := decodeAs[treeMsg](frame(Ref(0)))
+	if err != nil {
+		t.Fatalf("reference to a finished pointee: %v", err)
+	}
+	if m.Up.Up != m.Up.Kids[0].Up {
+		t.Error("reference did not resolve to the pointee it names")
+	}
+	if _, err := decodeAs[treeMsg](frame(Ref(1))); err == nil {
+		t.Error("a reference to the pointee being decoded was accepted")
+	}
+}
+
+// decodeAs decodes an enveloped T, a message type msgTypes need not
+// list, through its plan.
+func decodeAs[T Msg](payload []byte) (T, error) {
+	var m T
+	d := NewDecoder(payload)
+	if err := d.ArrayHeaderExact(3); err != nil {
+		return m, err
+	}
+	if _, err := d.Uint(); err != nil {
+		return m, err
+	}
+	if _, err := d.Uint(); err != nil {
+		return m, err
+	}
+	r := decRefs{start: d.pos}
+	defer r.release()
+	if err := planFor(reflect.TypeFor[T]()).decode(d, &r, unsafe.Pointer(&m)); err != nil {
+		return m, err
+	}
+	if !d.Done() {
+		return m, fmt.Errorf("%d trailing bytes", len(d.Rest()))
+	}
+	return m, nil
+}
+
+// TestReferenceExpansionCap frames fleets whose first job's Run holds
+// a 64 KiB Metrics and whose other jobs share a second Run that refers
+// back to that Metrics. A frame of at most 84 KiB then stands for jobs
+// times 64 KiB, through references nested two deep. The decoder must
+// accept the fleet while that expansion fits in MaxFrame and reject it
+// past that, counting what the nested reference stands for.
+func TestReferenceExpansionCap(t *testing.T) {
+	snap := protean.Metrics{Metrics: []obs.Metric{{Name: strings.Repeat("m", 64<<10)}}}
+	fleet := func(jobs int) *protean.FleetResult {
+		first := &protean.Result{Cycles: 1, Metrics: &snap}
+		rest := &protean.Result{Cycles: 2, Metrics: &snap}
+		fr := &protean.FleetResult{Jobs: []protean.JobResult{{ID: 0, Run: first}}}
+		for i := 1; i < jobs; i++ {
+			fr.Jobs = append(fr.Jobs, protean.JobResult{ID: i, Run: rest})
+		}
+		return fr
+	}
+	for _, c := range []struct {
+		jobs int
+		ok   bool
+	}{{MaxFrame / (66 << 10), true}, {MaxFrame / (64 << 10), false}} {
+		payload := EncodeMessage(1, ResultOK{Job: 1, Fleet: fleet(c.jobs)})
+		if len(payload) > 128<<10 {
+			t.Fatalf("%d jobs frame to %d bytes, want a small frame", c.jobs, len(payload))
+		}
+		_, m, err := DecodeMessage(payload)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%d jobs: %v", c.jobs, err)
+		case c.ok:
+			if jobs := m.(ResultOK).Fleet.Jobs; jobs[c.jobs-1].Run.Metrics != jobs[0].Run.Metrics {
+				t.Errorf("%d jobs: the shared Metrics decoded to two pointers", c.jobs)
+			}
+		case err == nil || !strings.Contains(err.Error(), "references expand the message past"):
+			t.Errorf("%d jobs (%d bytes): error %v, want the expansion cap", c.jobs, len(payload), err)
+		}
+	}
 }
 
 // TestPlanMin checks each message plan's min, the bound the decoder
@@ -245,10 +508,10 @@ func TestPlanMin(t *testing.T) {
 		walkPlans(planFor(typ), func(p *plan) {
 			zero := reflect.New(p.typ).UnsafePointer()
 			var e Encoder
-			p.encode(&e, zero)
-			if p.min != len(e.Bytes()) || p.size(zero) != p.min {
+			p.encode(&e, &encRefs{}, zero)
+			if size := p.size(&encRefs{}, zero); p.min != len(e.Bytes()) || size != p.min {
 				t.Errorf("kind %d: %s: min %d, size pass %d, zero value encodes to %d bytes",
-					kind, p.typ, p.min, p.size(zero), len(e.Bytes()))
+					kind, p.typ, p.min, size, len(e.Bytes()))
 			}
 		})
 	}
@@ -407,10 +670,14 @@ func allocBytes(f func()) uint64 {
 // frame of n bytes, from the plans of every message kind. The allocator
 // rounds a request of s bytes up to at most max(16, 2s). A slice of k
 // elements of width w and min m then allocates at most 2kw+16 bytes for
-// its 1+km bytes of frame, a pointer 2w+16 for m bytes, and a string 16
-// bytes for its 3 or 2s for its s+1; a nested slice or pointer adds its
-// own share of the same bytes. The message struct, its interface copy
-// and an error fit in a constant.
+// its 1+km bytes of frame, a pointee framed in full 2w+16 for m bytes,
+// and a string 16 bytes for its 3 or 2s for its s+1; a nested slice or
+// pointer adds its own share of the same bytes. A back-reference
+// allocates nothing. A pointee framed in full also takes a reference
+// table entry; the table starts at 16 entries and doubles, so with an
+// empty pool it allocates at most four entries per entry. The message
+// struct, its interface copy, an error and the table's first 16 entries
+// fit in a constant.
 func decodeBound(n int) uint64 {
 	perByte := 0.0
 	for _, typ := range msgTypes {
@@ -418,7 +685,7 @@ func decodeBound(n int) uint64 {
 			perByte = max(perByte, allocPerByte(planFor(typ)))
 		}
 	}
-	return uint64(perByte*float64(n)) + 2<<10
+	return uint64(perByte*float64(n)) + 3<<10
 }
 
 // allocPerByte is the most heap bytes decoding p's type allocates per
@@ -436,7 +703,7 @@ func allocPerByte(p *plan) float64 {
 		case stepSlice:
 			worst = max(worst, max((2*w+16)/(1+m), 2*w/m)+allocPerByte(st.elem))
 		case stepPointer:
-			worst = max(worst, (2*w+16)/m+allocPerByte(st.elem))
+			worst = max(worst, (2*w+16+4*float64(unsafe.Sizeof(decRef{})))/m+allocPerByte(st.elem))
 		}
 	}
 	return worst
@@ -556,6 +823,87 @@ func sampleFleet(exp *uint32) *protean.FleetResult {
 		RFU:     protean.RFUStats{HWDispatches: 55},
 		Metrics: &snap,
 	}
+}
+
+// shareFleet builds a synthetic FleetResult shaped like a daemon fleet's
+// reply: 96 jobs on 16 nodes in three share groups of 32, every member
+// of a group pointing at its group's one Run, as a share-mode scenario
+// stores them. Each Run has two processes, each with its own Expected.
+func shareFleet() *protean.FleetResult {
+	kinds := []string{"alpha/gate", "twofish/hw-nosoft", "echo/hw-nosoft"}
+	runs := make([]*protean.Result, len(kinds))
+	for k, w := range kinds {
+		run := &protean.Result{
+			Cycles: 6010 + uint64(k)*977, Completion: 6010 + uint64(k)*977,
+			CIS:    protean.CISStats{Faults: 2, Loads: 2, ConfigBytes: 108172, ConfigCycles: 136},
+			Kernel: protean.KernelStats{ContextSwitches: 6, TimerIRQs: 4, Syscalls: 4, KernelCycles: 14, MaxIRQLatency: 3, SumIRQLatency: 12},
+			RFU:    protean.RFUStats{HWDispatches: 200, Faults: 2, Completions: 200, ExecCycles: 1600, ConfigLoads: 2},
+			TLB1:   protean.TLBStats{Lookups: 202, Misses: 2},
+			TLB2:   protean.TLBStats{Lookups: 2, Misses: 2},
+		}
+		for p := range 2 {
+			exp := uint32(0xcd735a93 + k)
+			run.Procs = append(run.Procs, protean.ProcResult{
+				PID: uint32(p + 1), Name: fmt.Sprintf("%s#%d", w, p+1), Workload: w,
+				State: protean.ProcExited, ExitCode: exp, Expected: &exp,
+				Start: 1 + uint64(p)*1254, Completion: 5513 + uint64(p)*497, Switches: 3, Faults: 1, Instrs: 1113,
+			})
+		}
+		runs[k] = run
+	}
+	fr := &protean.FleetResult{Policy: "config-affinity"}
+	for n := range 16 {
+		fr.Nodes = append(fr.Nodes, protean.NodeResult{Node: n, ClockScale: 1, Jobs: 6, Busy: 67000 + uint64(n)*311,
+			ColdLoads: 1, WarmHits: 5, FetchCycles: 68, Completion: 190000 + uint64(n)*1021})
+	}
+	for i := range 96 {
+		k := i / 32
+		arrival := uint64(i) * 1987
+		fr.Jobs = append(fr.Jobs, protean.JobResult{
+			ID: i, Label: kinds[k] + " x2", Workload: kinds[k],
+			Placement: cluster.Placement{Node: i % 16, Arrival: arrival, Start: arrival + 905, Completion: arrival + 6983,
+				ColdLoads: uint64(i % 2), WarmHits: uint64(1 - i%2), FetchCycles: 68 * uint64(i%2), Latency: 6078},
+			Run: runs[k],
+		})
+	}
+	fr.Totals = cluster.Totals{Makespan: 640919, Busy: 1077328, ColdLoads: 4, WarmHits: 124, FetchCycles: 272,
+		Latency: protean.LatencyStats{Jobs: 96, Mean: 155399, P50: 109040, P95: 452738, P99: 511182, Max: 511182}}
+	return fr
+}
+
+// unshare returns a copy of fr whose jobs each hold their own deep copy
+// of their Run: equal contents, no shared pointer.
+func unshare(fr *protean.FleetResult) *protean.FleetResult {
+	out := *fr
+	out.Jobs = slices.Clone(fr.Jobs)
+	for i := range out.Jobs {
+		if r := out.Jobs[i].Run; r != nil {
+			run := *r
+			run.Procs = slices.Clone(r.Procs)
+			for j := range run.Procs {
+				if e := run.Procs[j].Expected; e != nil {
+					exp := *e
+					run.Procs[j].Expected = &exp
+				}
+			}
+			out.Jobs[i].Run = &run
+		}
+	}
+	return &out
+}
+
+// aliasedRuns lists the job pairs i < j whose Runs are one non-nil
+// pointer.
+func aliasedRuns(fr *protean.FleetResult) [][2]int {
+	var pairs [][2]int
+	for i := range fr.Jobs {
+		for j := i + 1; j < len(fr.Jobs); j++ {
+			if fr.Jobs[i].Run != nil && fr.Jobs[i].Run == fr.Jobs[j].Run {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
 }
 
 func sampleSnapshot() protean.Metrics {
