@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -113,13 +114,16 @@ func main() {
 	}
 }
 
+// printEvent writes one watched event as its stream line.
+func printEvent(w io.Writer, job uint64, ev protean.Event) {
+	fmt.Fprintf(w, "job %d: %s %s cycle=%d %s\n", job, ev.Kind, ev.Label, ev.Cycle, ev.Message)
+}
+
 // watchJob streams one job's events to stderr until it finishes,
 // exiting nonzero unless the job completed successfully.
 func watchJob(c *server.Client, job uint64) {
 	done, err := c.Watch(job,
-		func(ev protean.Event) {
-			fmt.Fprintf(os.Stderr, "job %d: %s %s cycle=%d %s\n", job, ev.Kind, ev.Label, ev.Cycle, ev.Message)
-		},
+		func(ev protean.Event) { printEvent(os.Stderr, job, ev) },
 		func(dropped uint64) {
 			fmt.Fprintf(os.Stderr, "job %d: [%d events dropped]\n", job, dropped)
 		})
