@@ -3,6 +3,7 @@
 package protean
 
 import (
+	"context"
 	"testing"
 
 	"protean/internal/cluster"
@@ -50,6 +51,34 @@ func TestResolveAssembleAllocs(t *testing.T) {
 		if got := measure(shape[0], shape[1]); got != want {
 			t.Errorf("%d nodes, %d jobs: allocs %+v, want %+v as for 1 node and 1 job",
 				shape[0], shape[1], got, want)
+		}
+	}
+}
+
+// TestProgressSinkAllocs pins the progress path at a constant cost per
+// fleet: one share-group fleet run with a no-op sink allocates at most
+// a few objects more than the same fleet with none (the fleet-done
+// line), however many job events the group fires.
+func TestProgressSinkAllocs(t *testing.T) {
+	const bound = 8
+	sink := SinkFunc(func(Event) {})
+	for _, jobs := range []int{8, 128} {
+		sc := Scenario{
+			Seed:  1,
+			Nodes: []NodeSpec{{Count: 2, Session: SessionSpec{Scale: 800}}},
+			Jobs:  []JobSpec{{Workload: "echo/hw-nosoft", Count: jobs}},
+		}
+		run := func(opts ...StartOption) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := RunScenario(context.Background(), sc, opts...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		with, without := run(WithRunProgress(sink)), run()
+		t.Logf("%d jobs: %v allocs with a sink, %v without", jobs, with, without)
+		if with-without > bound {
+			t.Errorf("%d jobs: a no-op sink costs %v allocations, want at most %d", jobs, with-without, bound)
 		}
 	}
 }

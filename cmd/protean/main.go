@@ -116,7 +116,7 @@ func main() {
 
 // printEvent writes one watched event as its stream line.
 func printEvent(w io.Writer, job uint64, ev protean.Event) {
-	fmt.Fprintf(w, "job %d: %s %s cycle=%d %s\n", job, ev.Kind, ev.Label, ev.Cycle, ev.Message)
+	fmt.Fprintf(w, "job %d: %s %s cycle=%d %s\n", job, ev.Kind, ev.Label, ev.Cycle, ev.String())
 }
 
 // watchJob streams one job's events to stderr until it finishes,

@@ -265,7 +265,7 @@ func parseApps(s string, gate bool) ([]string, error) {
 func diagSink(lint, sta bool) protean.Sink {
 	return protean.SinkFunc(func(e protean.Event) {
 		if (lint && e.Kind == protean.EventLintWarning) || (sta && e.Kind == protean.EventTiming) {
-			fmt.Fprintln(os.Stderr, e.Message)
+			fmt.Fprintln(os.Stderr, e.String())
 		}
 	})
 }

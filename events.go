@@ -76,11 +76,42 @@ type Event struct {
 	Cycle uint64
 	// Procs is the process count for run-level events.
 	Procs int
-	// OK reports success for terminal events (clean exit, verified cell).
+	// Class tags an EventJobDone from a fleet of several node classes
+	// with the class it executed on, plus one; 0 means no class tag.
+	Class int
+	// Code is the exit code for EventProcessExit.
+	Code uint32
+	// OK reports success for terminal events (clean exit, verified cell
+	// or job).
 	OK bool
-	// Message is a preformatted human-readable line; WriterSink prints it
-	// verbatim when present.
+	// Message is a preformatted human-readable line, set only by the
+	// kinds that fire once per run, fleet or cell (run start and done,
+	// fleet done, sweep cells, lint and timing reports); String returns
+	// it verbatim when present.
 	Message string
+}
+
+// String renders the event as its human-readable line: Message when the
+// producer preformatted one, the job or process-exit line built from
+// the fields, or "kind label cycle=N" for anything else.
+func (e Event) String() string {
+	switch {
+	case e.Message != "":
+		return e.Message
+	case e.Kind == EventJobDone:
+		tag := ""
+		if e.Class > 0 {
+			tag = fmt.Sprintf(" [class %d]", e.Class-1)
+		}
+		return fmt.Sprintf("job %-24s%s executed in %12d cycles (verified=%v)", e.Label, tag, e.Cycle, e.OK)
+	case e.Kind == EventProcessExit:
+		state := ProcKilled
+		if e.OK {
+			state = ProcExited
+		}
+		return fmt.Sprintf("proc %-20s pid=%-4d %s code=%d cycle=%d", e.Label, e.PID, state, e.Code, e.Cycle)
+	}
+	return fmt.Sprintf("%s %s cycle=%d", e.Kind, e.Label, e.Cycle)
 }
 
 // Sink consumes progress events. Implementations must be safe for
@@ -113,9 +144,5 @@ func (ws *writerSink) Event(e Event) {
 	// by line rendering, never by simulation work.
 	ws.mu.Lock() //lint:blocking short write-serialization section
 	defer ws.mu.Unlock()
-	msg := e.Message
-	if msg == "" {
-		msg = fmt.Sprintf("%s %s cycle=%d", e.Kind, e.Label, e.Cycle)
-	}
-	fmt.Fprintln(ws.w, msg)
+	fmt.Fprintln(ws.w, e.String())
 }

@@ -231,9 +231,10 @@ func sharedRuns(fr *protean.FleetResult) [][2]int {
 }
 
 // TestHandshakeVersionMismatch relays a Dial through a peer that
-// rewrites its Hello to the previous protocol version: the daemon must
-// answer with its version-mismatch error and hang up, and Dial must
-// report that error.
+// rewrites its Hello to protocol version 4, whose Event frames carried a
+// rendered line where version 5 carries the line's facts: the daemon
+// must answer with its version-mismatch error and hang up, and Dial
+// must report that error.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	_, addr := startTestServer(t, Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -248,7 +249,10 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if err == nil {
 		c.Close()
 	}
-	want := fmt.Sprintf("server: protocol version mismatch: server speaks %d", wire.Version)
+	if wire.Version != 5 {
+		t.Fatalf("wire.Version = %d, want 5", wire.Version)
+	}
+	want := "server: protocol version mismatch: server speaks 5"
 	if err == nil || err.Error() != want {
 		t.Errorf("Dial: %v, want %q", err, want)
 	}
@@ -258,8 +262,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 }
 
 // relayOldHello accepts one client on l, sends the daemon at addr the
-// client's Hello with its version one less, relays the reply, and checks
-// that the daemon then closes the connection.
+// client's Hello with version 4, relays the reply, and checks that the
+// daemon then closes the connection.
 func relayOldHello(l net.Listener, addr string) error {
 	in, err := l.Accept()
 	if err != nil {
@@ -283,7 +287,7 @@ func relayOldHello(l net.Listener, addr string) error {
 	if !ok || h.Version != wire.Version {
 		return fmt.Errorf("client opened with %#v", m)
 	}
-	if err := wire.WriteFrame(out, wire.EncodeMessage(id, wire.Hello{Version: wire.Version - 1})); err != nil {
+	if err := wire.WriteFrame(out, wire.EncodeMessage(id, wire.Hello{Version: 4})); err != nil {
 		return err
 	}
 	reply, err := wire.ReadFrame(out, nil)

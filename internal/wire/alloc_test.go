@@ -20,7 +20,7 @@ func TestEncodeMessageAllocs(t *testing.T) {
 		ResultOK{Job: 2, Fleet: shareFleet()},
 		ResultOK{Job: 3, Fleet: unshare(shareFleet())},
 		Event{Job: 9, Ev: protean.Event{
-			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, OK: true, Message: "exit",
+			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, Code: 7, OK: true,
 		}},
 	}
 	for _, m := range msgs {

@@ -60,7 +60,12 @@ func FuzzWireDecode(f *testing.F) {
 	seed(func(e *Encoder) { AppendMessage(e, 5, MetricsOK{Snap: sampleSnapshot()}) })
 	seed(func(e *Encoder) {
 		AppendMessage(e, 0, Event{Job: 9, Ev: protean.Event{
-			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, OK: true,
+			Kind: protean.EventProcessExit, Label: "echo.0", PID: 2, Cycle: 1 << 33, Code: 7, OK: true,
+		}})
+	})
+	seed(func(e *Encoder) {
+		AppendMessage(e, 0, Event{Job: 9, Ev: protean.Event{
+			Kind: protean.EventJobDone, Label: "alpha-hw-nosoft x2", Cycle: 300894, Class: 2, OK: true,
 		}})
 	})
 	seed(func(e *Encoder) { AppendMessage(e, 6, ResultOK{Job: 9, Fleet: shareFleet()}) })

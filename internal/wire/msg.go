@@ -11,7 +11,7 @@ import (
 
 // Version is the protocol revision negotiated by Hello/HelloOK. A server
 // rejects clients whose major revision differs.
-const Version = 4
+const Version = 5
 
 // Message kinds — the first element of every message envelope.
 const (

@@ -153,7 +153,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		Watch{Job: 42},
 		Event{Job: 42, Ev: protean.Event{
 			Kind: protean.EventJobDone, Label: "alpha x2", PID: 3,
-			Cycle: 1 << 40, Procs: 2, OK: true, Message: "job done",
+			Cycle: 1 << 40, Procs: 2, Class: 2, Code: 7, OK: true,
+		}},
+		Event{Job: 42, Ev: protean.Event{
+			Kind: protean.EventFleetDone, Cycle: 99, Procs: 6, OK: true, Message: "fleet done",
 		}},
 		EventGap{Job: 42, Dropped: 17},
 		Done{Job: 42, State: StateCanceled, Err: "context canceled"},

@@ -152,9 +152,8 @@ func New(opts ...Option) (*Session, error) {
 				Label: p.Name,
 				PID:   p.PID,
 				Cycle: p.Stats.CompletionCycle,
+				Code:  p.ExitCode,
 				OK:    p.State == kernel.ProcExited,
-				Message: fmt.Sprintf("proc %-20s pid=%-4d %s code=%d cycle=%d",
-					p.Name, p.PID, p.State, p.ExitCode, p.Stats.CompletionCycle),
 			})
 		}
 	}

@@ -395,9 +395,12 @@ func TestWriterSinkRendersLines(t *testing.T) {
 	sink := protean.WriterSink(&buf)
 	sink.Event(protean.Event{Kind: protean.EventCellDone, Message: "preformatted line"})
 	sink.Event(protean.Event{Kind: protean.EventRunDone, Label: "x", Cycle: 7})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || lines[0] != "preformatted line" || !strings.Contains(lines[1], "run-done") {
-		t.Errorf("writer sink output:\n%s", buf.String())
+	sink.Event(protean.Event{Kind: protean.EventJobDone, Label: "echo x2", Cycle: 42, Class: 3})
+	want := "preformatted line\n" +
+		"run-done x cycle=7\n" +
+		"job echo x2                  [class 2] executed in           42 cycles (verified=false)\n"
+	if buf.String() != want {
+		t.Errorf("writer sink output:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -758,19 +758,16 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 			// OnExec fires (same goroutine), so the event carries the
 			// verification verdict.
 			res := results[class][stand(i)]
-			ok := res != nil && res.Err() == nil
-			tag := ""
-			if rs.classes > 1 {
-				tag = fmt.Sprintf(" [class %d]", class)
-			}
-			sink.Event(Event{
+			ev := Event{
 				Kind:  EventJobDone,
 				Label: rs.jobs[i].Label,
 				Cycle: e.Cycles,
-				OK:    ok,
-				Message: fmt.Sprintf("job %-24s%s executed in %12d cycles (verified=%v)",
-					rs.jobs[i].Label, tag, e.Cycles, ok),
-			})
+				OK:    res != nil && res.Err() == nil,
+			}
+			if rs.classes > 1 {
+				ev.Class = class + 1
+			}
+			sink.Event(ev)
 		}
 	}
 	execs, err := cluster.Execute(ccfg, execJobs, runner)
