@@ -6,13 +6,15 @@
 // identical jobs sharing one session, job throughput at 1k-node scale,
 // placement replay alone at 1k/10k/100k nodes, one end-to-end kernel
 // session, and a traced fleet run) and BENCH_daemon.json (the service
-// layer — daemon submit throughput, and the wire codec's encode and
-// decode of three ResultOK frames: a sample, a share-group fleet and
-// that fleet unshared). Each file runs its benchmark suite five
-// times (-count 5), every sample for at least 200ms of benchmark time,
-// and records the min, median and max of every reported metric (ns/op,
-// allocs, and the custom metrics the benchmarks emit — speedup-vs-gate-x,
-// jobs/sec, ...) as a benchmark-name → metric map.
+// layer — daemon submit throughput, one client's whole session of
+// submit, watch and result for a share-group fleet, and the wire
+// codec's encode and decode of three ResultOK frames: a sample, a
+// share-group fleet and that fleet unshared). Each file runs its
+// benchmark suite five times (-count 5), every sample for at least
+// 200ms of benchmark time, and records the min, median and max of every
+// reported metric (ns/op, allocs, and the custom metrics the benchmarks
+// emit — speedup-vs-gate-x, jobs/sec, ...) as a benchmark-name → metric
+// map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
 // it runs `benchjson -check`, which runs each suite for one iteration
@@ -93,7 +95,7 @@ var suites = []struct {
 		comment: "service layer performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{"./internal/server", "^BenchmarkDaemonSubmitThroughput$"},
+			{"./internal/server", "^(BenchmarkDaemonSubmitThroughput|BenchmarkDaemonSession)$"},
 			{"./internal/wire", "^(BenchmarkWireEncode|BenchmarkWireEncodeMessage|BenchmarkWireDecode)$"},
 		},
 	},

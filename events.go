@@ -63,24 +63,25 @@ func (k EventKind) String() string {
 // Event is one structured progress notification. It replaces the bare
 // io.Writer progress sink the experiment harness used to take: consumers
 // that want machine-readable progress read the fields; consumers that want
-// the classic log lines use WriterSink.
+// the classic log lines call String, or use WriterSink.
 type Event struct {
 	Kind EventKind
 	// Label identifies the subject: the process name for process events,
-	// the cell label for sweep events.
+	// the job label for job events, the cell label for sweep events.
 	Label string
 	// PID identifies the process for EventProcessExit.
 	PID uint32
+	// Code is the exit code for EventProcessExit.
+	Code uint32
 	// Cycle is the machine-cycle timestamp: the completion cycle for
 	// process and cell events, the total for EventRunDone.
 	Cycle uint64
 	// Procs is the process count for run-level events.
 	Procs int
 	// Class tags an EventJobDone from a fleet of several node classes
-	// with the class it executed on, plus one; 0 means no class tag.
-	Class int
-	// Code is the exit code for EventProcessExit.
-	Code uint32
+	// with the class it executed on, plus one; 0 means no class tag. At
+	// 32 bits it shares a word with OK, which keeps an Event at 72 bytes.
+	Class int32
 	// OK reports success for terminal events (clean exit, verified cell
 	// or job).
 	OK bool

@@ -308,25 +308,6 @@ func (b *Builder) Extend(a []Net, width int) []Net {
 	return out
 }
 
-// DFFW creates a word of flip-flops with a shared initial value of 0,
-// returning the Q nets.
-func (b *Builder) DFFW(d []Net) []Net {
-	out := make([]Net, len(d))
-	for i := range d {
-		out[i] = b.DFF(d[i], false)
-	}
-	return out
-}
-
-// DFFEW creates a word of enabled flip-flops.
-func (b *Builder) DFFEW(d []Net, en Net) []Net {
-	out := make([]Net, len(d))
-	for i := range d {
-		out[i] = b.DFFE(d[i], en, false)
-	}
-	return out
-}
-
 // regMaker returns a register factory for feedback datapaths: each call
 // allocates a word of flip-flops and returns the Q nets plus a setter that
 // patches the D inputs once the next-state logic (which typically reads the

@@ -26,10 +26,7 @@
 //     (init in, done out) of §4.4.
 package fabric
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Net identifies a single wire in a netlist. NilNet marks an unconnected
 // input.
@@ -491,9 +488,4 @@ func (n *Netlist) Clone() *Netlist {
 		c.Ports[i] = Port{Name: p.Name, Dir: p.Dir, Nets: append([]Net(nil), p.Nets...)}
 	}
 	return c
-}
-
-// SortPorts orders ports by name for deterministic serialisation.
-func (n *Netlist) SortPorts() {
-	sort.Slice(n.Ports, func(i, j int) bool { return n.Ports[i].Name < n.Ports[j].Name })
 }

@@ -695,3 +695,45 @@ func BenchmarkDaemonSubmitThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submits/s")
 	srv.jobWG.Wait()
 }
+
+// BenchmarkDaemonSession measures one client's whole session against a
+// live daemon over loopback TCP: Submit, Watch until Done, then Result.
+// The spec is a small share-group fleet, three workloads of eight
+// identical jobs on two nodes, so each op runs three sessions and
+// emits 24 job events and a fleet-done event. B/op and allocs/op count
+// both ends, daemon and client, since they share the process.
+// events/op counts the events the watch received: it can read below 25,
+// because events a job emits before the Watch subscribes are not sent.
+func BenchmarkDaemonSession(b *testing.B) {
+	_, addr := startTestServer(b, Config{})
+	c := dialTest(b, addr)
+	spec, err := json.Marshal(protean.Scenario{
+		Seed:  9,
+		Nodes: []protean.NodeSpec{{Count: 2, Session: protean.SessionSpec{Scale: 800}}},
+		Jobs: []protean.JobSpec{
+			{Workload: "echo/hw-nosoft", Count: 8},
+			{Workload: "alpha/hw-nosoft", Instances: 2, Count: 8},
+			{Workload: "twofish/hw-nosoft", Count: 8},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job, err := c.Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		done, err := c.Watch(job, func(protean.Event) { events++ }, nil)
+		if err != nil || done.State != wire.StateDone {
+			b.Fatalf("watch: %+v, %v", done, err)
+		}
+		if _, err := c.Result(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}

@@ -7,9 +7,9 @@ import (
 	"protean"
 )
 
-// FuzzWireDecode feeds arbitrary bytes to both decoder entry points the
-// daemon exposes to the network — the generic value decoder and the
-// message-envelope decoder — and pins the codec's two safety contracts:
+// FuzzWireDecode feeds arbitrary bytes to the message-envelope decoder
+// the daemon exposes to the network and to the generic value decoder
+// (value_test.go), and pins the codec's two safety contracts:
 //
 //  1. arbitrary input never panics or hangs (hostile headers are
 //     rejected before allocation, nesting is depth-bounded), and

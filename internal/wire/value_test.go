@@ -10,8 +10,9 @@ import "fmt"
 // Non-negative integers always decode as uint64 and negative ones as
 // int64, mirroring the canonical encoding split, so
 // EncodeValue(DecodeValue(b)) reproduces b exactly for every accepted
-// input. The generic form exists for the fuzzer and protocol tooling;
-// the daemon's messages decode into typed structs instead.
+// input. The generic form exists for the fuzzer and the codec tests,
+// as a reference reader of the raw encoding; the daemon's messages
+// decode into typed structs instead.
 type Value any
 
 // Array is a generic codec array.

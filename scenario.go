@@ -765,7 +765,7 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 				OK:    res != nil && res.Err() == nil,
 			}
 			if rs.classes > 1 {
-				ev.Class = class + 1
+				ev.Class = int32(class) + 1
 			}
 			sink.Event(ev)
 		}
